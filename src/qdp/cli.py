@@ -88,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument("--p", type=int, required=True)
     tc.add_argument("--k-list", type=str, default=None,
                     help="comma-separated degrees 2k to test, e.g. 4,8,12")
+    tc.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     common(tc)
 
     bs = sub.add_parser("borel-smith", help="check the Borel-Smith conditions "
@@ -144,7 +145,8 @@ def _cmd_theorem_c(args) -> VerificationReport:
             k_list = [int(x) for x in args.k_list.split(",") if x]
         except ValueError:
             raise MalformedInput(f"bad --k-list {args.k_list!r}")
-    cert = theorem_C_driver(args.p, k_list=k_list, degree_budget=_budget(args))
+    cert = theorem_C_driver(args.p, k_list=k_list, degree_budget=_budget(args),
+                            max_order=args.max_order)
     return VerificationReport(
         command=_echo(args), statement_name=cert.name, claim=cert.claim,
         status=cert.status, witness=cert.to_json())

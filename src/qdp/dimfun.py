@@ -35,17 +35,18 @@ from .groups import (
     QuotientTag,
     Subgroup,
     center,
+    conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
     cyclic_subgroups,
     generating_set,
+    greedy_generators,
     group_from_json,
     is_conjugate,
     normal_pairs_with_tag,
     order_p_subgroups_of_quotient,
     p_subgroups,
     quotient_group,
-    subgroup_closure,
     subgroups_of_p_group,
     sylow_p_subgroup,
 )
@@ -352,7 +353,7 @@ def lefschetz_number(h0: list[list[int]], hn: list[list[int]],
 def generation_by_order_p(G: FiniteGroup, p: int) -> tuple[bool, list[int]]:
     """Does the closure of the order-p elements give all of G?"""
     witnesses = [a for a in G.elements() if G.element_order(a) == p]
-    closure = subgroup_closure(G, witnesses)
+    _, closure = greedy_generators(G, witnesses)
     return len(closure) == G.order, witnesses
 
 
@@ -372,17 +373,26 @@ def qdp_obstruction_theorem_B(p: int,
     """
     if p == 2:
         raise EvenPrime("the obstruction needs p > 2")
+
+    def certificate(status: str, legs: list[Leg], witness: dict) -> Certificate:
+        return Certificate(
+            name="qdp-spherical-fibration-obstruction",
+            claim=(f"no mod-{p} spherical fibration over the classifying space of "
+                   f"Qd({p}) has a p-effective Euler class"),
+            status=status, legs=legs, witness=witness)
+
     G = construct_qdp(p, max_order=max_order)
     P = sylow_p_subgroup(G, p)
     Z = center(P)
-    assert Z.order == p
-
-    cycs = [C for C in cyclic_subgroups(P) if C.order > 1]
-    legs = [Leg("sylow-center", VERIFIED, {
+    legs = [Leg("sylow-center", VERIFIED if Z.order == p else REFUTED, {
         "sylow_order": P.order,
         "center": list(Z.members),
         "center_order": Z.order,
     })]
+    if Z.order != p:
+        return certificate(REFUTED, legs, {})
+
+    cycs = [C for C in cyclic_subgroups(P) if C.order > 1]
 
     # G-conjugacy classes of the nontrivial cyclic subgroups of P
     gens = generating_set(G)
@@ -390,19 +400,10 @@ def qdp_obstruction_theorem_B(p: int,
     for C in cycs:
         if C.members in class_key:
             continue
-        orbit = {C.members}
-        frontier = [C.members]
-        while frontier:
-            t = frontier.pop()
-            for g in gens:
-                gi = G.inv(g)
-                u = tuple(sorted(G.mul(G.mul(g, x), gi) for x in t))
-                if u not in orbit:
-                    orbit.add(u)
-                    frontier.append(u)
-        key = min(orbit)
-        for t in orbit:
-            class_key[t] = key
+        orbit = conjugacy_orbit(G, C, gens)
+        key = orbit[0].members
+        for T in orbit:
+            class_key[T.members] = key
 
     constraints: dict[tuple[int, ...], set[str]] = {}
     for C in cycs:
@@ -415,18 +416,28 @@ def qdp_obstruction_theorem_B(p: int,
         "constraints": {str(list(k)): sorted(v) for k, v in sorted(constraints.items())},
     }))
 
+    # Z's orbit-mates first (a stable sort keeps the order of cycs), so the
+    # first hit is the first subgroup of cycs conjugate to Z; is_conjugate
+    # stays the independent check and the rest remain as a fallback
+    zkey = class_key[Z.members]
     witness_g = None
     witness_c = None
-    for C in cycs:
+    for C in sorted(cycs, key=lambda C: class_key[C.members] != zkey):
         if C.members == Z.members:
             continue
         g = is_conjugate(G, Z, C)
         if g is not None:
             witness_g, witness_c = g, C
             break
-    if witness_g is None:
-        raise AssertionError("no fusion witness found; certificate impossible")
-    assert conjugate_subgroup(G, witness_g, Z).members == witness_c.members
+    checked = (witness_g is not None and
+               conjugate_subgroup(G, witness_g, Z).members == witness_c.members)
+    if not checked:
+        legs.append(Leg("fusion-witness", REFUTED, {
+            "witness": witness_g,
+            "reason": "no conjugator of the Sylow center onto another cyclic "
+                      "subgroup of the Sylow was found and checked",
+        }))
+        return certificate(REFUTED, legs, {})
     non_central = any(G.mul(x, y) != G.mul(y, x)
                       for x in witness_c.members for y in P.members)
     legs.append(Leg("fusion-witness", VERIFIED, {
@@ -436,7 +447,7 @@ def qdp_obstruction_theorem_B(p: int,
         "non_central_in_sylow": non_central,
     }))
 
-    agree = unsat and class_key[Z.members] == class_key[witness_c.members]
+    agree = unsat and zkey == class_key[witness_c.members]
     legs.append(Leg("constraint-unsat", VERIFIED if agree else REFUTED, {
         "unsat": unsat,
         "clash_classes": [list(k) for k in clash_keys],
@@ -456,16 +467,8 @@ def qdp_obstruction_theorem_B(p: int,
         "non_nilpotent": non_nilpotent(joined),
     }))
 
-    assert agree
-    return Certificate(
-        name="qdp-spherical-fibration-obstruction",
-        claim=(f"no mod-{p} spherical fibration over the classifying space of "
-               f"Qd({p}) has a p-effective Euler class"),
-        status=UNSAT,
-        legs=legs,
-        witness={
-            "conjugator": witness_g,
-            "center": list(Z.members),
-            "conjugate": list(witness_c.members),
-        },
-    )
+    return certificate(UNSAT if agree else REFUTED, legs, {
+        "conjugator": witness_g,
+        "center": list(Z.members),
+        "conjugate": list(witness_c.members),
+    })

@@ -173,10 +173,6 @@ class QdpGroup(FiniteGroup):
         self.nmat = len(mats)
         midx = {m: i for i, m in enumerate(mats)}
 
-        self._matmul = [
-            [midx[((m[0] * k[0] + m[1] * k[2]) % p, (m[0] * k[1] + m[1] * k[3]) % p,
-                   (m[2] * k[0] + m[3] * k[2]) % p, (m[2] * k[1] + m[3] * k[3]) % p)]
-             for k in mats] for m in mats]
         self._matinv = [midx[(m[3] % p, (-m[1]) % p, (-m[2]) % p, m[0] % p)] for m in mats]
         # act[i][v]: matrix i applied to the packed vector v = x*p + y
         self._act = [
@@ -186,6 +182,14 @@ class QdpGroup(FiniteGroup):
         # re-pack: the comprehension above iterates (x, y) in row-major order,
         # which is exactly packed index x*p + y, so _act[i][v] is correct.
         nv = p * p
+        # m*k has columns m*(columns of k): read each product off _act and
+        # look it up by its packed column pair
+        cols = [(k[0] * p + k[2], k[1] * p + k[3]) for k in mats]
+        by_cols = [-1] * (nv * nv)
+        for i, (c0, c1) in enumerate(cols):
+            by_cols[c0 * nv + c1] = i
+        self._matmul = [[by_cols[am[c0] * nv + am[c1]] for c0, c1 in cols]
+                        for am in self._act]
         self._vadd = [[(u // p + w // p) % p * p + (u % p + w % p) % p
                        for w in range(nv)] for u in range(nv)]
         self._vneg = [((-(u // p)) % p) * p + (-(u % p)) % p for u in range(nv)]
@@ -371,17 +375,25 @@ def whole_group(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)))
 
 
-def generating_set(G: FiniteGroup) -> list[int]:
-    """Small (greedy, deterministic) generating set."""
+def greedy_generators(G: FiniteGroup,
+                      candidates: Iterable[int]) -> tuple[list[int], set[int]]:
+    """Candidates in order, each kept when it lies outside the closure of
+    those kept so far, stopping once that closure is all of G; returns the
+    kept candidates and their closure."""
     gens: list[int] = []
     closure = {G.identity}
-    for a in G.elements():
+    for a in candidates:
         if a not in closure:
             gens.append(a)
             closure = set(subgroup_closure(G, gens))
             if len(closure) == G.order:
                 break
-    return gens
+    return gens, closure
+
+
+def generating_set(G: FiniteGroup) -> list[int]:
+    """Small (greedy, deterministic) generating set."""
+    return greedy_generators(G, G.elements())[0]
 
 
 def is_subgroup(G: FiniteGroup, members: Iterable[int]) -> bool:
@@ -403,10 +415,6 @@ def center(H: Subgroup) -> Subgroup:
     return Subgroup(G, tuple(out))
 
 
-def centralizes(G: FiniteGroup, z: int, members: Iterable[int]) -> bool:
-    return all(G.mul(z, x) == G.mul(x, z) for x in members)
-
-
 def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """Grow a p-subgroup by p-elements of its normalizer until full p-part.
 
@@ -419,11 +427,20 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     if G.order % p:
         raise SizeGuard(f"{p} does not divide |G| = {G.order}")
     target = p_part(G.order, p)
-    pelems = [a for a in G.elements() if _is_p_power(G.element_order(a), p)]
+    # p-elements in index order, found only as far as the growth needs them
+    pelems: list[int] = []
+    fresh = (a for a in G.elements() if _is_p_power(G.element_order(a), p))
+
+    def scan():
+        yield from pelems
+        for a in fresh:
+            pelems.append(a)
+            yield a
+
     hgens: list[int] = []
     members = {G.identity}
     while len(members) < target:
-        for g in pelems:
+        for g in scan():
             if g in members:
                 continue
             gi = G.inv(g)
@@ -461,8 +478,11 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
     while frontier:
         h = frontier.pop()
         hset = set(h)
-        norm = [g for g in mem
-                if all(G.mul(G.mul(g, x), G.inv(g)) in hset for x in h)]
+        norm = []
+        for g in mem:
+            gi = G.inv(g)
+            if all(G.mul(G.mul(g, x), gi) in hset for x in h):
+                norm.append(g)
         for g in norm:
             if g in hset or G.power(g, p) not in hset:
                 continue

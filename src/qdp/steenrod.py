@@ -26,7 +26,7 @@ from .errors import (
     NotUnimodular,
     PrimeMismatch,
 )
-from .groups import is_prime
+from .groups import DEFAULT_MAX_ORDER, is_prime
 
 DEFAULT_DEGREE_BUDGET = 200
 
@@ -627,7 +627,8 @@ def quotient_finite_dimensional(ideal: IdealHandle) -> FiniteQuotientResult:
 # the product-of-spheres obstruction driver
 
 def theorem_C_driver(p: int, k_list: Optional[Sequence[int]] = None,
-                     degree_budget: int = DEFAULT_DEGREE_BUDGET):
+                     degree_budget: int = DEFAULT_DEGREE_BUDGET,
+                     max_order: int = DEFAULT_MAX_ORDER):
     """Certificate that Qd(p), p odd, admits no finite free CW-complex with
     the homotopy type of a product of two equal-dimensional spheres.
 
@@ -654,7 +655,7 @@ def theorem_C_driver(p: int, k_list: Optional[Sequence[int]] = None,
     from .groups import construct_qdp
 
     legs = []
-    G = construct_qdp(p)
+    G = construct_qdp(p, max_order=max_order)
     generated, wit = generation_by_order_p(G, p)
     legs.append(Leg("order-p-generation", VERIFIED if generated else REFUTED, {
         "group_order": G.order, "order_p_elements": len(wit)}))

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import qdp
 from qdp.cli import (
     EXIT_BUDGET,
     EXIT_DOMAIN,
@@ -59,6 +64,35 @@ def test_theorem_c_cli(capsys):
     code, report = run_json(capsys, "theorem-c", "--p", "3", "--k-list", "4,6")
     assert code == EXIT_OK
     assert report["status"] == "unsat-certificate"
+
+
+def test_theorem_c_max_order(capsys):
+    code, report = run_json(capsys, "theorem-c", "--p", "7",
+                            "--max-order", "20000", "--k-list", "8")
+    assert code == EXIT_OK
+    assert report["status"] == "unsat-certificate"
+    assert main(["theorem-c", "--p", "7", "--k-list", "8"]) == EXIT_DOMAIN
+
+
+def test_theorem_b_failed_check_is_refuted(capsys, monkeypatch):
+    monkeypatch.setattr("qdp.dimfun.is_conjugate", lambda G, H, K: None)
+    code, report = run_json(capsys, "theorem-b", "--p", "3")
+    assert code == EXIT_REFUTED
+    assert report["status"] == report["witness"]["status"] == "refuted"
+    legs = {leg["name"]: leg["status"] for leg in report["witness"]["legs"]}
+    assert legs["fusion-witness"] == "refuted"
+
+
+def test_theorem_b_without_asserts():
+    # python -O strips assert statements; the certificate must not need them
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qdp.cli", "theorem-b", "--p", "3",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "unsat-certificate"
 
 
 def test_borel_smith_cli_verified_and_refuted(capsys):

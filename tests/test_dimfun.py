@@ -247,8 +247,12 @@ def test_lefschetz_values():
 
 def test_generation_by_order_p():
     ok, wits = generation_by_order_p(construct_qdp(3), 3)
-    assert ok and wits
+    assert ok and len(wits) == 80
+    ok, wits = generation_by_order_p(construct_qdp(5), 5)
+    assert ok and len(wits) == 624
     ok, _ = generation_by_order_p(cyclic(4), 2)
+    assert not ok
+    ok, _ = generation_by_order_p(cyclic(9), 3)
     assert not ok
     ok, _ = generation_by_order_p(cyclic(5), 5)
     assert ok
@@ -271,6 +275,23 @@ def test_theorem_b_certificates():
         P = sylow_p_subgroup(G, p)
         assert Z == center(P) and C != Z
         assert set(C.members) <= set(P.members)
+
+
+# (conjugator, center, conjugate): the search returns the first subgroup in
+# cyclic_subgroups order that is conjugate to the center, and the first
+# conjugator in index order
+THEOREM_B_WITNESSES = {
+    3: (12, [6, 102, 198], [6, 30, 54]),
+    5: (40, [20, 740, 1460, 2180, 2900], [20, 140, 260, 380, 500]),
+    7: (84, [42, 2730, 5418, 8106, 10794, 13482, 16170],
+        [42, 378, 714, 1050, 1386, 1722, 2058]),
+}
+
+
+def test_theorem_b_witness_triples():
+    for p, (g, z, c) in THEOREM_B_WITNESSES.items():
+        w = qdp_obstruction_theorem_B(p, max_order=20000).witness
+        assert (w["conjugator"], w["center"], w["conjugate"]) == (g, z, c)
 
 
 def test_theorem_b_rejects_two():

@@ -1,6 +1,7 @@
 """Group core: construction, Sylow theory, lattices, conjugacy, tags."""
 
 import itertools
+import random
 
 import pytest
 
@@ -122,6 +123,24 @@ def test_qdp_multiplication_rule():
     # A w = [[1,1],[0,1]] (0,1) = (1,1); v + Aw = (2,1); AB = [[2,1],[1,1]]
     assert v == (2, 1)
     assert m == (2, 1, 1, 1)
+
+
+def test_qdp_matrix_table_matches_explicit_product():
+    # every pair at p = 3, a seeded sample at p = 5 and p = 7
+    rng = random.Random(11)
+    for p in (3, 5, 7):
+        G = construct_qdp(p, max_order=20000)
+        n = G.nmat
+        if p == 3:
+            pairs = itertools.product(range(n), repeat=2)
+        else:
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
+        for i, j in pairs:
+            a, b, c, d = G.mats[i]
+            e, f, g, h = G.mats[j]
+            prod = ((a * e + b * g) % p, (a * f + b * h) % p,
+                    (c * e + d * g) % p, (c * f + d * h) % p)
+            assert G.mats[G._matmul[i][j]] == prod
 
 
 def test_json_round_trip():
