@@ -19,16 +19,20 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    BudgetError,
     DegreeBudget,
     EvenPrime,
     Inhomogeneous,
     MalformedInput,
     NotUnimodular,
     PrimeMismatch,
+    QdpError,
 )
 from .groups import DEFAULT_MAX_ORDER, is_prime
 
 DEFAULT_DEGREE_BUDGET = 200
+# largest number of subspaces the zeta-power enumeration tests
+MAX_SUBSPACES = 5000
 
 Mono = tuple[int, int, int, int]  # (a, b, eu, ev): x^a y^b u^eu v^ev
 
@@ -110,10 +114,16 @@ class GradedElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "GradedElement":
-        assert k >= 0
+        if k < 0:
+            raise MalformedInput(f"negative exponent {k}")
         out = GradedElement.one(self.p)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -143,10 +153,6 @@ class GradedElement:
 
     def is_homogeneous(self) -> bool:
         return len({_mono_degree(m) for m in self.terms}) <= 1
-
-    def homogeneous_component(self, d: int) -> "GradedElement":
-        return GradedElement(self.p, {m: c for m, c in self.terms.items()
-                                      if _mono_degree(m) == d})
 
     def polynomial_part(self) -> "GradedElement":
         return GradedElement(self.p, {m: c for m, c in self.terms.items()
@@ -286,11 +292,12 @@ def invariants(p: int) -> InvariantPair:
     xi = GradedElement(p, {((p - i) * (p - 1), i * (p - 1), 0, 0): 1
                            for i in range(p + 1)})
     zeta = GradedElement(p, {(1, p, 0, 0): 1, (p, 1, 0, 0): -1})
-    assert xi.degree() == 2 * p * (p - 1)
-    assert zeta.degree() == 2 * (p + 1)
+    if xi.degree() != 2 * p * (p - 1) or zeta.degree() != 2 * (p + 1):
+        raise QdpError(f"invariant degrees {xi.degree()}, {zeta.degree()} "
+                       f"are wrong at p = {p}")
     for g in (((1, 1), (0, 1)), ((1, 0), (1, 1))):
-        assert sl2_act(g, xi) == xi, "xi not invariant"
-        assert sl2_act(g, zeta) == zeta, "zeta not invariant"
+        if sl2_act(g, xi) != xi or sl2_act(g, zeta) != zeta:
+            raise QdpError(f"xi or zeta is not invariant under {g} at p = {p}")
     return InvariantPair(p, xi, zeta)
 
 
@@ -309,37 +316,43 @@ def monomial_basis(p: int, d: int) -> list[Mono]:
     return out
 
 
-def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced row echelon form over F_p; returns the nonzero rows."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
+def _lead(row: list[int], start: int = 0) -> Optional[int]:
+    return next((i for i in range(start, len(row)) if row[i]), None)
+
+
+def _echelon_mod_p(rows: Iterable[list[int]], p: int) -> list[tuple[int, list[int]]]:
+    """Row echelon basis over F_p of the span of the rows, as (lead, row)
+    pairs sorted by lead, each row monic at its lead.
+
+    There is no back-substitution: entries above a lead may be nonzero,
+    which is all _reduce_vector needs.  A row is reduced only against
+    pivots sharing its current lead, so rows with distinct leads (the
+    shifts x^j * g of one generator) cost one normalisation each.
+    """
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = [x % p for x in row]
+        lead = _lead(row)
+        while lead is not None and lead in pivots:
+            f = row[lead]
+            row = [(a - f * b) % p for a, b in zip(row, pivots[lead])]
+            lead = _lead(row, lead + 1)
+        if lead is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r]]
+        inv = pow(row[lead], -1, p)
+        pivots[lead] = [(x * inv) % p for x in row]
+    return sorted(pivots.items())
 
 
-def _reduce_vector(vec: list[int], basis: list[list[int]], p: int) -> list[int]:
+def _reduce_vector(vec: list[int], basis: list[tuple[int, list[int]]],
+                   p: int) -> list[int]:
+    """Residue of vec modulo the span of an echelon basis from
+    _echelon_mod_p; all zero exactly when vec lies in the span."""
     vec = [x % p for x in vec]
-    for row in basis:
-        lead = next(i for i, x in enumerate(row) if x)
-        if vec[lead]:
-            f = vec[lead]
-            vec = [(a - f * b) % p for a, b in zip(vec, row)]
+    for lead, row in basis:
+        f = vec[lead]
+        if f:
+            vec[lead:] = [(a - f * b) % p for a, b in zip(vec[lead:], row[lead:])]
     return vec
 
 
@@ -382,7 +395,7 @@ class IdealHandle:
                     for (a, b, _, _), c in g.terms.items():
                         vec[a + j] = (vec[a + j] + c) % self.p
                     rows.append(vec)  # x^j * g, coefficient of x^(a+j) y^(m-a-j)
-            self._poly_bases[m] = _rref_mod_p(rows, self.p)
+            self._poly_bases[m] = _echelon_mod_p(rows, self.p)
         return self._poly_bases[m]
 
     def _full_basis(self, d: int) -> tuple[list[Mono], list[list[int]]]:
@@ -402,7 +415,7 @@ class IdealHandle:
                     for mono, c in prod.terms.items():
                         vec[col[mono]] = c % self.p
                     rows.append(vec)
-            self._full_bases[d] = (basis, _rref_mod_p(rows, self.p))
+            self._full_bases[d] = (basis, _echelon_mod_p(rows, self.p))
         return self._full_bases[d]
 
     def contains(self, elem: GradedElement) -> bool:
@@ -446,15 +459,23 @@ def ideal_membership(a: GradedElement, ideal: IdealHandle) -> bool:
 def is_steenrod_closed(ideal: IdealHandle) -> tuple[bool, Optional[tuple[int, str]]]:
     """Closure under beta and all P^i on the generators (which suffices by
     the Cartan formula).  Returns a (generator index, operation) witness on
-    failure."""
-    for gi, g in enumerate(ideal.generators):
+    failure.
+
+    The tests run in degree order: beta on every generator, then P^1 on
+    every generator, then P^2, and so on.  A non-closed ideal thus fails
+    at its lowest failing degree, where the degreewise bases are smallest.
+    P^i vanishes on a generator of degree below 2i (instability)."""
+    gens = ideal.generators
+    for gi, g in enumerate(gens):
         if not ideal.contains(bockstein(g)):
             return False, (gi, "b")
-        for i in range(1, g.degree() // 2 + 1):
-            img = steenrod_power(i, g)
-            if img.is_zero():
+    top = max(g.degree() // 2 for g in gens)
+    for i in range(1, top + 1):
+        for gi, g in enumerate(gens):
+            if i > g.degree() // 2:
                 continue
-            if not ideal.contains(img):
+            img = steenrod_power(i, g)
+            if not img.is_zero() and not ideal.contains(img):
                 return False, (gi, f"P{i}")
     return True, None
 
@@ -480,17 +501,16 @@ def _all_subspaces(dim: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _lines(dim: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
-    import itertools as it
-    out = []
-    for vec in it.product(range(p), repeat=dim):
-        if not any(vec):
-            continue
-        lead = next(i for i, x in enumerate(vec) if x)
-        if vec[lead] != 1:
-            continue  # one representative per line
-        out.append((vec,))
-    return out
+def _subspace_count(dim: int, p: int) -> int:
+    """Number of nonzero subspaces of F_p^dim: a sum of Gaussian binomials."""
+    total = 0
+    for r in range(1, dim + 1):
+        num = den = 1
+        for i in range(r):
+            num *= p ** (dim - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
 
 
 @dataclass
@@ -498,7 +518,6 @@ class ZetaPropositionResult:
     p: int
     k: int
     ambient: list[tuple[int, int]]  # (xi exponent, zeta exponent) basis
-    exhaustive: bool  # all subspaces vs. one-generator subspaces only
     survivors: list[tuple[tuple[int, ...], ...]]
     predicted: list[tuple[tuple[int, ...], ...]]
 
@@ -522,7 +541,7 @@ class ZetaPropositionResult:
         return {
             "p": self.p, "k": self.k,
             "ambient": [list(ab) for ab in self.ambient],
-            "exhaustive_subspaces": self.exhaustive,
+            "exhaustive_subspaces": True,
             "survivors": [[list(r) for r in rows] for rows in self.survivors],
             "predicted": [[list(r) for r in rows] for rows in self.predicted],
             "matches": self.matches,
@@ -534,7 +553,12 @@ def brute_force_zeta_proposition(p: int, k: int,
                                  ) -> ZetaPropositionResult:
     """Enumerate the invariant subspaces M of degree 2k and keep those whose
     ideal is closed under the operations; the predicted survivor is the
-    zeta-power line when (p+1) | k and nothing otherwise."""
+    zeta-power line when (p+1) | k and nothing otherwise.
+
+    Every subspace is tested; more than MAX_SUBSPACES of them is a budget
+    outcome."""
+    if k < 1:
+        raise MalformedInput(f"k must be at least 1, got {k}")
     if 2 * k * p > degree_budget:
         raise DegreeBudget(
             f"closure tests reach degree {2 * k * p} > budget {degree_budget}")
@@ -547,10 +571,12 @@ def brute_force_zeta_proposition(p: int, k: int,
     dim = len(ambient)
     elems = [inv.xi ** a * inv.zeta ** b for a, b in ambient]
 
-    exhaustive = dim <= 3
-    spaces = _all_subspaces(dim, p) if exhaustive else _lines(dim, p)
+    count = _subspace_count(dim, p)
+    if count > MAX_SUBSPACES:
+        raise BudgetError(
+            f"{count} subspaces of F_{p}^{dim} exceed the bound {MAX_SUBSPACES}")
     survivors = []
-    for rows in spaces:
+    for rows in _all_subspaces(dim, p):
         gens = []
         for row in rows:
             g = GradedElement.zero(p)
@@ -567,7 +593,7 @@ def brute_force_zeta_proposition(p: int, k: int,
         target = (0, k // (p + 1))
         row = tuple(1 if ab == target else 0 for ab in ambient)
         predicted.append((row,))
-    return ZetaPropositionResult(p, k, ambient, exhaustive, survivors, predicted)
+    return ZetaPropositionResult(p, k, ambient, survivors, predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +748,11 @@ def theorem_C_driver(p: int, k_list: Optional[Sequence[int]] = None,
                             }))
             all_ok = all_ok and ok
 
-    assert all_ok
     return Certificate(
         name="qdp-product-of-spheres-obstruction",
         claim=(f"no finite free Qd({p})-CW-complex is homotopy equivalent to a "
                "product of two spheres of the same dimension"),
-        status=UNSAT,
+        status=UNSAT if all_ok else REFUTED,
         legs=legs,
         witness={"k_values": list(k_list)},
     )

@@ -142,6 +142,66 @@ def test_prop_zeta_cli(capsys):
     assert code == EXIT_OK and report["witness"]["survivors"] == []
 
 
+def test_prop_zeta_exhaustive_beyond_dimension_three(capsys):
+    # dimension 4: all 211 subspaces are tested
+    code, report = run_json(capsys, "prop-zeta", "--p", "3", "--k", "36",
+                            "--budget", "216")
+    assert code == EXIT_OK and report["status"] == "verified"
+    assert report["witness"]["exhaustive_subspaces"] is True
+    assert report["witness"]["ambient"] == [[0, 9], [2, 6], [4, 3], [6, 0]]
+    assert report["witness"]["survivors"] == [[[1, 0, 0, 0]]]
+    # dimension 6: 56,631 subspaces exceed the enumeration bound
+    assert main(["prop-zeta", "--p", "3", "--k", "60", "--budget", "400"]) == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop-zeta", "--p", "3", "--k", "-4"],
+    ["prop-zeta", "--p", "3", "--k", "0"],
+    ["theorem-c", "--p", "3", "--k-list", "0"],
+    ["theorem-c", "--p", "3", "--k-list", "-4"],
+])
+def test_zeta_rejects_nonpositive_k(capsys, argv):
+    assert main(argv) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_theorem_c_without_asserts():
+    # python -O strips assert statements; the certificate must not need them
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qdp.cli", "theorem-c", "--p", "3",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "unsat-certificate"
+
+
+def test_theorem_c_failed_leg_is_refuted(capsys, monkeypatch):
+    import qdp.steenrod as steenrod
+    real = steenrod.brute_force_zeta_proposition
+
+    def no_survivors(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.survivors = []
+        return res
+
+    monkeypatch.setattr(steenrod, "brute_force_zeta_proposition", no_survivors)
+    code, report = run_json(capsys, "theorem-c", "--p", "3", "--k-list", "4")
+    assert code == EXIT_REFUTED
+    assert report["status"] == report["witness"]["status"] == "refuted"
+    legs = {leg["name"]: leg["status"] for leg in report["witness"]["legs"]}
+    assert legs["zeta-line-k4"] == "refuted"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_invariant_check_failure_is_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr("qdp.steenrod.sl2_act", lambda A, a: a * 2)
+    assert main(["steenrod-check", "--p", "3"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_budget_exit_code(capsys):
     assert main(["prop-zeta", "--p", "3", "--k", "12", "--budget", "20"]) == EXIT_BUDGET
 

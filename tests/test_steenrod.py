@@ -2,13 +2,20 @@
 product-of-spheres driver."""
 
 import itertools
+import random
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdp.errors import DegreeBudget, EvenPrime, Inhomogeneous, NotUnimodular
+from qdp.errors import (
+    DegreeBudget,
+    EvenPrime,
+    Inhomogeneous,
+    MalformedInput,
+    NotUnimodular,
+)
 from qdp.steenrod import (
     GradedElement,
     IdealHandle,
@@ -109,6 +116,20 @@ def test_sign_rule_on_monomials(m1, m2):
     ((a2, b2, e2, f2),) = m2.terms.keys()
     sign = (-1) ** ((e1 + f1) * (e2 + f2))
     assert swap == sign * prod or (prod.is_zero() and swap.is_zero())
+
+
+@given(elements(), st.integers(0, 6))
+@settings(max_examples=60)
+def test_power_is_repeated_product(e, k):
+    prod = GradedElement.one(P)
+    for _ in range(k):
+        prod = prod * e
+    assert e ** k == prod
+
+
+def test_negative_power_rejected():
+    with pytest.raises(MalformedInput):
+        x ** -1
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +281,83 @@ def test_steenrod_closure_xi_fails():
         assert not closed
 
 
+def test_steenrod_closure_fails_at_lowest_degree():
+    # beta, then P^1 on every generator, then P^2, ...: xi^3 fails at P^1
+    # before any higher power of zeta^10 is tested
+    inv = invariants(5)
+    ideal = IdealHandle([inv.zeta ** 10, inv.xi ** 3])
+    degrees = []
+    contains = ideal.contains
+    ideal.contains = lambda e: degrees.append(e.degree()) or contains(e)
+    closed, witness = is_steenrod_closed(ideal)
+    assert not closed and witness == (1, "P1")
+    assert max(degrees) == 120 + 2 * (5 - 1)
+
+
+def _rank_mod_p(rows, p):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _random_homogeneous(rng, p, d, polynomial):
+    basis = [m for m in monomial_basis(p, d)
+             if not polynomial or m[2] == m[3] == 0]
+    return GradedElement(p, {m: rng.randrange(p) for m in basis
+                             if rng.random() < 0.6})
+
+
+def test_ideal_contains_matches_dense_rank():
+    # oracle: elem lies in the ideal iff appending it to the rows
+    # monomial * generator of its degree leaves their rank unchanged
+    rng = random.Random(20261018)
+    seen = set()
+    for trial in range(160):
+        p = (3, 5)[trial % 2]
+        polynomial = trial % 4 < 2
+        ngens, gens = rng.randint(1, 3), []
+        while len(gens) < ngens:
+            g = _random_homogeneous(rng, p, rng.randint(1, 4) * 2 + (
+                0 if polynomial else rng.randint(0, 1)), polynomial)
+            if not g.is_zero():
+                gens.append(g)
+        ideal = IdealHandle(gens)
+        d = max(g.degree() for g in gens) + rng.randint(0, 6)
+        if rng.random() < 0.5:
+            elem = _random_homogeneous(rng, p, d, False)
+        else:
+            elem = GradedElement.zero(p)
+            for g in gens:
+                if g.degree() <= d:
+                    elem = elem + g * _random_homogeneous(rng, p, d - g.degree(), False)
+        basis = monomial_basis(p, d)
+        col = {m: i for i, m in enumerate(basis)}
+
+        def vec(e):
+            out = [0] * len(basis)
+            for m, c in e.terms.items():
+                out[col[m]] = c
+            return out
+
+        rows = [vec(GradedElement.monomial(p, *m) * g) for g in gens
+                if g.degree() <= d for m in monomial_basis(p, d - g.degree())]
+        expected = _rank_mod_p(rows, p) == _rank_mod_p(rows + [vec(elem)], p)
+        assert ideal.contains(elem) == expected, (p, gens, elem)
+        seen.add((expected, elem.is_zero()))
+    assert {(True, False), (False, False)} <= seen
+
+
 def test_steenrod_closure_whole_ring():
     closed, _ = is_steenrod_closed(IdealHandle([GradedElement.one(P)]))
     assert closed
@@ -285,6 +383,17 @@ def test_zeta_proposition_pth_root_consistency():
     root = brute_force_zeta_proposition(3, 4)
     power = brute_force_zeta_proposition(3, 12)
     assert bool(root.survivors) == bool(power.survivors)
+
+
+@pytest.mark.parametrize("p, k, ambient, survivor", [
+    (3, 28, [(0, 7), (2, 4), (4, 1)], ((1, 0, 0),)),
+    (5, 60, [(0, 10), (3, 0)], ((1, 0),)),
+    (5, 120, [(0, 20), (3, 10), (6, 0)], ((1, 0, 0),)),
+])
+def test_zeta_proposition_pinned_survivors(p, k, ambient, survivor):
+    res = brute_force_zeta_proposition(p, k, degree_budget=1200)
+    assert res.ambient == ambient
+    assert res.survivors == [survivor] and res.matches
 
 
 def test_zeta_proposition_budget():
