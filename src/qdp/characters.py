@@ -14,11 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import IncompleteInduction, NonIntegral, NotPGroup
+from .errors import IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
 from .groups import (
     FiniteGroup,
     Subgroup,
     TableGroup,
+    _unique_prime,
     element_conjugacy_classes,
     generated_subgroup,
     subgroup_closure,
@@ -269,19 +270,6 @@ def group_exponent(G: FiniteGroup) -> int:
     return max(G.element_order(a) for a in G.elements())
 
 
-def _is_p_group(G: FiniteGroup) -> Optional[int]:
-    n = G.order
-    if n == 1:
-        return 2
-    for p in range(2, n + 1):
-        if n % p == 0:
-            m = n
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-    return None
-
-
 def induced_values(H: Subgroup, lam: LinearCharacter, classes: ElementClasses,
                    e: int) -> tuple[CyclotomicInteger, ...]:
     G = H.group
@@ -308,9 +296,11 @@ def induced_values(H: Subgroup, lam: LinearCharacter, classes: ElementClasses,
 def irreducible_characters(P: FiniteGroup,
                            classes: Optional[ElementClasses] = None) -> list[Character]:
     """The full irreducible character list, certified complete."""
-    p = _is_p_group(P)
-    if p is None:
-        raise NotPGroup(f"|G| = {P.order} is not a prime power")
+    if P.order > 1:  # the trivial group counts as a p-group
+        try:
+            _unique_prime(P.order)
+        except SizeGuard:
+            raise NotPGroup(f"|G| = {P.order} is not a prime power")
     if classes is None:
         classes = ElementClasses.compute(P)
     e = group_exponent(P)

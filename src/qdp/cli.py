@@ -52,15 +52,18 @@ def _load_json(path: str) -> dict:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("QDP_BUDGET")
-    if env is not None:
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env = os.environ.get("QDP_BUDGET")
+        if env is None:
+            return DEFAULT_DEGREE_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), "QDP_BUDGET"
         except ValueError:
             raise MalformedInput(f"QDP_BUDGET={env!r} is not an integer")
-    return DEFAULT_DEGREE_BUDGET
+    if budget < 0:
+        raise MalformedInput(f"{source} must be at least 0, got {budget}")
+    return budget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,6 +221,8 @@ def _cmd_fix_rank(args) -> VerificationReport:
 
 def _cmd_steenrod_check(args) -> VerificationReport:
     p = args.p
+    if args.samples < 1:
+        raise MalformedInput(f"--samples must be at least 1, got {args.samples}")
     inv = invariants(p)
     ok_zeta = steenrod_power(1, inv.zeta).is_zero()
     ok_xi = steenrod_power(1, inv.xi) == inv.zeta ** (p - 1)

@@ -461,13 +461,14 @@ def qdp_obstruction_theorem_B(p: int,
     from .steenrod import invariants
     zeta = invariants(p).zeta
     joined = euler_join([zeta, zeta])
-    legs.append(Leg("join-preserves-effectiveness", VERIFIED, {
+    effective = non_nilpotent(joined)
+    legs.append(Leg("join-preserves-effectiveness", VERIFIED if effective else REFUTED, {
         "sample_degree": zeta.degree(),
         "joined_degree": joined.degree(),
-        "non_nilpotent": non_nilpotent(joined),
+        "non_nilpotent": effective,
     }))
 
-    return certificate(UNSAT if agree else REFUTED, legs, {
+    return certificate(UNSAT if agree and effective else REFUTED, legs, {
         "conjugator": witness_g,
         "center": list(Z.members),
         "conjugate": list(witness_c.members),

@@ -21,13 +21,15 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidModel, MalformedInput, NoWitnessFound
+from .errors import Inhomogeneous, InvalidModel, MalformedInput, NoWitnessFound, QdpError
 from .groups import is_prime
 from .steenrod import (
     GradedElement,
     RankOneElement,
     rank_one_bockstein,
+    rank_one_canonical_monomial,
     rank_one_monomial_from_string,
+    rank_one_monomial_to_string,
     rank_one_power,
 )
 
@@ -86,23 +88,23 @@ class TwoRowModule:
     def to_json(self) -> dict:
         diff = "zero" if self.differential is None else \
             {"lambda": self.differential[0], "a": self.differential[1]}
+
+        def mono(degree: int) -> str:
+            return rank_one_monomial_to_string(rank_one_canonical_monomial(self.p, degree))
+
         ops = []
         if self.bockstein_g0 % self.p:
-            mono = RankOneElement.canonical(self.p, self.n + 1)
             ops.append({"op": "b", "g_n": [
-                [_mono_str(mono), G0, self.bockstein_g0 % self.p]]})
+                [mono(self.n + 1), G0, self.bockstein_g0 % self.p]]})
         shift = 1 if self.p == 2 else self.p - 1
         for i in sorted(self.powers):
             c0, cn = self.powers[i]
             entry = []
             if c0 % self.p:
-                entry.append([_mono_str(RankOneElement.canonical(
-                    self.p, self.n + 2 * i * shift if self.p != 2 else self.n + i)),
-                    G0, c0 % self.p])
+                entry.append([mono(self.n + 2 * i * shift if self.p != 2 else self.n + i),
+                              G0, c0 % self.p])
             if cn % self.p:
-                entry.append([_mono_str(RankOneElement.canonical(
-                    self.p, 2 * i * shift if self.p != 2 else i)),
-                    GN, cn % self.p])
+                entry.append([mono(2 * i * shift if self.p != 2 else i), GN, cn % self.p])
             if entry:
                 ops.append({"op": ("Sq" if self.p == 2 else "P") + str(i),
                             "g_n": entry})
@@ -163,17 +165,6 @@ def _component_degree(p: int, n: int, op: str, gen: str) -> int:
     return base + (i if p == 2 else 2 * i * (p - 1))
 
 
-def _mono_str(m: RankOneElement) -> str:
-    ((eps, k),) = m.terms.keys()
-    if eps and k:
-        return f"t^{k}*s"
-    if eps:
-        return "s"
-    if k == 1:
-        return "t"
-    return f"t^{k}" if k else "1"
-
-
 # ---------------------------------------------------------------------------
 # graded presentation of the total cohomology
 
@@ -226,16 +217,14 @@ class TwoRowLocalElement:
             degs.add(self.c0.degree())
         if not self.cn.is_zero():
             degs.add(self.cn.degree() + self.module.n)
-        assert len(degs) <= 1
+        if len(degs) > 1:
+            raise Inhomogeneous(f"degrees {sorted(degs)} present")
         return degs.pop() if degs else 0
 
     def to_terms(self) -> list[list]:
-        out = []
-        for (eps, k), c in sorted(self.c0.terms.items()):
-            out.append([_mono_str(RankOneElement.monomial(self.module.p, eps, k)), G0, c])
-        for (eps, k), c in sorted(self.cn.terms.items()):
-            out.append([_mono_str(RankOneElement.monomial(self.module.p, eps, k)), GN, c])
-        return out
+        return [[rank_one_monomial_to_string(m), gen, c]
+                for coeffs, gen in ((self.c0, G0), (self.cn, GN))
+                for m, c in sorted(coeffs.terms.items())]
 
 
 def module_bockstein(x: TwoRowLocalElement) -> TwoRowLocalElement:
@@ -308,6 +297,10 @@ def fix_rank(M: TwoRowModule, pole_bound: Optional[int] = None,
     sphere's cohomology: -1 when the differential is nonzero, else the top
     degree carrying a beta- and P-annihilated line with g_n-component."""
     M.validate()
+    if pole_bound is not None and pole_bound < 0:
+        raise MalformedInput(f"pole bound must be at least 0, got {pole_bound}")
+    if op_bound is not None and op_bound < 1:
+        raise MalformedInput(f"operation bound must be at least 1, got {op_bound}")
     p, n = M.p, M.n
     if M.differential is not None:
         return FixResult(-1, None, True, 0)
@@ -364,10 +357,10 @@ def fix_rank(M: TwoRowModule, pole_bound: Optional[int] = None,
             alpha = 0
         witness = TwoRowLocalElement(
             M, RankOneElement.canonical(p, r) * alpha, mono_gn)
-        # sanity: the witness really is annihilated
-        assert module_bockstein(witness).is_zero() or p == 2
-        for i in range(1, op_bound + 1):
-            assert module_power(i, witness).is_zero()
+        # the witness must really be annihilated
+        if (p != 2 and not module_bockstein(witness).is_zero()) or any(
+                not module_power(i, witness).is_zero() for i in range(1, op_bound + 1)):
+            raise QdpError(f"rank {r} witness is not annihilated by the operations")
         # the line is unique iff alpha was pinned or the g_0 slot is inert
         # (r = 0: adding the unit keeps all operations zero)
         unique = constrained or r == 0

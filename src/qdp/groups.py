@@ -367,10 +367,6 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return Subgroup(G, subgroup_closure(G, gens))
 
 
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (G.identity,))
-
-
 def whole_group(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)))
 

@@ -37,9 +37,6 @@ class Certificate:
     legs: list[Leg]
     witness: dict = field(default_factory=dict)
 
-    def computational_legs_verified(self) -> bool:
-        return all(leg.status in (VERIFIED, ASSUMED) for leg in self.legs)
-
     def to_json(self) -> dict:
         return {
             "schema": "1",

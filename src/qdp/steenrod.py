@@ -8,8 +8,8 @@ the Cartan formula; on a monomial this collapses to the closed form
 P^k(x^a y^b w) = sum_{i+j=k} C(a,i) C(b,j) x^{a+i(p-1)} y^{b+j(p-1)} w.
 
 The rank-one variant F_p[t] (x) Lambda(s) (t = beta s; for p = 2 just
-F_2[t] with Sq^i) lives here too, with Laurent powers of t allowed so the
-localized two-row computations can reuse it.
+F_2[t] with Sq^i) shares the sparse element core, with Laurent powers of t
+allowed so the localized two-row computations can reuse it.
 """
 
 from __future__ import annotations
@@ -37,87 +37,69 @@ MAX_SUBSPACES = 5000
 Mono = tuple[int, int, int, int]  # (a, b, eu, ev): x^a y^b u^eu v^ev
 
 
-def _mono_degree(m: Mono) -> int:
-    return 2 * (m[0] + m[1]) + m[2] + m[3]
-
-
 def _mono_key(m: Mono):
     # lexicographic with x > y > u > v, largest first
     return (-m[0], -m[1], -m[2], -m[3])
 
 
-class GradedElement:
-    """Sparse sum of monomials x^a y^b u^e v^d with coefficients in F_p."""
+class _SparseElement:
+    """Sparse F_p combination of monomials, `terms` mapping a monomial to a
+    nonzero coefficient in 1..p-1.  A subclass names its unit monomial
+    `_ONE` and supplies `_valid(p, m)`, the degree `_degree_of(m)` of one
+    monomial and the coefficient dict `_product(other)` of a product."""
 
     __slots__ = ("p", "terms")
 
-    def __init__(self, p: int, terms: Optional[dict[Mono, int]] = None):
+    def __init__(self, p: int, terms: Optional[dict] = None):
         self.p = p
-        clean: dict[Mono, int] = {}
+        clean = {}
         if terms:
+            valid = self._valid
             for m, c in terms.items():
                 c %= p
                 if c:
-                    if m[2] not in (0, 1) or m[3] not in (0, 1) or m[0] < 0 or m[1] < 0:
-                        raise MalformedInput(f"bad monomial exponents {m}")
+                    if not valid(p, m):
+                        raise MalformedInput(f"bad monomial {m}")
                     clean[m] = c
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, p: int):
+        return cls(p)
 
-    @staticmethod
-    def zero(p: int) -> "GradedElement":
-        return GradedElement(p)
+    @classmethod
+    def one(cls, p: int):
+        return cls(p, {cls._ONE: 1})
 
-    @staticmethod
-    def one(p: int) -> "GradedElement":
-        return GradedElement(p, {(0, 0, 0, 0): 1})
+    def _check(self, other) -> None:
+        if self.p != other.p:
+            raise PrimeMismatch(f"mixed primes {self.p} and {other.p}")
 
-    @staticmethod
-    def monomial(p: int, a: int, b: int, eu: int = 0, ev: int = 0,
-                 coeff: int = 1) -> "GradedElement":
-        return GradedElement(p, {(a, b, eu, ev): coeff})
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
+    def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return GradedElement(self.p, out)
+        return type(self)(self.p, out)
 
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return GradedElement(self.p, out)
+    def __sub__(self, other):
+        return self + -other
 
-    def __neg__(self) -> "GradedElement":
-        return GradedElement(self.p, {m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.p, {m: -c for m, c in self.terms.items()})
 
-    def __mul__(self, other) -> "GradedElement":
+    def __mul__(self, other):
         if isinstance(other, int):
-            return GradedElement(self.p, {m: c * other for m, c in self.terms.items()})
+            return type(self)(self.p, {m: c * other for m, c in self.terms.items()})
         self._check(other)
-        out: dict[Mono, int] = {}
-        for (a1, b1, u1, v1), c1 in self.terms.items():
-            for (a2, b2, u2, v2), c2 in other.terms.items():
-                if (u1 and u2) or (v1 and v2):
-                    continue  # exterior square
-                sign = -1 if (v1 and u2) else 1  # move v past u
-                m = (a1 + a2, b1 + b2, u1 + u2, v1 + v2)
-                out[m] = out.get(m, 0) + sign * c1 * c2
-        return GradedElement(self.p, out)
+        return type(self)(self.p, self._product(other))
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "GradedElement":
+    def __pow__(self, k: int):
         if k < 0:
             raise MalformedInput(f"negative exponent {k}")
-        out = GradedElement.one(self.p)
-        base = self
+        out, base = self.one(self.p), self
         while k:
             if k & 1:
                 out = out * base
@@ -127,17 +109,11 @@ class GradedElement:
         return out
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GradedElement) and self.p == other.p
+        return (type(other) is type(self) and self.p == other.p
                 and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.p, tuple(sorted(self.terms.items()))))
-
-    def _check(self, other: "GradedElement"):
-        if self.p != other.p:
-            raise PrimeMismatch(f"mixed primes {self.p} and {other.p}")
-
-    # -- graded structure --------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -146,13 +122,43 @@ class GradedElement:
         """Degree of a homogeneous element (0 for the zero element)."""
         if not self.terms:
             return 0
-        degs = {_mono_degree(m) for m in self.terms}
+        degs = {self._degree_of(m) for m in self.terms}
         if len(degs) > 1:
             raise Inhomogeneous(f"degrees {sorted(degs)} present")
         return degs.pop()
 
     def is_homogeneous(self) -> bool:
-        return len({_mono_degree(m) for m in self.terms}) <= 1
+        return len({self._degree_of(m) for m in self.terms}) <= 1
+
+
+class GradedElement(_SparseElement):
+    """Sparse sum of monomials x^a y^b u^e v^d with coefficients in F_p."""
+
+    __slots__ = ()
+    _ONE = (0, 0, 0, 0)
+
+    @staticmethod
+    def _valid(p: int, m: Mono) -> bool:
+        return m[0] >= 0 and m[1] >= 0 and m[2] in (0, 1) and m[3] in (0, 1)
+
+    def _degree_of(self, m: Mono) -> int:
+        return 2 * (m[0] + m[1]) + m[2] + m[3]
+
+    def _product(self, other: "GradedElement") -> dict[Mono, int]:
+        out: dict[Mono, int] = {}
+        for (a1, b1, u1, v1), c1 in self.terms.items():
+            for (a2, b2, u2, v2), c2 in other.terms.items():
+                if (u1 and u2) or (v1 and v2):
+                    continue  # exterior square
+                sign = -1 if (v1 and u2) else 1  # move v past u
+                m = (a1 + a2, b1 + b2, u1 + u2, v1 + v2)
+                out[m] = out.get(m, 0) + sign * c1 * c2
+        return out
+
+    @staticmethod
+    def monomial(p: int, a: int, b: int, eu: int = 0, ev: int = 0,
+                 coeff: int = 1) -> "GradedElement":
+        return GradedElement(p, {(a, b, eu, ev): coeff})
 
     def polynomial_part(self) -> "GradedElement":
         return GradedElement(self.p, {m: c for m, c in self.terms.items()
@@ -161,14 +167,11 @@ class GradedElement:
     def is_polynomial(self) -> bool:
         return all(m[2] == 0 and m[3] == 0 for m in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Mono, int]]:
-        return sorted(self.terms.items(), key=lambda t: _mono_key(t[0]))
-
     # -- serialization -----------------------------------------------------
 
     def to_strings(self) -> list[str]:
-        return [f"{c}*x^{a}*y^{b}*u^{e}*v^{d}"
-                for (a, b, e, d), c in self.sorted_terms()]
+        return [f"{c}*x^{a}*y^{b}*u^{e}*v^{d}" for (a, b, e, d), c in
+                sorted(self.terms.items(), key=lambda t: _mono_key(t[0]))]
 
     @staticmethod
     def from_strings(p: int, strings: Iterable[str]) -> "GradedElement":
@@ -187,10 +190,6 @@ class GradedElement:
                 raise MalformedInput(f"bad term {s!r}: {exc}")
             terms[m] = terms.get(m, 0) + c
         return GradedElement(p, terms)
-
-
-def multiply(a: GradedElement, b: GradedElement) -> GradedElement:
-    return a * b
 
 
 def bockstein(a: GradedElement) -> GradedElement:
@@ -254,23 +253,24 @@ def sl2_act(A, a: GradedElement) -> GradedElement:
     u_img = GradedElement(p, {(0, 0, 1, 0): a00, (0, 0, 0, 1): a10})
     v_img = GradedElement(p, {(0, 0, 1, 0): a01, (0, 0, 0, 1): a11})
 
-    pow_cache: dict[tuple[int, int, int], GradedElement] = {}
+    # x_pows[j] and y_pows[j] are the images of x^j and y^j, each built once
+    x_pows, y_pows = [GradedElement.one(p)], [GradedElement.one(p)]
+    for m in a.terms:
+        while len(x_pows) <= m[0]:
+            x_pows.append(x_pows[-1] * x_img)
+        while len(y_pows) <= m[1]:
+            y_pows.append(y_pows[-1] * y_img)
 
-    def binom_pow(base: GradedElement, n: int, tag: int) -> GradedElement:
-        key = (tag, n, 0)
-        if key not in pow_cache:
-            pow_cache[key] = base ** n
-        return pow_cache[key]
-
-    out = GradedElement.zero(p)
+    out: dict[Mono, int] = {}
     for (x, y, eu, ev), c in a.terms.items():
-        term = binom_pow(x_img, x, 0) * binom_pow(y_img, y, 1) * c
+        term = x_pows[x] * y_pows[y]
         if eu:
             term = term * u_img
         if ev:
             term = term * v_img
-        out = out + term
-    return out
+        for m, tc in term.terms.items():
+            out[m] = out.get(m, 0) + c * tc
+    return GradedElement(p, out)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +758,6 @@ def theorem_C_driver(p: int, k_list: Optional[Sequence[int]] = None,
     )
 
 
-
 # ---------------------------------------------------------------------------
 # rank one: F_p[t^{+-1}] (x) Lambda(s), and F_2[t^{+-1}]
 
@@ -771,59 +770,21 @@ def binom_mod(k: int, i: int, p: int) -> int:
     return ((-1) ** i * math.comb(-k + i - 1, i)) % p
 
 
-class RankOneElement:
+class RankOneElement(_SparseElement):
     """Sparse element of the localized rank-one algebra: terms s^eps t^k
     with k any integer (p odd; for p = 2 there is no s and |t| = 1)."""
 
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms: Optional[dict[tuple[int, int], int]] = None):
-        self.p = p
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (eps, k), c in terms.items():
-                c %= p
-                if c:
-                    if eps not in (0, 1) or (p == 2 and eps):
-                        raise MalformedInput(f"bad exterior flag {eps}")
-                    clean[(eps, k)] = c
-        self.terms = clean
+    __slots__ = ()
+    _ONE = (0, 0)
 
     @staticmethod
-    def zero(p: int) -> "RankOneElement":
-        return RankOneElement(p)
+    def _valid(p: int, m: tuple[int, int]) -> bool:
+        return m[0] == 0 or (m[0] == 1 and p != 2)
 
-    @staticmethod
-    def monomial(p: int, eps: int, k: int, coeff: int = 1) -> "RankOneElement":
-        return RankOneElement(p, {(eps, k): coeff})
+    def _degree_of(self, m: tuple[int, int]) -> int:
+        return m[1] if self.p == 2 else 2 * m[1] + m[0]
 
-    @staticmethod
-    def canonical(p: int, degree: int) -> "RankOneElement":
-        """The canonical basis monomial of the given degree: t^(d/2) or
-        s t^((d-1)/2) for odd p; t^d at p = 2."""
-        if p == 2:
-            return RankOneElement.monomial(p, 0, degree)
-        eps = degree & 1
-        return RankOneElement.monomial(p, eps, (degree - eps) // 2)
-
-    def __add__(self, other: "RankOneElement") -> "RankOneElement":
-        assert self.p == other.p
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return RankOneElement(self.p, out)
-
-    def __sub__(self, other: "RankOneElement") -> "RankOneElement":
-        assert self.p == other.p
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return RankOneElement(self.p, out)
-
-    def __mul__(self, other) -> "RankOneElement":
-        if isinstance(other, int):
-            return RankOneElement(self.p, {m: c * other for m, c in self.terms.items()})
-        assert self.p == other.p
+    def _product(self, other: "RankOneElement") -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
         for (e1, k1), c1 in self.terms.items():
             for (e2, k2), c2 in other.terms.items():
@@ -831,37 +792,36 @@ class RankOneElement:
                     continue
                 m = (e1 + e2, k1 + k2)
                 out[m] = out.get(m, 0) + c1 * c2
-        return RankOneElement(self.p, out)
+        return out
 
-    __rmul__ = __mul__
+    @staticmethod
+    def monomial(p: int, eps: int, k: int, coeff: int = 1) -> "RankOneElement":
+        return RankOneElement(p, {(eps, k): coeff})
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RankOneElement) and self.p == other.p
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.p, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        degs = {(2 * k + eps if self.p != 2 else k) for eps, k in self.terms}
-        if len(degs) > 1:
-            raise Inhomogeneous(f"degrees {sorted(degs)}")
-        return degs.pop()
+    @staticmethod
+    def canonical(p: int, degree: int) -> "RankOneElement":
+        """The canonical basis monomial of the given degree."""
+        return RankOneElement(p, {rank_one_canonical_monomial(p, degree): 1})
 
     def min_exponent(self) -> int:
         return min((k for _, k in self.terms), default=0)
 
-    def to_strings(self) -> list[str]:
-        out = []
-        for (eps, k), c in sorted(self.terms.items()):
-            mono = ("s*" if eps else "") + f"t^{k}"
-            out.append(f"{c}*{mono}")
-        return out
+
+def rank_one_canonical_monomial(p: int, degree: int) -> tuple[int, int]:
+    """(eps, k) of the degree-d basis monomial: t^d at p = 2, else t^(d/2)
+    or s t^((d-1)/2)."""
+    if p == 2:
+        return (0, degree)
+    eps = degree & 1
+    return (eps, (degree - eps) // 2)
+
+
+def rank_one_monomial_to_string(mono: tuple[int, int]) -> str:
+    """(eps, k) as read by rank_one_monomial_from_string: 't^2*s', 's', 't', '1'."""
+    eps, k = mono
+    if eps:
+        return f"t^{k}*s" if k else "s"
+    return "t" if k == 1 else f"t^{k}" if k else "1"
 
 
 def rank_one_monomial_from_string(p: int, s: str) -> RankOneElement:

@@ -79,6 +79,7 @@ def test_cyclotomic_arithmetic():
 
 
 def test_character_counts():
+    assert [c.degree for c in irreducible_characters(cyclic(1))] == [1]
     assert [c.degree for c in irreducible_characters(cyclic(3))] == [1, 1, 1]
     assert [c.degree for c in irreducible_characters(elementary_abelian(2, 2))] == [1] * 4
     degs = [c.degree for c in irreducible_characters(heisenberg(3))]
@@ -88,8 +89,9 @@ def test_character_counts():
 
 
 def test_non_p_group_rejected():
-    with pytest.raises(NotPGroup):
-        irreducible_characters(cyclic(6))
+    for n in (6, 12):
+        with pytest.raises(NotPGroup):
+            irreducible_characters(cyclic(n))
 
 
 def test_linear_characters_of_cyclic_are_roots_of_unity():

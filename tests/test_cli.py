@@ -202,6 +202,66 @@ def test_invariant_check_failure_is_domain_error(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["steenrod-check", "--p", "3", "--samples", "-1"], None),
+    (["steenrod-check", "--p", "3", "--samples", "0"], None),
+    (["prop-zeta", "--p", "3", "--k", "4", "--budget", "-5"], None),
+    (["prop-zeta", "--p", "3", "--k", "4"], "-5"),
+    (["fix-rank", "--model", data_path("model_rotation_p3.json"), "--op-bound", "0"], None),
+    (["fix-rank", "--model", data_path("model_rotation_p3.json"), "--op-bound", "-3"], None),
+    (["fix-rank", "--model", data_path("model_rotation_p3.json"), "--pole-bound", "-3"], None),
+], ids=["samples-negative", "samples-zero", "budget-negative", "env-budget-negative",
+        "op-bound-zero", "op-bound-negative", "pole-bound-negative"])
+def test_out_of_range_integers_are_malformed(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("QDP_BUDGET", env)
+    assert main(argv) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fix_rank_failed_witness_check_is_domain_error(capsys, monkeypatch):
+    # every operation image is the same nonzero element, so a line is found
+    # at the top degree but the witness check must then fail
+    import qdp.fixrank as fixrank
+    from qdp.steenrod import RankOneElement
+
+    def constant_image(i, x):
+        p = x.module.p
+        return fixrank.TwoRowLocalElement(x.module, RankOneElement.one(p),
+                                          RankOneElement.zero(p))
+
+    monkeypatch.setattr(fixrank, "module_power", constant_image)
+    code = main(["fix-rank", "--model", data_path("model_rotation_p3.json")])
+    assert code == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fix_rank_without_asserts():
+    # python -O strips assert statements; the rank must not depend on them
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qdp.cli", "fix-rank",
+         "--model", data_path("model_rotation_p3.json"), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "verified" and report["witness"]["rank"] == 0
+
+
+def test_theorem_b_join_leg_is_checked(capsys, monkeypatch):
+    monkeypatch.setattr("qdp.fixrank.non_nilpotent", lambda e: False)
+    code, report = run_json(capsys, "theorem-b", "--p", "3")
+    assert code == EXIT_REFUTED
+    assert report["status"] == report["witness"]["status"] == "refuted"
+    legs = {leg["name"]: leg["status"] for leg in report["witness"]["legs"]}
+    assert legs["join-preserves-effectiveness"] == "refuted"
+    assert legs["constraint-unsat"] == "verified"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_budget_exit_code(capsys):
     assert main(["prop-zeta", "--p", "3", "--k", "12", "--budget", "20"]) == EXIT_BUDGET
 

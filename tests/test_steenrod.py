@@ -15,6 +15,7 @@ from qdp.errors import (
     Inhomogeneous,
     MalformedInput,
     NotUnimodular,
+    PrimeMismatch,
 )
 from qdp.steenrod import (
     GradedElement,
@@ -30,6 +31,7 @@ from qdp.steenrod import (
     quotient_finite_dimensional,
     rank_one_bockstein,
     rank_one_monomial_from_string,
+    rank_one_monomial_to_string,
     rank_one_power,
     sl2_act,
     steenrod_power,
@@ -502,3 +504,41 @@ def test_theorem_c_driver_p5_single_leg():
     assert len(leg.details["survivors"]) == 1
     contra = next(l for l in cert.legs if l.name == "one-generator-contradiction-k6")
     assert contra.status == "verified" and contra.details["generator"] == "zeta^1"
+
+
+def test_rank_one_monomial_print_parse_round_trip():
+    for p in (2, 3, 5):
+        for eps in ((0,) if p == 2 else (0, 1)):
+            for k in range(-3, 4):
+                text = rank_one_monomial_to_string((eps, k))
+                assert rank_one_monomial_from_string(p, text) == \
+                    RankOneElement.monomial(p, eps, k)
+    assert [rank_one_monomial_to_string(m) for m in
+            ((1, 2), (1, 1), (1, 0), (0, 1), (0, 0), (0, -1))] == \
+        ["t^2*s", "t^1*s", "s", "t", "1", "t^-1"]
+
+
+def test_rank_one_ring_structure():
+    p = 3
+    s = RankOneElement.monomial(p, 1, 0)
+    t = RankOneElement.monomial(p, 0, 1)
+    tinv = RankOneElement.monomial(p, 0, -1)
+    assert (s * s).is_zero()
+    assert t * tinv == RankOneElement.one(p)
+    assert (s + t) ** 3 == t ** 3 + 3 * s * t ** 2  # 3 = 0 mod 3
+    assert (s * t - s * t).is_zero() and (-s).terms == {(1, 0): 2}
+    assert (s * t ** 2).degree() == 5
+    with pytest.raises(Inhomogeneous):
+        (s + t).degree()
+    with pytest.raises(MalformedInput):
+        RankOneElement.monomial(2, 1, 0)  # no exterior generator at p = 2
+
+
+@pytest.mark.parametrize("op", [
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+], ids=["add", "sub", "mul"])
+def test_mixed_primes_raise(op):
+    with pytest.raises(PrimeMismatch):
+        op(RankOneElement.monomial(3, 0, 1), RankOneElement.monomial(5, 0, 1))
+    with pytest.raises(PrimeMismatch):
+        op(GradedElement.monomial(3, 1, 0), GradedElement.monomial(5, 1, 0))

@@ -1,0 +1,27 @@
+"""Source guards: certificates must not depend on `assert` statements,
+which `python -O` strips."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qdp
+
+SRC = Path(qdp.__file__).resolve().parent
+
+COVERED = ["steenrod.py", "fixrank.py", "groups.py", "reports.py", "cli.py", "errors.py"]
+# still hold gating asserts; to be covered once those are explicit checks
+NOT_YET_COVERED = ["characters.py", "dimfun.py"]
+
+
+@pytest.mark.parametrize("name", COVERED)
+def test_no_assert_statements(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{name} has assert statements at lines {lines}"
+
+
+def test_every_module_is_listed():
+    modules = {p.name for p in SRC.glob("*.py")} - {"__init__.py"}
+    assert modules == set(COVERED) | set(NOT_YET_COVERED)
