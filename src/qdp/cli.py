@@ -76,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
+
+    def budget(p):
         p.add_argument("--budget", type=int, default=None,
                        help="degree budget for linear algebra "
                             f"(default {DEFAULT_DEGREE_BUDGET}, env QDP_BUDGET)")
@@ -93,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated degrees 2k to test, e.g. 4,8,12")
     tc.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     common(tc)
+    budget(tc)
 
     bs = sub.add_parser("borel-smith", help="check the Borel-Smith conditions "
                                             "for a super class function")
@@ -127,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--p", type=int, required=True)
     pz.add_argument("--k", type=int, required=True)
     common(pz)
+    budget(pz)
     return ap
 
 

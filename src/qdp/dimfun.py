@@ -108,13 +108,19 @@ def superclassfunction_from_json(obj: dict,
         entries = obj["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad super class function JSON: {exc}")
+    if not isinstance(entries, list):
+        raise MalformedInput(f"super class function values must be a list: {entries!r}")
     if lattice is None:
         group = group_from_json(obj["group"], max_order=max_order)
         lattice = p_subgroups(group, p, max_order=max_order)
     values = [None] * lattice.n_classes
     for ent in entries:
-        H = Subgroup(lattice.group, tuple(ent["class_rep"]))
-        values[lattice.class_of(H)] = int(ent["value"])
+        try:
+            H = Subgroup(lattice.group, tuple(ent["class_rep"]))
+            value = int(ent["value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad super class function entry {ent!r}: {exc!r}")
+        values[lattice.class_of(H)] = value
     if any(v is None for v in values):
         raise DomainMismatch("input does not cover every p-subgroup class")
     return SuperClassFunction(lattice, tuple(values), scale)

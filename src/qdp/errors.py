@@ -92,3 +92,7 @@ class InvalidModel(QdpError):
 
 class NoWitnessFound(QdpError):
     pass
+
+
+class PoleBudget(BudgetError, NoWitnessFound):
+    """The witness search needs more poles than the pole bound allows."""

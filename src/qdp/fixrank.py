@@ -21,7 +21,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import Inhomogeneous, InvalidModel, MalformedInput, NoWitnessFound, QdpError
+from .errors import (
+    Inhomogeneous,
+    InvalidModel,
+    MalformedInput,
+    NoWitnessFound,
+    PoleBudget,
+    QdpError,
+)
 from .groups import is_prime
 from .steenrod import (
     GradedElement,
@@ -119,38 +126,44 @@ class TwoRowModule:
             diff_obj = obj.get("differential", "zero")
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad model JSON: {exc}")
+        if not is_prime(p):  # the entries below are reduced mod p
+            raise InvalidModel(f"{p} is not prime")
         diff = None
         if diff_obj != "zero":
             try:
                 diff = (int(diff_obj["lambda"]), int(diff_obj["a"]))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedInput(f"bad differential: {exc}")
         bock = 0
         powers: dict[int, tuple[int, int]] = {}
-        for entry in obj.get("steenrod", []):
-            op = entry.get("op")
-            comps = {G0: 0, GN: 0}
-            for mono_str, gen, c in entry.get("g_n", []):
-                if gen not in comps:
-                    raise MalformedInput(f"unknown generator {gen!r}")
-                mono = rank_one_monomial_from_string(p, mono_str)
-                comps[gen] = (comps[gen] + int(c)) % p
-                # degree consistency of the stated monomial
-                want = _component_degree(p, n, op, gen)
-                if mono.degree() != want:
-                    raise InvalidModel(
-                        f"{op} component on {gen} must be in degree {want}, "
-                        f"got {mono.degree()}")
-            if op == "b":
-                bock = comps[G0]
-                if comps[GN]:
-                    raise InvalidModel("beta(g_n) cannot have a g_n component "
-                                       "(beta squared would not vanish)")
-            elif op and (op.startswith("P") or op.startswith("Sq")):
-                i = int(op[2:] if op.startswith("Sq") else op[1:])
-                powers[i] = (comps[G0], comps[GN])
-            else:
-                raise MalformedInput(f"unknown operation {op!r}")
+        try:
+            for entry in obj.get("steenrod", []):
+                op = entry.get("op")
+                comps = {G0: 0, GN: 0}
+                for mono_str, gen, c in entry.get("g_n", []):
+                    if gen not in comps:
+                        raise MalformedInput(f"unknown generator {gen!r}")
+                    mono = rank_one_monomial_from_string(p, mono_str)
+                    comps[gen] = (comps[gen] + int(c)) % p
+                    # degree consistency of the stated monomial
+                    want = _component_degree(p, n, op, gen)
+                    if mono.degree() != want:
+                        raise InvalidModel(
+                            f"{op} component on {gen} must be in degree {want}, "
+                            f"got {mono.degree()}")
+                if op == "b":
+                    bock = comps[G0]
+                    if comps[GN]:
+                        raise InvalidModel("beta(g_n) cannot have a g_n component "
+                                           "(beta squared would not vanish)")
+                elif op and (op.startswith("P") or op.startswith("Sq")):
+                    i = int(op[2:] if op.startswith("Sq") else op[1:])
+                    powers[i] = (comps[G0], comps[GN])
+                else:
+                    raise MalformedInput(f"unknown operation {op!r}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # a non-integer field, or an entry or term of the wrong shape
+            raise MalformedInput(f"bad steenrod entry: {exc}")
         model = TwoRowModule(p=p, n=n, differential=diff,
                              bockstein_g0=bock, powers=powers)
         model.validate()
@@ -247,19 +260,20 @@ def module_power(i: int, x: TwoRowLocalElement) -> TwoRowLocalElement:
     shift = 1 if p == 2 else p - 1
     c0 = rank_one_power(i, x.c0)
     cn = rank_one_power(i, x.cn)
-    for j in range(i):
-        l = i - j  # operation falling on g_n
-        d0, dn = M.powers.get(l, (0, 0))
-        if not (d0 % p or dn % p):
+    if x.cn.is_zero():
+        return TwoRowLocalElement(M, c0, cn)
+    for l, (d0, dn) in M.powers.items():  # P^l falls on g_n, P^(i-l) on x.cn
+        d0, dn = d0 % p, dn % p
+        if not 1 <= l <= i or not (d0 or dn):
             continue
-        hj = rank_one_power(j, x.cn)
+        hj = rank_one_power(i - l, x.cn)
         if hj.is_zero():
             continue
-        if d0 % p:
+        if d0:
             mono = RankOneElement.canonical(
                 p, M.n + (l if p == 2 else 2 * l * shift))
             c0 = c0 + hj * mono * d0
-        if dn % p:
+        if dn:
             mono = RankOneElement.monomial(p, 0, l if p == 2 else l * shift)
             cn = cn + hj * mono * dn
     return TwoRowLocalElement(M, c0, cn)
@@ -291,6 +305,41 @@ def default_op_bound(p: int, n: int, pole_bound: int) -> int:
     return (n + 2 * pole_bound) * p
 
 
+def _images(p: int, op_bound: int, f_alpha: TwoRowLocalElement,
+            f_gamma: TwoRowLocalElement):
+    """Images of the two basis elements under beta (odd p), then P^1 ..
+    P^op_bound, computed one operation at a time."""
+    if p != 2:
+        yield module_bockstein(f_alpha), module_bockstein(f_gamma)
+    for i in range(1, op_bound + 1):
+        yield module_power(i, f_alpha), module_power(i, f_gamma)
+
+
+def _annihilating_alpha(p: int, images) -> Optional[tuple[Optional[int], int]]:
+    """Solve for alpha with alpha * f_alpha + f_gamma annihilated.
+
+    Each image pair is linear in (alpha, gamma); every nonzero slot gives an
+    equation c_alpha * alpha + c_gamma = 0.  Returns None at the first
+    contradiction, leaving the remaining images uncomputed; otherwise
+    (alpha, or None when no equation pins it, and the number of images)."""
+    alpha = None
+    count = 0
+    for count, (ia, ig) in enumerate(images, 1):
+        for ta, tg in ((ia.c0.terms, ig.c0.terms), (ia.cn.terms, ig.cn.terms)):
+            for s in set(ta) | set(tg):
+                ca = ta.get(s, 0) % p
+                cg = tg.get(s, 0) % p
+                if ca:
+                    val = (-cg * pow(ca, -1, p)) % p
+                    if alpha is None:
+                        alpha = val
+                    elif alpha != val:
+                        return None
+                elif cg:
+                    return None
+    return alpha, count
+
+
 def fix_rank(M: TwoRowModule, pole_bound: Optional[int] = None,
              op_bound: Optional[int] = None) -> FixResult:
     """Rank r with the localized fixed-point module isomorphic to a rank-r
@@ -312,59 +361,27 @@ def fix_rank(M: TwoRowModule, pole_bound: Optional[int] = None,
     for r in range(n, -1, -1):
         mono_gn = RankOneElement.canonical(p, r - n)
         if mono_gn.min_exponent() < -pole_bound:
-            raise NoWitnessFound(
+            raise PoleBudget(
                 f"needed pole order {-mono_gn.min_exponent()} exceeds "
                 f"bound {pole_bound}")
         f_alpha = TwoRowLocalElement(M, RankOneElement.canonical(p, r),
                                      RankOneElement.zero(p))
         f_gamma = TwoRowLocalElement(M, RankOneElement.zero(p), mono_gn)
 
-        images = [(module_bockstein(f_alpha), module_bockstein(f_gamma))] \
-            if p != 2 else []
-        start_i = 1
-        for i in range(start_i, op_bound + 1):
-            images.append((module_power(i, f_alpha), module_power(i, f_gamma)))
-
-        # each image is linear in (alpha, gamma); every nonzero slot gives an
-        # equation c_alpha * alpha + c_gamma * gamma = 0
-        equations = []
-        for ia, ig in images:
-            for attr in ("c0", "cn"):
-                ta = getattr(ia, attr)
-                tg = getattr(ig, attr)
-                slots = set(ta.terms) | set(tg.terms)
-                for s in slots:
-                    equations.append((ta.terms.get(s, 0) % p,
-                                      tg.terms.get(s, 0) % p))
-        alpha = None
-        feasible = True
-        constrained = False
-        for ca, cg in equations:
-            if ca == 0 and cg != 0:
-                feasible = False
-                break
-            if ca != 0:
-                val = (-cg * pow(ca, -1, p)) % p
-                if alpha is None:
-                    alpha = val
-                    constrained = True
-                elif alpha != val:
-                    feasible = False
-                    break
-        if not feasible:
+        solved = _annihilating_alpha(p, _images(p, op_bound, f_alpha, f_gamma))
+        if solved is None:
             continue
-        if alpha is None:
-            alpha = 0
+        alpha, checked_ops = solved
         witness = TwoRowLocalElement(
-            M, RankOneElement.canonical(p, r) * alpha, mono_gn)
+            M, RankOneElement.canonical(p, r) * (alpha or 0), mono_gn)
         # the witness must really be annihilated
         if (p != 2 and not module_bockstein(witness).is_zero()) or any(
                 not module_power(i, witness).is_zero() for i in range(1, op_bound + 1)):
             raise QdpError(f"rank {r} witness is not annihilated by the operations")
         # the line is unique iff alpha was pinned or the g_0 slot is inert
         # (r = 0: adding the unit keeps all operations zero)
-        unique = constrained or r == 0
-        return FixResult(r, witness, unique, len(images))
+        unique = alpha is not None or r == 0
+        return FixResult(r, witness, unique, checked_ops)
     raise NoWitnessFound(
         "no annihilated line with g_n-component found above degree 0; "
         "invalid model or insufficient bounds")

@@ -826,6 +826,8 @@ def rank_one_monomial_to_string(mono: tuple[int, int]) -> str:
 
 def rank_one_monomial_from_string(p: int, s: str) -> RankOneElement:
     """Parse 't^2*s', 's', 't', '1' style monomials."""
+    if not isinstance(s, str):
+        raise MalformedInput(f"bad rank-one monomial {s!r}")
     s = s.replace(" ", "")
     eps, k = 0, 0
     if s in ("", "1"):
@@ -836,7 +838,10 @@ def rank_one_monomial_from_string(p: int, s: str) -> RankOneElement:
         elif part == "t":
             k += 1
         elif part.startswith("t^"):
-            k += int(part[2:])
+            try:
+                k += int(part[2:])
+            except ValueError:
+                raise MalformedInput(f"bad exponent in rank-one monomial {s!r}")
         elif part == "1":
             continue
         else:

@@ -220,6 +220,54 @@ def test_out_of_range_integers_are_malformed(capsys, monkeypatch, argv, env):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("term,op", [
+    (["t^x", "g_n", 1], "P1"),
+    (["t^2", "g_n", "a"], "P1"),
+    (["t^2", "g_n", 1], "Px"),
+    (["t^2", "g_n"], "P1"),
+], ids=["monomial-exponent", "coefficient", "operation-index", "two-element-term"])
+def test_malformed_model_is_malformed(tmp_path, capsys, term, op):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"p": 3, "n": 2, "differential": "zero",
+                                 "steenrod": [{"op": op, "g_n": [term]}]}))
+    assert main(["fix-rank", "--model", str(model)]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("values", [
+    lambda vals: [{"class_rep": vals[0]["class_rep"]}] + vals[1:],
+    lambda vals: 5,
+], ids=["entry-without-value", "values-not-a-list"])
+def test_malformed_tau_is_malformed(tmp_path, capsys, values):
+    tau = json.loads(Path(data_path("tau_regular_e9.json")).read_text())
+    tau["values"] = values(tau["values"])
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(tau))
+    code = main(["borel-smith", "--group", data_path("group_e9.json"),
+                 "--tau", str(path)])
+    assert code == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pole_bound_is_budget_outcome(capsys):
+    code = main(["fix-rank", "--model", data_path("model_rotation_p3.json"),
+                 "--pole-bound", "0"])
+    assert code == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err.startswith("budget: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fix-rank", "--model", data_path("model_rotation_p3.json")],
+    ["theorem-b", "--p", "3"],
+], ids=["fix-rank", "theorem-b"])
+def test_budget_flag_only_where_read(capsys, argv):
+    assert main(argv + ["--budget", "-5"]) == EXIT_MALFORMED
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
 def test_fix_rank_failed_witness_check_is_domain_error(capsys, monkeypatch):
     # every operation image is the same nonzero element, so a line is found
     # at the top degree but the witness check must then fail

@@ -1,8 +1,11 @@
 """Two-row models: presentations, localized ranks, joins, Euler classes."""
 
+import json
+from importlib import resources
+
 import pytest
 
-from qdp.errors import InvalidModel, MalformedInput, NoWitnessFound
+from qdp.errors import BudgetError, InvalidModel, MalformedInput, NoWitnessFound
 from qdp.fixrank import (
     FixResult,
     TwoRowModule,
@@ -17,8 +20,16 @@ from qdp.fixrank import (
     module_power,
     non_nilpotent,
     TwoRowLocalElement,
+    default_op_bound,
+    default_pole_bound,
 )
-from qdp.steenrod import GradedElement, RankOneElement, binom_mod, invariants
+from qdp.steenrod import (
+    GradedElement,
+    RankOneElement,
+    binom_mod,
+    invariants,
+    rank_one_power,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +111,38 @@ def witness_equations_hold(model, witness, op_bound):
         if any(val % p for val in slots.values()):
             return False
     return True
+
+
+def reference_module_power(i, x):
+    """P^i through the Cartan formula summed over every split j + l = i,
+    looking up the model datum of each l in turn."""
+    M = x.module
+    p = M.p
+    shift = 1 if p == 2 else p - 1
+    c0 = rank_one_power(i, x.c0)
+    cn = rank_one_power(i, x.cn)
+    for j in range(i):
+        l = i - j
+        d0, dn = M.powers.get(l, (0, 0))
+        if not (d0 % p or dn % p):
+            continue
+        hj = rank_one_power(j, x.cn)
+        if d0 % p:
+            mono = RankOneElement.canonical(
+                p, M.n + (l if p == 2 else 2 * l * shift))
+            c0 = c0 + hj * mono * d0
+        if dn % p:
+            cn = cn + hj * RankOneElement.monomial(p, 0, l if p == 2 else l * shift) * dn
+    return TwoRowLocalElement(M, c0, cn)
+
+
+def shipped_model(name):
+    blob = resources.files("qdp").joinpath("data", name).read_text()
+    return TwoRowModule.from_json(json.loads(blob))
+
+
+ROTATION = TwoRowModule(p=3, n=2, powers={1: (0, 1)})
+SHIPPED = ("model_lens_p3.json", "model_rotation_p3.json", "model_trivial_p3_n4.json")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +379,91 @@ def test_model_json_degree_validation():
         TwoRowModule.from_json(blob)  # t has degree 2, P1 shifts by 4
 
 
+def test_model_json_prime_checked_before_entries():
+    blob = {"p": 0, "n": 2, "differential": "zero",
+            "steenrod": [{"op": "P1", "g_n": [["t^2", "g_n", 1]]}]}
+    with pytest.raises(InvalidModel):
+        TwoRowModule.from_json(blob)  # reducing mod 0 would divide by zero
+
+
 def test_fixresult_json():
     res = fix_rank(TwoRowModule(p=3, n=2, powers={1: (0, 1)}))
     blob = res.to_json()
     assert blob["rank"] == 0 and blob["witness"] == [["t^-1", "g_n", 1]]
+
+
+# ---------------------------------------------------------------------------
+# pinned ranks and the Cartan loop
+
+ROTATION_JOIN_RESULTS = {
+    m: {"rank": m - 1, "witness": [[f"t^-{m}", "g_n", 1]], "unique_line": True,
+        "checked_ops": ops}
+    for m, ops in zip(range(1, 9), (43, 88, 133, 178, 223, 268, 313, 358))
+}
+
+SHIPPED_JOIN_RESULTS = {
+    "model_lens_p3.json":
+        {"rank": -1, "witness": None, "unique_line": True, "checked_ops": 0},
+    "model_rotation_p3.json":
+        {"rank": 1, "witness": [["t^-2", "g_n", 1]], "unique_line": True,
+         "checked_ops": 88},
+    "model_trivial_p3_n4.json":
+        {"rank": 9, "witness": [["1", "g_n", 1]], "unique_line": True,
+         "checked_ops": 148},
+}
+
+
+@pytest.mark.parametrize("m", sorted(ROTATION_JOIN_RESULTS))
+def test_rotation_join_results_pinned(m):
+    res = fix_rank(m_fold_join_model(ROTATION, m))
+    assert res.to_json() == ROTATION_JOIN_RESULTS[m]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_two_fold_join_results_pinned(name):
+    res = fix_rank(m_fold_join_model(shipped_model(name), 2))
+    assert res.to_json() == SHIPPED_JOIN_RESULTS[name]
+
+
+def _cartan_models():
+    models = [m_fold_join_model(ROTATION, m) for m in range(1, 9)]
+    models += [m_fold_join_model(shipped_model(name), 2) for name in SHIPPED]
+    models += [
+        # entries that are zero mod p, in and out of the unstable range
+        TwoRowModule(p=3, n=5, bockstein_g0=1,
+                     powers={0: (3, 3), 1: (2, 3), 2: (1, 0), 9: (0, 6)}),
+        TwoRowModule(p=5, n=4, powers={1: (2, 5), 2: (0, 3)}),
+        TwoRowModule(p=2, n=3, powers={1: (0, 1), 2: (1, 0), 3: (2, 4)}),
+    ]
+    return models
+
+
+@pytest.mark.parametrize("M", _cartan_models(),
+                         ids=lambda M: f"p{M.p}-n{M.n}-{len(M.powers)}ops")
+def test_module_power_matches_full_cartan_sum(M):
+    p = M.p
+    eps = 0 if p == 2 else 1
+    mixed = TwoRowLocalElement(
+        M, RankOneElement(p, {(eps, -1): 1, (0, 2): p - 1}),
+        RankOneElement(p, {(0, -M.n - 1): 1, (eps, 3): 1, (0, 5): 2}))
+    top_line = TwoRowLocalElement(M, RankOneElement.zero(p),
+                                  RankOneElement.canonical(p, -M.n))
+    op_bound = default_op_bound(p, M.n, default_pole_bound(M.n))
+    for x in (mixed, top_line):
+        for i in range(1, op_bound + 1):
+            got, want = module_power(i, x), reference_module_power(i, x)
+            assert (got.c0, got.cn) == (want.c0, want.cn), i
+
+
+def test_zero_mod_p_operations_do_not_change_the_rank():
+    M = TwoRowModule(p=3, n=5, bockstein_g0=1,
+                     powers={0: (3, 3), 1: (2, 3), 2: (1, 0), 9: (0, 6)})
+    bare = TwoRowModule(p=3, n=5, bockstein_g0=1, powers={1: (2, 0), 2: (1, 0)})
+    res = fix_rank(M)
+    assert res.rank == 5
+    assert res.to_json() == fix_rank(bare).to_json()
+
+
+def test_pole_bound_is_a_budget_outcome():
+    with pytest.raises(BudgetError):
+        fix_rank(ROTATION, pole_bound=0)
