@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--seed", type=int, default=0)
     common(sc)
 
-    pz = sub.add_parser("prop-zeta", help="enumerate Steenrod-closed invariant "
-                                          "ideals in one degree")
+    pz = sub.add_parser("prop-zeta", help="find the Steenrod-closed invariant "
+                                          "ideals generated in degree 2k as the "
+                                          "greatest closed subspace")
     pz.add_argument("--p", type=int, required=True)
     pz.add_argument("--k", type=int, required=True)
     common(pz)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import CompositeP, DomainMismatch, MalformedInput, SizeGuard
+from .errors import CompositeP, DomainMismatch, MalformedInput, QdpError, SizeGuard
 
 DEFAULT_MAX_ORDER = 5000
 
@@ -94,15 +94,15 @@ class FiniteGroup:
         e = self.identity
         for a in range(n):
             if self.mul(a, e) != a or self.mul(e, a) != a:
-                raise AssertionError(f"identity fails at {a}")
+                raise MalformedInput(f"identity fails at {a}")
             if self.mul(a, self.inv(a)) != e or self.mul(self.inv(a), a) != e:
-                raise AssertionError(f"inverse fails at {a}")
+                raise MalformedInput(f"inverse fails at {a}")
         for a in range(n):
             for b in range(n):
                 ab = self.mul(a, b)
                 for c in range(n):
                     if self.mul(ab, c) != self.mul(a, self.mul(b, c)):
-                        raise AssertionError(f"associativity fails at {(a, b, c)}")
+                        raise MalformedInput(f"associativity fails at {(a, b, c)}")
 
 
 class TableGroup(FiniteGroup):
@@ -230,11 +230,17 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput("group JSON needs a 'kind' field")
     if obj["kind"] == "qdp":
-        return construct_qdp(int(obj["p"]), max_order=max_order)
+        try:
+            p = int(obj["p"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput(f"qdp group JSON needs an integer 'p': {exc}")
+        return construct_qdp(p, max_order=max_order)
     if obj["kind"] == "table":
-        if "mul" not in obj:
-            raise MalformedInput("table group JSON needs 'mul'")
-        return TableGroup(obj["mul"])
+        mul = obj.get("mul")
+        if not isinstance(mul, list) or not all(
+                isinstance(row, list) and all(isinstance(v, int) for v in row) for row in mul):
+            raise MalformedInput("table group JSON needs 'mul', a list of integer rows")
+        return TableGroup(mul)
     raise MalformedInput(f"unknown group kind {obj['kind']!r}")
 
 
@@ -444,8 +450,8 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
                 hgens.append(g)
                 members = set(subgroup_closure(G, hgens))
                 break
-        else:  # pragma: no cover - impossible by Sylow theory
-            raise AssertionError("sylow growth stalled")
+        else:  # impossible in a group (Sylow); a non-associative table gets here
+            raise QdpError("sylow growth stalled")
     return Subgroup(G, tuple(sorted(members)))
 
 

@@ -20,6 +20,7 @@ from qdp.cli import (
     main,
 )
 from qdp.reports import canonical_json
+from qdp.steenrod import GradedElement
 
 
 def run(capsys, *argv):
@@ -143,15 +144,41 @@ def test_prop_zeta_cli(capsys):
 
 
 def test_prop_zeta_exhaustive_beyond_dimension_three(capsys):
-    # dimension 4: all 211 subspaces are tested
+    # dimension 4: 211 subspaces
     code, report = run_json(capsys, "prop-zeta", "--p", "3", "--k", "36",
                             "--budget", "216")
     assert code == EXIT_OK and report["status"] == "verified"
     assert report["witness"]["exhaustive_subspaces"] is True
     assert report["witness"]["ambient"] == [[0, 9], [2, 6], [4, 3], [6, 0]]
     assert report["witness"]["survivors"] == [[[1, 0, 0, 0]]]
-    # dimension 6: 56,631 subspaces exceed the enumeration bound
-    assert main(["prop-zeta", "--p", "3", "--k", "60", "--budget", "400"]) == EXIT_BUDGET
+    # dimension 6: 56,631 subspaces, decided by the greatest closed subspace
+    code, report = run_json(capsys, "prop-zeta", "--p", "3", "--k", "60",
+                            "--budget", "400")
+    assert code == EXIT_OK and report["status"] == "verified"
+    assert report["witness"]["exhaustive_subspaces"] is True
+    assert report["witness"]["survivors"] == [[[1, 0, 0, 0, 0, 0]]]
+    # dimension 11, about 8e14 subspaces: only the zeta^30 line is closed
+    code, report = run_json(capsys, "prop-zeta", "--p", "3", "--k", "120",
+                            "--budget", "800")
+    assert code == EXIT_OK and report["status"] == "verified"
+    assert report["witness"]["ambient"][0] == [0, 30]
+    assert report["witness"]["survivors"] == [[[1] + [0] * 10]]
+
+
+def test_prop_zeta_closed_space_is_refuted(capsys, monkeypatch):
+    # with every operation zero the whole degree-24 space W is closed; a
+    # closed subspace that is not a line refutes the claim, and its
+    # subspaces are not listed
+    import qdp.steenrod as steenrod
+    monkeypatch.setattr(steenrod, "bockstein", lambda a: GradedElement.zero(a.p))
+    monkeypatch.setattr(steenrod, "steenrod_power",
+                        lambda i, a: GradedElement.zero(a.p))
+    code, report = run_json(capsys, "prop-zeta", "--p", "3", "--k", "24")
+    assert code == EXIT_REFUTED and report["status"] == "refuted"
+    assert report["witness"]["exhaustive_subspaces"] is False
+    assert report["witness"]["matches"] is False
+    assert report["witness"]["survivors"] == [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -246,6 +273,20 @@ def test_malformed_tau_is_malformed(tmp_path, capsys, values):
     path.write_text(json.dumps(tau))
     code = main(["borel-smith", "--group", data_path("group_e9.json"),
                  "--tau", str(path)])
+    assert code == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group", [
+    {"kind": "qdp", "p": "x"},
+    {"kind": "table", "n": 2, "mul": "x"},
+], ids=["qdp-prime-not-integer", "table-not-a-list"])
+def test_malformed_group_is_malformed(tmp_path, capsys, group):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group))
+    code = main(["borel-smith", "--group", str(path),
+                 "--tau", data_path("tau_regular_e9.json")])
     assert code == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from qdp.errors import CompositeP, SizeGuard
+from qdp.errors import CompositeP, MalformedInput, SizeGuard
 from qdp.groups import (
     QuotientTag,
     Subgroup,
+    TableGroup,
     center,
     conjugate_subgroup,
     construct_qdp,
@@ -112,6 +113,13 @@ def test_group_axioms_exhaustive():
     for G in (construct_qdp(2), cyclic(9), heisenberg(3), dihedral(4),
               generalized_quaternion(8)):
         G.check_axioms(max_order=200)
+
+
+def test_group_axioms_reject_non_associative_table():
+    # identity 0, every element its own inverse, but (1*1)*2 = 2 != 1 = 1*(1*2)
+    G = TableGroup([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+    with pytest.raises(MalformedInput, match="associativity"):
+        G.check_axioms()
 
 
 def test_qdp_multiplication_rule():

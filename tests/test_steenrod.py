@@ -2,6 +2,7 @@
 product-of-spheres driver."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -23,8 +24,8 @@ from qdp.steenrod import (
     RankOneElement,
     binom_mod,
     bockstein,
+    ZetaPropositionResult,
     brute_force_zeta_proposition,
-    ideal_membership,
     invariants,
     is_steenrod_closed,
     monomial_basis,
@@ -250,20 +251,20 @@ def test_ideal_membership_basics():
     t1 = inv.zeta
     t2 = inv.xi
     ideal = IdealHandle([t1, t2])
-    assert ideal_membership(t1, ideal)
-    assert ideal_membership(t1 * x * y, ideal)
-    assert ideal_membership(inv.zeta ** 3, IdealHandle([inv.zeta]))
+    assert ideal.contains(t1)
+    assert ideal.contains(t1 * x * y)
+    assert IdealHandle([inv.zeta]).contains(inv.zeta ** 3)
     unit = IdealHandle([GradedElement.one(P)])
-    assert ideal_membership(GradedElement.one(P), unit)
-    assert not ideal_membership(GradedElement.one(P), ideal)
+    assert unit.contains(GradedElement.one(P))
+    assert not ideal.contains(GradedElement.one(P))
     with pytest.raises(Inhomogeneous):
-        ideal_membership(x + GradedElement.one(P), ideal)
+        ideal.contains(x + GradedElement.one(P))
 
 
 def test_ideal_membership_with_exterior_generators():
     ideal = IdealHandle([u * x - v * y])
-    assert ideal_membership((u * x - v * y) * y, ideal)
-    assert not ideal_membership(u * x * y, ideal)
+    assert ideal.contains((u * x - v * y) * y)
+    assert not ideal.contains(u * x * y)
 
 
 def test_steenrod_closure_zeta_powers():
@@ -401,6 +402,61 @@ def test_zeta_proposition_pinned_survivors(p, k, ambient, survivor):
 def test_zeta_proposition_budget():
     with pytest.raises(DegreeBudget):
         brute_force_zeta_proposition(3, 12, degree_budget=20)
+
+
+# the subspace enumeration, kept as a test-only reference for the fixpoint
+
+def _all_subspaces(dim, p):
+    """All nonzero subspaces of F_p^dim as reduced-echelon row tuples."""
+    out = []
+    for r in range(1, dim + 1):
+        for pivots in itertools.combinations(range(dim), r):
+            free_positions = [(i, c) for i in range(r) for c in range(dim)
+                              if c > pivots[i] and c not in pivots]
+            for vals in itertools.product(range(p), repeat=len(free_positions)):
+                rows = [[0] * dim for _ in range(r)]
+                for i, pc in enumerate(pivots):
+                    rows[i][pc] = 1
+                for (i, c), val in zip(free_positions, vals):
+                    rows[i][c] = val
+                out.append(tuple(tuple(row) for row in rows))
+    return out
+
+
+def reference_zeta_proposition(p, k):
+    """Test every nonzero subspace M of the degree-2k invariants for a
+    Steenrod-closed ideal (M), one IdealHandle per subspace."""
+    inv = invariants(p)
+    dxi, dzeta = p * (p - 1), p + 1
+    ambient = sorted((a, (k - a * dxi) // dzeta) for a in range(k // dxi + 1)
+                     if (k - a * dxi) % dzeta == 0)
+    elems = [inv.xi ** a * inv.zeta ** b for a, b in ambient]
+    survivors = []
+    for rows in _all_subspaces(len(ambient), p):
+        gens = []
+        for row in rows:
+            g = GradedElement.zero(p)
+            for c, e in zip(row, elems):
+                g = g + c * e
+            gens.append(g)
+        if is_steenrod_closed(IdealHandle(gens, 2 * k * p))[0]:
+            survivors.append(rows)
+    predicted = []
+    if k % (p + 1) == 0:
+        predicted.append((tuple(int(ab == (0, k // (p + 1))) for ab in ambient),))
+    return ZetaPropositionResult(p, k, ambient, survivors, predicted)
+
+
+# every (p, k) whose enumeration tests at most a few thousand subspaces
+ZETA_GRID = ([(3, k) for k in range(1, 41)] + [(5, k) for k in range(1, 73)]
+             + [(7, k) for k in range(1, 65)])
+
+
+@pytest.mark.parametrize("p, k", ZETA_GRID, ids=[f"p{p}-k{k}" for p, k in ZETA_GRID])
+def test_zeta_proposition_matches_enumeration(p, k):
+    got = brute_force_zeta_proposition(p, k, degree_budget=2 * k * p).to_json()
+    want = reference_zeta_proposition(p, k).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_quotient_finite_dimensional():
