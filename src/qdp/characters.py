@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
+from .errors import DomainMismatch, IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -38,7 +38,8 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     lead = den[-1]
     for i in range(len(out) - 1, -1, -1):
         q, r = divmod(num[i + len(den) - 1], lead)
-        assert r == 0
+        if r:
+            raise NonIntegral(f"{den} does not divide {num} over the integers")
         out[i] = q
         for j, c in enumerate(den):
             num[i + j] -= q * c
@@ -53,7 +54,8 @@ def cyclotomic_polynomial(e: int) -> list[int]:
     for d in range(1, e):
         if e % d == 0:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            assert rem == [0]
+            if rem != [0]:
+                raise NonIntegral(f"Phi_{d} leaves remainder {rem} in x^{e} - 1")
     return num
 
 
@@ -111,19 +113,22 @@ class CyclotomicInteger:
         return CyclotomicInteger(e, ctx.powers[k % e])
 
     def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        assert self.order == other.order
+        if self.order != other.order:
+            raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
         return CyclotomicInteger(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        assert self.order == other.order
+        if self.order != other.order:
+            raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
         return CyclotomicInteger(
             self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other) -> "CyclotomicInteger":
         if isinstance(other, int):
             return CyclotomicInteger(self.order, tuple(a * other for a in self.coeffs))
-        assert self.order == other.order
+        if self.order != other.order:
+            raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
         ctx = _CycloContext.get(self.order)
         phi = ctx.phi
         conv = [0] * (2 * phi - 1)
@@ -200,7 +205,8 @@ def _cyclic_decomposition(Q: TableGroup) -> list[tuple[int, int]]:
         if B.order * m == Q.order and len(set(B.members) & cyc) == 1:
             sub, mapping = _restrict_group(Q, B.members)
             return [(a, m)] + [(mapping[g], o) for g, o in _cyclic_decomposition(sub)]
-    raise AssertionError("abelian p-group has no cyclic complement")  # pragma: no cover
+    raise NotPGroup(f"order-{Q.order} group has no complement to a cyclic "
+                    "subgroup of largest order: not an abelian p-group")
 
 
 @dataclass
@@ -227,7 +233,10 @@ def linear_characters(H: Subgroup) -> list[LinearCharacter]:
         for (b, _), k in zip(basis, tup):
             g = Q.mul(g, Q.power(b, k))
         coords[g] = tup
-    assert len(coords) == Q.order
+    if len(coords) != Q.order:
+        raise IncompleteInduction(
+            f"cyclic basis reaches {len(coords)} of the {Q.order} elements of "
+            "the abelianization")
 
     out = []
     for jtup in itertools.product(*(range(m) for m in mods)):
@@ -317,7 +326,8 @@ def irreducible_characters(P: FiniteGroup,
         norm = _inner_product_times_order(vals, vals, classes).as_rational_int()
         if norm == n:
             deg = vals[classes.identity_class].as_rational_int()
-            assert deg is not None and deg > 0
+            if deg is None or deg < 1:
+                raise NonIntegral(f"irreducible character of degree {deg}")
             irreducible.append(Character(P, classes, vals, deg))
 
     irreducible.sort(key=Character.sort_key)
@@ -354,7 +364,8 @@ def frobenius_schur(chi: Character) -> int:
     if r is None or r % G.order:
         raise NonIntegral("Frobenius-Schur sum is not an integer multiple of |G|")
     ind = r // G.order
-    assert ind in (-1, 0, 1)
+    if ind not in (-1, 0, 1):
+        raise NonIntegral(f"Frobenius-Schur indicator {ind} is not -1, 0 or 1")
     return ind
 
 

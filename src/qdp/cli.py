@@ -1,9 +1,10 @@
 """Batch command-line frontend.
 
 Every subcommand prints a single verification report (text by default,
-`--format json` for machines) and exits 0 for a verified/unsat outcome,
-1 on malformed input, 2 on a domain error, 3 when a budget cut the answer
-short, and 4 when the check ran fine but refuted the claimed property.
+`--format json` for machines) and exits 0 for a verified/unsat outcome or
+4 when the check ran fine but refuted the claimed property.  Malformed
+input (exit 1), a domain error (exit 2) and a budget that cut the answer
+short (exit 3) print one line to stderr and no report.
 The env var QDP_BUDGET overrides the default degree budget.
 """
 
@@ -19,7 +20,7 @@ import time
 from . import __version__
 from .errors import BudgetError, MalformedInput, QdpError
 from .groups import DEFAULT_MAX_ORDER, Subgroup, group_from_json, p_subgroups
-from .reports import BUDGET_LIMITED, REFUTED, UNSAT, VERIFIED, VerificationReport
+from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport
 from .steenrod import (
     DEFAULT_DEGREE_BUDGET,
     GradedElement,
@@ -39,7 +40,6 @@ _STATUS_EXIT = {
     VERIFIED: EXIT_OK,
     UNSAT: EXIT_OK,
     REFUTED: EXIT_REFUTED,
-    BUDGET_LIMITED: EXIT_BUDGET,
 }
 
 
@@ -139,10 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_theorem_b(args) -> VerificationReport:
     from .dimfun import qdp_obstruction_theorem_B
-    cert = qdp_obstruction_theorem_B(args.p, max_order=args.max_order)
-    return VerificationReport(
-        command=_echo(args), statement_name=cert.name, claim=cert.claim,
-        status=cert.status, witness=cert.to_json())
+    return qdp_obstruction_theorem_B(args.p, max_order=args.max_order)
 
 
 def _cmd_theorem_c(args) -> VerificationReport:
@@ -153,11 +150,8 @@ def _cmd_theorem_c(args) -> VerificationReport:
             k_list = [int(x) for x in args.k_list.split(",") if x]
         except ValueError:
             raise MalformedInput(f"bad --k-list {args.k_list!r}")
-    cert = theorem_C_driver(args.p, k_list=k_list, degree_budget=_budget(args),
+    return theorem_C_driver(args.p, k_list=k_list, degree_budget=_budget(args),
                             max_order=args.max_order)
-    return VerificationReport(
-        command=_echo(args), statement_name=cert.name, claim=cert.claim,
-        status=cert.status, witness=cert.to_json())
 
 
 def _load_tau(args):
@@ -179,7 +173,6 @@ def _cmd_borel_smith(args) -> VerificationReport:
     report = check_borel_smith(tau)
     status = VERIFIED if report.ok else REFUTED
     return VerificationReport(
-        command=_echo(args),
         statement_name="borel-smith-conditions",
         claim="the given super class function satisfies the Borel-Smith "
               "conditions on all p-subgroups",
@@ -194,22 +187,20 @@ def _cmd_realize(args) -> VerificationReport:
     basis = real_representation_basis(group)
     sol = realize_as_representation(tau, basis)
     if sol is None:
-        return VerificationReport(
-            command=_echo(args), statement_name="representation-realization",
-            claim="the function is the fixed-point dimension function of a "
-                  "real representation",
-            status=REFUTED,
-            witness={"note": "complete bounded search found no nonnegative "
-                             "combination"})
+        status = REFUTED
+        witness = {"note": "complete bounded search found no nonnegative "
+                           "combination"}
+    else:
+        status = VERIFIED
+        witness = {"multiplicities": {str(k): v for k, v in sol.items()},
+                   "basis": [{"index": i, "realness": e.realness,
+                              "degree": e.real_degree}
+                             for i, e in enumerate(basis)]}
     return VerificationReport(
-        command=_echo(args), statement_name="representation-realization",
+        statement_name="representation-realization",
         claim="the function is the fixed-point dimension function of a real "
               "representation",
-        status=VERIFIED,
-        witness={"multiplicities": {str(k): v for k, v in sol.items()},
-                 "basis": [{"index": i, "realness": e.realness,
-                            "degree": e.real_degree}
-                           for i, e in enumerate(basis)]})
+        status=status, witness=witness)
 
 
 def _cmd_fix_rank(args) -> VerificationReport:
@@ -217,7 +208,7 @@ def _cmd_fix_rank(args) -> VerificationReport:
     model = TwoRowModule.from_json(_load_json(args.model))
     res = fix_rank(model, pole_bound=args.pole_bound, op_bound=args.op_bound)
     return VerificationReport(
-        command=_echo(args), statement_name="localized-fixed-point-rank",
+        statement_name="localized-fixed-point-rank",
         claim="the localized fixed points of the model form the cohomology "
               f"of a sphere of rank {res.rank}",
         status=VERIFIED,
@@ -244,7 +235,7 @@ def _cmd_steenrod_check(args) -> VerificationReport:
         ok_bock = ok_bock and bockstein(uv * g) == xv_uy * g
     status = VERIFIED if (ok_zeta and ok_xi and ok_bock) else REFUTED
     return VerificationReport(
-        command=_echo(args), statement_name="invariant-operation-identities",
+        statement_name="invariant-operation-identities",
         claim="P^1 kills zeta, P^1 sends xi to zeta^(p-1), and the Bockstein "
               "of uv times a polynomial is (xv - uy) times it",
         status=status,
@@ -257,7 +248,7 @@ def _cmd_prop_zeta(args) -> VerificationReport:
     res = brute_force_zeta_proposition(args.p, args.k, degree_budget=_budget(args))
     status = VERIFIED if res.matches else REFUTED
     return VerificationReport(
-        command=_echo(args), statement_name="zeta-power-line",
+        statement_name="zeta-power-line",
         claim="the only Steenrod-closed invariant ideal generated in degree "
               f"{2 * args.k} is the line of the zeta power, and only when "
               f"{args.p + 1} divides {args.k}",
@@ -276,10 +267,6 @@ _COMMANDS = {
 }
 
 
-def _echo(args) -> list[str]:
-    return list(getattr(args, "_argv", [args.command]))
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -287,7 +274,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_MALFORMED if exc.code not in (0,) else 0
-    args._argv = argv
     t0 = time.monotonic()
     try:
         report = _COMMANDS[args.command](args)
@@ -300,6 +286,7 @@ def main(argv=None) -> int:
     except QdpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    report.command = argv
     report.timing_ms = (time.monotonic() - t0) * 1000.0
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))

@@ -50,7 +50,7 @@ from .groups import (
     subgroups_of_p_group,
     sylow_p_subgroup,
 )
-from .reports import REFUTED, UNSAT, VERIFIED, Certificate, Leg
+from .reports import REFUTED, VERIFIED, Certificate, Leg
 
 
 @dataclass
@@ -77,7 +77,9 @@ class SuperClassFunction:
         return self.values[self.lattice.class_of(H)]
 
     def __add__(self, other: "SuperClassFunction") -> "SuperClassFunction":
-        assert self.lattice is other.lattice and self.scale == other.scale
+        if self.lattice is not other.lattice or self.scale != other.scale:
+            raise DomainMismatch("super class functions on different lattices "
+                                 "or scales cannot be added")
         return SuperClassFunction(
             self.lattice, tuple(a + b for a, b in zip(self.values, other.values)),
             self.scale)
@@ -186,7 +188,9 @@ def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
         if tag.kind == QuotientTag.ELEMENTARY_ABELIAN_RANK2:
             Q, coset_of = quotient_group(K, H)
             lines = order_p_subgroups_of_quotient(Q, p)
-            assert len(lines) == p + 1
+            if len(lines) != p + 1:
+                raise ShapeMismatch(f"rank-two quotient with {len(lines)} lines, "
+                                    f"not {p + 1}")
             tk = tau.value_of(K)
             lhs = tau.value_of(H) - tk
             rhs = sum(tau.value_of(_preimage(K, coset_of, set(line))) - tk
@@ -200,7 +204,9 @@ def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
         elif tag.kind in (QuotientTag.CYCLIC4, QuotientTag.GENERALIZED_QUATERNION):
             Q, coset_of = quotient_group(K, H)
             involutions = [a for a in Q.elements() if Q.element_order(a) == 2]
-            assert len(involutions) == 1
+            if len(involutions) != 1:
+                raise ShapeMismatch(f"{tag.kind} quotient with "
+                                    f"{len(involutions)} involutions, not 1")
             L = _preimage(K, coset_of, {Q.identity, involutions[0]})
             d = tau.value_of(H) - tau.value_of(L)
             modulus = 2 if tag.kind == QuotientTag.CYCLIC4 else 4
@@ -279,7 +285,8 @@ def check_codim_one_sum(tau: SuperClassFunction,
     subs = subgroups_of_p_group(V)
     ones = [S for S in subs if S.order == 1][0]
     lines = [S for S in subs if S.order == p]
-    assert len(lines) == p + 1
+    if len(lines) != p + 1:
+        raise ShapeMismatch(f"rank-two subgroup with {len(lines)} lines, not {p + 1}")
     tv = tau.value_of(V)
     lhs = tau.value_of(ones) - tv
     factors = {W.members: tau.value_of(W) - tv for W in lines}
@@ -380,12 +387,9 @@ def qdp_obstruction_theorem_B(p: int,
     if p == 2:
         raise EvenPrime("the obstruction needs p > 2")
 
-    def certificate(status: str, legs: list[Leg], witness: dict) -> Certificate:
-        return Certificate(
-            name="qdp-spherical-fibration-obstruction",
-            claim=(f"no mod-{p} spherical fibration over the classifying space of "
-                   f"Qd({p}) has a p-effective Euler class"),
-            status=status, legs=legs, witness=witness)
+    name = "qdp-spherical-fibration-obstruction"
+    claim = (f"no mod-{p} spherical fibration over the classifying space of "
+             f"Qd({p}) has a p-effective Euler class")
 
     G = construct_qdp(p, max_order=max_order)
     P = sylow_p_subgroup(G, p)
@@ -396,7 +400,7 @@ def qdp_obstruction_theorem_B(p: int,
         "center_order": Z.order,
     })]
     if Z.order != p:
-        return certificate(REFUTED, legs, {})
+        return Certificate(name, claim, legs, {})
 
     cycs = [C for C in cyclic_subgroups(P) if C.order > 1]
 
@@ -443,7 +447,7 @@ def qdp_obstruction_theorem_B(p: int,
             "reason": "no conjugator of the Sylow center onto another cyclic "
                       "subgroup of the Sylow was found and checked",
         }))
-        return certificate(REFUTED, legs, {})
+        return Certificate(name, claim, legs, {})
     non_central = any(G.mul(x, y) != G.mul(y, x)
                       for x in witness_c.members for y in P.members)
     legs.append(Leg("fusion-witness", VERIFIED, {
@@ -474,7 +478,7 @@ def qdp_obstruction_theorem_B(p: int,
         "non_nilpotent": effective,
     }))
 
-    return certificate(UNSAT if agree and effective else REFUTED, legs, {
+    return Certificate(name, claim, legs, {
         "conjugator": witness_g,
         "center": list(Z.members),
         "conjugate": list(witness_c.members),

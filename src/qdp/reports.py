@@ -1,10 +1,12 @@
-"""Certificates and machine-readable verification reports.
+"""The one machine-readable report shape.
 
-A Certificate is the structured outcome of one of the non-existence
-drivers: a list of legs, each independently checkable, with an overall
-status.  A VerificationReport wraps any command outcome for the CLI.
-Reports are deterministic given the same inputs and seed; timing is
-carried as metadata and is excluded from reproducibility comparisons.
+Every command prints one VerificationReport: the statement it checked,
+a status, the legs of the argument (empty outside the theorem drivers)
+and a witness.  A Certificate is the report of a non-existence driver,
+whose status follows from its legs, so a certificate with a refuted leg
+can never claim `unsat-certificate`.  The CLI fills in `command` and
+`timing_ms`.  Reports are deterministic given the same inputs and seed;
+timing is metadata and is excluded from reproducibility comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ VERIFIED = "verified"
 ASSUMED = "assumed"
 REFUTED = "refuted"
 UNSAT = "unsat-certificate"
-BUDGET_LIMITED = "budget-limited"
 
 
 @dataclass
@@ -30,47 +31,23 @@ class Leg:
 
 
 @dataclass
-class Certificate:
-    name: str
-    claim: str
-    status: str
-    legs: list[Leg]
-    witness: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "1",
-            "name": self.name,
-            "statement": self.claim,
-            "status": self.status,
-            "legs": [leg.to_json() for leg in self.legs],
-            "witness": self.witness,
-        }
-
-
-@dataclass
 class VerificationReport:
-    command: list[str]
     statement_name: str
     claim: str
     status: str
     witness: dict = field(default_factory=dict)
+    legs: list[Leg] = field(default_factory=list)
+    command: list[str] = field(default_factory=list)
     timing_ms: float = 0.0
-    budget_limited: bool = False
-
-    def __post_init__(self):
-        # a budget-limited computation can never claim full verification
-        if self.budget_limited and self.status == VERIFIED:
-            self.status = BUDGET_LIMITED
 
     def to_json(self) -> dict:
         return {
-            "schema": "1",
+            "schema": "2",
             "command": self.command,
             "statement": {"name": self.statement_name, "claim": self.claim},
             "status": self.status,
+            "legs": [leg.to_json() for leg in self.legs],
             "witness": self.witness,
-            "budget_limited": self.budget_limited,
             "timing_ms": round(self.timing_ms, 3),
         }
 
@@ -80,11 +57,21 @@ class VerificationReport:
             f"claim     : {self.claim}",
             f"status    : {self.status}",
         ]
-        if self.budget_limited:
-            lines.append("note      : answer limited by a search budget")
+        lines += [f"leg       : {leg.status} {leg.name}" for leg in self.legs]
         lines.append(f"timing    : {self.timing_ms:.1f} ms")
         lines.append("witness   : " + json.dumps(self.witness, sort_keys=True))
         return "\n".join(lines)
+
+
+class Certificate(VerificationReport):
+    """Report of a non-existence driver: `unsat-certificate` when no leg is
+    refuted and at least one is verified, `refuted` otherwise."""
+
+    def __init__(self, statement_name: str, claim: str, legs: list[Leg],
+                 witness: dict):
+        statuses = {leg.status for leg in legs}
+        status = UNSAT if VERIFIED in statuses and REFUTED not in statuses else REFUTED
+        super().__init__(statement_name, claim, status, witness, legs)
 
 
 def canonical_json(report_json: dict) -> str:

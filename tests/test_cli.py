@@ -52,9 +52,43 @@ def test_theorem_b_cli(capsys):
     code, report = run_json(capsys, "theorem-b", "--p", "3")
     assert code == EXIT_OK
     assert report["status"] == "unsat-certificate"
-    assert report["schema"] == "1"
-    leg_names = [l["name"] for l in report["witness"]["legs"]]
+    assert report["schema"] == "2"
+    leg_names = [l["name"] for l in report["legs"]]
     assert "fusion-witness" in leg_names
+
+
+REPORT_KEYS = {"schema", "command", "statement", "status", "legs", "witness",
+               "timing_ms"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem-b", "--p", "3"],
+    ["theorem-c", "--p", "3", "--k-list", "4"],
+    ["borel-smith", "--group", data_path("group_e9.json"),
+     "--tau", data_path("tau_regular_e9.json")],
+    ["realize", "--group", data_path("group_e9.json"),
+     "--tau", data_path("tau_regular_e9.json")],
+    ["fix-rank", "--model", data_path("model_rotation_p3.json")],
+    ["steenrod-check", "--p", "3"],
+    ["prop-zeta", "--p", "3", "--k", "4"],
+], ids=lambda argv: argv[0])
+def test_one_report_shape(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert set(report) == REPORT_KEYS and report["schema"] == "2"
+    assert report["command"] == argv + ["--format", "json"]
+    assert set(report["statement"]) == {"name", "claim"}
+    assert bool(report["legs"]) == argv[0].startswith("theorem-")
+
+
+def test_certificate_status_follows_legs():
+    from qdp.reports import Certificate, Leg
+    verified, assumed, refuted = (Leg("a", "verified"), Leg("b", "assumed"),
+                                  Leg("c", "refuted"))
+    assert Certificate("s", "c", [verified, assumed], {}).status == "unsat-certificate"
+    assert Certificate("s", "c", [verified, refuted], {}).status == "refuted"
+    assert Certificate("s", "c", [assumed], {}).status == "refuted"
+    assert Certificate("s", "c", [], {}).status == "refuted"
 
 
 def test_theorem_b_even_prime_exit(capsys):
@@ -79,8 +113,8 @@ def test_theorem_b_failed_check_is_refuted(capsys, monkeypatch):
     monkeypatch.setattr("qdp.dimfun.is_conjugate", lambda G, H, K: None)
     code, report = run_json(capsys, "theorem-b", "--p", "3")
     assert code == EXIT_REFUTED
-    assert report["status"] == report["witness"]["status"] == "refuted"
-    legs = {leg["name"]: leg["status"] for leg in report["witness"]["legs"]}
+    assert report["status"] == "refuted"
+    legs = {leg["name"]: leg["status"] for leg in report["legs"]}
     assert legs["fusion-witness"] == "refuted"
 
 
@@ -217,8 +251,8 @@ def test_theorem_c_failed_leg_is_refuted(capsys, monkeypatch):
     monkeypatch.setattr(steenrod, "brute_force_zeta_proposition", no_survivors)
     code, report = run_json(capsys, "theorem-c", "--p", "3", "--k-list", "4")
     assert code == EXIT_REFUTED
-    assert report["status"] == report["witness"]["status"] == "refuted"
-    legs = {leg["name"]: leg["status"] for leg in report["witness"]["legs"]}
+    assert report["status"] == "refuted"
+    legs = {leg["name"]: leg["status"] for leg in report["legs"]}
     assert legs["zeta-line-k4"] == "refuted"
     assert "Traceback" not in capsys.readouterr().err
 
@@ -281,7 +315,8 @@ def test_malformed_tau_is_malformed(tmp_path, capsys, values):
 @pytest.mark.parametrize("group", [
     {"kind": "qdp", "p": "x"},
     {"kind": "table", "n": 2, "mul": "x"},
-], ids=["qdp-prime-not-integer", "table-not-a-list"])
+    {"kind": "table", "mul": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]},
+], ids=["qdp-prime-not-integer", "table-not-a-list", "table-not-associative"])
 def test_malformed_group_is_malformed(tmp_path, capsys, group):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(group))
@@ -344,8 +379,8 @@ def test_theorem_b_join_leg_is_checked(capsys, monkeypatch):
     monkeypatch.setattr("qdp.fixrank.non_nilpotent", lambda e: False)
     code, report = run_json(capsys, "theorem-b", "--p", "3")
     assert code == EXIT_REFUTED
-    assert report["status"] == report["witness"]["status"] == "refuted"
-    legs = {leg["name"]: leg["status"] for leg in report["witness"]["legs"]}
+    assert report["status"] == "refuted"
+    legs = {leg["name"]: leg["status"] for leg in report["legs"]}
     assert legs["join-preserves-effectiveness"] == "refuted"
     assert legs["constraint-unsat"] == "verified"
     assert "Traceback" not in capsys.readouterr().err
@@ -383,14 +418,11 @@ def test_text_format_default(capsys):
     code, out = run(capsys, "prop-zeta", "--p", "3", "--k", "4")
     assert code == EXIT_OK
     assert "status    : verified" in out
+    assert "leg       :" not in out
+    code, out = run(capsys, "theorem-b", "--p", "3")
+    assert code == EXIT_OK
+    assert "leg       : verified fusion-witness" in out.splitlines()
 
 
 def test_theorem_c_even_prime_exit(capsys):
     assert main(["theorem-c", "--p", "2"]) == EXIT_DOMAIN
-
-
-def test_report_never_verified_when_budget_limited():
-    from qdp.reports import VerificationReport
-    r = VerificationReport(command=["x"], statement_name="s", claim="c",
-                           status="verified", budget_limited=True)
-    assert r.status == "budget-limited"

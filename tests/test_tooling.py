@@ -11,9 +11,8 @@ import qdp
 
 SRC = Path(qdp.__file__).resolve().parent
 
-COVERED = ["steenrod.py", "fixrank.py", "groups.py", "reports.py", "cli.py", "errors.py"]
-# still hold gating asserts; to be covered once those are explicit checks
-NOT_YET_COVERED = ["characters.py", "dimfun.py"]
+COVERED = ["steenrod.py", "fixrank.py", "groups.py", "reports.py", "cli.py", "errors.py",
+           "characters.py", "dimfun.py"]
 
 
 def _raises_assertion_error(node) -> bool:
@@ -38,4 +37,4 @@ def test_no_raise_assertion_error(name):
 
 def test_every_module_is_listed():
     modules = {p.name for p in SRC.glob("*.py")} - {"__init__.py"}
-    assert modules == set(COVERED) | set(NOT_YET_COVERED)
+    assert modules == set(COVERED)
