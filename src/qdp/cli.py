@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
                                           "of two equal-dimensional spheres")
     tc.add_argument("--p", type=int, required=True)
     tc.add_argument("--k-list", type=str, default=None,
-                    help="comma-separated degrees 2k to test, e.g. 4,8,12")
+                    help="comma-separated distinct integers k >= 1, each "
+                         "checking n = 2k - 1, e.g. 4,8,12; an empty item "
+                         "(as in 4,,8) is malformed")
     tc.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     common(tc)
     budget(tc)
@@ -145,9 +147,9 @@ def _cmd_theorem_b(args) -> VerificationReport:
 def _cmd_theorem_c(args) -> VerificationReport:
     from .steenrod import theorem_C_driver
     k_list = None
-    if args.k_list:
+    if args.k_list is not None:
         try:
-            k_list = [int(x) for x in args.k_list.split(",") if x]
+            k_list = [int(x) for x in args.k_list.split(",")]
         except ValueError:
             raise MalformedInput(f"bad --k-list {args.k_list!r}")
     return theorem_C_driver(args.p, k_list=k_list, degree_budget=_budget(args),

@@ -118,7 +118,10 @@ def superclassfunction_from_json(obj: dict,
     values = [None] * lattice.n_classes
     for ent in entries:
         try:
-            H = Subgroup(lattice.group, tuple(ent["class_rep"]))
+            rep = ent["class_rep"]
+            if not isinstance(rep, list) or not all(isinstance(x, int) for x in rep):
+                raise TypeError("class_rep must be a list of integers")
+            H = Subgroup(lattice.group, tuple(rep))
             value = int(ent["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad super class function entry {ent!r}: {exc!r}")

@@ -177,23 +177,25 @@ class QdpGroup(FiniteGroup):
         # re-pack: the comprehension above iterates (x, y) in row-major order,
         # which is exactly packed index x*p + y, so _act[i][v] is correct.
         nv = p * p
-        # m*k has columns m*(columns of k): read each product off _act and
-        # look it up by its packed column pair
-        cols = [(k[0] * p + k[2], k[1] * p + k[3]) for k in mats]
-        by_cols = [-1] * (nv * nv)
-        for i, (c0, c1) in enumerate(cols):
-            by_cols[c0 * nv + c1] = i
-        self._matmul = [[by_cols[am[c0] * nv + am[c1]] for c0, c1 in cols]
-                        for am in self._act]
+        # m*k has columns m*(columns of k): `mul` reads them off _act and
+        # looks the product up by its packed column pair
+        self._nv = nv
+        self._cols = [(k[0] * p + k[2], k[1] * p + k[3]) for k in mats]
+        self._by_cols = [-1] * (nv * nv)
+        for i, (c0, c1) in enumerate(self._cols):
+            self._by_cols[c0 * nv + c1] = i
         self._vadd = [[(u // p + w // p) % p * p + (u % p + w % p) % p
                        for w in range(nv)] for u in range(nv)]
         self._vneg = [((-(u // p)) % p) * p + (-(u % p)) % p for u in range(nv)]
         self.identity = midx[(1, 0, 0, 1)]  # v = 0 packs to 0
 
     def mul(self, a: int, b: int) -> int:
-        va, ma = divmod(a, self.nmat)
-        vb, mb = divmod(b, self.nmat)
-        return self._vadd[va][self._act[ma][vb]] * self.nmat + self._matmul[ma][mb]
+        n = self.nmat
+        va, ma = divmod(a, n)
+        vb, mb = divmod(b, n)
+        act = self._act[ma]
+        c0, c1 = self._cols[mb]
+        return self._vadd[va][act[vb]] * n + self._by_cols[act[c0] * self._nv + act[c1]]
 
     def inv(self, a: int) -> int:
         va, ma = divmod(a, self.nmat)
@@ -334,9 +336,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.members)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and self.members == other.members
 
@@ -348,22 +347,8 @@ class Subgroup:
 
 
 def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
-    """Members of <gens>, computed by product saturation."""
-    gens = [g for g in gens]
-    seen = {G.identity}
-    frontier = [G.identity]
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return tuple(sorted(seen))
+    """Members of <gens>, sorted."""
+    return tuple(sorted(greedy_generators(G, gens)[1]))
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -378,15 +363,37 @@ def greedy_generators(G: FiniteGroup,
                       candidates: Iterable[int]) -> tuple[list[int], set[int]]:
     """Candidates in order, each kept when it lies outside the closure of
     those kept so far, stopping once that closure is all of G; returns the
-    kept candidates and their closure."""
+    kept candidates and their closure.
+
+    The closure grows by right cosets of the closure H so far (Dimino's
+    algorithm; Butler, LNCS 559, 1991): a kept a adds H a, then each
+    product r s of a coset representative and a kept generator that falls
+    outside adds H r s as a new coset.  The first kept generator adds its
+    powers."""
+    mul = G.mul
     gens: list[int] = []
     closure = {G.identity}
     for a in candidates:
-        if a not in closure:
-            gens.append(a)
-            closure = set(subgroup_closure(G, gens))
-            if len(closure) == G.order:
-                break
+        if a in closure:
+            continue
+        gens.append(a)
+        if len(gens) == 1:
+            x = a
+            while x not in closure:
+                closure.add(x)
+                x = mul(x, a)
+        else:
+            H = list(closure)
+            reps = [a]
+            closure.update(mul(h, a) for h in H)
+            for r in reps:
+                for s in gens:
+                    y = mul(r, s)
+                    if y not in closure:
+                        reps.append(y)
+                        closure.update(mul(h, y) for h in H)
+        if len(closure) == G.order:
+            break
     return gens, closure
 
 
@@ -564,12 +571,12 @@ class PSubgroupClasses:
 
 
 def conjugacy_orbit(G: FiniteGroup, S: Subgroup, gens: list[int]) -> list[Subgroup]:
+    pairs = [(g, G.inv(g)) for g in gens]
     seen = {S.members}
     frontier = [S.members]
     while frontier:
         t = frontier.pop()
-        for g in gens:
-            gi = G.inv(g)
+        for g, gi in pairs:
             u = tuple(sorted(G.mul(G.mul(g, x), gi) for x in t))
             if u not in seen:
                 seen.add(u)
@@ -639,8 +646,8 @@ def quotient_group(K: Subgroup, H: Subgroup) -> tuple[TableGroup, dict[int, int]
 def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
     G = H.group
     hset = set(H.members)
-    return all(G.mul(G.mul(k, h), G.inv(k)) in hset
-               for k in K.members for h in H.members)
+    return all(G.mul(G.mul(k, h), ki) in hset
+               for k, ki in zip(K.members, map(G.inv, K.members)) for h in H.members)
 
 
 def classify_quotient(Q: TableGroup, p: int) -> QuotientTag:

@@ -652,6 +652,8 @@ def theorem_C_driver(p: int, k_list: Optional[Sequence[int]] = None,
         raise MalformedInput(f"{p} is not prime")
     if k_list is None:
         k_list = [p + 1, 2 * (p + 1), 3 * (p + 1)]
+    if not k_list or len(set(k_list)) < len(k_list):
+        raise MalformedInput(f"k_list must name distinct k, got {list(k_list)}")
 
     from .dimfun import generation_by_order_p, lefschetz_number
     from .groups import construct_qdp

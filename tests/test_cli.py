@@ -227,6 +227,14 @@ def test_zeta_rejects_nonpositive_k(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k_list", [",", "4,4", "4,,8", "4,", ""])
+def test_theorem_c_rejects_k_list_without_distinct_k(capsys, k_list):
+    # no k, a repeated k, or an empty item: exit 1 before any leg runs
+    assert main(["theorem-c", "--p", "3", "--k-list", k_list]) == EXIT_MALFORMED
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_theorem_c_without_asserts():
     # python -O strips assert statements; the certificate must not need them
     env = dict(os.environ,
@@ -299,7 +307,8 @@ def test_malformed_model_is_malformed(tmp_path, capsys, term, op):
 @pytest.mark.parametrize("values", [
     lambda vals: [{"class_rep": vals[0]["class_rep"]}] + vals[1:],
     lambda vals: 5,
-], ids=["entry-without-value", "values-not-a-list"])
+    lambda vals: [{**vals[0], "class_rep": [[]]}] + vals[1:],
+], ids=["entry-without-value", "values-not-a-list", "class-rep-not-integers"])
 def test_malformed_tau_is_malformed(tmp_path, capsys, values):
     tau = json.loads(Path(data_path("tau_regular_e9.json")).read_text())
     tau["values"] = values(tau["values"])

@@ -285,12 +285,15 @@ THEOREM_B_WITNESSES = {
     5: (40, [20, 740, 1460, 2180, 2900], [20, 140, 260, 380, 500]),
     7: (84, [42, 2730, 5418, 8106, 10794, 13482, 16170],
         [42, 378, 714, 1050, 1386, 1722, 2058]),
+    11: (220, [110, 15950, 31790, 47630, 63470, 79310, 95150, 110990, 126830,
+               142670, 158510],
+         [110, 1430, 2750, 4070, 5390, 6710, 8030, 9350, 10670, 11990, 13310]),
 }
 
 
 def test_theorem_b_witness_triples():
     for p, (g, z, c) in THEOREM_B_WITNESSES.items():
-        w = qdp_obstruction_theorem_B(p, max_order=20000).witness
+        w = qdp_obstruction_theorem_B(p, max_order=p ** 3 * (p * p - 1)).witness
         assert (w["conjugator"], w["center"], w["conjugate"]) == (g, z, c)
 
 

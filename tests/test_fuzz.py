@@ -2,9 +2,11 @@
 
 Each example takes the shipped input files of one command, mutates one
 of them (drops a key, swaps a value for a string, a negative number or a
-list, or shortens a `mul` row) and runs the command in process.  Whatever
-the input, the command must return an exit code 0-4, let no exception
-escape and write at most one line to stderr.
+list, or shortens a `mul` row) and runs the command in process.  The
+integer-argument commands get random small integers instead, capped so
+that no example starts a large computation.  Whatever the input, the
+command must return an exit code 0-4, let no exception escape and write
+at most one line to stderr.
 """
 
 import contextlib
@@ -80,6 +82,47 @@ def invocation(draw, command):
     return docs
 
 
+# caps: |Qd(p)| <= 20000 reaches p = 7 at most, and a degree budget of at
+# most 200 keeps every zeta leg small
+PRIME = st.integers(-3, 13)
+INTEGER_ARGS = {
+    "theorem-b": {"--p": PRIME, "--max-order": st.integers(-3, 20000)},
+    "theorem-c": {"--p": PRIME, "--max-order": st.integers(-3, 20000),
+                  "--k-list": st.text("0123456789,-", max_size=6),
+                  "--budget": st.integers(-3, 200)},
+    "prop-zeta": {"--p": PRIME, "--k": st.integers(-3, 40),
+                  "--budget": st.integers(-3, 200)},
+    "steenrod-check": {"--p": PRIME, "--samples": st.integers(-3, 40),
+                       "--seed": st.integers(-3, 1000)},
+}
+REQUIRED = {"--p", "--k"}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", "json"])
+    assert code in range(5), (code, argv)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+@st.composite
+def integer_invocation(draw):
+    command = draw(st.sampled_from(sorted(INTEGER_ARGS)))
+    argv = [command]
+    for flag, values in INTEGER_ARGS[command].items():
+        if flag in REQUIRED or draw(st.booleans()):
+            # --flag=value, so that a value such as -4,8 is not read as a flag
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=integer_invocation())
+def test_integer_arguments_keep_the_exit_contract(argv):
+    _run(argv)
+
+
 @pytest.mark.parametrize("command", sorted(INPUTS))
 def test_mutated_inputs_keep_the_exit_contract(command):
     @settings(max_examples=50, deadline=None)
@@ -91,10 +134,6 @@ def test_mutated_inputs_keep_the_exit_contract(command):
                 path = Path(tmp) / f"{flag[2:]}.json"
                 path.write_text(json.dumps(doc))
                 argv += [flag, str(path)]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv + ["--format", "json"])
-        assert code in range(5), (code, docs)
-        assert err.getvalue().count("\n") <= 1, err.getvalue()
+            _run(argv)
 
     check()

@@ -20,6 +20,8 @@ from qdp.groups import (
     elementary_abelian,
     from_elements,
     generalized_quaternion,
+    generating_set,
+    greedy_generators,
     group_from_json,
     heisenberg,
     is_conjugate,
@@ -58,6 +60,27 @@ def brute_force_p_subgroups(G, p):
         if _is_ppower(len(cl), p):
             found.add(cl)
     return found
+
+
+def saturation_generators(G, candidates):
+    """The greedy generator loop with each closure re-saturated from the
+    identity by right multiplication with the kept generators."""
+    gens, closure = [], {G.identity}
+    for a in candidates:
+        if a in closure:
+            continue
+        gens.append(a)
+        closure, frontier = {G.identity}, [G.identity]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = G.mul(x, g)
+                if y not in closure:
+                    closure.add(y)
+                    frontier.append(y)
+        if len(closure) == G.order:
+            break
+    return gens, closure
 
 
 def _is_ppower(n, p):
@@ -133,22 +156,27 @@ def test_qdp_multiplication_rule():
     assert m == (2, 1, 1, 1)
 
 
-def test_qdp_matrix_table_matches_explicit_product():
-    # every pair at p = 3, a seeded sample at p = 5 and p = 7
+def test_qdp_product_matches_explicit_formula():
+    # (v, A)(w, B) = (v + Aw, AB) on every matrix pair at p = 3 (with
+    # seeded vectors), and on a seeded sample of elements at p = 5 and 7
     rng = random.Random(11)
     for p in (3, 5, 7):
         G = construct_qdp(p, max_order=20000)
         n = G.nmat
+        vec = lambda: rng.randrange(p * p) * n
         if p == 3:
-            pairs = itertools.product(range(n), repeat=2)
+            pairs = [(vec() + i, vec() + j)
+                     for i, j in itertools.product(range(n), repeat=2)]
         else:
-            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
-        for i, j in pairs:
-            a, b, c, d = G.mats[i]
-            e, f, g, h = G.mats[j]
-            prod = ((a * e + b * g) % p, (a * f + b * h) % p,
-                    (c * e + d * g) % p, (c * f + d * h) % p)
-            assert G.mats[G._matmul[i][j]] == prod
+            pairs = [(rng.randrange(G.order), rng.randrange(G.order))
+                     for _ in range(500)]
+        for x, y in pairs:
+            (v0, v1), (a, b, c, d) = G.parts(x)
+            (w0, w1), (e, f, g, h) = G.parts(y)
+            vec_part = ((v0 + a * w0 + b * w1) % p, (v1 + c * w0 + d * w1) % p)
+            mat_part = ((a * e + b * g) % p, (a * f + b * h) % p,
+                        (c * e + d * g) % p, (c * f + d * h) % p)
+            assert G.parts(G.mul(x, y)) == (vec_part, mat_part)
 
 
 def test_json_round_trip():
@@ -157,6 +185,48 @@ def test_json_round_trip():
     H = cyclic(6)
     K = group_from_json(H.to_json())
     assert K.order == 6 and K.mul(1, 5) == H.mul(1, 5)
+
+
+def test_coset_closure_matches_saturation_on_qdp():
+    for p in (3, 5, 7):
+        G = construct_qdp(p, max_order=20000)
+        order_p = [a for a in G.elements() if G.element_order(a) == p]
+        for candidates in (G.elements(), order_p):
+            gens, closure = greedy_generators(G, candidates)
+            assert (gens, closure) == saturation_generators(G, candidates)
+            assert subgroup_closure(G, gens) == tuple(sorted(closure))
+        assert generating_set(G) == saturation_generators(G, G.elements())[0]
+
+
+def test_coset_closure_matches_saturation_on_tables():
+    rng = random.Random(5)
+    for G in (elementary_abelian(3, 3), heisenberg(3), modular_p3(3),
+              heisenberg(5), direct_product(cyclic(4), cyclic(3))):
+        assert greedy_generators(G, G.elements()) == \
+            saturation_generators(G, G.elements())
+        # proper subgroups too: closures of seeded pairs and triples
+        for size in (1, 2, 3):
+            for _ in range(40):
+                gens = [rng.randrange(G.order) for _ in range(size)]
+                kept, closure = saturation_generators(G, gens)
+                assert greedy_generators(G, gens) == (kept, closure)
+                assert subgroup_closure(G, gens) == tuple(sorted(closure))
+
+
+def test_cyclic_closure_costs_its_order():
+    G = construct_qdp(5)
+    calls = [0]
+    mul = G.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    G.mul = counted
+    for g in random.Random(3).sample(range(G.order), 60):
+        calls[0] = 0
+        members = subgroup_closure(G, [g])
+        assert calls[0] <= len(members) == G.element_order(g)
 
 
 def test_sylow_subgroup_orders():

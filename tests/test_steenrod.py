@@ -492,6 +492,12 @@ def test_theorem_c_driver():
     assert assumed == ["invariant-subring-input", "orbit-space-finiteness-input"]
 
 
+@pytest.mark.parametrize("k_list", [[], [4, 4], [4, 8, 4]])
+def test_theorem_c_driver_needs_distinct_k(k_list):
+    with pytest.raises(MalformedInput, match="distinct"):
+        theorem_C_driver(3, k_list=k_list)
+
+
 def test_theorem_c_driver_k6_no_survivor():
     cert = theorem_C_driver(3, k_list=[6])
     leg = next(l for l in cert.legs if l.name == "zeta-line-k6")
