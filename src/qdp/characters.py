@@ -2,17 +2,19 @@
 
 p-groups are monomial: every irreducible complex character is induced from
 a linear character of some subgroup.  We induce the linear characters of
-every subgroup, keep the norm-one results, and certify completeness by
-sum-of-squares and exact pairwise orthogonality.  All values live in the
-ring of cyclotomic integers Z[zeta_e], e = exp(P), represented as integer
-vectors in the power basis of Z[x]/(Phi_e); no floating point anywhere.
+the subgroups from the largest down, keep the norm-one results (genuine
+characters, so irreducible) until their squared degrees sum to |P|, which
+makes them the whole table, and certify it by sum-of-squares and exact
+pairwise orthogonality.  All values live in the ring of cyclotomic integers
+Z[zeta_e], e = exp(P), represented as integer vectors in the power basis of
+Z[x]/(Phi_e); no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainMismatch, IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
 from .groups import (
@@ -303,8 +305,10 @@ def induced_values(H: Subgroup, lam: LinearCharacter, classes: ElementClasses,
 
 
 def irreducible_characters(P: FiniteGroup,
-                           classes: Optional[ElementClasses] = None) -> list[Character]:
-    """The full irreducible character list, certified complete."""
+                           classes: Optional[ElementClasses] = None,
+                           subgroups: Sequence[Subgroup] = ()) -> list[Character]:
+    """The full irreducible character list, certified complete; `subgroups`,
+    all subgroups of P if given, saves enumerating them again."""
     if P.order > 1:  # the trivial group counts as a p-group
         try:
             _unique_prime(P.order)
@@ -315,20 +319,27 @@ def irreducible_characters(P: FiniteGroup,
     e = group_exponent(P)
     n = P.order
 
-    candidates: dict[tuple, tuple[CyclotomicInteger, ...]] = {}
-    for H in subgroups_of_p_group(whole_group(P)):
-        for lam in linear_characters(H):
-            vals = induced_values(H, lam, classes, e)
-            candidates.setdefault(tuple(v.coeffs for v in vals), vals)
-
+    subgroups = subgroups or subgroups_of_p_group(whole_group(P))
+    inductions = ((H, lam) for H in sorted(subgroups, key=lambda S: -S.order)
+                  for lam in linear_characters(H))
+    seen: set[tuple] = set()
     irreducible = []
-    for vals in candidates.values():
+    squares = 0
+    for H, lam in inductions:
+        vals = induced_values(H, lam, classes, e)
+        key = tuple(v.coeffs for v in vals)
+        if key in seen:
+            continue
+        seen.add(key)
         norm = _inner_product_times_order(vals, vals, classes).as_rational_int()
         if norm == n:
             deg = vals[classes.identity_class].as_rational_int()
             if deg is None or deg < 1:
                 raise NonIntegral(f"irreducible character of degree {deg}")
             irreducible.append(Character(P, classes, vals, deg))
+            squares += deg * deg
+            if squares >= n:
+                break
 
     irreducible.sort(key=Character.sort_key)
     if sum(chi.degree ** 2 for chi in irreducible) != n:
@@ -398,9 +409,10 @@ class RealBasisEntry:
 
 
 def real_representation_basis(P: FiniteGroup,
-                              chars: Optional[list[Character]] = None) -> list[RealBasisEntry]:
+                              chars: Optional[list[Character]] = None,
+                              subgroups: Sequence[Subgroup] = ()) -> list[RealBasisEntry]:
     if chars is None:
-        chars = irreducible_characters(P)
+        chars = irreducible_characters(P, subgroups=subgroups)
     classes = chars[0].classes if chars else ElementClasses.compute(P)
     entries: list[RealBasisEntry] = []
     used = set()
@@ -431,17 +443,3 @@ def real_representation_basis(P: FiniteGroup,
         raise IncompleteInduction("realified degrees inconsistent with |G|")
     return entries
 
-
-def character_table_json(P: FiniteGroup) -> dict:
-    chars = irreducible_characters(P)
-    classes = chars[0].classes
-    e = group_exponent(P)
-    return {
-        "schema": "1",
-        "cyclotomic_order": e,
-        "classes": [{"rep": cls[0], "size": len(cls)} for cls in classes.classes],
-        "characters": [
-            {"degree": chi.degree, "values": [list(v.coeffs) for v in chi.values]}
-            for chi in chars
-        ],
-    }

@@ -3,8 +3,8 @@
 Every subcommand prints a single verification report (text by default,
 `--format json` for machines) and exits 0 for a verified/unsat outcome or
 4 when the check ran fine but refuted the claimed property.  Malformed
-input (exit 1), a domain error (exit 2) and a budget that cut the answer
-short (exit 3) print one line to stderr and no report.
+input (exit 1, usage errors included), a domain error (exit 2) and a budget
+that cut the answer short (exit 3) print one line to stderr and no report.
 The env var QDP_BUDGET overrides the default degree budget.
 """
 
@@ -66,8 +66,16 @@ def _budget(args) -> int:
     return budget
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: one `error:` line, no usage block."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        self.exit(EXIT_MALFORMED)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qdp",
         description="exact verification of dimension-function and "
                     "Steenrod-algebra obstructions for Qd(p)")
@@ -186,7 +194,8 @@ def _cmd_realize(args) -> VerificationReport:
     from .characters import real_representation_basis
     from .dimfun import realize_as_representation
     tau, group = _load_tau(args)
-    basis = real_representation_basis(group)
+    # characters need a p-group, which is its own Sylow subgroup
+    basis = real_representation_basis(group, subgroups=tau.lattice.sylow_subgroups)
     sol = realize_as_representation(tau, basis)
     if sol is None:
         status = REFUTED

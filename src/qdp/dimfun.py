@@ -16,6 +16,7 @@ the full group makes that vanishing pattern impossible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -162,14 +163,6 @@ class BorelSmithReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
-def _cached_normal_pairs(lattice: PSubgroupClasses):
-    pairs = getattr(lattice, "_normal_pairs", None)
-    if pairs is None:
-        pairs = normal_pairs_with_tag(lattice.sylow)
-        lattice._normal_pairs = pairs
-    return pairs
-
-
 def _preimage(K: Subgroup, coset_of: dict[int, int], coset_members: set[int]) -> Subgroup:
     return Subgroup(K.group,
                     tuple(k for k in K.members if coset_of[k] in coset_members))
@@ -187,7 +180,7 @@ def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
     lat = tau.lattice
     p = lat.prime
     violations: list[Violation] = []
-    for H, K, tag in _cached_normal_pairs(lat):
+    for H, K, tag in normal_pairs_with_tag(lat.sylow_subgroups):
         if tag.kind == QuotientTag.ELEMENTARY_ABELIAN_RANK2:
             Q, coset_of = quotient_group(K, H)
             lines = order_p_subgroups_of_quotient(Q, p)
@@ -221,17 +214,14 @@ def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
 
 
 def is_monotone(tau: SuperClassFunction) -> tuple[bool, Optional[tuple]]:
-    """tau(K) <= tau(H) whenever H <= K; returns a violating pair if any."""
-    lat = tau.lattice
-    cache = getattr(lat, "_rep_subgroups", None)
-    if cache is None:
-        cache = {rep.members: subgroups_of_p_group(rep) for rep in lat.reps()}
-        lat._rep_subgroups = cache
-    for rep in lat.reps():
-        tk = tau.value_of(rep)
-        for S in cache[rep.members]:
-            if tau.value_of(S) < tk:
-                return False, (S, rep)
+    """tau(K) <= tau(H) whenever H <= K, decided inside the Sylow lattice (every
+    such pair is conjugate into it); returns a violating pair if any."""
+    subs = tau.lattice.sylow_subgroups
+    values = [tau.value_of(S) for S in subs]
+    for K, tk in zip(subs, values):
+        for H, th in zip(subs, values):
+            if th < tk and set(H.members).issubset(K.members):
+                return False, (H, K)
     return True, None
 
 
@@ -251,14 +241,19 @@ def join_dimension_function(tau: SuperClassFunction, m: int) -> SuperClassFuncti
 
 def smallest_join_multiplier(tau: SuperClassFunction,
                              limit: Optional[int] = None) -> Optional[int]:
-    """Least m <= limit with m*tau passing all Borel-Smith conditions."""
+    """Least m <= limit with m*tau passing all Borel-Smith conditions: scaling
+    keeps each failure of (i) and turns a failing difference d of (ii) or (iii)
+    (due divisible by 2 or 4) into m*d."""
     p = tau.lattice.prime
     if limit is None:
         limit = 2 * p * (p + 1)
-    for m in range(1, limit + 1):
-        if check_borel_smith(join_dimension_function(tau, m)).ok:
-            return m
-    return None
+    m = 1
+    for v in check_borel_smith(tau).violations:
+        if v.condition == "i":
+            return None
+        modulus = 2 if v.condition == "ii" else v.rhs
+        m = math.lcm(m, modulus // math.gcd(v.lhs, modulus))
+    return m if m <= limit else None
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +309,9 @@ def realize_as_representation(tau: SuperClassFunction,
     lat = tau.lattice
     mono, wit = is_monotone(tau)
     if not mono:
-        raise NotMonotone(f"violating pair {wit}")
+        H, K = wit
+        raise NotMonotone(f"not monotone: {list(H.members)} lies in {list(K.members)} "
+                          f"but tau = {tau.value_of(H)} < {tau.value_of(K)}")
     if any(v < 0 for v in tau.values):
         raise NotMonotone("dimension functions of representations are nonnegative")
     report = check_borel_smith(tau)

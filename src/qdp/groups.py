@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import CompositeP, DomainMismatch, MalformedInput, QdpError, SizeGuard
 
@@ -470,37 +470,36 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
 
     In a p-group every proper subgroup H sits inside some K with H normal
     of index p in K, so upward BFS by such extensions reaches everything.
+    K = <H, g> keeps the generators of H plus g, which is all a normalizer
+    test against K needs.
     """
     G = P.group
     n = P.order
     if n == 1:
         return [P]
     p = _unique_prime(n)
-    mem = set(P.members)
-    seen: dict[tuple[int, ...], None] = {}
+    pairs = [(g, G.inv(g)) for g in P.members]
     start = (G.identity,)
-    seen[start] = None
-    frontier = [start]
+    seen = {start}
+    frontier = [(start, [])]
     while frontier:
-        h = frontier.pop()
+        h, hgens = frontier.pop()
         hset = set(h)
-        norm = []
-        for g in mem:
-            gi = G.inv(g)
-            if all(G.mul(G.mul(g, x), gi) in hset for x in h):
-                norm.append(g)
-        for g in norm:
-            if g in hset or G.power(g, p) not in hset:
+        covered = set(h)  # members of the extensions of h found so far
+        for g, gi in pairs:
+            if g in covered or G.power(g, p) not in hset or \
+                    any(G.mul(G.mul(g, x), gi) not in hset for x in hgens):
                 continue
             cosets = set(h)
             x = g
             for _ in range(p - 1):
                 cosets.update(G.mul(x, y) for y in h)
                 x = G.mul(x, g)
+            covered |= cosets
             key = tuple(sorted(cosets))
             if key not in seen:
-                seen[key] = None
-                frontier.append(key)
+                seen.add(key)
+                frontier.append((key, hgens + [g]))
     return [Subgroup(G, k) for k in sorted(seen, key=lambda t: (len(t), t))]
 
 
@@ -544,11 +543,13 @@ class PSubgroupClasses:
     """All p-subgroups of G, partitioned into G-conjugacy classes.
 
     Classes are sorted by (order, smallest member tuple); `index` maps a
-    subgroup's member tuple to its class number.
+    subgroup's member tuple to its class number.  `sylow_subgroups` is
+    `subgroups_of_p_group(sylow)`, computed once for every consumer.
     """
     group: FiniteGroup
     prime: int
     sylow: Subgroup
+    sylow_subgroups: tuple[Subgroup, ...]
     classes: tuple[tuple[Subgroup, ...], ...]
     index: dict[tuple[int, ...], int]
 
@@ -589,10 +590,11 @@ def p_subgroups(G: FiniteGroup, p: int,
     if G.order > max_order:
         raise SizeGuard(f"|G| = {G.order} exceeds the guard {max_order}")
     P = sylow_p_subgroup(G, p)
+    subs = tuple(subgroups_of_p_group(P))
     gens = generating_set(G)
     classes: list[tuple[Subgroup, ...]] = []
     assigned: dict[tuple[int, ...], int] = {}
-    for S in subgroups_of_p_group(P):
+    for S in subs:
         if S.members in assigned:
             continue
         orbit = conjugacy_orbit(G, S, gens)
@@ -607,7 +609,7 @@ def p_subgroups(G: FiniteGroup, p: int,
     for ci, cls in enumerate(classes):
         for T in cls:
             index[T.members] = ci
-    return PSubgroupClasses(group=G, prime=p, sylow=P,
+    return PSubgroupClasses(group=G, prime=p, sylow=P, sylow_subgroups=subs,
                             classes=tuple(classes), index=index)
 
 
@@ -671,22 +673,20 @@ def classify_quotient(Q: TableGroup, p: int) -> QuotientTag:
     return QuotientTag(QuotientTag.OTHER, q)
 
 
-def normal_pairs_with_tag(P: Subgroup) -> list[tuple[Subgroup, Subgroup, QuotientTag]]:
-    """All H normal in K <= P whose index is p, p^2, or (p=2) any 2-power >= 8.
+def normal_pairs_with_tag(
+        subs: Sequence[Subgroup]) -> list[tuple[Subgroup, Subgroup, QuotientTag]]:
+    """All H normal in K, both in `subs` = `subgroups_of_p_group(P)`, whose
+    index is p, p^2, or (p=2) any 2-power >= 8.
 
     These are exactly the pairs the Borel-Smith conditions inspect.
     """
-    p = _unique_prime(P.order) if P.order > 1 else 2
-    subs = subgroups_of_p_group(P)
+    p = _unique_prime(subs[-1].order) if len(subs) > 1 else 2
+    sets = [frozenset(S.members) for S in subs]
     out = []
-    for K in subs:
-        kset = set(K.members)
-        inner = [H for H in subs if set(H.members) <= kset and H.order < K.order]
-        for H in inner:
-            q = K.order // H.order
-            if p > 2 and q not in (p, p * p):
-                continue
-            if not is_normal_in(H, K):
+    for K, kset in zip(subs, sets):
+        for H, hset in zip(subs, sets):
+            if H.order >= K.order or (p > 2 and K.order // H.order not in (p, p * p)) \
+                    or not hset <= kset or not is_normal_in(H, K):
                 continue
             Q, _ = quotient_group(K, H)
             out.append((H, K, classify_quotient(Q, p)))

@@ -9,11 +9,14 @@ from qdp.characters import (
     QUATERNIONIC,
     REAL,
     CyclotomicInteger,
-    character_table_json,
+    ElementClasses,
     cyclotomic_polynomial,
     fixed_dimension,
     frobenius_schur,
+    group_exponent,
+    induced_values,
     irreducible_characters,
+    linear_characters,
     real_representation_basis,
 )
 from qdp.errors import NotPGroup
@@ -57,6 +60,37 @@ def rotation_fixed_rank_p3():
     return 0 if det != 0 else (1 if (a, b, c, d) != (0, 0, 0, 0) else 2)
 
 
+def reference_irreducible_characters(G):
+    """Induce every linear character of every subgroup, keep the results of
+    norm one; returned as the sorted (degree, values) table."""
+    classes = ElementClasses.compute(G)
+    e = group_exponent(G)
+    table = set()
+    for H in subgroups_of_p_group(whole_group(G)):
+        for lam in linear_characters(H):
+            vals = induced_values(H, lam, classes, e)
+            norm = CyclotomicInteger.zero(e)
+            for ci, cls in enumerate(classes.classes):
+                norm = norm + len(cls) * (vals[ci] * vals[classes.inv_class[ci]])
+            if norm.as_rational_int() == G.order:
+                degree = vals[classes.identity_class].as_rational_int()
+                table.add((degree, tuple(v.coeffs for v in vals)))
+    return sorted(table)
+
+
+def character_table_json(P):
+    chars = irreducible_characters(P)
+    classes = chars[0].classes
+    return {
+        "cyclotomic_order": group_exponent(P),
+        "classes": [{"rep": cls[0], "size": len(cls)} for cls in classes.classes],
+        "characters": [
+            {"degree": chi.degree, "values": [list(v.coeffs) for v in chi.values]}
+            for chi in chars
+        ],
+    }
+
+
 # ---------------------------------------------------------------------------
 
 def test_cyclotomic_polynomials():
@@ -86,6 +120,26 @@ def test_character_counts():
     assert degs == [1] * 9 + [3, 3]
     degs = [c.degree for c in irreducible_characters(generalized_quaternion(8))]
     assert degs == [1, 1, 1, 1, 2]
+
+
+AGREEMENT_GROUPS = [
+    cyclic(1), cyclic(3), cyclic(9), cyclic(27),
+    elementary_abelian(2, 2), elementary_abelian(3, 2),
+    elementary_abelian(3, 3), elementary_abelian(5, 2),
+    heisenberg(3), modular_p3(3), heisenberg(5),
+    generalized_quaternion(8), generalized_quaternion(16), dihedral(4),
+]
+
+
+@pytest.mark.parametrize("G", AGREEMENT_GROUPS, ids=lambda G: G.name)
+def test_induction_stops_at_the_reference_table(G):
+    # induction from the largest subgroups down, stopped at sum of squares
+    # |G|, finds the table that inducing from every subgroup finds, also
+    # when it is handed the subgroup list (in any order)
+    reference = reference_irreducible_characters(G)
+    assert [chi.sort_key() for chi in irreducible_characters(G)] == reference
+    subs = subgroups_of_p_group(whole_group(G))[::-1]
+    assert [chi.sort_key() for chi in irreducible_characters(G, subgroups=subs)] == reference
 
 
 def test_non_p_group_rejected():

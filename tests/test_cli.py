@@ -289,6 +289,41 @@ def test_out_of_range_integers_are_malformed(capsys, monkeypatch, argv, env):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["theorem-b", "--p", "x"],
+    ["theorem-c", "--p", "3", "--k-list", "-4,8"],
+    [],
+], ids=["int-not-integer", "value-read-as-flag", "no-subcommand"])
+def test_usage_error_is_one_line(capsys, argv):
+    assert main(argv) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(capsys, flag):
+    assert main([flag]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out and not out.err
+    assert (qdp.__version__ in out.out) == (flag == "--version")
+
+
+def test_not_monotone_message_is_deterministic(tmp_path, capsys):
+    tau = json.loads(Path(data_path("tau_regular_e9.json")).read_text())
+    for entry in tau["values"]:
+        entry["value"] = 0 if entry["class_rep"] == [0] else 1
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(tau))
+    errs = []
+    for _ in range(2):
+        code = main(["realize", "--group", data_path("group_e9.json"),
+                     "--tau", str(path)])
+        assert code == EXIT_DOMAIN
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == \
+        "error: not monotone: [0] lies in [0, 1, 2] but tau = 0 < 1\n"
+
+
 @pytest.mark.parametrize("term,op", [
     (["t^x", "g_n", 1], "P1"),
     (["t^2", "g_n", "a"], "P1"),

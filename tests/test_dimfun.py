@@ -1,6 +1,7 @@
 """Borel-Smith checker, realization solver, joins, and the fibration
 obstruction certificate."""
 
+import json
 import random
 
 import pytest
@@ -33,9 +34,13 @@ from qdp.groups import (
     conjugate_subgroup,
     construct_qdp,
     cyclic,
+    dihedral,
     elementary_abelian,
+    generalized_quaternion,
     heisenberg,
+    modular_p3,
     p_subgroups,
+    subgroups_of_p_group,
     sylow_p_subgroup,
     whole_group,
 )
@@ -106,6 +111,84 @@ def test_monotone_witness():
     mono, wit = is_monotone(tau)
     assert not mono and wit is not None
     assert is_monotone(SuperClassFunction(lat, (5, 5)))[0]
+
+
+MONOTONE_GROUPS = [
+    (elementary_abelian(3, 2), 3), (heisenberg(3), 3), (modular_p3(3), 3),
+    (elementary_abelian(5, 2), 5), (elementary_abelian(3, 3), 3),
+    (heisenberg(5), 5), (construct_qdp(3), 3), (construct_qdp(2), 2),
+]
+
+
+@pytest.mark.parametrize("G,p", MONOTONE_GROUPS, ids=lambda x: getattr(x, "name", ""))
+def test_monotone_verdict_matches_per_representative_reference(G, p):
+    # reference: every subgroup of every class representative, which need
+    # not lie in the Sylow subgroup the checker reads
+    lat = p_subgroups(G, p)
+    rep_subgroups = [subgroups_of_p_group(K) for K in lat.reps()]
+
+    def reference(tau):
+        return all(tau.value_of(S) >= tau.value_of(K)
+                   for K, subs in zip(lat.reps(), rep_subgroups) for S in subs)
+
+    # tau(K) = sum of the weights of the classes with a member above K is
+    # monotone; moving one value a little may break that, and lifting a
+    # nontrivial class above every value (class 0 is the trivial subgroup)
+    # always does
+    reps = [frozenset(K.members) for K in lat.reps()]
+    above = [[any(K <= frozenset(T.members) for T in cls) for cls in lat.classes]
+             for K in reps]
+    rng = random.Random(f"{G.name}:{p}")
+    verdicts = set()
+    for trial in range(12):
+        weights = [rng.randrange(3) for _ in lat.classes]
+        values = [sum(w for w, up in zip(weights, row) if up) for row in above]
+        if trial % 3 == 1:
+            values[rng.randrange(len(values))] += rng.choice((-2, -1, 1, 2))
+        elif trial % 3 == 2:
+            values[rng.randrange(1, len(values))] = max(values) + 1
+        tau = SuperClassFunction(lat, tuple(values))
+        mono, wit = is_monotone(tau)
+        assert mono == reference(tau)
+        if not mono:
+            H, K = wit
+            assert set(H.members) < set(K.members)
+            assert tau.value_of(H) < tau.value_of(K)
+        verdicts.add(mono)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("command", ["borel-smith", "realize"])
+def test_one_sylow_lattice_per_certificate(tmp_path, monkeypatch, capsys, command):
+    import qdp.characters
+    import qdp.cli
+    import qdp.dimfun
+    import qdp.groups
+    G = heisenberg(5)
+    lat = p_subgroups(G, 5)
+    group_path, tau_path = tmp_path / "group.json", tmp_path / "tau.json"
+    group_path.write_text(json.dumps(G.to_json()))
+    tau_path.write_text(json.dumps(SuperClassFunction(lat, (2,) * lat.n_classes).to_json()))
+
+    loaded, calls = [], []
+    load, enumerate_subgroups = qdp.cli.group_from_json, qdp.groups.subgroups_of_p_group
+
+    def loading(obj, **kwargs):
+        loaded.append(load(obj, **kwargs))
+        return loaded[-1]
+
+    def counted(P):
+        # the abelianization quotients of linear_characters are other groups
+        if P.group is loaded[0]:
+            calls.append(P.order)
+        return enumerate_subgroups(P)
+
+    monkeypatch.setattr(qdp.cli, "group_from_json", loading)
+    for module in (qdp.groups, qdp.characters, qdp.dimfun):
+        monkeypatch.setattr(module, "subgroups_of_p_group", counted)
+    code = qdp.cli.main([command, "--group", str(group_path), "--tau", str(tau_path)])
+    assert code == 0
+    assert calls == [125]
 
 
 def test_borel_smith_closed_under_addition_and_join():
@@ -233,6 +316,41 @@ def test_smallest_join_multiplier():
     assert smallest_join_multiplier(odd) == 2
     even = SuperClassFunction(lat, (2, 0))
     assert smallest_join_multiplier(even) == 1
+    # 1 at the trivial subgroup of Q8 only: the quaternion condition needs 4
+    q8 = p_subgroups(generalized_quaternion(8), 2)
+    one = SuperClassFunction(q8, tuple(int(cls[0].order == 1) for cls in q8.classes))
+    assert smallest_join_multiplier(one) == 4
+    assert smallest_join_multiplier(one, limit=3) is None
+
+
+@pytest.mark.parametrize("G,p", [
+    (cyclic(3), 3), (cyclic(9), 3), (elementary_abelian(3, 2), 3), (heisenberg(3), 3),
+    (cyclic(4), 2), (elementary_abelian(2, 2), 2), (generalized_quaternion(8), 2),
+    (generalized_quaternion(16), 2), (dihedral(4), 2),
+], ids=lambda x: getattr(x, "name", ""))
+def test_smallest_join_multiplier_matches_the_search(G, p):
+    # reference: check the m-fold join for m = 1, 2, ... up to the limit
+    def search(tau, limit):
+        return next((m for m in range(1, limit + 1)
+                     if check_borel_smith(join_dimension_function(tau, m)).ok), None)
+
+    # random values mostly fail (i); half a combination of realified complex
+    # and quaternionic entries (even everywhere) keeps (i) and may fail the
+    # parity conditions
+    lat = p_subgroups(G, p)
+    doubled = [e.fixed_dimension_vector(lat) for e in real_representation_basis(G)
+               if e.multiplier == 2]
+    rng = random.Random(f"{G.name}:{p}")
+    for trial in range(16):
+        if trial % 2 and doubled:
+            coeffs = [rng.randrange(3) for _ in doubled]
+            values = [sum(c * v[i] for c, v in zip(coeffs, doubled)) // 2
+                      for i in range(lat.n_classes)]
+        else:
+            values = [rng.randrange(9) for _ in lat.classes]
+        tau = SuperClassFunction(lat, tuple(values))
+        for limit in (3, 2 * p * (p + 1)):
+            assert smallest_join_multiplier(tau, limit) == search(tau, limit)
 
 
 def test_lefschetz_values():

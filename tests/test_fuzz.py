@@ -112,8 +112,10 @@ def integer_invocation(draw):
     argv = [command]
     for flag, values in INTEGER_ARGS[command].items():
         if flag in REQUIRED or draw(st.booleans()):
-            # --flag=value, so that a value such as -4,8 is not read as a flag
-            argv.append(f"{flag}={draw(values)}")
+            # --flag value reads a value such as -4,8 as a flag: a usage
+            # error, which must still be one line
+            value = draw(values)
+            argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, str(value)]]))
     return argv
 
 

@@ -308,6 +308,16 @@ def test_p_subgroups_against_brute_force():
         assert ours == oracle
 
 
+def test_lattice_of_p_groups_against_brute_force():
+    # the extension search tests normality against generators only and
+    # skips elements of extensions already found; all of these groups have
+    # a rank-two Frattini quotient, so the brute force is complete
+    for G, p in ((heisenberg(3), 3), (modular_p3(3), 3), (heisenberg(5), 5),
+                 (generalized_quaternion(16), 2), (dihedral(8), 2)):
+        ours = {S.members for S in subgroups_of_p_group(whole_group(G))}
+        assert ours == brute_force_p_subgroups(G, p), G.name
+
+
 def test_p_subgroups_matches_s4_enumeration():
     lat = p_subgroups(construct_qdp(2), 2)
     s4 = s4_permutation_group()
@@ -355,23 +365,27 @@ def test_is_conjugate_orders_differ():
     assert is_conjugate(G, H, K) is None
 
 
+def tagged_pairs(P):
+    return normal_pairs_with_tag(subgroups_of_p_group(P))
+
+
 def test_quotient_tags_elementary_and_cyclic():
     V = whole_group(elementary_abelian(3, 2))
-    pairs = normal_pairs_with_tag(V)
+    pairs = tagged_pairs(V)
     tags = {(h.order, k.order): t.kind for h, k, t in pairs}
     assert tags[(1, 9)] == QuotientTag.ELEMENTARY_ABELIAN_RANK2
     assert tags[(1, 3)] == QuotientTag.CYCLIC_P
     assert tags[(3, 9)] == QuotientTag.CYCLIC_P
 
     Z9 = whole_group(cyclic(9))
-    tags9 = {(h.order, k.order): t.kind for h, k, t in normal_pairs_with_tag(Z9)}
+    tags9 = {(h.order, k.order): t.kind for h, k, t in tagged_pairs(Z9)}
     assert tags9[(1, 9)] == QuotientTag.OTHER  # cyclic of order p^2
     assert tags9[(1, 3)] == QuotientTag.CYCLIC_P
 
 
 def test_quotient_tag_quaternion():
     Q8 = whole_group(generalized_quaternion(8))
-    pairs = normal_pairs_with_tag(Q8)
+    pairs = tagged_pairs(Q8)
     tag = next(t for h, k, t in pairs if h.order == 1 and k.order == 8)
     assert tag.kind == QuotientTag.GENERALIZED_QUATERNION and tag.order == 8
     # oracle: exactly one involution
@@ -379,32 +393,32 @@ def test_quotient_tag_quaternion():
     assert sum(1 for a in G.elements() if G.element_order(a) == 2) == 1
 
     Q16 = whole_group(generalized_quaternion(16))
-    kinds = {t.kind for h, k, t in normal_pairs_with_tag(Q16)
+    kinds = {t.kind for h, k, t in tagged_pairs(Q16)
              if h.order == 1 and k.order == 16}
     assert kinds == {QuotientTag.GENERALIZED_QUATERNION}
 
     D8 = whole_group(dihedral(4))
-    kinds = {t.kind for h, k, t in normal_pairs_with_tag(D8)
+    kinds = {t.kind for h, k, t in tagged_pairs(D8)
              if h.order == 1 and k.order == 8}
     assert kinds == {QuotientTag.OTHER}
 
 
 def test_cyclic4_tag():
     Z4 = whole_group(cyclic(4))
-    tags = {(h.order, k.order): t.kind for h, k, t in normal_pairs_with_tag(Z4)}
+    tags = {(h.order, k.order): t.kind for h, k, t in tagged_pairs(Z4)}
     assert tags[(1, 4)] == QuotientTag.CYCLIC4
     V4 = whole_group(elementary_abelian(2, 2))
-    tags = {(h.order, k.order): t.kind for h, k, t in normal_pairs_with_tag(V4)}
+    tags = {(h.order, k.order): t.kind for h, k, t in tagged_pairs(V4)}
     assert tags[(1, 4)] == QuotientTag.ELEMENTARY_ABELIAN_RANK2
 
 
 def test_conjugation_preserves_tags():
     G = construct_qdp(3)
     P = sylow_p_subgroup(G, 3)
-    pairs = normal_pairs_with_tag(P)
+    pairs = tagged_pairs(P)
     g = 17  # arbitrary element
     Pg = conjugate_subgroup(G, g, P)
-    pairs_g = normal_pairs_with_tag(Pg)
+    pairs_g = tagged_pairs(Pg)
     mine = sorted((h.order, k.order, t.kind) for h, k, t in pairs)
     theirs = sorted((h.order, k.order, t.kind) for h, k, t in pairs_g)
     assert mine == theirs
