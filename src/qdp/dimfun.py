@@ -33,7 +33,6 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     PSubgroupClasses,
-    QuotientTag,
     Subgroup,
     center,
     conjugacy_orbit,
@@ -44,10 +43,8 @@ from .groups import (
     greedy_generators,
     group_from_json,
     is_conjugate,
-    normal_pairs_with_tag,
-    order_p_subgroups_of_quotient,
+    is_normal_in,
     p_subgroups,
-    quotient_group,
     subgroups_of_p_group,
     sylow_p_subgroup,
 )
@@ -163,51 +160,55 @@ class BorelSmithReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
-def _preimage(K: Subgroup, coset_of: dict[int, int], coset_members: set[int]) -> Subgroup:
-    return Subgroup(K.group,
-                    tuple(k for k in K.members if coset_of[k] in coset_members))
-
-
 def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
-    """Conditions on normal pairs inside the Sylow subgroup:
+    """Conditions on the normal pairs H < K inside the Sylow subgroup:
 
     (i)   K/H elementary abelian of rank two: the differences over the p+1
           intermediate subgroups sum to the total difference;
     (ii)  K/H of order p, p odd: the difference is even;
     (iii) K/H cyclic of order 4 or generalized quaternion, L/H the order-2
           subgroup: the H-to-L difference is even, resp. divisible by 4.
+
+    The subgroups of K/H are the lattice members between H and K, so the
+    type of K/H is read off them.  A quotient of order p^2 is elementary
+    abelian iff it has p+1 subgroups of order p.  A 2-group with a single
+    involution is cyclic or generalized quaternion, and it is cyclic iff
+    it has a single subgroup of index 2.
     """
     lat = tau.lattice
     p = lat.prime
+    subs = lat.sylow_subgroups
+    sets = [frozenset(S.members) for S in subs]
     violations: list[Violation] = []
-    for H, K, tag in normal_pairs_with_tag(lat.sylow_subgroups):
-        if tag.kind == QuotientTag.ELEMENTARY_ABELIAN_RANK2:
-            Q, coset_of = quotient_group(K, H)
-            lines = order_p_subgroups_of_quotient(Q, p)
-            if len(lines) != p + 1:
-                raise ShapeMismatch(f"rank-two quotient with {len(lines)} lines, "
-                                    f"not {p + 1}")
-            tk = tau.value_of(K)
-            lhs = tau.value_of(H) - tk
-            rhs = sum(tau.value_of(_preimage(K, coset_of, set(line))) - tk
-                      for line in lines)
-            if lhs != rhs:
-                violations.append(Violation("i", (H, K), lhs, rhs))
-        elif tag.kind == QuotientTag.CYCLIC_P and p > 2:
+    for K, kset in zip(subs, sets):
+        for H, hset in zip(subs, sets):
+            index = K.order // H.order
+            if (p > 2 and index not in (p, p * p)) or not hset < kset \
+                    or not is_normal_in(H, K):
+                continue
             d = tau.value_of(H) - tau.value_of(K)
-            if d % 2:
-                violations.append(Violation("ii", (H, K), d, 0))
-        elif tag.kind in (QuotientTag.CYCLIC4, QuotientTag.GENERALIZED_QUATERNION):
-            Q, coset_of = quotient_group(K, H)
-            involutions = [a for a in Q.elements() if Q.element_order(a) == 2]
-            if len(involutions) != 1:
-                raise ShapeMismatch(f"{tag.kind} quotient with "
-                                    f"{len(involutions)} involutions, not 1")
-            L = _preimage(K, coset_of, {Q.identity, involutions[0]})
-            d = tau.value_of(H) - tau.value_of(L)
-            modulus = 2 if tag.kind == QuotientTag.CYCLIC4 else 4
-            if d % modulus:
-                violations.append(Violation("iii", (H, L, K), d, modulus))
+            if index == p:
+                if p > 2 and d % 2:
+                    violations.append(Violation("ii", (H, K), d, 0))
+                continue
+            between = [M for M, mset in zip(subs, sets) if hset < mset < kset]
+            lines = [M for M in between if M.order == p * H.order]
+            if index == p * p and len(lines) == p + 1:
+                tk = tau.value_of(K)
+                rhs = sum(tau.value_of(M) - tk for M in lines)
+                if d != rhs:
+                    violations.append(Violation("i", (H, K), d, rhs))
+            elif p == 2 and len(lines) == 1:
+                if index == 4:
+                    modulus = 2
+                elif sum(2 * M.order == K.order for M in between) > 1:
+                    modulus = 4
+                else:
+                    continue  # cyclic of order 8 or more: no condition
+                L = lines[0]
+                d = tau.value_of(H) - tau.value_of(L)
+                if d % modulus:
+                    violations.append(Violation("iii", (H, L, K), d, modulus))
     mono, wit = is_monotone(tau)
     return BorelSmithReport(monotone=mono, violations=violations,
                             monotone_witness=wit)
@@ -307,14 +308,13 @@ def realize_as_representation(tau: SuperClassFunction,
     if tau.scale != 1:
         raise MalformedInput("realization needs an integer-valued function")
     lat = tau.lattice
-    mono, wit = is_monotone(tau)
-    if not mono:
-        H, K = wit
+    report = check_borel_smith(tau)
+    if not report.monotone:
+        H, K = report.monotone_witness
         raise NotMonotone(f"not monotone: {list(H.members)} lies in {list(K.members)} "
                           f"but tau = {tau.value_of(H)} < {tau.value_of(K)}")
     if any(v < 0 for v in tau.values):
         raise NotMonotone("dimension functions of representations are nonnegative")
-    report = check_borel_smith(tau)
     if not report.ok:
         raise NotBorelSmith(f"{len(report.violations)} violations")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import CompositeP, DomainMismatch, MalformedInput, QdpError, SizeGuard
 
@@ -614,24 +614,11 @@ def p_subgroups(G: FiniteGroup, p: int,
 
 
 # ---------------------------------------------------------------------------
-# quotients and quotient-type tags
-
-@dataclass(frozen=True)
-class QuotientTag:
-    kind: str  # elementary_abelian_rank2 | cyclic_p | cyclic4 | generalized_quaternion | other
-    order: int
-
-    ELEMENTARY_ABELIAN_RANK2 = "elementary_abelian_rank2"
-    CYCLIC_P = "cyclic_p"
-    CYCLIC4 = "cyclic4"
-    GENERALIZED_QUATERNION = "generalized_quaternion"
-    OTHER = "other"
-
+# quotients and normality
 
 def quotient_group(K: Subgroup, H: Subgroup) -> tuple[TableGroup, dict[int, int]]:
     """Coset table of K/H (H normal in K) and the member -> coset map."""
     G = K.group
-    hset = set(H.members)
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for k in K.members:
@@ -650,56 +637,6 @@ def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
     hset = set(H.members)
     return all(G.mul(G.mul(k, h), ki) in hset
                for k, ki in zip(K.members, map(G.inv, K.members)) for h in H.members)
-
-
-def classify_quotient(Q: TableGroup, p: int) -> QuotientTag:
-    q = Q.order
-    orders = [Q.element_order(a) for a in Q.elements()]
-    if q == p:
-        return QuotientTag(QuotientTag.CYCLIC_P, q)
-    if q == p * p:
-        if max(orders) == p:
-            return QuotientTag(QuotientTag.ELEMENTARY_ABELIAN_RANK2, q)
-        if p == 2:
-            return QuotientTag(QuotientTag.CYCLIC4, q)
-        return QuotientTag(QuotientTag.OTHER, q)
-    if p == 2 and q >= 8:
-        involutions = sum(1 for o in orders if o == 2)
-        abelian = all(Q.mul(a, b) == Q.mul(b, a)
-                      for a in Q.elements() for b in Q.elements())
-        if involutions == 1 and not abelian:
-            return QuotientTag(QuotientTag.GENERALIZED_QUATERNION, q)
-        return QuotientTag(QuotientTag.OTHER, q)
-    return QuotientTag(QuotientTag.OTHER, q)
-
-
-def normal_pairs_with_tag(
-        subs: Sequence[Subgroup]) -> list[tuple[Subgroup, Subgroup, QuotientTag]]:
-    """All H normal in K, both in `subs` = `subgroups_of_p_group(P)`, whose
-    index is p, p^2, or (p=2) any 2-power >= 8.
-
-    These are exactly the pairs the Borel-Smith conditions inspect.
-    """
-    p = _unique_prime(subs[-1].order) if len(subs) > 1 else 2
-    sets = [frozenset(S.members) for S in subs]
-    out = []
-    for K, kset in zip(subs, sets):
-        for H, hset in zip(subs, sets):
-            if H.order >= K.order or (p > 2 and K.order // H.order not in (p, p * p)) \
-                    or not hset <= kset or not is_normal_in(H, K):
-                continue
-            Q, _ = quotient_group(K, H)
-            out.append((H, K, classify_quotient(Q, p)))
-    return out
-
-
-def order_p_subgroups_of_quotient(Q: TableGroup, p: int) -> list[tuple[int, ...]]:
-    """The subgroups of order p of Q, as sorted tuples of Q-indices."""
-    seen = {}
-    for a in Q.elements():
-        if Q.element_order(a) == p:
-            seen[tuple(sorted(subgroup_closure(Q, [a])))] = None
-    return sorted(seen)
 
 
 def element_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:

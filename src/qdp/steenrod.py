@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    CompositeP,
     DegreeBudget,
     EvenPrime,
     Inhomogeneous,
@@ -280,9 +281,15 @@ class InvariantPair:
     zeta: GradedElement
 
 
+def _check_odd_prime(p: int) -> None:
+    if p == 2:
+        raise EvenPrime("invariant pair needs an odd prime, got 2")
+    if not is_prime(p):
+        raise CompositeP(f"{p} is not prime")
+
+
 def invariants(p: int) -> InvariantPair:
-    if not is_prime(p) or p == 2:
-        raise EvenPrime(f"invariant pair needs an odd prime, got {p}")
+    _check_odd_prime(p)
     xi = GradedElement(p, {((p - i) * (p - 1), i * (p - 1), 0, 0): 1
                            for i in range(p + 1)})
     zeta = GradedElement(p, {(1, p, 0, 0): 1, (p, 1, 0, 0): -1})
@@ -526,6 +533,7 @@ def brute_force_zeta_proposition(p: int, k: int,
     benchmark's steenrod.zeta_prop_s span look the function up by it."""
     if k < 1:
         raise MalformedInput(f"k must be at least 1, got {k}")
+    _check_odd_prime(p)  # a bad prime is a domain error whatever the budget
     if 2 * k * p > degree_budget:
         raise DegreeBudget(
             f"closure tests reach degree {2 * k * p} > budget {degree_budget}")
@@ -576,50 +584,30 @@ def brute_force_zeta_proposition(p: int, k: int,
 @dataclass
 class FiniteQuotientResult:
     finite: bool
-    budget_limited: bool
     details: dict
-
-    def to_json(self) -> dict:
-        return {"finite": self.finite, "budget_limited": self.budget_limited,
-                "details": self.details}
 
 
 def quotient_finite_dimensional(ideal: IdealHandle) -> FiniteQuotientResult:
-    """Is the quotient by the ideal finite-dimensional, i.e. are some x^N
-    and y^N in the ideal?
+    """Is the quotient by a principal ideal (theta), theta polynomial,
+    finite-dimensional, i.e. are some x^N and y^N in it?
 
-    Principal ideals with a polynomial generator are decided exactly (the
-    polynomial ring is a domain: x^N is a multiple of theta only when theta
-    is a scalar times a power of x).  Otherwise the search is budgeted and
-    a negative answer is flagged budget-limited.
+    The polynomial ring is a domain: x^N is a multiple of theta only when
+    theta is a scalar times a power of x, and likewise for y.  A constant is
+    both, so the unit ideal comes out finite.  Other ideals are not decided
+    here and are rejected.
     """
-    p = ideal.p
-    if any(g.degree() == 0 for g in ideal.generators):
-        return FiniteQuotientResult(True, False, {"reason": "unit ideal"})
-    if len(ideal.generators) == 1 and ideal.all_polynomial:
-        theta = ideal.generators[0]
-        monos = list(theta.terms)
-        pure_x = len(monos) == 1 and monos[0][1] == 0
-        pure_y = len(monos) == 1 and monos[0][0] == 0
-        return FiniteQuotientResult(pure_x and pure_y, False, {
-            "reason": "principal polynomial ideal: a power of x (resp. y) is a "
-                      "multiple of the generator only if the generator is a "
-                      "scalar times a pure power",
-            "generator_pure_x_power": pure_x,
-            "generator_pure_y_power": pure_y,
-        })
-    found_x = found_y = None
-    for n in range(1, ideal.degree_budget // 2 + 1):
-        if found_x is None and ideal.contains(GradedElement.monomial(p, n, 0)):
-            found_x = n
-        if found_y is None and ideal.contains(GradedElement.monomial(p, 0, n)):
-            found_y = n
-        if found_x is not None and found_y is not None:
-            return FiniteQuotientResult(True, False,
-                                        {"x_power": found_x, "y_power": found_y})
-    return FiniteQuotientResult(False, True, {
-        "reason": f"no witness powers up to degree budget {ideal.degree_budget}",
-        "x_power": found_x, "y_power": found_y,
+    if len(ideal.generators) != 1 or not ideal.all_polynomial:
+        raise MalformedInput("finite-dimensionality is decided only for a "
+                             "principal ideal with a polynomial generator")
+    monos = list(ideal.generators[0].terms)
+    pure_x = len(monos) == 1 and monos[0][1] == 0
+    pure_y = len(monos) == 1 and monos[0][0] == 0
+    return FiniteQuotientResult(pure_x and pure_y, {
+        "reason": "principal polynomial ideal: a power of x (resp. y) is a "
+                  "multiple of the generator only if the generator is a "
+                  "scalar times a pure power",
+        "generator_pure_x_power": pure_x,
+        "generator_pure_y_power": pure_y,
     })
 
 
@@ -648,8 +636,7 @@ def theorem_C_driver(p: int, k_list: Optional[Sequence[int]] = None,
             "not covered here: the p = 2 case reduces to the known "
             "non-existence of free A4-actions on products of two equal "
             "dimensional spheres")
-    if not is_prime(p):
-        raise MalformedInput(f"{p} is not prime")
+    _check_odd_prime(p)
     if k_list is None:
         k_list = [p + 1, 2 * (p + 1), 3 * (p + 1)]
     if not k_list or len(set(k_list)) < len(k_list):
@@ -711,14 +698,11 @@ def theorem_C_driver(p: int, k_list: Optional[Sequence[int]] = None,
                         res.to_json()))
         if res.matches and k % (p + 1) == 0:
             s = k // (p + 1)
-            fin = quotient_finite_dimensional(
-                IdealHandle([inv.zeta ** s], degree_budget))
-            ok = (not fin.finite) and not fin.budget_limited
+            fin = quotient_finite_dimensional(IdealHandle([inv.zeta ** s]))
             legs.append(Leg(f"one-generator-contradiction-k{k}",
-                            VERIFIED if ok else REFUTED, {
+                            REFUTED if fin.finite else VERIFIED, {
                                 "generator": f"zeta^{s}",
                                 "finite_dimensional": fin.finite,
-                                "budget_limited": fin.budget_limited,
                                 "conclusion": "the only admissible ideal has an "
                                               "infinite-dimensional quotient",
                             }))

@@ -419,6 +419,21 @@ def test_fix_rank_without_asserts():
     assert report["status"] == "verified" and report["witness"]["rank"] == 0
 
 
+@pytest.mark.parametrize("command", ["borel-smith", "realize"])
+def test_tau_commands_without_asserts(capsys, command):
+    # python -O strips assert statements; the checks must not need them
+    argv = [command, "--group", data_path("group_e9.json"),
+            "--tau", data_path("tau_regular_e9.json"), "--format", "json"]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "qdp.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(argv) == EXIT_OK
+    plain = json.loads(capsys.readouterr().out)
+    assert canonical_json(json.loads(proc.stdout)) == canonical_json(plain)
+
+
 def test_theorem_b_join_leg_is_checked(capsys, monkeypatch):
     monkeypatch.setattr("qdp.fixrank.non_nilpotent", lambda e: False)
     code, report = run_json(capsys, "theorem-b", "--p", "3")
@@ -470,3 +485,14 @@ def test_text_format_default(capsys):
 
 def test_theorem_c_even_prime_exit(capsys):
     assert main(["theorem-c", "--p", "2"]) == EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("p", ["9", "1"])
+@pytest.mark.parametrize("argv", [
+    ["theorem-b"], ["theorem-c"], ["prop-zeta", "--k", "12"], ["steenrod-check"],
+], ids=lambda argv: argv[0])
+def test_non_prime_p_is_one_domain_error(capsys, argv, p):
+    # at p = 9, prop-zeta's k = 12 is beyond the default budget: the prime
+    # is checked first
+    assert main(argv + ["--p", p]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"error: {p} is not prime\n"

@@ -8,7 +8,9 @@ import pytest
 
 from qdp.characters import real_representation_basis
 from qdp.dimfun import (
+    BorelSmithReport,
     SuperClassFunction,
+    Violation,
     check_borel_smith,
     check_codim_one_sum,
     generation_by_order_p,
@@ -35,15 +37,138 @@ from qdp.groups import (
     construct_qdp,
     cyclic,
     dihedral,
+    direct_product,
     elementary_abelian,
     generalized_quaternion,
     heisenberg,
+    is_normal_in,
     modular_p3,
     p_subgroups,
+    quotient_group,
+    subgroup_closure,
     subgroups_of_p_group,
     sylow_p_subgroup,
     whole_group,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference: the Borel-Smith conditions by quotient tables
+
+def quotient_kind(K, H, p):
+    """The type of K/H (H normal in K) from its coset table: "cyclic_p",
+    "elementary_abelian_rank2", "cyclic4", "generalized_quaternion" or
+    "other"."""
+    Q, _ = quotient_group(K, H)
+    q = Q.order
+    orders = [Q.element_order(a) for a in Q.elements()]
+    if q == p:
+        return "cyclic_p"
+    if q == p * p:
+        if max(orders) == p:
+            return "elementary_abelian_rank2"
+        return "cyclic4" if p == 2 else "other"
+    if p == 2 and q >= 8:
+        abelian = all(Q.mul(a, b) == Q.mul(b, a)
+                      for a in Q.elements() for b in Q.elements())
+        if orders.count(2) == 1 and not abelian:
+            return "generalized_quaternion"
+    return "other"
+
+
+def reference_pairs(subs, p):
+    """(H, K, kind) for every H normal in K, both in `subs`, whose index is
+    p, p^2, or (p = 2) any 2-power of at least 8; K outer, H inner."""
+    sets = [frozenset(S.members) for S in subs]
+    return [(H, K, quotient_kind(K, H, p))
+            for K, kset in zip(subs, sets) for H, hset in zip(subs, sets)
+            if H.order < K.order and (p == 2 or K.order // H.order in (p, p * p))
+            and hset <= kset and is_normal_in(H, K)]
+
+
+def reference_borel_smith(tau):
+    """The conditions of `check_borel_smith`, each pair classified by the
+    element orders of its quotient table, the intermediate subgroups taken
+    as preimages of the lines, resp. of the involution, of K/H."""
+    lat = tau.lattice
+    p = lat.prime
+
+    def preimage(K, coset_of, cosets):
+        return Subgroup(K.group, tuple(k for k in K.members if coset_of[k] in cosets))
+
+    violations = []
+    for H, K, kind in reference_pairs(lat.sylow_subgroups, p):
+        if kind == "elementary_abelian_rank2":
+            Q, coset_of = quotient_group(K, H)
+            lines = {tuple(sorted(subgroup_closure(Q, [a]))) for a in Q.elements()
+                     if Q.element_order(a) == p}
+            assert len(lines) == p + 1
+            tk = tau.value_of(K)
+            lhs = tau.value_of(H) - tk
+            rhs = sum(tau.value_of(preimage(K, coset_of, set(line))) - tk
+                      for line in lines)
+            if lhs != rhs:
+                violations.append(Violation("i", (H, K), lhs, rhs))
+        elif kind == "cyclic_p" and p > 2:
+            d = tau.value_of(H) - tau.value_of(K)
+            if d % 2:
+                violations.append(Violation("ii", (H, K), d, 0))
+        elif kind in ("cyclic4", "generalized_quaternion"):
+            Q, coset_of = quotient_group(K, H)
+            involutions = [a for a in Q.elements() if Q.element_order(a) == 2]
+            assert len(involutions) == 1
+            L = preimage(K, coset_of, {Q.identity, involutions[0]})
+            d = tau.value_of(H) - tau.value_of(L)
+            modulus = 2 if kind == "cyclic4" else 4
+            if d % modulus:
+                violations.append(Violation("iii", (H, L, K), d, modulus))
+    mono, wit = is_monotone(tau)
+    return BorelSmithReport(monotone=mono, violations=violations, monotone_witness=wit)
+
+
+AGREEMENT_GROUPS = [
+    (elementary_abelian(3, 2), 3), (elementary_abelian(5, 2), 5),
+    (elementary_abelian(3, 3), 3), (heisenberg(3), 3), (modular_p3(3), 3),
+    (heisenberg(5), 5), (generalized_quaternion(8), 2),
+    (generalized_quaternion(16), 2), (dihedral(4), 2), (dihedral(8), 2),
+    (cyclic(8), 2), (cyclic(9), 3), (direct_product(cyclic(4), cyclic(2)), 2),
+    (direct_product(cyclic(4), cyclic(4)), 2), (elementary_abelian(2, 3), 2),
+    (direct_product(generalized_quaternion(8), cyclic(2)), 2), (construct_qdp(3), 3),
+]
+
+
+def seeded_taus(G, p, count=30):
+    """Random values, which fail (i) and the parity conditions at random,
+    alternating with sums of class weights over the classes above (monotone,
+    sometimes with doubled weights), which pass (i) more often and leave the
+    parity conditions to decide."""
+    lat = p_subgroups(G, p)
+    reps = [frozenset(K.members) for K in lat.reps()]
+    above = [[any(K <= frozenset(T.members) for T in cls) for cls in lat.classes]
+             for K in reps]
+    rng = random.Random(f"agreement:{G.name}:{p}")
+    for trial in range(count):
+        if trial % 2:
+            values = [rng.randrange(6) for _ in lat.classes]
+        else:
+            weights = [rng.randrange(3) * (1 + trial % 4 // 2) for _ in lat.classes]
+            values = [sum(w for w, up in zip(weights, row) if up) for row in above]
+        yield SuperClassFunction(lat, tuple(values))
+
+
+@pytest.mark.parametrize("G,p", AGREEMENT_GROUPS, ids=lambda x: getattr(x, "name", ""))
+def test_lattice_checker_agrees_with_quotient_tables(G, p):
+    for tau in seeded_taus(G, p):
+        report, reference = check_borel_smith(tau), reference_borel_smith(tau)
+        assert report.to_json() == reference.to_json()
+        assert report.monotone_witness == reference.monotone_witness
+
+
+def test_agreement_taus_violate_every_condition():
+    kinds = {v.condition if v.condition != "iii" else f"iii mod {v.rhs}"
+             for G, p in AGREEMENT_GROUPS for tau in seeded_taus(G, p)
+             for v in check_borel_smith(tau).violations}
+    assert kinds == {"i", "ii", "iii mod 2", "iii mod 4"}
 
 
 def regular_tau(G, p):
@@ -158,18 +283,23 @@ def test_monotone_verdict_matches_per_representative_reference(G, p):
     assert verdicts == {True, False}
 
 
+def h5_constant_files(tmp_path):
+    """--group and --tau arguments for the constant 2 on H(5)."""
+    G = heisenberg(5)
+    lat = p_subgroups(G, 5)
+    group_path, tau_path = tmp_path / "group.json", tmp_path / "tau.json"
+    group_path.write_text(json.dumps(G.to_json()))
+    tau_path.write_text(json.dumps(SuperClassFunction(lat, (2,) * lat.n_classes).to_json()))
+    return ["--group", str(group_path), "--tau", str(tau_path)]
+
+
 @pytest.mark.parametrize("command", ["borel-smith", "realize"])
 def test_one_sylow_lattice_per_certificate(tmp_path, monkeypatch, capsys, command):
     import qdp.characters
     import qdp.cli
     import qdp.dimfun
     import qdp.groups
-    G = heisenberg(5)
-    lat = p_subgroups(G, 5)
-    group_path, tau_path = tmp_path / "group.json", tmp_path / "tau.json"
-    group_path.write_text(json.dumps(G.to_json()))
-    tau_path.write_text(json.dumps(SuperClassFunction(lat, (2,) * lat.n_classes).to_json()))
-
+    argv = [command, *h5_constant_files(tmp_path)]
     loaded, calls = [], []
     load, enumerate_subgroups = qdp.cli.group_from_json, qdp.groups.subgroups_of_p_group
 
@@ -186,9 +316,36 @@ def test_one_sylow_lattice_per_certificate(tmp_path, monkeypatch, capsys, comman
     monkeypatch.setattr(qdp.cli, "group_from_json", loading)
     for module in (qdp.groups, qdp.characters, qdp.dimfun):
         monkeypatch.setattr(module, "subgroups_of_p_group", counted)
-    code = qdp.cli.main([command, "--group", str(group_path), "--tau", str(tau_path)])
-    assert code == 0
+    assert qdp.cli.main(argv) == 0
     assert calls == [125]
+
+
+def test_one_monotonicity_run_per_realize(tmp_path, monkeypatch, capsys):
+    import qdp.cli
+    import qdp.dimfun
+    calls, monotone = [], qdp.dimfun.is_monotone
+
+    def counted(tau):
+        calls.append(tau)
+        return monotone(tau)
+
+    monkeypatch.setattr(qdp.dimfun, "is_monotone", counted)
+    assert qdp.cli.main(["realize", *h5_constant_files(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_borel_smith_builds_no_quotient_table(tmp_path, monkeypatch, capsys):
+    import qdp.cli
+    import qdp.groups
+    calls, quotient = [], qdp.groups.quotient_group
+
+    def counted(K, H):
+        calls.append((K, H))
+        return quotient(K, H)
+
+    monkeypatch.setattr(qdp.groups, "quotient_group", counted)
+    assert qdp.cli.main(["borel-smith", *h5_constant_files(tmp_path)]) == 0
+    assert calls == []
 
 
 def test_borel_smith_closed_under_addition_and_join():

@@ -1,4 +1,4 @@
-"""Group core: construction, Sylow theory, lattices, conjugacy, tags."""
+"""Group core: construction, Sylow theory, lattices, conjugacy, quotients."""
 
 import itertools
 import random
@@ -7,7 +7,6 @@ import pytest
 
 from qdp.errors import CompositeP, MalformedInput, SizeGuard
 from qdp.groups import (
-    QuotientTag,
     Subgroup,
     TableGroup,
     center,
@@ -27,7 +26,6 @@ from qdp.groups import (
     is_conjugate,
     is_subgroup,
     modular_p3,
-    normal_pairs_with_tag,
     p_subgroups,
     quotient_group,
     subgroup_closure,
@@ -35,6 +33,7 @@ from qdp.groups import (
     sylow_p_subgroup,
     whole_group,
 )
+from test_dimfun import reference_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -366,50 +365,53 @@ def test_is_conjugate_orders_differ():
 
 
 def tagged_pairs(P):
-    return normal_pairs_with_tag(subgroups_of_p_group(P))
+    """(H, K, kind of K/H) over the normal pairs the Borel-Smith conditions
+    inspect, classified by the quotient tables of the test reference."""
+    p = next(q for q in range(2, P.order + 1) if P.order % q == 0)
+    return reference_pairs(subgroups_of_p_group(P), p)
 
 
 def test_quotient_tags_elementary_and_cyclic():
     V = whole_group(elementary_abelian(3, 2))
     pairs = tagged_pairs(V)
-    tags = {(h.order, k.order): t.kind for h, k, t in pairs}
-    assert tags[(1, 9)] == QuotientTag.ELEMENTARY_ABELIAN_RANK2
-    assert tags[(1, 3)] == QuotientTag.CYCLIC_P
-    assert tags[(3, 9)] == QuotientTag.CYCLIC_P
+    tags = {(h.order, k.order): kind for h, k, kind in pairs}
+    assert tags[(1, 9)] == "elementary_abelian_rank2"
+    assert tags[(1, 3)] == "cyclic_p"
+    assert tags[(3, 9)] == "cyclic_p"
 
     Z9 = whole_group(cyclic(9))
-    tags9 = {(h.order, k.order): t.kind for h, k, t in tagged_pairs(Z9)}
-    assert tags9[(1, 9)] == QuotientTag.OTHER  # cyclic of order p^2
-    assert tags9[(1, 3)] == QuotientTag.CYCLIC_P
+    tags9 = {(h.order, k.order): kind for h, k, kind in tagged_pairs(Z9)}
+    assert tags9[(1, 9)] == "other"  # cyclic of order p^2
+    assert tags9[(1, 3)] == "cyclic_p"
 
 
 def test_quotient_tag_quaternion():
     Q8 = whole_group(generalized_quaternion(8))
     pairs = tagged_pairs(Q8)
-    tag = next(t for h, k, t in pairs if h.order == 1 and k.order == 8)
-    assert tag.kind == QuotientTag.GENERALIZED_QUATERNION and tag.order == 8
+    kind = next(kind for h, k, kind in pairs if h.order == 1 and k.order == 8)
+    assert kind == "generalized_quaternion"
     # oracle: exactly one involution
     G = generalized_quaternion(8)
     assert sum(1 for a in G.elements() if G.element_order(a) == 2) == 1
 
     Q16 = whole_group(generalized_quaternion(16))
-    kinds = {t.kind for h, k, t in tagged_pairs(Q16)
+    kinds = {kind for h, k, kind in tagged_pairs(Q16)
              if h.order == 1 and k.order == 16}
-    assert kinds == {QuotientTag.GENERALIZED_QUATERNION}
+    assert kinds == {"generalized_quaternion"}
 
     D8 = whole_group(dihedral(4))
-    kinds = {t.kind for h, k, t in tagged_pairs(D8)
+    kinds = {kind for h, k, kind in tagged_pairs(D8)
              if h.order == 1 and k.order == 8}
-    assert kinds == {QuotientTag.OTHER}
+    assert kinds == {"other"}
 
 
 def test_cyclic4_tag():
     Z4 = whole_group(cyclic(4))
-    tags = {(h.order, k.order): t.kind for h, k, t in tagged_pairs(Z4)}
-    assert tags[(1, 4)] == QuotientTag.CYCLIC4
+    tags = {(h.order, k.order): kind for h, k, kind in tagged_pairs(Z4)}
+    assert tags[(1, 4)] == "cyclic4"
     V4 = whole_group(elementary_abelian(2, 2))
-    tags = {(h.order, k.order): t.kind for h, k, t in tagged_pairs(V4)}
-    assert tags[(1, 4)] == QuotientTag.ELEMENTARY_ABELIAN_RANK2
+    tags = {(h.order, k.order): kind for h, k, kind in tagged_pairs(V4)}
+    assert tags[(1, 4)] == "elementary_abelian_rank2"
 
 
 def test_conjugation_preserves_tags():
@@ -419,8 +421,8 @@ def test_conjugation_preserves_tags():
     g = 17  # arbitrary element
     Pg = conjugate_subgroup(G, g, P)
     pairs_g = tagged_pairs(Pg)
-    mine = sorted((h.order, k.order, t.kind) for h, k, t in pairs)
-    theirs = sorted((h.order, k.order, t.kind) for h, k, t in pairs_g)
+    mine = sorted((h.order, k.order, kind) for h, k, kind in pairs)
+    theirs = sorted((h.order, k.order, kind) for h, k, kind in pairs_g)
     assert mine == theirs
 
 

@@ -460,24 +460,17 @@ def test_zeta_proposition_matches_enumeration(p, k):
 
 
 def test_quotient_finite_dimensional():
-    maximal = IdealHandle([x, y])
-    res = quotient_finite_dimensional(maximal)
-    assert res.finite and not res.budget_limited
-
     inv = invariants(P)
     for s in (1, 2, 3):
-        res = quotient_finite_dimensional(IdealHandle([inv.zeta ** s]))
-        assert not res.finite and not res.budget_limited
-
-    res = quotient_finite_dimensional(IdealHandle([x * x]))
-    assert not res.finite and not res.budget_limited
-
+        assert not quotient_finite_dimensional(IdealHandle([inv.zeta ** s])).finite
+    assert not quotient_finite_dimensional(IdealHandle([x * x])).finite
+    # a constant is both a pure x-power and a pure y-power: the unit ideal
     res = quotient_finite_dimensional(IdealHandle([GradedElement.one(P)]))
-    assert res.finite
-
-    mixed = IdealHandle([x * x, x * y], degree_budget=30)
-    res = quotient_finite_dimensional(mixed)
-    assert not res.finite and res.budget_limited
+    assert res.finite and res.details["generator_pure_x_power"]
+    # only principal ideals with a polynomial generator are decided
+    for gens in ([x, y], [x * x, x * y], [u * v]):
+        with pytest.raises(MalformedInput):
+            quotient_finite_dimensional(IdealHandle(gens))
 
 
 def test_theorem_c_driver():
