@@ -33,18 +33,20 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     PSubgroupClasses,
+    QdpGroup,
     Subgroup,
     center,
     conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
     cyclic_subgroups,
-    generating_set,
     greedy_generators,
     group_from_json,
     is_conjugate,
     is_normal_in,
     p_subgroups,
+    qdp_generators,
+    qdp_order_p_elements,
     subgroups_of_p_group,
     sylow_p_subgroup,
 )
@@ -364,7 +366,16 @@ def lefschetz_number(h0: list[list[int]], hn: list[list[int]],
 
 
 def generation_by_order_p(G: FiniteGroup, p: int) -> tuple[bool, list[int]]:
-    """Does the closure of the order-p elements give all of G?"""
+    """Does the closure of the order-p elements give all of G?  Returns the
+    verdict and the order-p elements.
+
+    On Qd(p) the verdict is the structural certificate of `qdp_generators`:
+    e1, u+ and u- have order p and generate G.  False then means that
+    certificate failed, not that G is shown not to be generated."""
+    if isinstance(G, QdpGroup) and p == G.p:
+        gens, generated = qdp_generators(G)
+        return (generated and all(G.element_order(g) == p for g in gens),
+                qdp_order_p_elements(G))
     witnesses = [a for a in G.elements() if G.element_order(a) == p]
     _, closure = greedy_generators(G, witnesses)
     return len(closure) == G.order, witnesses
@@ -404,8 +415,9 @@ def qdp_obstruction_theorem_B(p: int,
 
     cycs = [C for C in cyclic_subgroups(P) if C.order > 1]
 
-    # G-conjugacy classes of the nontrivial cyclic subgroups of P
-    gens = generating_set(G)
+    # G-conjugacy classes of the nontrivial cyclic subgroups of P; they are
+    # G-classes only if the generators are shown to generate G
+    gens, generated = qdp_generators(G)
     class_key: dict[tuple[int, ...], tuple[int, ...]] = {}
     for C in cycs:
         if C.members in class_key:
@@ -421,10 +433,15 @@ def qdp_obstruction_theorem_B(p: int,
         constraints.setdefault(class_key[C.members], set()).add(want)
     clash_keys = [k for k, v in constraints.items() if len(v) > 1]
     unsat = bool(clash_keys)
-    legs.append(Leg("effectiveness-constraints", VERIFIED, {
+    classes = {
         "variables": [list(k) for k in sorted(constraints)],
         "constraints": {str(list(k)): sorted(v) for k, v in sorted(constraints.items())},
-    }))
+    }
+    if not generated:
+        classes["reason"] = "e1, u+ and u- were not shown to generate G, so the " \
+                            "classes may be finer than G-conjugacy classes"
+    legs.append(Leg("effectiveness-constraints", VERIFIED if generated else REFUTED,
+                    classes))
 
     # Z's orbit-mates first (a stable sort keeps the order of cycs), so the
     # first hit is the first subgroup of cycs conjugate to Z; is_conjugate

@@ -9,7 +9,9 @@ Subgroups are sorted index tuples.  Enumeration is restricted to
 p-subgroups: every p-subgroup of G is conjugate into a fixed Sylow
 p-subgroup P, so we enumerate the subgroups of P (by index-p normal
 extensions, which reach everything inside a p-group) and close up under
-G-conjugation.
+G-conjugation.  On Qd(p) the Sylow p-subgroup, a generating set and the
+order-p elements are read off the semidirect structure instead of found
+by scanning all of G.
 """
 
 from __future__ import annotations
@@ -398,15 +400,55 @@ def greedy_generators(G: FiniteGroup,
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
-    """Small (greedy, deterministic) generating set."""
+    """Small deterministic generating set: e1, u+ and u- on Qd(p) (see
+    `qdp_generators`), greedy over the elements in index order otherwise."""
+    if isinstance(G, QdpGroup):
+        gens, generated = qdp_generators(G)
+        if not generated:
+            raise QdpError(f"e1, u+ and u- do not generate {G.name}")
+        return gens
     return greedy_generators(G, G.elements())[0]
 
 
-def is_subgroup(G: FiniteGroup, members: Iterable[int]) -> bool:
-    s = set(members)
-    if G.identity not in s:
-        return False
-    return all(G.mul(a, b) in s for a in s for b in s)
+def qdp_generators(G: QdpGroup) -> tuple[list[int], bool]:
+    """[e1, u+, u-], with e1 = ((1,0), I), u+ = [[1,1],[0,1]] and
+    u- = [[1,0],[1,1]], all of order p, and whether they generate G.
+
+    <u+, u-> is closed alone: p^3 - p members with vector part 0 make it
+    the complement SL2(p).  Conjugation by it moves e1 over p^2 - 1
+    elements with matrix part I, which is all of V minus 0.  A subgroup
+    containing V and its complement SL2(p) is G = V x| SL2(p)."""
+    p, n = G.p, G.nmat
+    e1 = p * n + G.identity
+    up = G.element((0, 0), (1, 1, 0, 1))
+    um = G.element((0, 0), (1, 0, 1, 1))
+    sl2 = subgroup_closure(G, [up, um])
+    orbit = conjugacy_orbit(G, Subgroup(G, (e1,)), [up, um])
+    generated = (len(sl2) == p ** 3 - p and all(a < n for a in sl2)
+                 and len(orbit) == p * p - 1
+                 and all(T.members[0] % n == G.identity for T in orbit))
+    return [e1, up, um], generated
+
+
+def qdp_order_p_elements(G: QdpGroup) -> list[int]:
+    """The elements of order p of Qd(p), in index order.
+
+    (v, A)^p = (S v, A^p) with S = I + A + ... + A^(p-1), linear in v, so
+    (v, A) has order p iff A^p = I, S v = 0 and (v, A) is not the identity.
+    Only the matrices are powered; the columns of S are the vector parts
+    of (e1, A)^p and (e2, A)^p."""
+    p, n = G.p, G.nmat
+    found = []
+    for m in range(n):  # (0, A) has index m
+        if G.power(m, p) != G.identity:
+            continue
+        (a, c), _ = G.parts(G.power(p * n + m, p))
+        (b, d), _ = G.parts(G.power(n + m, p))
+        found += [v * n + m for v in range(p * p)
+                  if (a * (v // p) + b * (v % p)) % p == 0
+                  and (c * (v // p) + d * (v % p)) % p == 0]
+    found.remove(G.identity)
+    return sorted(found)
 
 
 def conjugate_subgroup(G: FiniteGroup, g: int, H: Subgroup) -> Subgroup:
@@ -415,9 +457,10 @@ def conjugate_subgroup(G: FiniteGroup, g: int, H: Subgroup) -> Subgroup:
 
 
 def center(H: Subgroup) -> Subgroup:
+    """The members of H that commute with a (greedy) generating set of H."""
     G = H.group
-    mem = H.members
-    out = [z for z in mem if all(G.mul(z, x) == G.mul(x, z) for x in mem)]
+    gens = greedy_generators(G, H.members)[0]
+    out = [z for z in H.members if all(G.mul(z, g) == G.mul(g, z) for g in gens)]
     return Subgroup(G, tuple(out))
 
 
@@ -433,6 +476,8 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     if G.order % p:
         raise SizeGuard(f"{p} does not divide |G| = {G.order}")
     target = p_part(G.order, p)
+    if isinstance(G, QdpGroup) and p == G.p:
+        return _qdp_sylow(G, target)
     # p-elements in index order, found only as far as the growth needs them
     pelems: list[int] = []
     fresh = (a for a in G.elements() if _is_p_power(G.element_order(a), p))
@@ -457,6 +502,23 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         else:  # impossible in a group (Sylow); a non-associative table gets here
             raise QdpError("sylow growth stalled")
     return Subgroup(G, tuple(sorted(members)))
+
+
+def _qdp_sylow(G: QdpGroup, target: int) -> Subgroup:
+    """V x| <m0>, m0 the first unipotent matrix other than I in `mats`
+    order, checked to have order p^3 = target by closure.
+
+    It is the subgroup the index-order growth returns: (0, m0) is the first
+    p-element of that scan, and the only Sylow subgroup containing it is
+    V x| <m0>, because V is a normal p-subgroup and distinct Sylow
+    subgroups of SL2(p) meet trivially."""
+    p, n = G.p, G.nmat
+    m0 = next(m for m, A in enumerate(G.mats)
+              if m != G.identity and (A[0] + A[3]) % p == 2 % p)
+    members = subgroup_closure(G, [m0, p * n + G.identity, n + G.identity])
+    if len(members) != target:
+        raise QdpError(f"V x| <m0> has {len(members)} members, not {target}")
+    return Subgroup(G, members)
 
 
 def _is_p_power(n: int, p: int) -> bool:

@@ -247,6 +247,66 @@ def test_theorem_c_without_asserts():
     assert json.loads(proc.stdout)["status"] == "unsat-certificate"
 
 
+# sha256 of the canonical JSON of the Qd(p) certificates, taken from the
+# brute-force Sylow scan and greedy closure of G that the structural route
+# replaced; the structural route must reproduce them byte for byte
+CANONICAL_SHA256 = {
+    ("theorem-b", "--p", "3"):
+        "9cd5d4134dd522fe04ad67337341c97fb1e957ff32058307d4aaab5864605bf9",
+    ("theorem-b", "--p", "5"):
+        "e2e8a1f11cb1c0174606c270c698c0a701492c64545bce74898b2466e8c2928a",
+    ("theorem-b", "--p", "7", "--max-order", "16464"):
+        "9b85fdc348832a03b972352d3958f044b6a8a1ca2fdc26660780724f8923219e",
+    ("theorem-b", "--p", "11", "--max-order", "159720"):
+        "743ae874e9b6f088763e4c5e28554690bf7ddc072eb28736c4df41e90e4faee3",
+    ("theorem-c", "--p", "3"):
+        "c885560e407a9431fb8056447a6972ad9d6e938911a86f2d2acff9b84e4525f9",
+    ("theorem-c", "--p", "5", "--k-list", "6,12"):
+        "f972644aa974f8fe67c8747b8e66f54e59d62d422cd0c9fa4d4cfd236670d5f1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CANONICAL_SHA256))
+def test_qdp_certificates_are_pinned(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
+    assert digest == CANONICAL_SHA256[argv]
+
+
+# runs the CLI with the closure of <u+, u-> one member short
+SHORT_SL2 = """
+import sys
+import qdp.groups as groups
+closure = groups.subgroup_closure
+def short(G, gens):
+    members = closure(G, gens)
+    return members[1:] if len(members) == G.p ** 3 - G.p else members
+groups.subgroup_closure = short
+from qdp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("command, leg", [("theorem-b", "effectiveness-constraints"),
+                                          ("theorem-c", "order-p-generation")])
+def test_failed_generation_is_refuted(flags, command, leg):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", SHORT_SL2, command, "--p", "3",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_REFUTED, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "refuted"
+    legs = {l["name"]: l["status"] for l in report["legs"]}
+    assert legs[leg] == "refuted"
+    assert all(status != "refuted" for name, status in legs.items() if name != leg)
+
+
 def test_theorem_c_failed_leg_is_refuted(capsys, monkeypatch):
     import qdp.steenrod as steenrod
     real = steenrod.brute_force_zeta_proposition

@@ -563,6 +563,10 @@ THEOREM_B_WITNESSES = {
     11: (220, [110, 15950, 31790, 47630, 63470, 79310, 95150, 110990, 126830,
                142670, 158510],
          [110, 1430, 2750, 4070, 5390, 6710, 8030, 9350, 10670, 11990, 13310]),
+    13: (312, [156, 30732, 61308, 91884, 122460, 153036, 183612, 214188, 244764,
+               275340, 305916, 336492, 367068],
+         [156, 2340, 4524, 6708, 8892, 11076, 13260, 15444, 17628, 19812, 21996,
+          24180, 26364]),
 }
 
 

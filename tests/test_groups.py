@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from qdp.dimfun import generation_by_order_p
 from qdp.errors import CompositeP, MalformedInput, SizeGuard
 from qdp.groups import (
+    FiniteGroup,
     Subgroup,
     TableGroup,
     center,
@@ -24,9 +26,9 @@ from qdp.groups import (
     group_from_json,
     heisenberg,
     is_conjugate,
-    is_subgroup,
     modular_p3,
     p_subgroups,
+    qdp_generators,
     quotient_group,
     subgroup_closure,
     subgroups_of_p_group,
@@ -80,6 +82,22 @@ def saturation_generators(G, candidates):
         if len(closure) == G.order:
             break
     return gens, closure
+
+
+def is_subgroup(G, members):
+    s = set(members)
+    if G.identity not in s:
+        return False
+    return all(G.mul(a, b) in s for a in s for b in s)
+
+
+class GenericView(FiniteGroup):
+    """A group seen only through its multiplication, so every routine of
+    qdp.groups takes its generic route on it."""
+
+    def __init__(self, G):
+        self.order, self.identity, self.name = G.order, G.identity, G.name
+        self.mul, self.inv = G.mul, G.inv
 
 
 def _is_ppower(n, p):
@@ -194,7 +212,7 @@ def test_coset_closure_matches_saturation_on_qdp():
             gens, closure = greedy_generators(G, candidates)
             assert (gens, closure) == saturation_generators(G, candidates)
             assert subgroup_closure(G, gens) == tuple(sorted(closure))
-        assert generating_set(G) == saturation_generators(G, G.elements())[0]
+        assert subgroup_closure(G, generating_set(G)) == tuple(G.elements())
 
 
 def test_coset_closure_matches_saturation_on_tables():
@@ -255,6 +273,27 @@ def test_center_of_sylow():
         manual = [z for z in P.members
                   if all(G.mul(z, x) == G.mul(x, z) for x in P.members)]
         assert tuple(manual) == Z.members
+
+
+def test_structural_route_agrees_with_generic():
+    # the Qd(p) route against the generic code on the same multiplication:
+    # the index-order Sylow scan, the center over all members, the greedy
+    # closure of G and the element_order listing of the order-p elements
+    for p in (3, 5, 7, 11):
+        G = construct_qdp(p, max_order=p ** 3 * (p * p - 1))
+        H = GenericView(G)
+        P = sylow_p_subgroup(G, p)
+        assert P.members == sylow_p_subgroup(H, p).members
+        Z = center(P)
+        assert Z.members == tuple(z for z in P.members
+                                  if all(G.mul(z, x) == G.mul(x, z) for x in P.members))
+        gens, generated = qdp_generators(G)
+        assert generated and [G.element_order(g) for g in gens] == [p] * 3
+        assert generating_set(G) == gens
+        assert len(subgroup_closure(H, gens)) == G.order
+        verdict = generation_by_order_p(G, p)
+        assert verdict == generation_by_order_p(H, p)
+        assert verdict[0] and len(verdict[1]) == p ** 4 - 1
 
 
 def test_center_of_abelian_group_is_itself():
