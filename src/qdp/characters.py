@@ -13,8 +13,7 @@ Z[x]/(Phi_e); no floating point anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import DomainMismatch, IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
 from .groups import (
@@ -93,12 +92,24 @@ class _CycloContext:
         return cls._cache[e]
 
 
-@dataclass(frozen=True)
 class CyclotomicInteger:
-    """Element of Z[zeta_e] in the power basis 1, zeta, ..., zeta^(phi(e)-1)."""
+    """Element of Z[zeta_e] in the power basis 1, zeta, ..., zeta^(phi(e)-1);
+    equal and hashed by value, never mutated."""
 
-    order: int
-    coeffs: tuple[int, ...]
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        self.order = order
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CyclotomicInteger):
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"CyclotomicInteger({self.order}, {self.coeffs})"
 
     @staticmethod
     def zero(e: int) -> "CyclotomicInteger":
@@ -153,7 +164,7 @@ class CyclotomicInteger:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def as_rational_int(self) -> Optional[int]:
+    def as_rational_int(self) -> int | None:
         if all(c == 0 for c in self.coeffs[1:]):
             return self.coeffs[0]
         return None
@@ -162,12 +173,13 @@ class CyclotomicInteger:
 # ---------------------------------------------------------------------------
 # conjugacy classes of elements
 
-@dataclass
 class ElementClasses:
-    group: FiniteGroup
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    inv_class: tuple[int, ...]
+    def __init__(self, group: FiniteGroup, classes: tuple[tuple[int, ...], ...],
+                 class_of: tuple[int, ...], inv_class: tuple[int, ...]):
+        self.group = group
+        self.classes = classes
+        self.class_of = class_of
+        self.inv_class = inv_class
 
     @staticmethod
     def compute(G: FiniteGroup) -> "ElementClasses":
@@ -211,11 +223,12 @@ def _cyclic_decomposition(Q: TableGroup) -> list[tuple[int, int]]:
                     "subgroup of largest order: not an abelian p-group")
 
 
-@dataclass
 class LinearCharacter:
     """zeta_modulus^(exponent) valued homomorphism, stored by exponents."""
-    modulus: int
-    exponents: dict[int, int]  # parent-group element -> exponent mod modulus
+
+    def __init__(self, modulus: int, exponents: dict[int, int]):
+        self.modulus = modulus
+        self.exponents = exponents  # parent-group element -> exponent mod modulus
 
 
 def linear_characters(H: Subgroup) -> list[LinearCharacter]:
@@ -254,12 +267,13 @@ def linear_characters(H: Subgroup) -> list[LinearCharacter]:
 # ---------------------------------------------------------------------------
 # characters of the whole p-group
 
-@dataclass
 class Character:
-    group: FiniteGroup
-    classes: ElementClasses
-    values: tuple[CyclotomicInteger, ...]
-    degree: int
+    def __init__(self, group: FiniteGroup, classes: ElementClasses,
+                 values: tuple[CyclotomicInteger, ...], degree: int):
+        self.group = group
+        self.classes = classes
+        self.values = values
+        self.degree = degree
 
     def value_at(self, a: int) -> CyclotomicInteger:
         return self.values[self.classes.class_of[a]]
@@ -305,7 +319,7 @@ def induced_values(H: Subgroup, lam: LinearCharacter, classes: ElementClasses,
 
 
 def irreducible_characters(P: FiniteGroup,
-                           classes: Optional[ElementClasses] = None,
+                           classes: ElementClasses | None = None,
                            subgroups: Sequence[Subgroup] = ()) -> list[Character]:
     """The full irreducible character list, certified complete; `subgroups`,
     all subgroups of P if given, saves enumerating them again."""
@@ -385,13 +399,14 @@ COMPLEX_PAIR = "complex_pair"
 QUATERNIONIC = "quaternionic"
 
 
-@dataclass
 class RealBasisEntry:
     """An irreducible real representation: a complex irreducible plus its
     realness type; complex pairs and quaternionic types are realified by
     doubling."""
-    character: Character
-    realness: str
+
+    def __init__(self, character: Character, realness: str):
+        self.character = character
+        self.realness = realness
 
     @property
     def real_degree(self) -> int:
@@ -409,7 +424,7 @@ class RealBasisEntry:
 
 
 def real_representation_basis(P: FiniteGroup,
-                              chars: Optional[list[Character]] = None,
+                              chars: list[Character] | None = None,
                               subgroups: Sequence[Subgroup] = ()) -> list[RealBasisEntry]:
     if chars is None:
         chars = irreducible_characters(P, subgroups=subgroups)

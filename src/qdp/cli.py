@@ -66,6 +66,12 @@ def _budget(args) -> int:
     return budget
 
 
+def _max_order(args) -> int:
+    if args.max_order < 1:
+        raise MalformedInput(f"--max-order must be at least 1, got {args.max_order}")
+    return args.max_order
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is malformed input: one `error:` line, no usage block."""
 
@@ -149,11 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_theorem_b(args) -> VerificationReport:
     from .dimfun import qdp_obstruction_theorem_B
-    return qdp_obstruction_theorem_B(args.p, max_order=args.max_order)
+    return qdp_obstruction_theorem_B(args.p, max_order=_max_order(args))
 
 
 def _cmd_theorem_c(args) -> VerificationReport:
     from .steenrod import theorem_C_driver
+    max_order = _max_order(args)
     k_list = None
     if args.k_list is not None:
         try:
@@ -161,19 +168,20 @@ def _cmd_theorem_c(args) -> VerificationReport:
         except ValueError:
             raise MalformedInput(f"bad --k-list {args.k_list!r}")
     return theorem_C_driver(args.p, k_list=k_list, degree_budget=_budget(args),
-                            max_order=args.max_order)
+                            max_order=max_order)
 
 
 def _load_tau(args):
     from .dimfun import superclassfunction_from_json
+    max_order = _max_order(args)
     gobj = _load_json(args.group)
     tobj = _load_json(args.tau)
-    group = group_from_json(gobj, max_order=args.max_order)
+    group = group_from_json(gobj, max_order=max_order)
     try:
         prime = int(tobj["p"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"tau file needs a prime: {exc}")
-    lattice = p_subgroups(group, prime, max_order=args.max_order)
+    lattice = p_subgroups(group, prime, max_order=max_order)
     return superclassfunction_from_json(tobj, lattice=lattice), group
 
 

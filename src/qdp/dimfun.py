@@ -16,9 +16,7 @@ the full group makes that vanishing pattern impossible.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .characters import RealBasisEntry
 from .errors import (
@@ -47,13 +45,11 @@ from .groups import (
     p_subgroups,
     qdp_generators,
     qdp_order_p_elements,
-    subgroups_of_p_group,
     sylow_p_subgroup,
 )
 from .reports import REFUTED, VERIFIED, Certificate, Leg
 
 
-@dataclass
 class SuperClassFunction:
     """Integer values per p-subgroup class; `scale` makes rationals exact.
 
@@ -61,17 +57,16 @@ class SuperClassFunction:
     integers.  scale == 1 for ordinary integer-valued functions.
     """
 
-    lattice: PSubgroupClasses
-    values: tuple[int, ...]
-    scale: int = 1
-
-    def __post_init__(self):
-        if len(self.values) != self.lattice.n_classes:
+    def __init__(self, lattice: PSubgroupClasses, values: tuple[int, ...],
+                 scale: int = 1):
+        if len(values) != lattice.n_classes:
             raise DomainMismatch(
-                f"{len(self.values)} values for {self.lattice.n_classes} classes")
-        if self.scale < 1:
+                f"{len(values)} values for {lattice.n_classes} classes")
+        if scale < 1:
             raise MalformedInput("scale must be a positive integer")
-        self.values = tuple(int(v) for v in self.values)
+        self.lattice = lattice
+        self.values = tuple(int(v) for v in values)
+        self.scale = scale
 
     def value_of(self, H: Subgroup) -> int:
         return self.values[self.lattice.class_of(H)]
@@ -102,7 +97,7 @@ class SuperClassFunction:
 
 
 def superclassfunction_from_json(obj: dict,
-                                 lattice: Optional[PSubgroupClasses] = None,
+                                 lattice: PSubgroupClasses | None = None,
                                  max_order: int = DEFAULT_MAX_ORDER) -> SuperClassFunction:
     try:
         p = int(obj["p"])
@@ -134,12 +129,12 @@ def superclassfunction_from_json(obj: dict,
 # ---------------------------------------------------------------------------
 # Borel-Smith conditions
 
-@dataclass
 class Violation:
-    condition: str  # "i" | "ii" | "iii"
-    pair: tuple
-    lhs: int
-    rhs: int
+    def __init__(self, condition: str, pair: tuple, lhs: int, rhs: int):
+        self.condition = condition  # "i" | "ii" | "iii"
+        self.pair = pair
+        self.lhs = lhs
+        self.rhs = rhs
 
     def to_json(self) -> dict:
         return {"condition": self.condition,
@@ -147,11 +142,12 @@ class Violation:
                 "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass
 class BorelSmithReport:
-    monotone: bool
-    violations: list[Violation] = field(default_factory=list)
-    monotone_witness: Optional[tuple] = None
+    def __init__(self, monotone: bool, violations: list[Violation] | None = None,
+                 monotone_witness: tuple | None = None):
+        self.monotone = monotone
+        self.violations = [] if violations is None else violations
+        self.monotone_witness = monotone_witness
 
     @property
     def ok(self) -> bool:
@@ -216,7 +212,7 @@ def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
                             monotone_witness=wit)
 
 
-def is_monotone(tau: SuperClassFunction) -> tuple[bool, Optional[tuple]]:
+def is_monotone(tau: SuperClassFunction) -> tuple[bool, tuple | None]:
     """tau(K) <= tau(H) whenever H <= K, decided inside the Sylow lattice (every
     such pair is conjugate into it); returns a violating pair if any."""
     subs = tau.lattice.sylow_subgroups
@@ -233,73 +229,11 @@ def real_dimension_function(entry: RealBasisEntry,
     return SuperClassFunction(lattice, entry.fixed_dimension_vector(lattice), 1)
 
 
-def join_dimension_function(tau: SuperClassFunction, m: int) -> SuperClassFunction:
-    """Dimension function of the m-fold fiber join: values and scale both
-    multiply by m (sphere ranks compose as r -> m(r+1) - 1)."""
-    if m < 1:
-        raise MalformedInput("join multiplicity must be >= 1")
-    return SuperClassFunction(tau.lattice, tuple(m * v for v in tau.values),
-                              tau.scale * m)
-
-
-def smallest_join_multiplier(tau: SuperClassFunction,
-                             limit: Optional[int] = None) -> Optional[int]:
-    """Least m <= limit with m*tau passing all Borel-Smith conditions: scaling
-    keeps each failure of (i) and turns a failing difference d of (ii) or (iii)
-    (due divisible by 2 or 4) into m*d."""
-    p = tau.lattice.prime
-    if limit is None:
-        limit = 2 * p * (p + 1)
-    m = 1
-    for v in check_borel_smith(tau).violations:
-        if v.condition == "i":
-            return None
-        modulus = 2 if v.condition == "ii" else v.rhs
-        m = math.lcm(m, modulus // math.gcd(v.lhs, modulus))
-    return m if m <= limit else None
-
-
-# ---------------------------------------------------------------------------
-# codimension-one sum rule on a rank-two elementary abelian subgroup
-
-@dataclass
-class EulerDatum:
-    degree: int
-    factor_degrees: dict[tuple[int, ...], int]
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree,
-                "factor_degrees": [
-                    {"line": list(k), "degree": v}
-                    for k, v in sorted(self.factor_degrees.items())]}
-
-
-def check_codim_one_sum(tau: SuperClassFunction,
-                        V: Subgroup) -> tuple[bool, EulerDatum, int, int]:
-    """On V of rank two: total drop equals the sum of the drops over the
-    p+1 index-p subgroups.  Also records the factor degrees of the Euler
-    class: each line W contributes tau(W) - tau(V)."""
-    p = tau.lattice.prime
-    if V.order != p * p or any(V.group.power(g, p) != V.group.identity
-                               for g in V.members):
-        raise MalformedInput("V must be elementary abelian of rank two")
-    subs = subgroups_of_p_group(V)
-    ones = [S for S in subs if S.order == 1][0]
-    lines = [S for S in subs if S.order == p]
-    if len(lines) != p + 1:
-        raise ShapeMismatch(f"rank-two subgroup with {len(lines)} lines, not {p + 1}")
-    tv = tau.value_of(V)
-    lhs = tau.value_of(ones) - tv
-    factors = {W.members: tau.value_of(W) - tv for W in lines}
-    rhs = sum(factors.values())
-    return lhs == rhs, EulerDatum(lhs, factors), lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # realization by real representations
 
 def realize_as_representation(tau: SuperClassFunction,
-                              basis: Sequence[RealBasisEntry]) -> Optional[dict[int, int]]:
+                              basis: Sequence[RealBasisEntry]) -> dict[int, int] | None:
     """Nonnegative multiplicities over `basis` with exact sum tau, or None.
 
     Refuses inputs outside the theorem's hypotheses.  The search is a

@@ -17,10 +17,6 @@ g_n-component annihilated by beta and by P^i for every checked i.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .errors import (
     Inhomogeneous,
     InvalidModel,
@@ -44,18 +40,21 @@ G0 = "g0"
 GN = "g_n"
 
 
-@dataclass
 class TwoRowModule:
     """Model datum; `powers[i] = (c0, cn)` means
     P^i(g_n) = c0 * m(n + 2i(p-1)) * g_0 + cn * t^(i(p-1)) * g_n
     (at p = 2 read Sq^i and t-degree shifts i), and `bockstein_g0` is the
     coefficient of the canonical degree-(n+1) monomial in beta(g_n)."""
 
-    p: int
-    n: int
-    differential: Optional[tuple[int, int]] = None  # (lambda, a)
-    bockstein_g0: int = 0
-    powers: dict[int, tuple[int, int]] = field(default_factory=dict)
+    def __init__(self, p: int, n: int,
+                 differential: tuple[int, int] | None = None,
+                 bockstein_g0: int = 0,
+                 powers: dict[int, tuple[int, int]] | None = None):
+        self.p = p
+        self.n = n
+        self.differential = differential  # (lambda, a)
+        self.bockstein_g0 = bockstein_g0
+        self.powers = {} if powers is None else powers
 
     def op_range(self) -> range:
         """Indices i with possibly nonzero P^i(g_n) (Sq^i at p = 2)."""
@@ -179,47 +178,15 @@ def _component_degree(p: int, n: int, op: str, gen: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# graded presentation of the total cohomology
-
-@dataclass
-class Presentation:
-    kind: str  # "free" | "truncated"
-    description: str
-    dims: list[int]  # dimensions in degrees 0..len-1
-
-
-def he_presentation(M: TwoRowModule, through_degree: Optional[int] = None) -> Presentation:
-    M.validate()
-    p, n = M.p, M.n
-    top = through_degree if through_degree is not None else 2 * n + 4
-    if M.differential is None:
-        dims = [1 + (1 if d >= n else 0) for d in range(top + 1)]
-        return Presentation("free", "free on one degree-0 and one degree-"
-                            f"{n} generator over the rank-one cohomology", dims)
-    lam, a = M.differential
-    # surviving row: rank-one cohomology truncated above t^(a-1)
-    dims = []
-    for d in range(top + 1):
-        if p == 2:
-            dims.append(1 if d < a else 0)
-        else:
-            k = (d - (d & 1)) // 2
-            dims.append(1 if k < a else 0)
-    desc = (f"truncated polynomial algebra on t with t^{a} = 0"
-            if p == 2 else
-            f"truncation: exterior generator times polynomial algebra with t^{a} = 0")
-    return Presentation("truncated", desc, dims)
-
-
-# ---------------------------------------------------------------------------
 # localized elements over the two generators
 
-@dataclass
 class TwoRowLocalElement:
     """c0 * g_0 + cn * g_n with rank-one Laurent coefficients."""
-    module: TwoRowModule
-    c0: RankOneElement
-    cn: RankOneElement
+
+    def __init__(self, module: TwoRowModule, c0: RankOneElement, cn: RankOneElement):
+        self.module = module
+        self.c0 = c0
+        self.cn = cn
 
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.cn.is_zero()
@@ -279,12 +246,13 @@ def module_power(i: int, x: TwoRowLocalElement) -> TwoRowLocalElement:
     return TwoRowLocalElement(M, c0, cn)
 
 
-@dataclass
 class FixResult:
-    rank: int
-    witness: Optional[TwoRowLocalElement]
-    unique_line: bool
-    checked_ops: int
+    def __init__(self, rank: int, witness: TwoRowLocalElement | None,
+                 unique_line: bool, checked_ops: int):
+        self.rank = rank
+        self.witness = witness
+        self.unique_line = unique_line
+        self.checked_ops = checked_ops
 
     def to_json(self) -> dict:
         return {
@@ -315,7 +283,7 @@ def _images(p: int, op_bound: int, f_alpha: TwoRowLocalElement,
         yield module_power(i, f_alpha), module_power(i, f_gamma)
 
 
-def _annihilating_alpha(p: int, images) -> Optional[tuple[Optional[int], int]]:
+def _annihilating_alpha(p: int, images) -> tuple[int | None, int] | None:
     """Solve for alpha with alpha * f_alpha + f_gamma annihilated.
 
     Each image pair is linear in (alpha, gamma); every nonzero slot gives an
@@ -340,8 +308,8 @@ def _annihilating_alpha(p: int, images) -> Optional[tuple[Optional[int], int]]:
     return alpha, count
 
 
-def fix_rank(M: TwoRowModule, pole_bound: Optional[int] = None,
-             op_bound: Optional[int] = None) -> FixResult:
+def fix_rank(M: TwoRowModule, pole_bound: int | None = None,
+             op_bound: int | None = None) -> FixResult:
     """Rank r with the localized fixed-point module isomorphic to a rank-r
     sphere's cohomology: -1 when the differential is nonzero, else the top
     degree carrying a beta- and P-annihilated line with g_n-component."""
@@ -388,17 +356,7 @@ def fix_rank(M: TwoRowModule, pole_bound: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# tensor and join bookkeeping on ranks
-
-def fix_tensor_rule(r1: int, r2: int) -> list[int]:
-    """Degrees of the tensor product of two sphere cohomologies (empty when
-    either factor is the empty sphere)."""
-    if r1 < -1 or r2 < -1:
-        raise MalformedInput("ranks are >= -1")
-    if r1 == -1 or r2 == -1:
-        return []
-    return sorted([0, r1, r2, r1 + r2])
-
+# join bookkeeping on ranks
 
 def fix_join_rule(r1: int, r2: int) -> int:
     """Sphere rank of the join: r1 + r2 + 1; the empty sphere (-1) is the

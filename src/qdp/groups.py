@@ -17,8 +17,8 @@ by scanning all of G.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+import math
+from collections.abc import Iterable
 
 from .errors import CompositeP, DomainMismatch, MalformedInput, QdpError, SizeGuard
 
@@ -104,7 +104,7 @@ class FiniteGroup:
 
 class TableGroup(FiniteGroup):
     def __init__(self, table: list[list[int]], name: str = "G",
-                 labels: Optional[list[str]] = None):
+                 labels: list[str] | None = None):
         n = len(table)
         if any(len(row) != n for row in table):
             raise MalformedInput("multiplication table must be square")
@@ -258,7 +258,7 @@ def cyclic(n: int) -> TableGroup:
     return from_elements(list(range(n)), lambda a, b: (a + b) % n, name=f"Z{n}")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, name: Optional[str] = None) -> TableGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> TableGroup:
     elems = [(a, b) for a in g.elements() for b in h.elements()]
     return from_elements(elems, lambda x, y: (g.mul(x[0], y[0]), h.mul(x[1], y[1])),
                          name=name or f"{g.name}x{h.name}")
@@ -326,13 +326,10 @@ def modular_p3(p: int) -> TableGroup:
 # ---------------------------------------------------------------------------
 # subgroups
 
-@dataclass(frozen=True)
 class Subgroup:
-    group: FiniteGroup
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+    def __init__(self, group: FiniteGroup, members: tuple[int, ...]):
+        self.group = group
+        self.members = tuple(sorted(members))
 
     @property
     def order(self) -> int:
@@ -575,15 +572,27 @@ def _unique_prime(n: int) -> int:
 
 
 def cyclic_subgroups(P: Subgroup) -> list[Subgroup]:
+    """The cyclic subgroups of P, sorted by (order, members).  <g> is the
+    powers of g; its generators are the g^k with k prime to |g|, so those
+    members are skipped once <g> is found."""
     G = P.group
-    out = {}
+    found = []
+    generators: set[int] = set()
     for g in P.members:
-        key = tuple(sorted(subgroup_closure(G, [g])))
-        out[key] = None
-    return [Subgroup(G, k) for k in sorted(out, key=lambda t: (len(t), t))]
+        if g in generators:
+            continue
+        powers = [G.identity]
+        x = g
+        while x != G.identity:
+            powers.append(x)
+            x = G.mul(x, g)
+        n = len(powers)
+        generators.update(powers[k] for k in range(1, n) if math.gcd(k, n) == 1)
+        found.append(tuple(sorted(powers)))
+    return [Subgroup(G, k) for k in sorted(found, key=lambda t: (len(t), t))]
 
 
-def is_conjugate(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Optional[int]:
+def is_conjugate(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int | None:
     """A witness g with g H g^-1 = K, or None."""
     if H.order != K.order:
         return None
@@ -600,7 +609,6 @@ def is_conjugate(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # conjugacy classes of p-subgroups
 
-@dataclass
 class PSubgroupClasses:
     """All p-subgroups of G, partitioned into G-conjugacy classes.
 
@@ -608,12 +616,17 @@ class PSubgroupClasses:
     subgroup's member tuple to its class number.  `sylow_subgroups` is
     `subgroups_of_p_group(sylow)`, computed once for every consumer.
     """
-    group: FiniteGroup
-    prime: int
-    sylow: Subgroup
-    sylow_subgroups: tuple[Subgroup, ...]
-    classes: tuple[tuple[Subgroup, ...], ...]
-    index: dict[tuple[int, ...], int]
+
+    def __init__(self, group: FiniteGroup, prime: int, sylow: Subgroup,
+                 sylow_subgroups: tuple[Subgroup, ...],
+                 classes: tuple[tuple[Subgroup, ...], ...],
+                 index: dict[tuple[int, ...], int]):
+        self.group = group
+        self.prime = prime
+        self.sylow = sylow
+        self.sylow_subgroups = sylow_subgroups
+        self.classes = classes
+        self.index = index
 
     def class_of(self, H: Subgroup) -> int:
         try:

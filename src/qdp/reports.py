@@ -12,7 +12,6 @@ timing is metadata and is excluded from reproducibility comparisons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 VERIFIED = "verified"
 ASSUMED = "assumed"
@@ -20,25 +19,27 @@ REFUTED = "refuted"
 UNSAT = "unsat-certificate"
 
 
-@dataclass
 class Leg:
-    name: str
-    status: str
-    details: dict = field(default_factory=dict)
+    def __init__(self, name: str, status: str, details: dict | None = None):
+        self.name = name
+        self.status = status
+        self.details = {} if details is None else details
 
     def to_json(self) -> dict:
         return {"name": self.name, "status": self.status, "details": self.details}
 
 
-@dataclass
 class VerificationReport:
-    statement_name: str
-    claim: str
-    status: str
-    witness: dict = field(default_factory=dict)
-    legs: list[Leg] = field(default_factory=list)
-    command: list[str] = field(default_factory=list)
-    timing_ms: float = 0.0
+    def __init__(self, statement_name: str, claim: str, status: str,
+                 witness: dict | None = None, legs: list[Leg] | None = None,
+                 command: list[str] | None = None, timing_ms: float = 0.0):
+        self.statement_name = statement_name
+        self.claim = claim
+        self.status = status
+        self.witness = {} if witness is None else witness
+        self.legs = [] if legs is None else legs
+        self.command = [] if command is None else command
+        self.timing_ms = timing_ms
 
     def to_json(self) -> dict:
         return {

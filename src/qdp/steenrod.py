@@ -15,8 +15,7 @@ allowed so the localized two-row computations can reuse it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     CompositeP,
@@ -48,7 +47,7 @@ class _SparseElement:
 
     __slots__ = ("p", "terms")
 
-    def __init__(self, p: int, terms: Optional[dict] = None):
+    def __init__(self, p: int, terms: dict | None = None):
         self.p = p
         clean = {}
         if terms:
@@ -271,14 +270,15 @@ def sl2_act(A, a: GradedElement) -> GradedElement:
 # ---------------------------------------------------------------------------
 # SL2(p) invariants
 
-@dataclass
 class InvariantPair:
     """The two generating invariants of F_p[x, y]^{SL2(p)}: xi of degree
     2p(p-1) and zeta of degree 2(p+1), certified invariant under both
     standard unipotent generators."""
-    p: int
-    xi: GradedElement
-    zeta: GradedElement
+
+    def __init__(self, p: int, xi: GradedElement, zeta: GradedElement):
+        self.p = p
+        self.xi = xi
+        self.zeta = zeta
 
 
 def _check_odd_prime(p: int) -> None:
@@ -317,7 +317,7 @@ def monomial_basis(p: int, d: int) -> list[Mono]:
     return out
 
 
-def _lead(row: list[int], start: int = 0) -> Optional[int]:
+def _lead(row: list[int], start: int = 0) -> int | None:
     return next((i for i in range(start, len(row)) if row[i]), None)
 
 
@@ -451,7 +451,7 @@ class IdealHandle:
         return not any(_reduce_vector(vec, rows, self.p))
 
 
-def is_steenrod_closed(ideal: IdealHandle) -> tuple[bool, Optional[tuple[int, str]]]:
+def is_steenrod_closed(ideal: IdealHandle) -> tuple[bool, tuple[int, str] | None]:
     """Closure under beta and all P^i on the generators (which suffices by
     the Cartan formula).  Returns a (generator index, operation) witness on
     failure.
@@ -478,15 +478,18 @@ def is_steenrod_closed(ideal: IdealHandle) -> tuple[bool, Optional[tuple[int, st
 # ---------------------------------------------------------------------------
 # the zeta-power proposition as a greatest closed subspace
 
-@dataclass
 class ZetaPropositionResult:
-    p: int
-    k: int
-    ambient: list[tuple[int, int]]  # (xi exponent, zeta exponent) basis
-    survivors: list[tuple[tuple[int, ...], ...]]
-    predicted: list[tuple[tuple[int, ...], ...]]
-    # False when the greatest closed subspace, listed alone, is not a line
-    exhaustive: bool = True
+    def __init__(self, p: int, k: int, ambient: list[tuple[int, int]],
+                 survivors: list[tuple[tuple[int, ...], ...]],
+                 predicted: list[tuple[tuple[int, ...], ...]],
+                 exhaustive: bool = True):
+        self.p = p
+        self.k = k
+        self.ambient = ambient  # (xi exponent, zeta exponent) basis
+        self.survivors = survivors
+        self.predicted = predicted
+        # False when the greatest closed subspace, listed alone, is not a line
+        self.exhaustive = exhaustive
 
     @property
     def matches(self) -> bool:
@@ -581,10 +584,10 @@ def brute_force_zeta_proposition(p: int, k: int,
 # ---------------------------------------------------------------------------
 # finite-dimensionality of quotients
 
-@dataclass
 class FiniteQuotientResult:
-    finite: bool
-    details: dict
+    def __init__(self, finite: bool, details: dict):
+        self.finite = finite
+        self.details = details
 
 
 def quotient_finite_dimensional(ideal: IdealHandle) -> FiniteQuotientResult:
@@ -614,7 +617,7 @@ def quotient_finite_dimensional(ideal: IdealHandle) -> FiniteQuotientResult:
 # ---------------------------------------------------------------------------
 # the product-of-spheres obstruction driver
 
-def theorem_C_driver(p: int, k_list: Optional[Sequence[int]] = None,
+def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
                      degree_budget: int = DEFAULT_DEGREE_BUDGET,
                      max_order: int = DEFAULT_MAX_ORDER):
     """Certificate that Qd(p), p odd, admits no finite free CW-complex with

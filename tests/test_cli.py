@@ -349,6 +349,20 @@ def test_out_of_range_integers_are_malformed(capsys, monkeypatch, argv, env):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["theorem-b", "--p", "3"], "-1"),
+    (["theorem-c", "--p", "3"], "0"),
+    (["borel-smith", "--group", data_path("group_e9.json"),
+      "--tau", data_path("tau_regular_e9.json")], "0"),
+    (["realize", "--group", data_path("group_e9.json"),
+      "--tau", data_path("tau_regular_e9.json")], "-5"),
+], ids=["theorem-b", "theorem-c", "borel-smith", "realize"])
+def test_max_order_below_one_is_malformed(capsys, argv, value):
+    assert main([*argv, "--max-order", value]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err == f"error: --max-order must be at least 1, got {value}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["theorem-b", "--p", "x"],
     ["theorem-c", "--p", "3", "--k-list", "-4,8"],

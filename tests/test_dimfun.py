@@ -2,6 +2,7 @@
 obstruction certificate."""
 
 import json
+import math
 import random
 
 import pytest
@@ -12,20 +13,18 @@ from qdp.dimfun import (
     SuperClassFunction,
     Violation,
     check_borel_smith,
-    check_codim_one_sum,
     generation_by_order_p,
     is_monotone,
-    join_dimension_function,
     lefschetz_number,
     qdp_obstruction_theorem_B,
     real_dimension_function,
     realize_as_representation,
-    smallest_join_multiplier,
     superclassfunction_from_json,
 )
 from qdp.errors import (
     DomainMismatch,
     EvenPrime,
+    MalformedInput,
     NotBorelSmith,
     NotMonotone,
     ShapeMismatch,
@@ -315,7 +314,8 @@ def test_one_sylow_lattice_per_certificate(tmp_path, monkeypatch, capsys, comman
 
     monkeypatch.setattr(qdp.cli, "group_from_json", loading)
     for module in (qdp.groups, qdp.characters, qdp.dimfun):
-        monkeypatch.setattr(module, "subgroups_of_p_group", counted)
+        if hasattr(module, "subgroups_of_p_group"):  # every name it is looked up by
+            monkeypatch.setattr(module, "subgroups_of_p_group", counted)
     assert qdp.cli.main(argv) == 0
     assert calls == [125]
 
@@ -346,6 +346,60 @@ def test_borel_smith_builds_no_quotient_table(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(qdp.groups, "quotient_group", counted)
     assert qdp.cli.main(["borel-smith", *h5_constant_files(tmp_path)]) == 0
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# joins and the codimension-one sum rule, kept here as references
+
+def join_dimension_function(tau, m):
+    """Dimension function of the m-fold fiber join: values and scale both
+    multiply by m (sphere ranks compose as r -> m(r+1) - 1)."""
+    if m < 1:
+        raise MalformedInput("join multiplicity must be >= 1")
+    return SuperClassFunction(tau.lattice, tuple(m * v for v in tau.values),
+                              tau.scale * m)
+
+
+def smallest_join_multiplier(tau, limit=None):
+    """Least m <= limit with m*tau passing all Borel-Smith conditions: scaling
+    keeps each failure of (i) and turns a failing difference d of (ii) or (iii)
+    (due divisible by 2 or 4) into m*d."""
+    p = tau.lattice.prime
+    if limit is None:
+        limit = 2 * p * (p + 1)
+    m = 1
+    for v in check_borel_smith(tau).violations:
+        if v.condition == "i":
+            return None
+        modulus = 2 if v.condition == "ii" else v.rhs
+        m = math.lcm(m, modulus // math.gcd(v.lhs, modulus))
+    return m if m <= limit else None
+
+
+class EulerDatum:
+    def __init__(self, degree, factor_degrees):
+        self.degree = degree
+        self.factor_degrees = factor_degrees
+
+
+def check_codim_one_sum(tau, V):
+    """On V of rank two: total drop equals the sum of the drops over the
+    p+1 index-p subgroups.  Also records the factor degrees of the Euler
+    class: each line W contributes tau(W) - tau(V)."""
+    p = tau.lattice.prime
+    if V.order != p * p or any(V.group.power(g, p) != V.group.identity
+                               for g in V.members):
+        raise MalformedInput("V must be elementary abelian of rank two")
+    subs = subgroups_of_p_group(V)
+    ones = [S for S in subs if S.order == 1][0]
+    lines = [S for S in subs if S.order == p]
+    if len(lines) != p + 1:
+        raise ShapeMismatch(f"rank-two subgroup with {len(lines)} lines, not {p + 1}")
+    tv = tau.value_of(V)
+    lhs = tau.value_of(ones) - tv
+    factors = {W.members: tau.value_of(W) - tv for W in lines}
+    rhs = sum(factors.values())
+    return lhs == rhs, EulerDatum(lhs, factors), lhs, rhs
 
 
 def test_borel_smith_closed_under_addition_and_join():

