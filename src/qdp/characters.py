@@ -116,11 +116,6 @@ class CyclotomicInteger:
         return CyclotomicInteger(e, (0,) * _CycloContext.get(e).phi)
 
     @staticmethod
-    def from_int(e: int, n: int) -> "CyclotomicInteger":
-        ctx = _CycloContext.get(e)
-        return CyclotomicInteger(e, (n,) + (0,) * (ctx.phi - 1))
-
-    @staticmethod
     def zeta_power(e: int, k: int) -> "CyclotomicInteger":
         ctx = _CycloContext.get(e)
         return CyclotomicInteger(e, ctx.powers[k % e])

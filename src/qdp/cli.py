@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import BudgetError, MalformedInput, QdpError
+from .errors import BudgetError, MalformedInput, QdpError, json_int
 from .groups import DEFAULT_MAX_ORDER, Subgroup, group_from_json, p_subgroups
 from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport
 from .steenrod import (
@@ -178,8 +178,8 @@ def _load_tau(args):
     tobj = _load_json(args.tau)
     group = group_from_json(gobj, max_order=max_order)
     try:
-        prime = int(tobj["p"])
-    except (KeyError, TypeError, ValueError) as exc:
+        prime = json_int(tobj["p"], "tau 'p'")
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"tau file needs a prime: {exc}")
     lattice = p_subgroups(group, prime, max_order=max_order)
     return superclassfunction_from_json(tobj, lattice=lattice), group

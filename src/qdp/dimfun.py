@@ -26,6 +26,7 @@ from .errors import (
     NotBorelSmith,
     NotMonotone,
     ShapeMismatch,
+    json_int,
 )
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -79,10 +80,6 @@ class SuperClassFunction:
             self.lattice, tuple(a + b for a, b in zip(self.values, other.values)),
             self.scale)
 
-    def scaled(self, c: int) -> "SuperClassFunction":
-        return SuperClassFunction(self.lattice, tuple(c * v for v in self.values),
-                                  self.scale)
-
     def to_json(self) -> dict:
         return {
             "schema": "1",
@@ -100,10 +97,10 @@ def superclassfunction_from_json(obj: dict,
                                  lattice: PSubgroupClasses | None = None,
                                  max_order: int = DEFAULT_MAX_ORDER) -> SuperClassFunction:
     try:
-        p = int(obj["p"])
-        scale = int(obj.get("scale", 1))
+        p = json_int(obj["p"], "super class function 'p'")
+        scale = json_int(obj.get("scale", 1), "super class function 'scale'")
         entries = obj["values"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad super class function JSON: {exc}")
     if not isinstance(entries, list):
         raise MalformedInput(f"super class function values must be a list: {entries!r}")
@@ -111,16 +108,24 @@ def superclassfunction_from_json(obj: dict,
         group = group_from_json(obj["group"], max_order=max_order)
         lattice = p_subgroups(group, p, max_order=max_order)
     values = [None] * lattice.n_classes
+    reps = [None] * lattice.n_classes
     for ent in entries:
         try:
             rep = ent["class_rep"]
-            if not isinstance(rep, list) or not all(isinstance(x, int) for x in rep):
+            if not isinstance(rep, list):
                 raise TypeError("class_rep must be a list of integers")
-            H = Subgroup(lattice.group, tuple(rep))
-            value = int(ent["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+            H = Subgroup(lattice.group, tuple(json_int(x, "class_rep member") for x in rep))
+            value = json_int(ent["value"], f"value of {ent!r}")
+        except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad super class function entry {ent!r}: {exc!r}")
-        values[lattice.class_of(H)] = value
+        i = lattice.class_of(H)
+        # a class may be listed through several of its members, but never
+        # with two values: that would not state one function
+        if values[i] is not None and values[i] != value:
+            raise MalformedInput(
+                f"two values for one p-subgroup class: class_rep {reps[i]} has "
+                f"value {values[i]}, class_rep {rep} has value {value}")
+        values[i], reps[i] = value, rep
     if any(v is None for v in values):
         raise DomainMismatch("input does not cover every p-subgroup class")
     return SuperClassFunction(lattice, tuple(values), scale)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer check every
+JSON reader applies.
 
 Every domain error raised by the library derives from QdpError so the CLI
 can map failures to exit codes uniformly.  BudgetError subclasses mark
@@ -18,6 +19,15 @@ class MalformedInput(QdpError):
 
 class BudgetError(QdpError):
     """A configured degree/pole/search budget was exhausted."""
+
+
+def json_int(value, field: str) -> int:
+    """A JSON integer field as is.  A float, bool, string or anything else is
+    malformed input: truncating 4.7 to 4 or reading true as 1 would certify
+    a function the input never stated."""
+    if type(value) is not int:
+        raise MalformedInput(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 # group construction and lattice errors

@@ -24,6 +24,7 @@ from .errors import (
     NoWitnessFound,
     PoleBudget,
     QdpError,
+    json_int,
 )
 from .groups import is_prime
 from .steenrod import (
@@ -55,10 +56,6 @@ class TwoRowModule:
         self.differential = differential  # (lambda, a)
         self.bockstein_g0 = bockstein_g0
         self.powers = {} if powers is None else powers
-
-    def op_range(self) -> range:
-        """Indices i with possibly nonzero P^i(g_n) (Sq^i at p = 2)."""
-        return range(1, (self.n if self.p == 2 else self.n // 2) + 1)
 
     def validate(self) -> None:
         p, n = self.p, self.n
@@ -120,18 +117,19 @@ class TwoRowModule:
     @staticmethod
     def from_json(obj: dict) -> "TwoRowModule":
         try:
-            p = int(obj["p"])
-            n = int(obj["n"])
+            p = json_int(obj["p"], "model 'p'")
+            n = json_int(obj["n"], "model 'n'")
             diff_obj = obj.get("differential", "zero")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad model JSON: {exc}")
         if not is_prime(p):  # the entries below are reduced mod p
             raise InvalidModel(f"{p} is not prime")
         diff = None
         if diff_obj != "zero":
             try:
-                diff = (int(diff_obj["lambda"]), int(diff_obj["a"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                diff = (json_int(diff_obj["lambda"], "differential 'lambda'"),
+                        json_int(diff_obj["a"], "differential 'a'"))
+            except (KeyError, TypeError) as exc:
                 raise MalformedInput(f"bad differential: {exc}")
         bock = 0
         powers: dict[int, tuple[int, int]] = {}
@@ -143,7 +141,7 @@ class TwoRowModule:
                     if gen not in comps:
                         raise MalformedInput(f"unknown generator {gen!r}")
                     mono = rank_one_monomial_from_string(p, mono_str)
-                    comps[gen] = (comps[gen] + int(c)) % p
+                    comps[gen] = (comps[gen] + json_int(c, "coefficient")) % p
                     # degree consistency of the stated monomial
                     want = _component_degree(p, n, op, gen)
                     if mono.degree() != want:

@@ -20,7 +20,7 @@ import itertools
 import math
 from collections.abc import Iterable
 
-from .errors import CompositeP, DomainMismatch, MalformedInput, QdpError, SizeGuard
+from .errors import CompositeP, DomainMismatch, MalformedInput, QdpError, SizeGuard, json_int
 
 DEFAULT_MAX_ORDER = 5000
 
@@ -229,17 +229,14 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MalformedInput("group JSON needs a 'kind' field")
     if obj["kind"] == "qdp":
-        try:
-            p = int(obj["p"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"qdp group JSON needs an integer 'p': {exc}")
-        return construct_qdp(p, max_order=max_order)
+        if "p" not in obj:
+            raise MalformedInput("qdp group JSON needs an integer 'p'")
+        return construct_qdp(json_int(obj["p"], "qdp group 'p'"), max_order=max_order)
     if obj["kind"] == "table":
         mul = obj.get("mul")
-        if not isinstance(mul, list) or not all(
-                isinstance(row, list) and all(isinstance(v, int) for v in row) for row in mul):
+        if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
             raise MalformedInput("table group JSON needs 'mul', a list of integer rows")
-        group = TableGroup(mul)
+        group = TableGroup([[json_int(v, "table entry") for v in row] for row in mul])
         group.check_axioms()
         return group
     raise MalformedInput(f"unknown group kind {obj['kind']!r}")

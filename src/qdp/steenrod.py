@@ -1,6 +1,6 @@
 """Exact graded-commutative algebra F_p[x, y] (x) Lambda(u, v) with the
 Bockstein and the odd-primary power operations, SL2(p) invariants, and
-Steenrod-closure tests for ideals.
+Steenrod-closure tests for ideals of F_p[x, y].
 
 Degrees: |u| = |v| = 1, |x| = |y| = 2, beta(u) = x, beta(v) = y.
 P^1(x) = x^p, higher powers vanish on generators, everything extends by
@@ -32,11 +32,6 @@ from .groups import DEFAULT_MAX_ORDER, is_prime
 DEFAULT_DEGREE_BUDGET = 200
 
 Mono = tuple[int, int, int, int]  # (a, b, eu, ev): x^a y^b u^eu v^ev
-
-
-def _mono_key(m: Mono):
-    # lexicographic with x > y > u > v, largest first
-    return (-m[0], -m[1], -m[2], -m[3])
 
 
 class _SparseElement:
@@ -161,30 +156,6 @@ class GradedElement(_SparseElement):
     def is_polynomial(self) -> bool:
         return all(m[2] == 0 and m[3] == 0 for m in self.terms)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_strings(self) -> list[str]:
-        return [f"{c}*x^{a}*y^{b}*u^{e}*v^{d}" for (a, b, e, d), c in
-                sorted(self.terms.items(), key=lambda t: _mono_key(t[0]))]
-
-    @staticmethod
-    def from_strings(p: int, strings: Iterable[str]) -> "GradedElement":
-        terms: dict[Mono, int] = {}
-        for s in strings:
-            try:
-                parts = s.replace(" ", "").split("*")
-                c = int(parts[0])
-                exps = {}
-                for part in parts[1:]:
-                    var, _, e = part.partition("^")
-                    exps[var] = int(e) if e else 1
-                m = (exps.get("x", 0), exps.get("y", 0),
-                     exps.get("u", 0), exps.get("v", 0))
-            except (ValueError, IndexError) as exc:
-                raise MalformedInput(f"bad term {s!r}: {exc}")
-            terms[m] = terms.get(m, 0) + c
-        return GradedElement(p, terms)
-
 
 def bockstein(a: GradedElement) -> GradedElement:
     """The degree-one derivation with beta(u) = x, beta(v) = y and
@@ -305,18 +276,6 @@ def invariants(p: int) -> InvariantPair:
 # ---------------------------------------------------------------------------
 # degreewise linear algebra and ideals
 
-def monomial_basis(p: int, d: int) -> list[Mono]:
-    out = []
-    for eu, ev in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        rem = d - eu - ev
-        if rem < 0 or rem % 2:
-            continue
-        m = rem // 2
-        out.extend((a, m - a, eu, ev) for a in range(m, -1, -1))
-    out.sort(key=_mono_key)
-    return out
-
-
 def _lead(row: list[int], start: int = 0) -> int | None:
     return next((i for i in range(start, len(row)) if row[i]), None)
 
@@ -358,12 +317,13 @@ def _reduce_vector(vec: list[int], basis: list[tuple[int, list[int]]],
 
 
 class IdealHandle:
-    """Homogeneous two-sided ideal with lazily computed degreewise bases.
+    """Homogeneous ideal of the polynomial ring F_p[x, y] with lazily
+    computed degreewise bases.
 
-    When every generator lies in the polynomial subring the membership
-    test splits over the four exterior sectors 1, u, v, uv and reduces to
-    homogeneous bivariate linear algebra, which keeps the eliminations
-    tiny; otherwise the full monomial basis of the degree is used.
+    A homogeneous polynomial of half-degree m is its vector of
+    coefficients of x^a y^(m-a), a = 0..m, so membership is bivariate
+    linear algebra of width m + 1, which keeps the eliminations tiny.
+    Generators and elements with an exterior part are rejected.
     """
 
     def __init__(self, generators: Sequence[GradedElement],
@@ -375,15 +335,14 @@ class IdealHandle:
         for g in gens:
             if g.p != p:
                 raise PrimeMismatch("generators over different primes")
+            if not g.is_polynomial():
+                raise MalformedInput("ideal generators must lie in F_p[x, y]")
             g.degree()  # raises Inhomogeneous if needed
         self.p = p
         self.generators = list(gens)
         self.degree_budget = degree_budget
-        self.all_polynomial = all(g.is_polynomial() for g in gens)
         self._poly_bases: dict[int, list[list[int]]] = {}
-        self._full_bases: dict[int, tuple[list[Mono], list[list[int]]]] = {}
 
-    # polynomial sector: homogeneous bivariate polynomials of poly-degree m
     def _poly_basis(self, m: int) -> list[list[int]]:
         if m not in self._poly_bases:
             rows = []
@@ -399,56 +358,27 @@ class IdealHandle:
             self._poly_bases[m] = _echelon_mod_p(rows, self.p)
         return self._poly_bases[m]
 
-    def _full_basis(self, d: int) -> tuple[list[Mono], list[list[int]]]:
-        if d not in self._full_bases:
-            basis = monomial_basis(self.p, d)
-            col = {m: i for i, m in enumerate(basis)}
-            rows = []
-            for g in self.generators:
-                dg = g.degree()
-                if dg > d:
-                    continue
-                for m in monomial_basis(self.p, d - dg):
-                    prod = GradedElement.monomial(self.p, *m) * g
-                    if prod.is_zero():
-                        continue
-                    vec = [0] * len(basis)
-                    for mono, c in prod.terms.items():
-                        vec[col[mono]] = c % self.p
-                    rows.append(vec)
-            self._full_bases[d] = (basis, _echelon_mod_p(rows, self.p))
-        return self._full_bases[d]
+    def residue(self, elem: GradedElement, m: int) -> list[int]:
+        """The x-exponent vector of elem, a polynomial of half-degree m (or
+        zero), reduced modulo the degree-2m piece of the ideal: m + 1
+        entries, all zero exactly when elem lies in the ideal."""
+        vec = [0] * (m + 1)
+        for (a, _, _, _), c in elem.terms.items():
+            vec[a] = c
+        return _reduce_vector(vec, self._poly_basis(m), self.p)
 
     def contains(self, elem: GradedElement) -> bool:
         if elem.is_zero():
             return True
         if elem.p != self.p:
             raise PrimeMismatch("element over a different prime")
+        if not elem.is_polynomial():
+            raise MalformedInput("ideal membership is tested only in F_p[x, y]")
         d = elem.degree()
         if d > self.degree_budget:
             raise DegreeBudget(
                 f"membership test at degree {d} exceeds budget {self.degree_budget}")
-        if self.all_polynomial:
-            for eu, ev in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                rem = d - eu - ev
-                if rem < 0 or rem % 2:
-                    continue
-                m = rem // 2
-                vec = [0] * (m + 1)
-                hit = False
-                for (a, b, e2, v2), c in elem.terms.items():
-                    if e2 == eu and v2 == ev:
-                        vec[a] = c % self.p
-                        hit = True
-                if hit and any(_reduce_vector(vec, self._poly_basis(m), self.p)):
-                    return False
-            return True
-        basis, rows = self._full_basis(d)
-        col = {m: i for i, m in enumerate(basis)}
-        vec = [0] * len(basis)
-        for mono, c in elem.terms.items():
-            vec[col[mono]] = c % self.p
-        return not any(_reduce_vector(vec, rows, self.p))
+        return not any(self.residue(elem, d // 2))
 
 
 def is_steenrod_closed(ideal: IdealHandle) -> tuple[bool, tuple[int, str] | None]:
@@ -562,12 +492,8 @@ def brute_force_zeta_proposition(p: int, k: int,
         # of v -> P^i v mod (V) is read off the echelon rows [residue | v]
         i = int(witness[1][1:])
         m = k + i * (p - 1)  # polynomial half-degree of P^i v
-        rows = []
-        for g, row in zip(gens, basis):
-            vec = [0] * (m + 1)
-            for (a, _, _, _), c in steenrod_power(i, g).terms.items():
-                vec[a] = c
-            rows.append(_reduce_vector(vec, ideal._poly_basis(m), p) + row)
+        rows = [ideal.residue(steenrod_power(i, g), m) + row
+                for g, row in zip(gens, basis)]
         basis = [row[m + 1:] for lead, row in _echelon_mod_p(rows, p) if lead > m]
     # V* as its echelon rows; a line is one monic row, as in the enumeration
     survivors = [tuple(map(tuple, basis))] if basis else []
@@ -591,17 +517,17 @@ class FiniteQuotientResult:
 
 
 def quotient_finite_dimensional(ideal: IdealHandle) -> FiniteQuotientResult:
-    """Is the quotient by a principal ideal (theta), theta polynomial,
-    finite-dimensional, i.e. are some x^N and y^N in it?
+    """Is the quotient by a principal ideal (theta) finite-dimensional,
+    i.e. are some x^N and y^N in it?
 
     The polynomial ring is a domain: x^N is a multiple of theta only when
     theta is a scalar times a power of x, and likewise for y.  A constant is
     both, so the unit ideal comes out finite.  Other ideals are not decided
     here and are rejected.
     """
-    if len(ideal.generators) != 1 or not ideal.all_polynomial:
+    if len(ideal.generators) != 1:
         raise MalformedInput("finite-dimensionality is decided only for a "
-                             "principal ideal with a polynomial generator")
+                             "principal ideal")
     monos = list(ideal.generators[0].terms)
     pure_x = len(monos) == 1 and monos[0][1] == 0
     pure_y = len(monos) == 1 and monos[0][0] == 0

@@ -398,29 +398,51 @@ def test_not_monotone_message_is_deterministic(tmp_path, capsys):
         "error: not monotone: [0] lies in [0, 1, 2] but tau = 0 < 1\n"
 
 
-@pytest.mark.parametrize("term,op", [
-    (["t^x", "g_n", 1], "P1"),
-    (["t^2", "g_n", "a"], "P1"),
-    (["t^2", "g_n", 1], "Px"),
-    (["t^2", "g_n"], "P1"),
-], ids=["monomial-exponent", "coefficient", "operation-index", "two-element-term"])
-def test_malformed_model_is_malformed(tmp_path, capsys, term, op):
+def _model(term, op="P1", **fields):
+    return {"p": 3, "n": 2, "differential": "zero",
+            "steenrod": [{"op": op, "g_n": [term]}], **fields}
+
+
+@pytest.mark.parametrize("obj", [
+    _model(["t^x", "g_n", 1]),
+    _model(["t^2", "g_n", "a"]),
+    _model(["t^2", "g_n", 1], op="Px"),
+    _model(["t^2", "g_n"]),
+    _model(["t^2", "g_n", 1.5]),
+    _model(["t^2", "g_n", True]),
+    {"p": 3, "n": 4.7, "differential": "zero", "steenrod": []},
+    {"p": 3.0, "n": 4, "differential": "zero", "steenrod": []},
+    {"p": 3, "n": 5, "differential": {"lambda": 1, "a": 3.5}, "steenrod": []},
+], ids=["monomial-exponent", "coefficient", "operation-index", "two-element-term",
+        "coefficient-float", "coefficient-bool", "n-float", "p-float", "differential-float"])
+def test_malformed_model_is_malformed(tmp_path, capsys, obj):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps({"p": 3, "n": 2, "differential": "zero",
-                                 "steenrod": [{"op": op, "g_n": [term]}]}))
+    model.write_text(json.dumps(obj))
     assert main(["fix-rank", "--model", str(model)]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("values", [
-    lambda vals: [{"class_rep": vals[0]["class_rep"]}] + vals[1:],
-    lambda vals: 5,
-    lambda vals: [{**vals[0], "class_rep": [[]]}] + vals[1:],
-], ids=["entry-without-value", "values-not-a-list", "class-rep-not-integers"])
-def test_malformed_tau_is_malformed(tmp_path, capsys, values):
-    tau = json.loads(Path(data_path("tau_regular_e9.json")).read_text())
-    tau["values"] = values(tau["values"])
+def _with_values(change):
+    return lambda tau: {**tau, "values": change(tau["values"])}
+
+
+@pytest.mark.parametrize("mutate", [
+    _with_values(lambda vals: [{"class_rep": vals[0]["class_rep"]}] + vals[1:]),
+    _with_values(lambda vals: 5),
+    _with_values(lambda vals: [{**vals[0], "class_rep": [[]]}] + vals[1:]),
+    _with_values(lambda vals: [{**vals[0], "value": vals[0]["value"] + 0.5}] + vals[1:]),
+    _with_values(lambda vals: [{**vals[0], "value": True}] + vals[1:]),
+    _with_values(lambda vals: [{**vals[0], "class_rep": [False]}] + vals[1:]),
+    lambda tau: {**tau, "scale": 1.9},
+    lambda tau: {**tau, "p": "3"},
+    lambda tau: {**tau, "p": 3.0},
+    _with_values(lambda vals: vals + [{**vals[-1], "value": vals[-1]["value"] + 1}]),
+], ids=["entry-without-value", "values-not-a-list", "class-rep-not-integers",
+        "value-float", "value-bool", "class-rep-bool", "scale-float", "p-string",
+        "p-float", "class-with-two-values"])
+def test_malformed_tau_is_malformed(tmp_path, capsys, mutate):
+    tau = mutate(json.loads(Path(data_path("tau_regular_e9.json")).read_text()))
     path = tmp_path / "tau.json"
     path.write_text(json.dumps(tau))
     code = main(["borel-smith", "--group", data_path("group_e9.json"),
@@ -430,11 +452,31 @@ def test_malformed_tau_is_malformed(tmp_path, capsys, values):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_tau_may_list_a_class_twice_with_one_value(tmp_path, capsys):
+    # a class may be given through each of its members, as long as every
+    # entry states the same value; a second value names both entries
+    tau = json.loads(Path(data_path("tau_regular_e9.json")).read_text())
+    last = tau["values"][-1]
+    path = tmp_path / "tau.json"
+    for extra, code in ((last, EXIT_OK), ({**last, "value": last["value"] + 1}, EXIT_MALFORMED)):
+        path.write_text(json.dumps({**tau, "values": tau["values"] + [extra]}))
+        assert main(["borel-smith", "--group", data_path("group_e9.json"),
+                     "--tau", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"class_rep {last['class_rep']} has value {last['value']}," in err
+    assert f"class_rep {last['class_rep']} has value {last['value'] + 1}" in err
+
+
 @pytest.mark.parametrize("group", [
     {"kind": "qdp", "p": "x"},
     {"kind": "table", "n": 2, "mul": "x"},
     {"kind": "table", "mul": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]},
-], ids=["qdp-prime-not-integer", "table-not-a-list", "table-not-associative"])
+    {"kind": "qdp", "p": 3.9},
+    {"kind": "qdp", "p": "3"},
+    {"kind": "table", "mul": [[0, True], [True, 0]]},
+], ids=["qdp-prime-not-integer", "table-not-a-list", "table-not-associative",
+        "qdp-prime-float", "qdp-prime-string", "table-entry-bool"])
 def test_malformed_group_is_malformed(tmp_path, capsys, group):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(group))

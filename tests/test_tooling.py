@@ -3,7 +3,8 @@ which `python -O` strips, nor on `raise AssertionError`, which the CLI
 cannot map to an exit code.  Every certificate runs in a fresh interpreter,
 so the runtime keeps clear of `dataclasses`, the modules it pulls in, and
 `typing`: their import, and the methods `dataclass` generates and compiles
-at every start, would be paid on every run."""
+at every start, would be paid on every run.  The runtime defines nothing
+that neither it nor the tests use."""
 
 import ast
 import os
@@ -16,6 +17,7 @@ import pytest
 import qdp
 
 SRC = Path(qdp.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 COVERED = ["steenrod.py", "fixrank.py", "groups.py", "reports.py", "cli.py", "errors.py",
            "characters.py", "dimfun.py"]
@@ -65,3 +67,28 @@ def test_runtime_import_leaves_out_dataclasses():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _used_names(paths) -> set[str]:
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+    return names
+
+
+def test_every_definition_is_used():
+    # argparse itself calls the `error` hook of `cli._Parser`
+    exempt = {("cli.py", "error")}
+    used = _used_names(list(SRC.glob("*.py")) + list(TESTS.glob("*.py")))
+    unused = [f"{name}:{node.lineno} {node.name}" for name in COVERED
+              for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and (name, node.name) not in exempt and node.name not in used]
+    assert unused == [], f"defined but never referenced: {unused}"
