@@ -5,14 +5,12 @@ Every subcommand prints a single verification report (text by default,
 4 when the check ran fine but refuted the claimed property.  Malformed
 input (exit 1, usage errors included), a domain error (exit 2) and a budget
 that cut the answer short (exit 3) print one line to stderr and no report.
-The env var QDP_BUDGET overrides the default degree budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -52,18 +50,9 @@ def _load_json(path: str) -> dict:
 
 
 def _budget(args) -> int:
-    budget, source = args.budget, "--budget"
-    if budget is None:
-        env = os.environ.get("QDP_BUDGET")
-        if env is None:
-            return DEFAULT_DEGREE_BUDGET
-        try:
-            budget, source = int(env), "QDP_BUDGET"
-        except ValueError:
-            raise MalformedInput(f"QDP_BUDGET={env!r} is not an integer")
-    if budget < 0:
-        raise MalformedInput(f"{source} must be at least 0, got {budget}")
-    return budget
+    if args.budget < 0:
+        raise MalformedInput(f"--budget must be at least 0, got {args.budget}")
+    return args.budget
 
 
 def _max_order(args) -> int:
@@ -92,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     def budget(p):
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET,
                        help="degree budget for linear algebra "
-                            f"(default {DEFAULT_DEGREE_BUDGET}, env QDP_BUDGET)")
+                            f"(default {DEFAULT_DEGREE_BUDGET})")
 
     tb = sub.add_parser("theorem-b", help="no p-effective spherical fibration "
                                           "over the classifying space of Qd(p)")

@@ -63,10 +63,10 @@ class SuperClassFunction:
         if len(values) != lattice.n_classes:
             raise DomainMismatch(
                 f"{len(values)} values for {lattice.n_classes} classes")
-        if scale < 1:
+        if json_int(scale, "super class function scale") < 1:
             raise MalformedInput("scale must be a positive integer")
         self.lattice = lattice
-        self.values = tuple(int(v) for v in values)
+        self.values = tuple(json_int(v, "super class function value") for v in values)
         self.scale = scale
 
     def value_of(self, H: Subgroup) -> int:
@@ -331,8 +331,9 @@ def qdp_obstruction_theorem_B(p: int,
     Route one finds a fusion witness g conjugating the Sylow center onto a
     non-central cyclic subgroup.  Route two encodes the effectiveness
     constraints (value 0 exactly at the center among nontrivial cyclic
-    subgroups of the Sylow) over G-conjugacy classes and exhibits the
-    clash.  The two routes must agree.
+    subgroups of the Sylow): only the center's G-class holds a subgroup
+    constrained to 0, so the clash is another cyclic subgroup of the
+    Sylow in the center's G-orbit.  The two routes must agree.
     """
     if p == 2:
         raise EvenPrime("the obstruction needs p > 2")
@@ -354,41 +355,30 @@ def qdp_obstruction_theorem_B(p: int,
 
     cycs = [C for C in cyclic_subgroups(P) if C.order > 1]
 
-    # G-conjugacy classes of the nontrivial cyclic subgroups of P; they are
-    # G-classes only if the generators are shown to generate G
+    # Z is the only subgroup constrained to 0, so its class is the only one
+    # that can carry both constraints; it is Z's G-class only if the
+    # generators are shown to generate G
     gens, generated = qdp_generators(G)
-    class_key: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for C in cycs:
-        if C.members in class_key:
-            continue
-        orbit = conjugacy_orbit(G, C, gens)
-        key = orbit[0].members
-        for T in orbit:
-            class_key[T.members] = key
-
-    constraints: dict[tuple[int, ...], set[str]] = {}
-    for C in cycs:
-        want = "= 0" if C.members == Z.members else ">= 1"
-        constraints.setdefault(class_key[C.members], set()).add(want)
-    clash_keys = [k for k, v in constraints.items() if len(v) > 1]
-    unsat = bool(clash_keys)
+    orbit = {T.members for T in conjugacy_orbit(G, Z, gens)}
+    zkey = min(orbit)
+    unsat = any(C.members in orbit for C in cycs if C.members != Z.members)
     classes = {
-        "variables": [list(k) for k in sorted(constraints)],
-        "constraints": {str(list(k)): sorted(v) for k, v in sorted(constraints.items())},
+        "variables": [list(zkey)],
+        "constraints": {str(list(zkey)): ["= 0", ">= 1"] if unsat else ["= 0"]},
+        "other_classes": [">= 1"],
     }
     if not generated:
         classes["reason"] = "e1, u+ and u- were not shown to generate G, so the " \
-                            "classes may be finer than G-conjugacy classes"
+                            "class may be smaller than a G-conjugacy class"
     legs.append(Leg("effectiveness-constraints", VERIFIED if generated else REFUTED,
                     classes))
 
     # Z's orbit-mates first (a stable sort keeps the order of cycs), so the
     # first hit is the first subgroup of cycs conjugate to Z; is_conjugate
     # stays the independent check and the rest remain as a fallback
-    zkey = class_key[Z.members]
     witness_g = None
     witness_c = None
-    for C in sorted(cycs, key=lambda C: class_key[C.members] != zkey):
+    for C in sorted(cycs, key=lambda C: C.members not in orbit):
         if C.members == Z.members:
             continue
         g = is_conjugate(G, Z, C)
@@ -413,10 +403,10 @@ def qdp_obstruction_theorem_B(p: int,
         "non_central_in_sylow": non_central,
     }))
 
-    agree = unsat and zkey == class_key[witness_c.members]
+    agree = unsat and witness_c.members in orbit
     legs.append(Leg("constraint-unsat", VERIFIED if agree else REFUTED, {
         "unsat": unsat,
-        "clash_classes": [list(k) for k in clash_keys],
+        "clash_classes": [list(zkey)] if unsat else [],
         "forced_equal_values": [list(Z.members), list(witness_c.members)],
         "agrees_with_witness_route": agree,
     }))

@@ -247,18 +247,21 @@ def test_theorem_c_without_asserts():
     assert json.loads(proc.stdout)["status"] == "unsat-certificate"
 
 
-# sha256 of the canonical JSON of the Qd(p) certificates, taken from the
-# brute-force Sylow scan and greedy closure of G that the structural route
-# replaced; the structural route must reproduce them byte for byte
+# sha256 of the canonical JSON of the Qd(p) certificates.  The theorem-c
+# pins were taken from the brute-force Sylow scan and greedy closure of G
+# that the structural route replaced, which must reproduce them byte for
+# byte.  The theorem-b pins were retaken when route two was cut to the
+# center's G-orbit; THEOREM_B_OTHER_LEGS_SHA256 holds the rest of those
+# certificates to what they were before
 CANONICAL_SHA256 = {
     ("theorem-b", "--p", "3"):
-        "9cd5d4134dd522fe04ad67337341c97fb1e957ff32058307d4aaab5864605bf9",
+        "6d428d64ea054107cf335e440a59c7cea5d39221538be63590146c1108fbce4d",
     ("theorem-b", "--p", "5"):
-        "e2e8a1f11cb1c0174606c270c698c0a701492c64545bce74898b2466e8c2928a",
+        "cfe928c7789c1c154bbc0139473b26ff4d098f8b40e09c6382b5eb5f5d7b4c64",
     ("theorem-b", "--p", "7", "--max-order", "16464"):
-        "9b85fdc348832a03b972352d3958f044b6a8a1ca2fdc26660780724f8923219e",
+        "fe837d11090b0f9ca8f9af57ce35b92300987bfdb5fd99f59451fd2e2e32edee",
     ("theorem-b", "--p", "11", "--max-order", "159720"):
-        "743ae874e9b6f088763e4c5e28554690bf7ddc072eb28736c4df41e90e4faee3",
+        "21746112ad000bc0709b8660b35c42c1a90efc9e84defeec7a942dad2a6bc23c",
     ("theorem-c", "--p", "3"):
         "c885560e407a9431fb8056447a6972ad9d6e938911a86f2d2acff9b84e4525f9",
     ("theorem-c", "--p", "5", "--k-list", "6,12"):
@@ -272,6 +275,32 @@ def test_qdp_certificates_are_pinned(capsys, argv):
     assert code == EXIT_OK
     digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
     assert digest == CANONICAL_SHA256[argv]
+
+
+# sha256 of the canonical theorem-b JSON with the details of the
+# effectiveness-constraints leg removed, taken while route two still built
+# the G-orbit of every class of cyclic subgroups of the Sylow subgroup:
+# the status, the witness and every other leg must not move
+THEOREM_B_OTHER_LEGS_SHA256 = {
+    ("theorem-b", "--p", "3"):
+        "def4daecaf99ee54a90ade717922483305ac6e7e7cb379e13b38c56e71ec8748",
+    ("theorem-b", "--p", "5"):
+        "1228da07f60772cd5ffb9e932717a298dc31f21a749792dee5d67ef71e38fc44",
+    ("theorem-b", "--p", "7", "--max-order", "16464"):
+        "24608e1bcb5cb63d127ab319e67bc276aaca97c220da581238d17b706050b741",
+    ("theorem-b", "--p", "11", "--max-order", "159720"):
+        "9673ddceb4600f0253b346a4c6dd396bea832cba0e894b75d1e3ef9b2a4c6ce2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(THEOREM_B_OTHER_LEGS_SHA256))
+def test_theorem_b_outside_route_two_is_pinned(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    (leg,) = [l for l in report["legs"] if l["name"] == "effectiveness-constraints"]
+    del leg["details"]
+    digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
+    assert digest == THEOREM_B_OTHER_LEGS_SHA256[argv]
 
 
 # runs the CLI with the closure of <u+, u-> one member short
@@ -331,19 +360,16 @@ def test_invariant_check_failure_is_domain_error(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv,env", [
-    (["steenrod-check", "--p", "3", "--samples", "-1"], None),
-    (["steenrod-check", "--p", "3", "--samples", "0"], None),
-    (["prop-zeta", "--p", "3", "--k", "4", "--budget", "-5"], None),
-    (["prop-zeta", "--p", "3", "--k", "4"], "-5"),
-    (["fix-rank", "--model", data_path("model_rotation_p3.json"), "--op-bound", "0"], None),
-    (["fix-rank", "--model", data_path("model_rotation_p3.json"), "--op-bound", "-3"], None),
-    (["fix-rank", "--model", data_path("model_rotation_p3.json"), "--pole-bound", "-3"], None),
-], ids=["samples-negative", "samples-zero", "budget-negative", "env-budget-negative",
+@pytest.mark.parametrize("argv", [
+    ["steenrod-check", "--p", "3", "--samples", "-1"],
+    ["steenrod-check", "--p", "3", "--samples", "0"],
+    ["prop-zeta", "--p", "3", "--k", "4", "--budget", "-5"],
+    ["fix-rank", "--model", data_path("model_rotation_p3.json"), "--op-bound", "0"],
+    ["fix-rank", "--model", data_path("model_rotation_p3.json"), "--op-bound", "-3"],
+    ["fix-rank", "--model", data_path("model_rotation_p3.json"), "--pole-bound", "-3"],
+], ids=["samples-negative", "samples-zero", "budget-negative",
         "op-bound-zero", "op-bound-negative", "pole-bound-negative"])
-def test_out_of_range_integers_are_malformed(capsys, monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("QDP_BUDGET", env)
+def test_out_of_range_integers_are_malformed(capsys, argv):
     assert main(argv) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -563,13 +589,6 @@ def test_theorem_b_join_leg_is_checked(capsys, monkeypatch):
 
 def test_budget_exit_code(capsys):
     assert main(["prop-zeta", "--p", "3", "--k", "12", "--budget", "20"]) == EXIT_BUDGET
-
-
-def test_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("QDP_BUDGET", "20")
-    assert main(["prop-zeta", "--p", "3", "--k", "12"]) == EXIT_BUDGET
-    monkeypatch.setenv("QDP_BUDGET", "nonsense")
-    assert main(["prop-zeta", "--p", "3", "--k", "12"]) == EXIT_MALFORMED
 
 
 def test_malformed_input_exit(tmp_path, capsys):

@@ -32,9 +32,11 @@ from qdp.errors import (
 from qdp.groups import (
     Subgroup,
     center,
+    conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
     cyclic,
+    cyclic_subgroups,
     dihedral,
     direct_product,
     elementary_abelian,
@@ -43,6 +45,7 @@ from qdp.groups import (
     is_normal_in,
     modular_p3,
     p_subgroups,
+    qdp_generators,
     quotient_group,
     subgroup_closure,
     subgroups_of_p_group,
@@ -521,6 +524,18 @@ def test_superclassfunction_json_round_trip():
         superclassfunction_from_json(blob, lattice=lat)
 
 
+@pytest.mark.parametrize("values, scale", [
+    ((2.9,) * 6, 1), ((True,) + (2,) * 5, 1), ((2,) * 6, 1.5),
+], ids=["value-float", "value-bool", "scale-float"])
+def test_superclassfunction_rejects_non_integers(values, scale):
+    # int(2.9) would store 2 and a scale of 1.5 would be kept: both state a
+    # function the caller never gave
+    lat = p_subgroups(elementary_abelian(3, 2), 3)
+    assert lat.n_classes == len(values)
+    with pytest.raises(MalformedInput):
+        SuperClassFunction(lat, values, scale)
+
+
 def test_smallest_join_multiplier():
     lat = p_subgroups(cyclic(3), 3)
     odd = SuperClassFunction(lat, (1, 0))  # fails (ii) until doubled
@@ -628,6 +643,66 @@ def test_theorem_b_witness_triples():
     for p, (g, z, c) in THEOREM_B_WITNESSES.items():
         w = qdp_obstruction_theorem_B(p, max_order=p ** 3 * (p * p - 1)).witness
         assert (w["conjugator"], w["center"], w["conjugate"]) == (g, z, c)
+
+
+def reference_constraint_classes(p):
+    """The effectiveness constraints over the G-orbit of every class of
+    nontrivial cyclic subgroups of the Sylow subgroup P, keyed by the least
+    member tuple of each orbit: "= 0" at the center, ">= 1" elsewhere."""
+    G = construct_qdp(p, max_order=p ** 3 * (p * p - 1))
+    P = sylow_p_subgroup(G, p)
+    Z = center(P)
+    cycs = [C for C in cyclic_subgroups(P) if C.order > 1]
+    gens, generated = qdp_generators(G)
+    assert generated
+    class_key = {}
+    for C in cycs:
+        if C.members not in class_key:
+            orbit = conjugacy_orbit(G, C, gens)
+            class_key.update((T.members, orbit[0].members) for T in orbit)
+    constraints = {}
+    for C in cycs:
+        want = "= 0" if C.members == Z.members else ">= 1"
+        constraints.setdefault(class_key[C.members], set()).add(want)
+    return constraints
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_route_two_class_is_the_only_clash(p):
+    constraints = reference_constraint_classes(p)
+    clashes = [k for k, v in constraints.items() if len(v) > 1]
+    assert len(clashes) == 1
+    (key,) = clashes
+    assert all(v == {">= 1"} for k, v in constraints.items() if k != key)
+    cert = qdp_obstruction_theorem_B(p, max_order=p ** 3 * (p * p - 1))
+    legs = {leg.name: leg for leg in cert.legs}
+    assert legs["effectiveness-constraints"].details == {
+        "variables": [list(key)],
+        "constraints": {str(list(key)): ["= 0", ">= 1"]},
+        "other_classes": [">= 1"],
+    }
+    assert legs["constraint-unsat"].details["clash_classes"] == [list(key)]
+
+
+def test_theorem_b_takes_two_orbits(monkeypatch):
+    # one for e1 in qdp_generators, one for the Sylow center
+    import qdp.dimfun
+    import qdp.groups
+    real = qdp.groups.conjugacy_orbit
+    calls = []
+
+    def counted(G, S, gens):
+        calls.append(S.members)
+        return real(G, S, gens)
+
+    monkeypatch.setattr(qdp.groups, "conjugacy_orbit", counted)
+    monkeypatch.setattr(qdp.dimfun, "conjugacy_orbit", counted)
+    for p in (3, 5, 7):
+        calls.clear()
+        cert = qdp_obstruction_theorem_B(p, max_order=p ** 3 * (p * p - 1))
+        G = construct_qdp(p, max_order=p ** 3 * (p * p - 1))
+        assert cert.status == "unsat-certificate"
+        assert calls == [(p * G.nmat + G.identity,), tuple(cert.witness["center"])]
 
 
 def test_theorem_b_rejects_two():

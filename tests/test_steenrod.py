@@ -281,8 +281,8 @@ def test_steenrod_closure_xi_fails():
 
 
 def test_steenrod_closure_fails_at_lowest_degree():
-    # beta, then P^1 on every generator, then P^2, ...: xi^3 fails at P^1
-    # before any higher power of zeta^10 is tested
+    # P^1 on every generator, then P^2, ...: xi^3 fails at P^1 before any
+    # higher power of zeta^10 is tested
     inv = invariants(5)
     ideal = IdealHandle([inv.zeta ** 10, inv.xi ** 3])
     degrees = []

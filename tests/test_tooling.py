@@ -4,7 +4,7 @@ cannot map to an exit code.  Every certificate runs in a fresh interpreter,
 so the runtime keeps clear of `dataclasses`, the modules it pulls in, and
 `typing`: their import, and the methods `dataclass` generates and compiles
 at every start, would be paid on every run.  The runtime defines nothing
-that neither it nor the tests use."""
+that neither it nor the tests use, and reads no environment variable."""
 
 import ast
 import os
@@ -56,6 +56,21 @@ def test_no_dataclasses_import(name):
              or (isinstance(node, ast.Import)
                  and any(alias.name == "dataclasses" for alias in node.names))]
     assert lines == [], f"{name} imports dataclasses at lines {lines}"
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+@pytest.mark.parametrize("name", COVERED)
+def test_no_environment_reads(name):
+    # a report records its argv, which names its input files, but not the
+    # environment: a certificate must be a function of what it records
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT)
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name in ENVIRONMENT for alias in node.names))]
+    assert lines == [], f"{name} reads the environment at lines {lines}"
 
 
 def test_runtime_import_leaves_out_dataclasses():
