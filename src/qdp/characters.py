@@ -7,13 +7,17 @@ characters, so irreducible) until their squared degrees sum to |P|, which
 makes them the whole table, and certify it by sum-of-squares and exact
 pairwise orthogonality.  All values live in the ring of cyclotomic integers
 Z[zeta_e], e = exp(P), represented as integer vectors in the power basis of
-Z[x]/(Phi_e); no floating point anywhere.
+Z[x]/(Phi_e); no floating point anywhere.  The pairwise check evaluates the
+table in F_ell^phi(e) for a prime ell = 1 (mod e) above a bound on the
+inner products' coefficients, which keeps it exact (`_check_orthogonal`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
+from operator import mul
 
 from .errors import DomainMismatch, IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
 from .groups import (
@@ -23,6 +27,7 @@ from .groups import (
     _unique_prime,
     element_conjugacy_classes,
     generated_subgroup,
+    is_prime,
     subgroup_closure,
     subgroups_of_p_group,
     whole_group,
@@ -156,9 +161,6 @@ class CyclotomicInteger:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def as_rational_int(self) -> int | None:
         if all(c == 0 for c in self.coeffs[1:]):
             return self.coeffs[0]
@@ -286,6 +288,68 @@ def _inner_product_times_order(chi_vals, psi_vals, classes: ElementClasses) -> C
     return acc
 
 
+def _evaluation_rows(e: int, bound: int) -> tuple[int, list[list[int]]]:
+    """The least prime ell = 1 (mod e) above 2 * bound, and for each k prime
+    to e the row (omega^(k*i) mod ell), i < phi(e), with omega a primitive
+    e-th root of unity mod ell.  Row k dotted with a power-basis vector is
+    the vector's image under zeta -> omega^k.  e is 1 or a prime power."""
+    ell = 2 * bound // e * e + 1
+    while ell <= 2 * bound or not is_prime(ell):
+        ell += e
+    omega = 1
+    if e > 1:
+        # g^((ell-1)/e) is a primitive e-th root unless its (e/q)-th power,
+        # g^((ell-1)/q), is 1
+        q = _unique_prime(e)
+        g = 2
+        while pow(g, (ell - 1) // q, ell) == 1:
+            g += 1
+        omega = pow(g, (ell - 1) // e, ell)
+    powers = [1] * e
+    for j in range(1, e):
+        powers[j] = powers[j - 1] * omega % ell
+    phi = _CycloContext.get(e).phi
+    rows = [[powers[k * i % e] for i in range(phi)]
+            for k in range(e) if math.gcd(k, e) == 1]
+    return ell, rows
+
+
+def _check_orthogonal(chars: Sequence[Sequence[CyclotomicInteger]],
+                      classes: ElementClasses, e: int, n: int) -> None:
+    """Raise IncompleteInduction unless |G| * <chi, psi> = 0 for every pair
+    of distinct entries of `chars`, value tuples (one per class) in
+    Z[zeta_e] of a group of order n.
+
+    The check is exact but computed in F_ell^phi(e).  Let M be the largest
+    |entry| of the power table of Z[zeta_e] (at least 1: the table starts
+    with the unit vectors) and A the largest l1-norm of a power-basis value
+    in the table.  A product of two values has coefficients of size at most
+    M * A^2, so |G| * <chi, psi>, a sum of n of them, has coefficients of
+    size at most B = M * n * A^2.  Take a prime ell = 1 (mod e) above 2B and
+    a primitive e-th root omega mod ell.  Then Phi_e splits mod ell into the
+    distinct factors x - omega^k, k prime to e, so by the Chinese remainder
+    theorem zeta -> (omega^k)_k maps Z[zeta_e] onto F_ell^phi(e) with kernel
+    ell * Z[zeta_e].  An inner product with coefficients inside
+    (-ell/2, ell/2) is in that kernel only if it is zero: it is zero exactly
+    when all of its images are."""
+    m = max(abs(c) for vec in _CycloContext.get(e).powers for c in vec)
+    a = max((sum(map(abs, v.coeffs)) for vals in chars for v in vals), default=0)
+    ell, rows = _evaluation_rows(e, m * n * a * a)
+    sizes = [len(cls) for cls in classes.classes]
+    # per character and per k: class-size-weighted images, and the images
+    # at inverse classes, so a pair costs one dot product per k
+    weighted = []
+    at_inverse = []
+    for vals in chars:
+        images = [[sum(map(mul, v.coeffs, row)) % ell for v in vals] for row in rows]
+        weighted.append([[s * x % ell for s, x in zip(sizes, img)] for img in images])
+        at_inverse.append([[img[c] for c in classes.inv_class] for img in images])
+    for i, chi in enumerate(weighted):
+        for psi in at_inverse[i + 1:]:
+            if any(sum(map(mul, w, c)) % ell for w, c in zip(chi, psi)):
+                raise IncompleteInduction("distinct characters not orthogonal")
+
+
 def group_exponent(G: FiniteGroup) -> int:
     return max(G.element_order(a) for a in G.elements())
 
@@ -355,12 +419,7 @@ def irreducible_characters(P: FiniteGroup,
         raise IncompleteInduction(
             f"induction found degrees {[c.degree for c in irreducible]} "
             f"with sum of squares != {n}")
-    for i in range(len(irreducible)):
-        for j in range(i + 1, len(irreducible)):
-            ip = _inner_product_times_order(
-                irreducible[i].values, irreducible[j].values, classes)
-            if not ip.is_zero():
-                raise IncompleteInduction("distinct characters not orthogonal")
+    _check_orthogonal([chi.values for chi in irreducible], classes, e, n)
     return irreducible
 
 

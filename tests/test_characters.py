@@ -1,15 +1,23 @@
 """Character tables: certification, fixed dimensions, real forms."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qdp.characters
 from qdp.characters import (
     COMPLEX_PAIR,
     QUATERNIONIC,
     REAL,
     CyclotomicInteger,
     ElementClasses,
+    _CycloContext,
+    _check_orthogonal,
+    _evaluation_rows,
+    _inner_product_times_order,
     cyclotomic_polynomial,
     fixed_dimension,
     frobenius_schur,
@@ -19,7 +27,7 @@ from qdp.characters import (
     linear_characters,
     real_representation_basis,
 )
-from qdp.errors import NotPGroup
+from qdp.errors import IncompleteInduction, NotPGroup
 from qdp.groups import (
     Subgroup,
     cyclic,
@@ -78,6 +86,18 @@ def reference_irreducible_characters(G):
     return sorted(table)
 
 
+def reference_orthogonal(tables, classes):
+    """Every pair of distinct value tuples has |G| <chi, psi> = 0, by exact
+    cyclotomic inner products."""
+    e = tables[0][0].order
+    for i in range(len(tables)):
+        for j in range(i + 1, len(tables)):
+            ip = _inner_product_times_order(tables[i], tables[j], classes)
+            if ip != CyclotomicInteger.zero(e):
+                return False
+    return True
+
+
 def character_table_json(P):
     chars = irreducible_characters(P)
     classes = chars[0].classes
@@ -105,7 +125,7 @@ def test_cyclotomic_arithmetic():
     z = CyclotomicInteger.zeta_power
     # 1 + zeta_3 + zeta_3^2 = 0
     s = z(3, 0) + z(3, 1) + z(3, 2)
-    assert s.is_zero()
+    assert s == CyclotomicInteger.zero(3)
     # zeta_9^3 is a primitive cube root inside Z[zeta_9]
     s9 = z(9, 3) * z(9, 3) * z(9, 3)
     assert s9.as_rational_int() == 1
@@ -140,6 +160,160 @@ def test_induction_stops_at_the_reference_table(G):
     assert [chi.sort_key() for chi in irreducible_characters(G)] == reference
     subs = subgroups_of_p_group(whole_group(G))[::-1]
     assert [chi.sort_key() for chi in irreducible_characters(G, subgroups=subs)] == reference
+
+
+@pytest.mark.parametrize("G", AGREEMENT_GROUPS, ids=lambda G: G.name)
+def test_orthogonality_in_f_ell_agrees_with_the_exact_reference(G):
+    chars = irreducible_characters(G)
+    tables = [chi.values for chi in chars]
+    assert reference_orthogonal(tables, chars[0].classes)
+    _check_orthogonal(tables, chars[0].classes, group_exponent(G), G.order)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 9]), st.data())
+def test_check_orthogonal_agrees_with_the_reference_on_any_table(e, data):
+    # tables that are not character tables: the verdict is still exact
+    classes = ElementClasses.compute(cyclic(e))
+    phi = len(cyclotomic_polynomial(e)) - 1
+    value = st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).map(
+        lambda c: CyclotomicInteger(e, tuple(c)))
+    tables = data.draw(st.lists(st.tuples(*[value] * e), min_size=2, max_size=3))
+    try:
+        _check_orthogonal(tables, classes, e, e)
+        accepted = True
+    except IncompleteInduction:
+        accepted = False
+    assert accepted == reference_orthogonal(tables, classes)
+
+
+def test_real_basis_of_e5_cubed():
+    basis = real_representation_basis(elementary_abelian(5, 3))
+    assert len(basis) == 63
+    assert sum(entry.real_degree for entry in basis) == 125
+
+
+def _broken_tables(G):
+    chars = [chi.values for chi in irreducible_characters(G)]
+    e = group_exponent(G)
+    chi, psi = chars[-1], chars[-2]
+    twice = chars + [chi]
+    summed = chars[:-1] + [tuple(a + b for a, b in zip(chi, psi))]
+    # one value of chi times zeta: chi(1) = deg, so <chi', psi> has the
+    # nonzero summand (zeta - 1) deg psi(1) for every other psi
+    turned = list(chi)
+    turned[0] = turned[0] * CyclotomicInteger.zeta_power(e, 1)
+    return {"twice": twice, "chi+psi": summed, "zeta*value": chars[:-1] + [tuple(turned)]}
+
+
+@pytest.mark.parametrize("G", [heisenberg(3), elementary_abelian(3, 2),
+                               generalized_quaternion(8)], ids=lambda G: G.name)
+@pytest.mark.parametrize("case", ["twice", "chi+psi", "zeta*value"])
+def test_check_orthogonal_rejects_a_broken_table(G, case):
+    classes = ElementClasses.compute(G)
+    with pytest.raises(IncompleteInduction, match="not orthogonal"):
+        _check_orthogonal(_broken_tables(G)[case], classes, group_exponent(G), G.order)
+
+
+def test_check_orthogonal_on_every_small_table_of_c2():
+    # |G| <chi, psi> = 10 b + c takes every value in [-110, 110].  The check
+    # takes ell above 2 * M n A^2 = 400; a prime ell at or below 110 would
+    # pass one nonzero inner product
+    classes = ElementClasses.compute(cyclic(2))
+    chi = (CyclotomicInteger(2, (10,)), CyclotomicInteger(2, (1,)))
+    for b in range(-10, 11):
+        for c in range(-10, 11):
+            tables = [chi, (CyclotomicInteger(2, (b,)), CyclotomicInteger(2, (c,)))]
+            if reference_orthogonal(tables, classes):
+                _check_orthogonal(tables, classes, 2, 2)
+            else:
+                with pytest.raises(IncompleteInduction):
+                    _check_orthogonal(tables, classes, 2, 2)
+
+
+def _image(coeffs, ell, rows):
+    return [sum(c * w for c, w in zip(coeffs, row)) % ell for row in rows]
+
+
+def test_check_orthogonal_uses_every_embedding():
+    # On C_25, |G| <1, psi> is the sum x of psi's values.  Pick x != 0 that
+    # zeta -> omega sends to 0 mod ell, inside the bound the check takes:
+    # only the other phi(25) - 1 embeddings can see it.
+    e = n = 25
+    a = 20  # the l1-norm bound A, reached by the value `big` below
+    m = max(abs(c) for vec in _CycloContext.get(e).powers for c in vec)
+    ell, rows = _evaluation_rows(e, m * n * a * a)
+    seen = {}
+    for u in itertools.product((-1, 0, 1), repeat=10):
+        img = _image(u, ell, rows[:1])[0]
+        if img in seen:
+            x = tuple(s - t for s, t in zip(u, seen[img])) + (0,) * 10
+            break
+        seen[img] = u
+    assert any(x) and _image(x, ell, rows)[0] == 0 and any(_image(x, ell, rows))
+    big = CyclotomicInteger(e, (a,) + (0,) * 19)
+    trivial = (CyclotomicInteger.zeta_power(e, 0),) * n
+    psi = (CyclotomicInteger(e, x), big, big * -1) + (CyclotomicInteger.zero(e),) * (n - 3)
+    with pytest.raises(IncompleteInduction, match="not orthogonal"):
+        _check_orthogonal([trivial, psi], ElementClasses.compute(cyclic(e)), e, n)
+
+
+@st.composite
+def bounded_elements(draw):
+    e = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 25, 27]))
+    ell, rows = _evaluation_rows(e, draw(st.integers(0, 40)))
+    half = (ell - 1) // 2
+    phi = len(cyclotomic_polynomial(e)) - 1
+    coeffs = draw(st.lists(st.integers(-half, half), min_size=phi, max_size=phi))
+    return e, ell, rows, coeffs
+
+
+@given(bounded_elements(), st.data())
+def test_evaluation_is_injective_inside_the_bound(case, data):
+    e, ell, rows, coeffs = case
+    assert len(rows) == len(coeffs)
+    image = _image(coeffs, ell, rows)
+    assert (not any(image)) == (not any(coeffs))
+    # each row is a ring map Z[zeta_e] -> F_ell
+    other = data.draw(st.lists(st.integers(-3, 3), min_size=len(coeffs),
+                               max_size=len(coeffs)))
+    prod = CyclotomicInteger(e, tuple(coeffs)) * CyclotomicInteger(e, tuple(other))
+    assert _image(prod.coeffs, ell, rows) == \
+        [a * b % ell for a, b in zip(image, _image(other, ell, rows))]
+
+
+def test_ell_times_one_maps_to_zero():
+    # why the coefficient bound is needed: ell * Z[zeta_e] is the kernel
+    for e in (1, 5, 9):
+        ell, rows = _evaluation_rows(e, 10)
+        assert ell > 20 and (ell - 1) % e == 0
+        assert not any(_image([ell] + [0] * (len(rows[0]) - 1), ell, rows))
+
+
+@pytest.mark.parametrize("G", [elementary_abelian(5, 2), heisenberg(5),
+                               elementary_abelian(3, 3)], ids=lambda G: G.name)
+def test_exact_products_grow_linearly_in_the_candidates(G, monkeypatch):
+    counts = {"mul": 0, "induced": 0}
+    real_mul, real_rmul = CyclotomicInteger.__mul__, CyclotomicInteger.__rmul__
+    real_induced = qdp.characters.induced_values
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return real_mul(self, other)
+
+    def counted_rmul(self, other):
+        counts["mul"] += 1
+        return real_rmul(self, other)
+
+    def counted_induced(*args):
+        counts["induced"] += 1
+        return real_induced(*args)
+
+    monkeypatch.setattr(CyclotomicInteger, "__mul__", counted_mul)
+    monkeypatch.setattr(CyclotomicInteger, "__rmul__", counted_rmul)
+    monkeypatch.setattr(qdp.characters, "induced_values", counted_induced)
+    classes = ElementClasses.compute(G)
+    irreducible_characters(G, classes)
+    assert 0 < counts["mul"] <= 2 * counts["induced"] * len(classes.classes)
 
 
 def test_non_p_group_rejected():
