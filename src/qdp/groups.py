@@ -705,10 +705,19 @@ def quotient_group(K: Subgroup, H: Subgroup) -> tuple[TableGroup, dict[int, int]
 
 
 def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
+    """Whether every k in K has k H k^-1 = H.  Conjugation by k is an
+    automorphism, so k H k^-1 is generated by the conjugates of the
+    generators of H and has |H| members; it equals H once those conjugates
+    lie in H.  The k that normalize H form a group, so the generators of K
+    suffice."""
     G = H.group
     hset = set(H.members)
-    return all(G.mul(G.mul(k, h), ki) in hset
-               for k, ki in zip(K.members, map(G.inv, K.members)) for h in H.members)
+    hgens = greedy_generators(G, H.members)[0]
+    for k in greedy_generators(G, K.members)[0]:
+        ki = G.inv(k)
+        if any(G.mul(G.mul(k, h), ki) not in hset for h in hgens):
+            return False
+    return True
 
 
 def element_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:

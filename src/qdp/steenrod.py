@@ -187,15 +187,14 @@ def steenrod_power(i: int, a: GradedElement) -> GradedElement:
     p = a.p
     out: dict[Mono, int] = {}
     for (x, y, eu, ev), c in a.terms.items():
-        for i1 in range(i + 1):
+        for i1 in range(max(0, i - y), min(i, x) + 1):
             i2 = i - i1
-            if i1 > x or i2 > y:
-                continue
-            coef = (math.comb(x, i1) * math.comb(y, i2)) % p
-            if not coef:
-                continue
-            m = (x + i1 * (p - 1), y + i2 * (p - 1), eu, ev)
-            out[m] = out.get(m, 0) + c * coef
+            coef = binom_mod(x, i1, p)
+            if coef:
+                coef = coef * binom_mod(y, i2, p) % p
+            if coef:
+                m = (x + i1 * (p - 1), y + i2 * (p - 1), eu, ev)
+                out[m] = out.get(m, 0) + c * coef
     return GradedElement(p, out)
 
 
@@ -284,10 +283,8 @@ def _echelon_mod_p(rows: Iterable[list[int]], p: int) -> list[tuple[int, list[in
     """Row echelon basis over F_p of the span of the rows, as (lead, row)
     pairs sorted by lead, each row monic at its lead.
 
-    There is no back-substitution: entries above a lead may be nonzero,
-    which is all _reduce_vector needs.  A row is reduced only against
-    pivots sharing its current lead, so rows with distinct leads (the
-    shifts x^j * g of one generator) cost one normalisation each.
+    There is no back-substitution: entries above a lead may be nonzero.
+    A row is reduced only against the pivot sharing its current lead.
     """
     pivots: dict[int, list[int]] = {}
     for row in rows:
@@ -304,16 +301,31 @@ def _echelon_mod_p(rows: Iterable[list[int]], p: int) -> list[tuple[int, list[in
     return sorted(pivots.items())
 
 
-def _reduce_vector(vec: list[int], basis: list[tuple[int, list[int]]],
-                   p: int) -> list[int]:
-    """Residue of vec modulo the span of an echelon basis from
-    _echelon_mod_p; all zero exactly when vec lies in the span."""
-    vec = [x % p for x in vec]
-    for lead, row in basis:
-        f = vec[lead]
-        if f:
-            vec[lead:] = [(a - f * b) % p for a, b in zip(vec[lead:], row[lead:])]
-    return vec
+def _add_window(pivots: dict[int, list[int]], lead: int, row: list[int],
+                p: int) -> None:
+    """Reduce the vector that is zero below `lead`, reads `row` from `lead`
+    on and is zero past it, against the windowed pivots (lead -> monic
+    window) sharing its current lead, and add what is left, if nonzero, as
+    a new pivot trimmed to its nonzero span.  `row` is consumed."""
+    start = lead  # row[i] is the entry at start + i
+    while lead in pivots:
+        piv = pivots[lead]
+        off = lead - start
+        end = off + len(piv)
+        if end > len(row):
+            row.extend([0] * (end - len(row)))
+        f = row[off]
+        row[off:end] = [(a - f * b) % p for a, b in zip(row[off:end], piv)]
+        off = _lead(row, off + 1)
+        if off is None:
+            return
+        lead = start + off
+    off = lead - start
+    end = len(row)
+    while not row[end - 1]:
+        end -= 1
+    inv = pow(row[off], -1, p)
+    pivots[lead] = [(c * inv) % p for c in row[off:end]]
 
 
 class IdealHandle:
@@ -322,7 +334,26 @@ class IdealHandle:
 
     A homogeneous polynomial of half-degree m is its vector of
     coefficients of x^a y^(m-a), a = 0..m, so membership is bivariate
-    linear algebra of width m + 1, which keeps the eliminations tiny.
+    linear algebra.  The degree-m piece I_m, spanned by the shifts x^j g
+    of the generators, is kept as an echelon basis of windowed rows: a
+    pivot (lead, window) is the vector that is zero below lead, reads the
+    monic window from lead on and is zero past it.  Each generator g of
+    half-degree t is made monic once, as the window of its coefficients
+    from its lowest x-exponent l on (at most t + 1 entries); the shift
+    x^j g is the pivot (l + j, that same window) whenever its lead is
+    free.  Only a shift whose lead is taken is eliminated, and each
+    subtraction, like each step of `residue`, touches only the pivot's
+    window, never all m + 1 entries.
+
+    Why any echelon basis gives the same answers: the residue of a vector
+    modulo a subspace S is the unique vector in its coset that is zero at
+    every pivot lead (two such differ by a member of S that is zero at
+    every lead, and a nonzero member of S has its least nonzero position
+    among the leads).  The lead set is that set of least positions, so it
+    depends on S alone, not on the elimination order or the rows kept.
+    Hence `residue`, and the kernel step of the zeta fixpoint built on it,
+    see the same vectors whatever basis of I_m is stored.
+
     Generators and elements with an exterior part are rejected.
     """
 
@@ -341,31 +372,47 @@ class IdealHandle:
         self.p = p
         self.generators = list(gens)
         self.degree_budget = degree_budget
-        self._poly_bases: dict[int, list[list[int]]] = {}
+        # (t, l, window) per generator: its half-degree, its lowest
+        # x-exponent l and its monic coefficients of x^a y^(t-a) for a >= l
+        self._windows: list[tuple[int, int, list[int]]] = []
+        for g in gens:
+            exps = [a for a, _, _, _ in g.terms]
+            low = min(exps)
+            win = [0] * (max(exps) - low + 1)
+            for (a, _, _, _), c in g.terms.items():
+                win[a - low] = c
+            inv = pow(win[0], -1, p)
+            self._windows.append((g.degree() // 2, low, [(c * inv) % p for c in win]))
+        self._poly_bases: dict[int, list[tuple[int, list[int]]]] = {}
 
-    def _poly_basis(self, m: int) -> list[list[int]]:
+    def _poly_basis(self, m: int) -> list[tuple[int, list[int]]]:
+        """Echelon basis of I_m as (lead, window) pairs sorted by lead."""
         if m not in self._poly_bases:
-            rows = []
-            for g in self.generators:
-                t = g.degree() // 2
-                if t > m:
-                    continue
-                for j in range(m - t + 1):
-                    vec = [0] * (m + 1)
-                    for (a, b, _, _), c in g.terms.items():
-                        vec[a + j] = (vec[a + j] + c) % self.p
-                    rows.append(vec)  # x^j * g, coefficient of x^(a+j) y^(m-a-j)
-            self._poly_bases[m] = _echelon_mod_p(rows, self.p)
+            p = self.p
+            pivots: dict[int, list[int]] = {}
+            for t, low, win in self._windows:
+                for lead in range(low, low + m - t + 1):  # x^j * g, j = 0..m-t
+                    if lead not in pivots:
+                        pivots[lead] = win
+                    else:
+                        _add_window(pivots, lead, list(win), p)
+            self._poly_bases[m] = sorted(pivots.items())
         return self._poly_bases[m]
 
     def residue(self, elem: GradedElement, m: int) -> list[int]:
         """The x-exponent vector of elem, a polynomial of half-degree m (or
         zero), reduced modulo the degree-2m piece of the ideal: m + 1
         entries, all zero exactly when elem lies in the ideal."""
+        p = self.p
         vec = [0] * (m + 1)
         for (a, _, _, _), c in elem.terms.items():
             vec[a] = c
-        return _reduce_vector(vec, self._poly_basis(m), self.p)
+        for lead, win in self._poly_basis(m):
+            f = vec[lead]
+            if f:
+                end = lead + len(win)
+                vec[lead:end] = [(a - f * b) % p for a, b in zip(vec[lead:end], win)]
+        return vec
 
     def contains(self, elem: GradedElement) -> bool:
         if elem.is_zero():
@@ -648,12 +695,23 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
 # rank one: F_p[t^{+-1}] (x) Lambda(s), and F_2[t^{+-1}]
 
 def binom_mod(k: int, i: int, p: int) -> int:
-    """C(k, i) mod p for any integer k (negative via the reflection rule)."""
+    """C(k, i) mod p, p prime, for any integer k (negative via the
+    reflection rule C(k, i) = (-1)^i C(i - k - 1, i)), digit by digit in
+    base p by Lucas' theorem: C(k, i) = prod C(k_d, i_d) mod p, and zero
+    once some digit i_d exceeds k_d (so also whenever i > k >= 0)."""
     if i < 0:
         return 0
-    if k >= 0:
-        return math.comb(k, i) % p if i <= k else 0
-    return ((-1) ** i * math.comb(-k + i - 1, i)) % p
+    out = 1
+    if k < 0:
+        k, out = i - k - 1, (-1) ** i
+    while i:
+        kd, id_ = k % p, i % p
+        if id_ > kd:
+            return 0
+        out *= math.comb(kd, id_)
+        k //= p
+        i //= p
+    return out % p
 
 
 class RankOneElement(_SparseElement):

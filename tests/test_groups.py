@@ -26,6 +26,7 @@ from qdp.groups import (
     group_from_json,
     heisenberg,
     is_conjugate,
+    is_normal_in,
     modular_p3,
     p_subgroups,
     qdp_generators,
@@ -345,6 +346,29 @@ def test_cyclic_subgroups_match_per_member_closure(P):
     closures = {subgroup_closure(P.group, [g]) for g in P.members}
     want = sorted(closures, key=lambda t: (len(t), t))
     assert [C.members for C in cyclic_subgroups(P)] == want
+
+
+def all_pairs_is_normal(H, K):
+    """Reference: conjugate every member of H by every member of K."""
+    G = H.group
+    hset = set(H.members)
+    return all(G.mul(G.mul(k, h), G.inv(k)) in hset for k in K.members for h in H.members)
+
+
+@pytest.mark.parametrize("G, abelian", [
+    (heisenberg(3), False), (modular_p3(3), False), (elementary_abelian(3, 3), True),
+    (dihedral(8), False),
+], ids=["H27", "M27", "E27", "D16"])
+def test_is_normal_in_matches_all_pairs(G, abelian):
+    # in D16 a non-normal Klein four-group needs two generators
+    subs = subgroups_of_p_group(whole_group(G))
+    verdicts = set()
+    for H in subs:
+        for K in subs:
+            want = all_pairs_is_normal(H, K)
+            assert is_normal_in(H, K) == want, (H.members, K.members)
+            verdicts.add(want)
+    assert verdicts == ({True} if abelian else {True, False})
 
 
 def test_p_subgroups_against_brute_force():

@@ -3,6 +3,7 @@ product-of-spheres driver."""
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from qdp.steenrod import (
     GradedElement,
     IdealHandle,
     RankOneElement,
+    _echelon_mod_p,
     binom_mod,
     bockstein,
     ZetaPropositionResult,
@@ -320,9 +322,25 @@ def _random_homogeneous(rng, p, d):
                              if rng.random() < 0.6})
 
 
+def dense_contains(gens, elem):
+    """Dense-rank oracle: elem lies in the ideal iff appending it to the
+    rows monomial * generator of its degree leaves their rank unchanged."""
+    p, d = elem.p, elem.degree()
+    basis = _polynomial_monomials(d)
+    col = {m: i for i, m in enumerate(basis)}
+
+    def vec(e):
+        out = [0] * len(basis)
+        for m, c in e.terms.items():
+            out[col[m]] = c
+        return out
+
+    rows = [vec(GradedElement.monomial(p, *m) * g) for g in gens
+            if g.degree() <= d for m in _polynomial_monomials(d - g.degree())]
+    return _rank_mod_p(rows, p) == _rank_mod_p(rows + [vec(elem)], p)
+
+
 def test_ideal_contains_matches_dense_rank():
-    # oracle: elem lies in the ideal iff appending it to the rows
-    # monomial * generator of its degree leaves their rank unchanged
     rng = random.Random(20261018)
     seen = set()
     for trial in range(160):
@@ -341,21 +359,76 @@ def test_ideal_contains_matches_dense_rank():
             for g in gens:
                 if g.degree() <= d:
                     elem = elem + g * _random_homogeneous(rng, p, d - g.degree())
-        basis = _polynomial_monomials(d)
-        col = {m: i for i, m in enumerate(basis)}
-
-        def vec(e):
-            out = [0] * len(basis)
-            for m, c in e.terms.items():
-                out[col[m]] = c
-            return out
-
-        rows = [vec(GradedElement.monomial(p, *m) * g) for g in gens
-                if g.degree() <= d for m in _polynomial_monomials(d - g.degree())]
-        expected = _rank_mod_p(rows, p) == _rank_mod_p(rows + [vec(elem)], p)
+        expected = elem.is_zero() or dense_contains(gens, elem)
         assert ideal.contains(elem) == expected, (p, gens, elem)
         seen.add((expected, elem.is_zero()))
     assert {(True, False), (False, False)} <= seen
+
+
+# the dense degreewise basis, kept as a test-only reference for the
+# windowed one: every shift x^j * g as a full row of m + 1 entries
+
+def reference_poly_basis(gens, m, p):
+    rows = []
+    for g in gens:
+        t = g.degree() // 2
+        if t > m:
+            continue
+        for j in range(m - t + 1):
+            vec = [0] * (m + 1)
+            for (a, b, _, _), c in g.terms.items():
+                vec[a + j] = (vec[a + j] + c) % p
+            rows.append(vec)  # x^j * g, coefficient of x^(a+j) y^(m-a-j)
+    return _echelon_mod_p(rows, p)
+
+
+def reference_reduce_vector(vec, basis, p):
+    vec = [x % p for x in vec]
+    for lead, row in basis:
+        f = vec[lead]
+        if f:
+            vec[lead:] = [(a - f * b) % p for a, b in zip(vec[lead:], row[lead:])]
+    return vec
+
+
+def _random_ideal_generators(rng, p):
+    """1-4 nonzero generators of mixed half-degrees 0..6, sometimes with a
+    repeated generator or a multiple of another, so that shifts collide."""
+    gens, n = [], rng.randint(1, 4)
+    while len(gens) < n:
+        kind = rng.random()
+        if gens and kind < 0.2:
+            g = rng.choice(gens)
+        elif gens and kind < 0.4:
+            g = rng.choice(gens) * _random_homogeneous(rng, p, 2 * rng.randint(0, 2))
+        else:
+            g = _random_homogeneous(rng, p, 2 * rng.randint(0, 6))
+        if not g.is_zero():
+            gens.append(g)
+    return gens
+
+
+def test_windowed_basis_matches_dense_reference():
+    rng = random.Random(16)
+    repeats = set()
+    for trial in range(150):
+        p = (3, 5, 7)[trial % 3]
+        gens = _random_ideal_generators(rng, p)
+        ideal = IdealHandle(gens)
+        shapes = [(g.degree(), tuple(sorted(g.terms.items()))) for g in gens]
+        repeats.add(len(set(shapes)) < len(shapes))
+        low = min(g.degree() // 2 for g in gens)
+        for m in range(low, max(g.degree() // 2 for g in gens) + 4):
+            ref = reference_poly_basis(gens, m, p)
+            assert [lead for lead, _ in ideal._poly_basis(m)] == [lead for lead, _ in ref]
+            for _ in range(3):
+                elem = _random_homogeneous(rng, p, 2 * m)
+                vec = [0] * (m + 1)
+                for (a, _, _, _), c in elem.terms.items():
+                    vec[a] = c
+                assert ideal.residue(elem, m) == reference_reduce_vector(vec, ref, p), \
+                    (p, gens, m, elem)
+    assert repeats == {True, False}  # some ideals repeat a generator
 
 
 def test_steenrod_closure_whole_ring():
@@ -389,9 +462,11 @@ def test_zeta_proposition_pth_root_consistency():
     (3, 28, [(0, 7), (2, 4), (4, 1)], ((1, 0, 0),)),
     (5, 60, [(0, 10), (3, 0)], ((1, 0),)),
     (5, 120, [(0, 20), (3, 10), (6, 0)], ((1, 0, 0),)),
+    (7, 400, [(0, 50), (4, 29), (8, 8)], ((1, 0, 0),)),
+    (11, 360, [(0, 30)], ((1,),)),
 ])
 def test_zeta_proposition_pinned_survivors(p, k, ambient, survivor):
-    res = brute_force_zeta_proposition(p, k, degree_budget=1200)
+    res = brute_force_zeta_proposition(p, k, degree_budget=2 * k * p)
     assert res.ambient == ambient
     assert res.survivors == [survivor] and res.matches
 
@@ -420,9 +495,33 @@ def _all_subspaces(dim, p):
     return out
 
 
-def reference_zeta_proposition(p, k):
+def reference_power(i, g):
+    """P^i on a polynomial by the closed form of the module docstring, with
+    the binomial coefficients from math.comb."""
+    p, out = g.p, GradedElement.zero(g.p)
+    for (a, b, _, _), c in g.terms.items():
+        for j in range(i + 1):
+            coef = math.comb(a, j) * math.comb(b, i - j)
+            out = out + GradedElement.monomial(p, a + j * (p - 1),
+                                               b + (i - j) * (p - 1), coeff=c * coef)
+    return out
+
+
+def dense_is_closed(gens):
+    """Closure under every P^i on the generators, decided by reference_power
+    and the dense-rank oracle, without IdealHandle or steenrod_power."""
+    for i in range(1, max(g.degree() // 2 for g in gens) + 1):
+        for g in gens:
+            img = reference_power(i, g)
+            if not img.is_zero() and not dense_contains(gens, img):
+                return False
+    return True
+
+
+def reference_zeta_proposition(p, k, dense=False):
     """Test every nonzero subspace M of the degree-2k invariants for a
-    Steenrod-closed ideal (M), one IdealHandle per subspace."""
+    Steenrod-closed ideal (M): one IdealHandle per subspace, or with
+    dense=True by dense_is_closed."""
     inv = invariants(p)
     dxi, dzeta = p * (p - 1), p + 1
     ambient = sorted((a, (k - a * dxi) // dzeta) for a in range(k // dxi + 1)
@@ -436,7 +535,8 @@ def reference_zeta_proposition(p, k):
             for c, e in zip(row, elems):
                 g = g + c * e
             gens.append(g)
-        if is_steenrod_closed(IdealHandle(gens, 2 * k * p))[0]:
+        if (dense_is_closed(gens) if dense
+                else is_steenrod_closed(IdealHandle(gens, 2 * k * p))[0]):
             survivors.append(rows)
     predicted = []
     if k % (p + 1) == 0:
@@ -451,9 +551,23 @@ ZETA_GRID = ([(3, k) for k in range(1, 41)] + [(5, k) for k in range(1, 73)]
 
 @pytest.mark.parametrize("p, k", ZETA_GRID, ids=[f"p{p}-k{k}" for p, k in ZETA_GRID])
 def test_zeta_proposition_matches_enumeration(p, k):
-    got = brute_force_zeta_proposition(p, k, degree_budget=2 * k * p).to_json()
-    want = reference_zeta_proposition(p, k).to_json()
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    # against both closure deciders: IdealHandle, and the dense oracle that
+    # shares no code with the fixpoint's membership path
+    got = json.dumps(brute_force_zeta_proposition(p, k, degree_budget=2 * k * p).to_json(),
+                     sort_keys=True)
+    for dense in (False, True):
+        want = reference_zeta_proposition(p, k, dense).to_json()
+        assert got == json.dumps(want, sort_keys=True), dense
+
+
+def test_binom_mod_matches_falling_factorial():
+    # C(k, i) = k (k-1) ... (k-i+1) / i! for every integer k
+    for p in (2, 3, 5, 7, 11):
+        for k in range(-60, 140):
+            for i in range(-2, 145):
+                want = math.prod(range(k - i + 1, k + 1)) // math.factorial(i) % p \
+                    if i >= 0 else 0
+                assert binom_mod(k, i, p) == want, (k, i, p)
 
 
 def test_quotient_finite_dimensional():
