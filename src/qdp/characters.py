@@ -25,9 +25,10 @@ from .groups import (
     Subgroup,
     TableGroup,
     _unique_prime,
+    derived_subgroup,
     element_conjugacy_classes,
-    generated_subgroup,
     is_prime,
+    quotient_group,
     subgroup_closure,
     subgroups_of_p_group,
     whole_group,
@@ -229,12 +230,7 @@ class LinearCharacter:
 
 
 def linear_characters(H: Subgroup) -> list[LinearCharacter]:
-    G = H.group
-    commutators = [G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
-                   for a in H.members for b in H.members]
-    derived = generated_subgroup(G, commutators)
-    from .groups import quotient_group
-    Q, coset_of = quotient_group(H, derived)
+    Q, coset_of = quotient_group(H, derived_subgroup(H))
     basis = _cyclic_decomposition(Q)
     mods = [m for _, m in basis]
     exp_q = max(mods, default=1)

@@ -2,8 +2,9 @@
 
 A group is a set of indexed elements 0..n-1 with a total multiplication.
 Small groups are stored as Cayley tables; Qd(p) = (Z/p)^2 x| SL2(Z/p) is
-stored structurally (vector part + matrix part) so that Qd(5), of order
-3000, multiplies in O(1) without a 9-million-entry table.
+stored structurally (vector part + matrix part): a product is computed
+from two 2x2 matrices, and no table is larger than SL2(p), so set-up is
+O(p^3) and Qd(31), of order 28.6 million, costs a few MB.
 
 Subgroups are sorted index tuples.  Enumeration is restricted to
 p-subgroups: every p-subgroup of G is conjugate into a fixed Sylow
@@ -20,7 +21,15 @@ import itertools
 import math
 from collections.abc import Iterable
 
-from .errors import CompositeP, DomainMismatch, MalformedInput, QdpError, SizeGuard, json_int
+from .errors import (
+    CompositeP,
+    DomainMismatch,
+    MalformedInput,
+    NotUnimodular,
+    QdpError,
+    SizeGuard,
+    json_int,
+)
 
 DEFAULT_MAX_ORDER = 5000
 
@@ -147,7 +156,13 @@ class TableGroup(FiniteGroup):
 
 
 class QdpGroup(FiniteGroup):
-    """(Z/p)^2 x| SL2(Z/p), elements (v, A), (v,A)(w,B) = (v + Aw, AB)."""
+    """(Z/p)^2 x| SL2(Z/p), elements (v, A), (v,A)(w,B) = (v + Aw, AB).
+
+    Element v*n + m, with n = p^3 - p and v = x*p + y, is ((x, y), mats[m]),
+    `mats` being SL2(p) in lexicographic order of (a, b, c, d).  Products
+    and inverses are computed from the two 2x2 matrices, and a matrix's
+    index is read off its entries (`_mat_index`), so the only table is
+    `mats` itself, of size |SL2(p)|."""
 
     def __init__(self, p: int, max_order: int = DEFAULT_MAX_ORDER):
         if not is_prime(p):
@@ -160,54 +175,59 @@ class QdpGroup(FiniteGroup):
         self.p = p
         self.order = order
         self.name = f"Qd({p})"
-
+        # ad - bc = 1 in lexicographic order: a = 0 forces c = -1/b with d
+        # free; a != 0 leaves b and c free and forces d = (1 + bc)/a
         mats = []
-        for a, b, c, d in itertools.product(range(p), repeat=4):
-            if (a * d - b * c) % p == 1:
-                mats.append((a, b, c, d))
-        mats.sort()
+        for b in range(1, p):
+            c = -pow(b, -1, p) % p
+            mats += [(0, b, c, d) for d in range(p)]
+        for a in range(1, p):
+            ai = pow(a, -1, p)
+            mats += [(a, b, c, (1 + b * c) * ai % p) for b in range(p) for c in range(p)]
         self.mats = mats
         self.nmat = len(mats)
-        midx = {m: i for i, m in enumerate(mats)}
+        self._base = p * (p - 1)  # index of the first matrix with a != 0
+        self.identity = self._mat_index(1, 0, 0, 1)  # v = 0 packs to 0
 
-        self._matinv = [midx[(m[3] % p, (-m[1]) % p, (-m[2]) % p, m[0] % p)] for m in mats]
-        # act[i][v]: matrix i applied to the packed vector v = x*p + y
-        self._act = [
-            [((m[0] * x + m[1] * y) % p) * p + (m[2] * x + m[3] * y) % p
-             for x in range(p) for y in range(p)]
-            for m in mats]
-        # re-pack: the comprehension above iterates (x, y) in row-major order,
-        # which is exactly packed index x*p + y, so _act[i][v] is correct.
-        nv = p * p
-        # m*k has columns m*(columns of k): `mul` reads them off _act and
-        # looks the product up by its packed column pair
-        self._nv = nv
-        self._cols = [(k[0] * p + k[2], k[1] * p + k[3]) for k in mats]
-        self._by_cols = [-1] * (nv * nv)
-        for i, (c0, c1) in enumerate(self._cols):
-            self._by_cols[c0 * nv + c1] = i
-        self._vadd = [[(u // p + w // p) % p * p + (u % p + w % p) % p
-                       for w in range(nv)] for u in range(nv)]
-        self._vneg = [((-(u // p)) % p) * p + (-(u % p)) % p for u in range(nv)]
-        self.identity = midx[(1, 0, 0, 1)]  # v = 0 packs to 0
+    def _mat_index(self, a: int, b: int, c: int, d: int) -> int:
+        """Index in `mats` of [[a, b], [c, d]] in SL2(p), entries in 0..p-1:
+        b and d fix it when a = 0, and a, b and c fix it otherwise."""
+        p = self.p
+        if a:
+            return self._base + ((a - 1) * p + b) * p + c
+        return (b - 1) * p + d
 
     def mul(self, a: int, b: int) -> int:
-        n = self.nmat
-        va, ma = divmod(a, n)
-        vb, mb = divmod(b, n)
-        act = self._act[ma]
-        c0, c1 = self._cols[mb]
-        return self._vadd[va][act[vb]] * n + self._by_cols[act[c0] * self._nv + act[c1]]
+        p, n, mats = self.p, self.nmat, self.mats
+        a0, a1, a2, a3 = mats[a % n]
+        b0, b1, b2, b3 = mats[b % n]
+        v = a // n
+        w = b // n
+        w0 = w // p
+        # v + Aw: v and w are x*p + y packed, and are congruent to their
+        # second coordinates y mod p, so they stand in for them
+        v = (v // p + a0 * w0 + a1 * w) % p * p + (v + a2 * w0 + a3 * w) % p
+        e = (a0 * b0 + a1 * b2) % p
+        if e:  # `_mat_index` of AB, inlined
+            return v * n + self._base + ((e - 1) * p + (a0 * b1 + a1 * b3) % p) * p \
+                + (a2 * b0 + a3 * b2) % p
+        return v * n + ((a0 * b1 + a1 * b3) % p - 1) * p + (a2 * b1 + a3 * b3) % p
 
     def inv(self, a: int) -> int:
-        va, ma = divmod(a, self.nmat)
-        mi = self._matinv[ma]
-        return self._vneg[self._act[mi][va]] * self.nmat + mi
+        p, n = self.p, self.nmat
+        va, ma = divmod(a, n)
+        a0, a1, a2, a3 = self.mats[ma]
+        x, y = divmod(va, p)
+        # (v, A)^-1 = (-A^-1 v, A^-1), A^-1 = [[d, -b], [-c, a]]
+        v = (a1 * y - a3 * x) % p * p + (a2 * x - a0 * y) % p
+        return v * n + self._mat_index(a3, -a1 % p, -a2 % p, a0)
 
     def element(self, v: tuple[int, int], mat: tuple[int, int, int, int]) -> int:
         p = self.p
-        vi = (v[0] % p) * p + v[1] % p
-        return vi * self.nmat + self.mats.index(tuple(x % p for x in mat))
+        a, b, c, d = (x % p for x in mat)
+        if (a * d - b * c) % p != 1:
+            raise NotUnimodular(f"det {tuple(mat)} != 1 mod {p}")
+        return ((v[0] % p) * p + v[1] % p) * self.nmat + self._mat_index(a, b, c, d)
 
     def parts(self, a: int) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
         v, m = divmod(a, self.nmat)
@@ -345,10 +365,6 @@ class Subgroup:
 def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
     """Members of <gens>, sorted."""
     return tuple(sorted(greedy_generators(G, gens)[1]))
-
-
-def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    return Subgroup(G, subgroup_closure(G, gens))
 
 
 def whole_group(G: FiniteGroup) -> Subgroup:
@@ -718,6 +734,31 @@ def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
         if any(G.mul(G.mul(k, h), ki) not in hset for h in hgens):
             return False
     return True
+
+
+def derived_subgroup(H: Subgroup) -> Subgroup:
+    """[H, H], as the normal closure in H of the commutators of a (greedy)
+    generating set of H.  That closure N is normal with H/N abelian, since
+    the generators commute modulo N, and every commutator of H lies in
+    [H, H]; so N = [H, H].  N grows by each conjugate k n k^-1, k a
+    generator of H and n a generator of N, that falls outside it; once none
+    does, the k normalize N, and so does all of H."""
+    G = H.group
+    hgens = greedy_generators(G, H.members)[0]
+    pairs = [(k, G.inv(k)) for k in hgens]
+    ngens = [G.mul(G.mul(a, b), G.mul(ai, bi))
+             for i, (a, ai) in enumerate(pairs) for b, bi in pairs[i + 1:]]
+    members = set(subgroup_closure(G, ngens))
+    frontier = list(ngens)
+    while frontier:
+        n = frontier.pop()
+        for k, ki in pairs:
+            c = G.mul(G.mul(k, n), ki)
+            if c not in members:
+                ngens.append(c)
+                frontier.append(c)
+                members = set(subgroup_closure(G, ngens))
+    return Subgroup(G, tuple(members))
 
 
 def element_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:

@@ -187,15 +187,41 @@ def steenrod_power(i: int, a: GradedElement) -> GradedElement:
     p = a.p
     out: dict[Mono, int] = {}
     for (x, y, eu, ev), c in a.terms.items():
-        for i1 in range(max(0, i - y), min(i, x) + 1):
+        for i1, coef in _lucas_range(x, max(0, i - y), min(i, x), p):
             i2 = i - i1
-            coef = binom_mod(x, i1, p)
-            if coef:
-                coef = coef * binom_mod(y, i2, p) % p
+            coef = coef * binom_mod(y, i2, p) % p
             if coef:
                 m = (x + i1 * (p - 1), y + i2 * (p - 1), eu, ev)
                 out[m] = out.get(m, 0) + c * coef
     return GradedElement(p, out)
+
+
+def _lucas_range(k: int, lo: int, hi: int, p: int) -> list[tuple[int, int]]:
+    """The pairs (j, C(k, j) mod p), k >= 0, for the j in [lo, hi] with
+    C(k, j) != 0 mod p, in increasing j.  By Lucas' theorem those are the
+    j whose base-p digits are each at most the matching digit of k.  A j
+    whose highest offending digit sits at p^d is skipped, with every j
+    after it that keeps its digits from p^(d+1) up, to the next multiple
+    of p^(d+1)."""
+    out = []
+    j = lo
+    while j <= hi:
+        coef, kk, t, w, skip = 1, k, j, 1, 0
+        while t:
+            kd, td = kk % p, t % p
+            w *= p
+            if td > kd:
+                skip = w
+            else:
+                coef *= math.comb(kd, td)
+            kk //= p
+            t //= p
+        if skip:
+            j = (j // skip + 1) * skip
+        else:
+            out.append((j, coef % p))
+            j += 1
+    return out
 
 
 def sl2_act(A, a: GradedElement) -> GradedElement:
@@ -242,8 +268,7 @@ def sl2_act(A, a: GradedElement) -> GradedElement:
 
 class InvariantPair:
     """The two generating invariants of F_p[x, y]^{SL2(p)}: xi of degree
-    2p(p-1) and zeta of degree 2(p+1), certified invariant under both
-    standard unipotent generators."""
+    2p(p-1) and zeta of degree 2(p+1), certified invariant by `invariants`."""
 
     def __init__(self, p: int, xi: GradedElement, zeta: GradedElement):
         self.p = p
@@ -258,17 +283,43 @@ def _check_odd_prime(p: int) -> None:
         raise CompositeP(f"{p} is not prime")
 
 
-def invariants(p: int) -> InvariantPair:
-    _check_odd_prime(p)
+def _invariant_forms(p: int) -> tuple[GradedElement, GradedElement]:
+    """xi = sum_i x^{(p-i)(p-1)} y^{i(p-1)} and zeta = x y^p - x^p y,
+    before any check."""
     xi = GradedElement(p, {((p - i) * (p - 1), i * (p - 1), 0, 0): 1
                            for i in range(p + 1)})
     zeta = GradedElement(p, {(1, p, 0, 0): 1, (p, 1, 0, 0): -1})
+    return xi, zeta
+
+
+def invariants(p: int) -> InvariantPair:
+    """xi and zeta, with their SL2(p)-invariance checked through the
+    Dickson relation xi * zeta = L_{p^2} (Wilkerson, "A primer on the
+    Dickson invariants", Contemp. Math. 19, 1983).
+
+    L_q = det[[x, y], [x^q, y^q]] = x y^q - x^q y.  A in SL2(p) sends the
+    row (x, y) to (x, y) A.  For q a power of p, Frobenius is additive and
+    fixes F_p, so it sends the row (x^q, y^q) to (x^q, y^q) A as well, and
+    L_q to det(A) L_q = L_q.  zeta = L_p is checked directly under u+ and
+    u-, which generate SL2(p).  F_p[x, y] is a domain and zeta != 0, so
+    xi = L_{p^2} / zeta is invariant too.  Computed here: the degrees,
+    zeta under u+ and u-, (x + y)^p = x^p + y^p, and the one product
+    xi * zeta = L_{p^2}."""
+    _check_odd_prime(p)
+    xi, zeta = _invariant_forms(p)
     if xi.degree() != 2 * p * (p - 1) or zeta.degree() != 2 * (p + 1):
         raise QdpError(f"invariant degrees {xi.degree()}, {zeta.degree()} "
                        f"are wrong at p = {p}")
     for g in (((1, 1), (0, 1)), ((1, 0), (1, 1))):
-        if sl2_act(g, xi) != xi or sl2_act(g, zeta) != zeta:
-            raise QdpError(f"xi or zeta is not invariant under {g} at p = {p}")
+        if sl2_act(g, zeta) != zeta:
+            raise QdpError(f"zeta is not invariant under {g} at p = {p}")
+    x = GradedElement.monomial(p, 1, 0)
+    y = GradedElement.monomial(p, 0, 1)
+    if (x + y) ** p != x ** p + y ** p:
+        raise QdpError(f"Frobenius is not additive at p = {p}")
+    q = p * p
+    if xi * zeta != GradedElement(p, {(1, q, 0, 0): 1, (q, 1, 0, 0): -1}):
+        raise QdpError(f"xi * zeta != x y^{q} - x^{q} y at p = {p}")
     return InvariantPair(p, xi, zeta)
 
 

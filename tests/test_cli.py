@@ -252,7 +252,9 @@ def test_theorem_c_without_asserts():
 # that the structural route replaced, which must reproduce them byte for
 # byte.  The theorem-b pins were retaken when route two was cut to the
 # center's G-orbit; THEOREM_B_OTHER_LEGS_SHA256 holds the rest of those
-# certificates to what they were before
+# certificates to what they were before.  The theorem-b pins at p = 13, 19
+# and 31 were taken with the |G|-entry action table that Qd(p) arithmetic
+# on 2x2 matrices replaced
 CANONICAL_SHA256 = {
     ("theorem-b", "--p", "3"):
         "6d428d64ea054107cf335e440a59c7cea5d39221538be63590146c1108fbce4d",
@@ -262,6 +264,12 @@ CANONICAL_SHA256 = {
         "fe837d11090b0f9ca8f9af57ce35b92300987bfdb5fd99f59451fd2e2e32edee",
     ("theorem-b", "--p", "11", "--max-order", "159720"):
         "21746112ad000bc0709b8660b35c42c1a90efc9e84defeec7a942dad2a6bc23c",
+    ("theorem-b", "--p", "13", "--max-order", "369096"):
+        "db15926e7dd4417214c9bdee2eb2a099e57db2224eaed5211e830a34be4894da",
+    ("theorem-b", "--p", "19", "--max-order", "2469240"):
+        "7f93989a6c93e32f71e9bff5bd24004f16c18431e0e6b1e526c28f9b26da6039",
+    ("theorem-b", "--p", "31", "--max-order", "28599360"):
+        "e7ad5263014bcc2feacc721cea702d6f4e13138954f5f1dca9b1d96663ecbf7b",
     ("theorem-c", "--p", "3"):
         "c885560e407a9431fb8056447a6972ad9d6e938911a86f2d2acff9b84e4525f9",
     ("theorem-c", "--p", "5", "--k-list", "6,12"):

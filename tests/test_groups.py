@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qdp.dimfun import generation_by_order_p
-from qdp.errors import CompositeP, MalformedInput, SizeGuard
+from qdp.errors import CompositeP, MalformedInput, NotUnimodular, SizeGuard
 from qdp.groups import (
     FiniteGroup,
     Subgroup,
@@ -16,6 +16,7 @@ from qdp.groups import (
     construct_qdp,
     cyclic,
     cyclic_subgroups,
+    derived_subgroup,
     dihedral,
     direct_product,
     elementary_abelian,
@@ -175,11 +176,12 @@ def test_qdp_multiplication_rule():
 
 
 def test_qdp_product_matches_explicit_formula():
-    # (v, A)(w, B) = (v + Aw, AB) on every matrix pair at p = 3 (with
-    # seeded vectors), and on a seeded sample of elements at p = 5 and 7
+    # (v, A)(w, B) = (v + Aw, AB) and (v, A)^-1 = (-A^-1 v, A^-1) on every
+    # matrix pair at p = 3 (with seeded vectors), and on a seeded sample of
+    # elements at p = 5, 7, 11 and 13
     rng = random.Random(11)
-    for p in (3, 5, 7):
-        G = construct_qdp(p, max_order=20000)
+    for p in (3, 5, 7, 11, 13):
+        G = construct_qdp(p, max_order=400000)
         n = G.nmat
         vec = lambda: rng.randrange(p * p) * n
         if p == 3:
@@ -195,6 +197,30 @@ def test_qdp_product_matches_explicit_formula():
             mat_part = ((a * e + b * g) % p, (a * f + b * h) % p,
                         (c * e + d * g) % p, (c * f + d * h) % p)
             assert G.parts(G.mul(x, y)) == (vec_part, mat_part)
+            inv_vec = ((b * v1 - d * v0) % p, (c * v0 - a * v1) % p)
+            inv_mat = (d, -b % p, -c % p, a)
+            assert G.parts(G.inv(x)) == (inv_vec, inv_mat)
+            assert G.mul(x, G.inv(x)) == G.identity
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_qdp_numbering_matches_sorted_filter(p):
+    # the construction that built `mats` before they were listed directly:
+    # every 4-tuple over Z/p with determinant 1, in lexicographic order
+    mats = sorted(m for m in itertools.product(range(p), repeat=4)
+                  if (m[0] * m[3] - m[1] * m[2]) % p == 1)
+    G = construct_qdp(p, max_order=400000)
+    assert G.mats == mats and G.nmat == p ** 3 - p
+    assert G.identity == mats.index((1, 0, 0, 1))
+    rng = random.Random(p)
+    for m, A in enumerate(mats):
+        v = (rng.randrange(p), rng.randrange(p))
+        a = G.element(v, A)
+        assert a == (v[0] * p + v[1]) * G.nmat + m
+        assert G.parts(a) == (v, A)
+        assert G.describe(a) == f"({v[0]},{v[1]})|[{A[0]},{A[1]};{A[2]},{A[3]}]"
+    with pytest.raises(NotUnimodular):
+        G.element((0, 0), (1, 0, 0, 2 % p))
 
 
 def test_json_round_trip():
@@ -369,6 +395,43 @@ def test_is_normal_in_matches_all_pairs(G, abelian):
             assert is_normal_in(H, K) == want, (H.members, K.members)
             verdicts.add(want)
     assert verdicts == ({True} if abelian else {True, False})
+
+
+def all_pairs_derived_subgroup(H):
+    """The subgroup generated by every commutator a b a^-1 b^-1 of H, the
+    rule `linear_characters` used before `derived_subgroup`."""
+    G = H.group
+    return Subgroup(G, subgroup_closure(G, [
+        G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
+        for a in H.members for b in H.members]))
+
+
+def wreath_3_3():
+    """Z/3 wr Z/3 = (Z/3)^3 x| Z/3, the generator of the top rotating the
+    coordinates: of order 81, with a derived subgroup of order 9 that the
+    commutator of its two generators alone does not generate."""
+    elems = list(itertools.product(range(3), repeat=4))
+
+    def mul(a, b):
+        k = a[3]
+        return tuple((a[i] + b[(i - k) % 3]) % 3 for i in range(3)) + ((k + b[3]) % 3,)
+
+    return from_elements(elems, mul, name="Z3wrZ3")
+
+
+@pytest.mark.parametrize("G, orders", [
+    (elementary_abelian(3, 3), {1}), (heisenberg(3), {1, 3}),
+    (modular_p3(3), {1, 3}), (heisenberg(5), {1, 5}), (wreath_3_3(), {1, 3, 9})],
+    ids=["E27", "H27", "M27", "H125", "Z3wrZ3"])
+def test_derived_subgroup_matches_all_pairs(G, orders):
+    # of the groups of order p^3 only the whole nonabelian group has
+    # [H, H] != 1; in Z3 wr Z3 it takes the normal closure
+    found = set()
+    for H in subgroups_of_p_group(whole_group(G)):
+        D = derived_subgroup(H)
+        assert D == all_pairs_derived_subgroup(H), H.members
+        found.add(D.order)
+    assert found == orders
 
 
 def test_p_subgroups_against_brute_force():

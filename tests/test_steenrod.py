@@ -11,6 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdp.steenrod as steenrod
+from qdp.cli import EXIT_DOMAIN, main
 from qdp.errors import (
     DegreeBudget,
     EvenPrime,
@@ -18,12 +20,14 @@ from qdp.errors import (
     MalformedInput,
     NotUnimodular,
     PrimeMismatch,
+    QdpError,
 )
 from qdp.steenrod import (
     GradedElement,
     IdealHandle,
     RankOneElement,
     _echelon_mod_p,
+    _lucas_range,
     binom_mod,
     bockstein,
     ZetaPropositionResult,
@@ -228,6 +232,31 @@ def test_invariant_degrees():
         inv = invariants(p)
         assert inv.xi.degree() == dxi
         assert inv.zeta.degree() == dzeta
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_invariants_are_fixed_by_the_unipotent_generators(p):
+    # the substitution check `invariants` ran before the Dickson relation
+    # replaced it for xi; u+ and u- generate SL2(p)
+    inv = invariants(p)
+    for g in (((1, 1), (0, 1)), ((1, 0), (1, 1))):
+        assert sl2_act(g, inv.xi) == inv.xi
+        assert sl2_act(g, inv.zeta) == inv.zeta
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_corrupted_xi_is_a_domain_error(capsys, monkeypatch, p):
+    forms = steenrod._invariant_forms
+    for m in sorted(forms(p)[0].terms):
+        def corrupted(q, m=m):
+            xi, zeta = forms(q)
+            return xi + GradedElement(q, {m: 1}), zeta
+
+        monkeypatch.setattr(steenrod, "_invariant_forms", corrupted)
+        with pytest.raises(QdpError, match="xi \\* zeta"):
+            invariants(p)
+        assert main(["steenrod-check", "--p", str(p)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_p1_identities():
@@ -568,6 +597,42 @@ def test_binom_mod_matches_falling_factorial():
                 want = math.prod(range(k - i + 1, k + 1)) // math.factorial(i) % p \
                     if i >= 0 else 0
                 assert binom_mod(k, i, p) == want, (k, i, p)
+
+
+def all_i1_power(i, a):
+    """P^i with a binomial for every i1 in range, the loop `steenrod_power`
+    ran before it enumerated only the i1 that Lucas' theorem leaves."""
+    p, out = a.p, {}
+    for (x, y, eu, ev), c in a.terms.items():
+        for i1 in range(max(0, i - y), min(i, x) + 1):
+            coef = binom_mod(x, i1, p) * binom_mod(y, i - i1, p) % p
+            if coef:
+                m = (x + i1 * (p - 1), y + (i - i1) * (p - 1), eu, ev)
+                out[m] = out.get(m, 0) + c * coef
+    return GradedElement(p, out)
+
+
+def test_steenrod_power_matches_all_i1_loop():
+    rng = random.Random(17)
+    for p in (3, 5, 7, 11):
+        for _ in range(60):
+            a = GradedElement(p, {(rng.randrange(401), rng.randrange(401),
+                                   rng.randrange(2), rng.randrange(2)):
+                                  rng.randrange(1, p) for _ in range(rng.randrange(1, 4))})
+            i = rng.randrange(450)
+            assert steenrod_power(i, a).terms == all_i1_power(i, a).terms, (p, i, a.terms)
+
+
+def test_lucas_range_is_the_nonzero_binomials():
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7, 11):
+        for _ in range(200):
+            k = rng.randrange(401)
+            lo = rng.randrange(k + 1)
+            hi = rng.randrange(lo - 1, k + 1)
+            want = [(j, math.comb(k, j) % p) for j in range(lo, hi + 1)
+                    if math.comb(k, j) % p]
+            assert _lucas_range(k, lo, hi, p) == want, (k, lo, hi, p)
 
 
 def test_quotient_finite_dimensional():

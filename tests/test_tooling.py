@@ -4,17 +4,20 @@ cannot map to an exit code.  Every certificate runs in a fresh interpreter,
 so the runtime keeps clear of `dataclasses`, the modules it pulls in, and
 `typing`: their import, and the methods `dataclass` generates and compiles
 at every start, would be paid on every run.  The runtime defines nothing
-that neither it nor the tests use, and reads no environment variable."""
+that neither it nor the tests use, and reads no environment variable.
+Qd(p) keeps no table with one entry per group element."""
 
 import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import qdp
+from qdp.groups import construct_qdp
 
 SRC = Path(qdp.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -107,3 +110,15 @@ def test_every_definition_is_used():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and (name, node.name) not in exempt and node.name not in used]
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+def test_qdp_set_up_allocates_less_than_the_group():
+    # |Qd(31)| = 28,599,360: a table with an entry per element takes ~900 MB
+    tracemalloc.start()
+    try:
+        G = construct_qdp(31, max_order=10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 28599360
+    assert peak < 32 * 2 ** 20, f"construct_qdp(31) peaked at {peak / 2 ** 20:.1f} MB"
