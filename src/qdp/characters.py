@@ -38,32 +38,14 @@ from .groups import (
 # ---------------------------------------------------------------------------
 # cyclotomic integers
 
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division of integer polynomials (den monic up to sign)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[i + len(den) - 1], lead)
-        if r:
-            raise NonIntegral(f"{den} does not divide {num} over the integers")
-        out[i] = q
-        for j, c in enumerate(den):
-            num[i + j] -= q * c
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return out, num
-
-
 def cyclotomic_polynomial(e: int) -> list[int]:
-    """Coefficients of Phi_e, low degree first."""
-    num = [-1] + [0] * (e - 1) + [1]  # x^e - 1
-    for d in range(1, e):
-        if e % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            if rem != [0]:
-                raise NonIntegral(f"Phi_{d} leaves remainder {rem} in x^{e} - 1")
-    return num
+    """Coefficients of Phi_e, low degree first, for e = 1 or a prime power
+    q^k, the exponents of p-groups: Phi_1 = x - 1 and
+    Phi_{q^k}(x) = Phi_q(x^(q^(k-1))) = sum_{i<q} x^(i q^(k-1))."""
+    if e == 1:
+        return [-1, 1]
+    step = e // _unique_prime(e)
+    return [int(j % step == 0) for j in range(e - step + 1)]
 
 
 class _CycloContext:

@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .errors import BudgetError, MalformedInput, QdpError, json_int
-from .groups import DEFAULT_MAX_ORDER, Subgroup, group_from_json, p_subgroups
+from .groups import DEFAULT_MAX_ORDER, group_from_json, p_subgroups
 from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport
 from .steenrod import (
     DEFAULT_DEGREE_BUDGET,

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_MAX_ORDER,
-    FiniteGroup,
     PSubgroupClasses,
     QdpGroup,
     Subgroup,
@@ -39,11 +38,8 @@ from .groups import (
     conjugate_subgroup,
     construct_qdp,
     cyclic_subgroups,
-    greedy_generators,
-    group_from_json,
     is_conjugate,
     is_normal_in,
-    p_subgroups,
     qdp_generators,
     qdp_order_p_elements,
     sylow_p_subgroup,
@@ -72,14 +68,6 @@ class SuperClassFunction:
     def value_of(self, H: Subgroup) -> int:
         return self.values[self.lattice.class_of(H)]
 
-    def __add__(self, other: "SuperClassFunction") -> "SuperClassFunction":
-        if self.lattice is not other.lattice or self.scale != other.scale:
-            raise DomainMismatch("super class functions on different lattices "
-                                 "or scales cannot be added")
-        return SuperClassFunction(
-            self.lattice, tuple(a + b for a, b in zip(self.values, other.values)),
-            self.scale)
-
     def to_json(self) -> dict:
         return {
             "schema": "1",
@@ -94,8 +82,7 @@ class SuperClassFunction:
 
 
 def superclassfunction_from_json(obj: dict,
-                                 lattice: PSubgroupClasses | None = None,
-                                 max_order: int = DEFAULT_MAX_ORDER) -> SuperClassFunction:
+                                 lattice: PSubgroupClasses) -> SuperClassFunction:
     try:
         p = json_int(obj["p"], "super class function 'p'")
         scale = json_int(obj.get("scale", 1), "super class function 'scale'")
@@ -104,9 +91,6 @@ def superclassfunction_from_json(obj: dict,
         raise MalformedInput(f"bad super class function JSON: {exc}")
     if not isinstance(entries, list):
         raise MalformedInput(f"super class function values must be a list: {entries!r}")
-    if lattice is None:
-        group = group_from_json(obj["group"], max_order=max_order)
-        lattice = p_subgroups(group, p, max_order=max_order)
     values = [None] * lattice.n_classes
     reps = [None] * lattice.n_classes
     for ent in entries:
@@ -229,11 +213,6 @@ def is_monotone(tau: SuperClassFunction) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def real_dimension_function(entry: RealBasisEntry,
-                            lattice: PSubgroupClasses) -> SuperClassFunction:
-    return SuperClassFunction(lattice, entry.fixed_dimension_vector(lattice), 1)
-
-
 # ---------------------------------------------------------------------------
 # realization by real representations
 
@@ -304,20 +283,16 @@ def lefschetz_number(h0: list[list[int]], hn: list[list[int]],
     return tr(h0) + sign * tr(hn) + tr(h2n)
 
 
-def generation_by_order_p(G: FiniteGroup, p: int) -> tuple[bool, list[int]]:
-    """Does the closure of the order-p elements give all of G?  Returns the
-    verdict and the order-p elements.
+def generation_by_order_p(G: QdpGroup, p: int) -> tuple[bool, list[int]]:
+    """Does the closure of the order-p elements give all of G = Qd(p)?
+    Returns the verdict and the order-p elements.
 
-    On Qd(p) the verdict is the structural certificate of `qdp_generators`:
-    e1, u+ and u- have order p and generate G.  False then means that
-    certificate failed, not that G is shown not to be generated."""
-    if isinstance(G, QdpGroup) and p == G.p:
-        gens, generated = qdp_generators(G)
-        return (generated and all(G.element_order(g) == p for g in gens),
-                qdp_order_p_elements(G))
-    witnesses = [a for a in G.elements() if G.element_order(a) == p]
-    _, closure = greedy_generators(G, witnesses)
-    return len(closure) == G.order, witnesses
+    The verdict is the structural certificate of `qdp_generators`: e1, u+
+    and u- have order p and generate G.  False then means that certificate
+    failed, not that G is shown not to be generated."""
+    gens, generated = qdp_generators(G)
+    return (generated and all(G.element_order(g) == p for g in gens),
+            qdp_order_p_elements(G))
 
 
 # ---------------------------------------------------------------------------

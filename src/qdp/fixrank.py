@@ -13,6 +13,9 @@ the rank is -1.  Otherwise the module is free; after inverting t each
 degree is spanned by one Laurent monomial per generator, and the rank-r
 line is detected as the largest r carrying an element with nonzero
 g_n-component annihilated by beta and by P^i for every checked i.
+
+Joins enter only through theorem-b's join leg, as the product of graded
+Euler classes; the models of m-fold joins are test fixtures.
 """
 
 from __future__ import annotations
@@ -133,9 +136,23 @@ class TwoRowModule:
                 raise MalformedInput(f"bad differential: {exc}")
         bock = 0
         powers: dict[int, tuple[int, int]] = {}
+        prefix = "Sq" if p == 2 else "P"
+        seen = set()
         try:
             for entry in obj.get("steenrod", []):
                 op = entry.get("op")
+                if op == "b":
+                    key = op
+                elif isinstance(op, str) and op.startswith(prefix):
+                    key = int(op[len(prefix):])
+                else:
+                    raise MalformedInput(
+                        f"unknown operation {op!r}: at p = {p} an operation is "
+                        f"b or {prefix}<i>")
+                # a second entry would silently replace the first
+                if key in seen:
+                    raise MalformedInput(f"operation {op!r} is listed twice")
+                seen.add(key)
                 comps = {G0: 0, GN: 0}
                 for mono_str, gen, c in entry.get("g_n", []):
                     if gen not in comps:
@@ -143,21 +160,18 @@ class TwoRowModule:
                     mono = rank_one_monomial_from_string(p, mono_str)
                     comps[gen] = (comps[gen] + json_int(c, "coefficient")) % p
                     # degree consistency of the stated monomial
-                    want = _component_degree(p, n, op, gen)
+                    want = _component_degree(p, n, key, gen)
                     if mono.degree() != want:
                         raise InvalidModel(
                             f"{op} component on {gen} must be in degree {want}, "
                             f"got {mono.degree()}")
-                if op == "b":
+                if key == "b":
                     bock = comps[G0]
                     if comps[GN]:
                         raise InvalidModel("beta(g_n) cannot have a g_n component "
                                            "(beta squared would not vanish)")
-                elif op and (op.startswith("P") or op.startswith("Sq")):
-                    i = int(op[2:] if op.startswith("Sq") else op[1:])
-                    powers[i] = (comps[G0], comps[GN])
                 else:
-                    raise MalformedInput(f"unknown operation {op!r}")
+                    powers[key] = (comps[G0], comps[GN])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             # a non-integer field, or an entry or term of the wrong shape
             raise MalformedInput(f"bad steenrod entry: {exc}")
@@ -167,12 +181,13 @@ class TwoRowModule:
         return model
 
 
-def _component_degree(p: int, n: int, op: str, gen: str) -> int:
+def _component_degree(p: int, n: int, key: str | int, gen: str) -> int:
+    """Degree of the `gen` component of an operation on g_n: `key` is "b"
+    for the Bockstein, else the index i of P^i (Sq^i at p = 2)."""
     base = n if gen == G0 else 0
-    if op == "b":
+    if key == "b":
         return base + 1
-    i = int(op[2:] if op.startswith("Sq") else op[1:])
-    return base + (i if p == 2 else 2 * i * (p - 1))
+    return base + (key if p == 2 else 2 * key * (p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,73 +369,15 @@ def fix_rank(M: TwoRowModule, pole_bound: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# join bookkeeping on ranks
-
-def fix_join_rule(r1: int, r2: int) -> int:
-    """Sphere rank of the join: r1 + r2 + 1; the empty sphere (-1) is the
-    identity."""
-    if r1 < -1 or r2 < -1:
-        raise MalformedInput("ranks are >= -1")
-    return r1 + r2 + 1
-
-
-def join_model(M1: TwoRowModule, M2: TwoRowModule) -> TwoRowModule:
-    """Model of the fiber join of two models over the same prime.
-
-    Both nonzero differentials multiply (the join Euler class is the
-    product); both zero differentials convolve the g_n structure constants
-    (transporting operations through the boundary map kills every
-    component except the one on the product of top generators).  Mixed
-    split/nonsplit joins are not modeled.
-    """
-    if M1.p != M2.p:
-        raise InvalidModel("join needs a common prime")
-    M1.validate()
-    M2.validate()
-    p = M1.p
-    n = M1.n + M2.n + 1
-    if (M1.differential is None) != (M2.differential is None):
-        raise InvalidModel("mixed split/nonsplit joins are not modeled; "
-                           "use fix_join_rule on the ranks instead")
-    if M1.differential is not None:
-        lam = (M1.differential[0] * M2.differential[0]) % p
-        a = M1.differential[1] + M2.differential[1]
-        return TwoRowModule(p=p, n=n, differential=(lam, a))
-    top = n if p == 2 else n // 2
-    powers: dict[int, tuple[int, int]] = {}
-    for i in range(1, top + 1):
-        acc = 0
-        for j in range(i + 1):
-            q1 = 1 if j == 0 else M1.powers.get(j, (0, 0))[1]
-            q2 = 1 if i - j == 0 else M2.powers.get(i - j, (0, 0))[1]
-            acc += q1 * q2
-        if acc % p:
-            powers[i] = (0, acc % p)
-    return TwoRowModule(p=p, n=n, differential=None, bockstein_g0=0,
-                        powers=powers)
-
-
-def m_fold_join_model(M: TwoRowModule, m: int) -> TwoRowModule:
-    if m < 1:
-        raise MalformedInput("need m >= 1")
-    out = M
-    for _ in range(m - 1):
-        out = join_model(out, M)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Euler classes of joins
 
 def euler_join(classes: list):
-    """Product of Euler data under fiber join: integers add as degrees,
-    graded elements multiply (homogeneity required)."""
+    """Product of Euler classes under fiber join: graded elements multiply
+    (homogeneity required)."""
     if not classes:
         raise MalformedInput("need at least one Euler class")
-    if all(isinstance(c, int) for c in classes):
-        return sum(classes)
     if not all(isinstance(c, GradedElement) for c in classes):
-        raise MalformedInput("mix of degrees and classes")
+        raise MalformedInput("Euler classes must be graded elements")
     out = classes[0]
     out.degree()  # homogeneity check, raises Inhomogeneous
     for c in classes[1:]:

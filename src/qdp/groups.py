@@ -1,8 +1,9 @@
 """Finite groups given by explicit multiplication, and their p-subgroup lattices.
 
 A group is a set of indexed elements 0..n-1 with a total multiplication.
-Small groups are stored as Cayley tables; Qd(p) = (Z/p)^2 x| SL2(Z/p) is
-stored structurally (vector part + matrix part): a product is computed
+Groups read from JSON tables, and quotients, are stored as Cayley tables
+(the named small groups live with the tests); Qd(p) = (Z/p)^2 x| SL2(Z/p)
+is stored structurally (vector part + matrix part): a product is computed
 from two 2x2 matrices, and no table is larger than SL2(p), so set-up is
 O(p^3) and Qd(31), of order 28.6 million, costs a few MB.
 
@@ -17,7 +18,6 @@ by scanning all of G.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable
 
@@ -65,9 +65,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def describe(self, a: int) -> str:
-        return str(a)
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -112,8 +109,7 @@ class FiniteGroup:
 
 
 class TableGroup(FiniteGroup):
-    def __init__(self, table: list[list[int]], name: str = "G",
-                 labels: list[str] | None = None):
+    def __init__(self, table: list[list[int]], name: str = "G"):
         n = len(table)
         if any(len(row) != n for row in table):
             raise MalformedInput("multiplication table must be square")
@@ -122,7 +118,6 @@ class TableGroup(FiniteGroup):
         self.table = tuple(tuple(row) for row in table)
         self.order = n
         self.name = name
-        self.labels = labels
         ident = None
         for e in range(n):
             if all(self.table[e][a] == a and self.table[a][e] == a for a in range(n)):
@@ -145,11 +140,6 @@ class TableGroup(FiniteGroup):
 
     def inv(self, a: int) -> int:
         return self._inv[a]
-
-    def describe(self, a: int) -> str:
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
 
     def to_json(self) -> dict:
         return {"kind": "table", "n": self.order, "mul": [list(r) for r in self.table]}
@@ -260,84 +250,6 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
         group.check_axioms()
         return group
     raise MalformedInput(f"unknown group kind {obj['kind']!r}")
-
-
-# ---------------------------------------------------------------------------
-# small-group constructors for tests and the character corpus
-
-def from_elements(elems: list, mul, name: str = "G") -> TableGroup:
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
-    return TableGroup(table, name=name, labels=[str(e) for e in elems])
-
-
-def cyclic(n: int) -> TableGroup:
-    return from_elements(list(range(n)), lambda a, b: (a + b) % n, name=f"Z{n}")
-
-
-def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> TableGroup:
-    elems = [(a, b) for a in g.elements() for b in h.elements()]
-    return from_elements(elems, lambda x, y: (g.mul(x[0], y[0]), h.mul(x[1], y[1])),
-                         name=name or f"{g.name}x{h.name}")
-
-
-def elementary_abelian(p: int, rank: int) -> TableGroup:
-    elems = list(itertools.product(range(p), repeat=rank))
-    return from_elements(elems, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
-                         name=f"E{p}^{rank}")
-
-
-def dihedral(n: int) -> TableGroup:
-    """Dihedral group of order 2n: (i, j) with j a flip flag."""
-    elems = [(i, j) for j in range(2) for i in range(n)]
-
-    def mul(a, b):
-        i, j = a
-        k, l = b
-        return ((i + (k if j == 0 else -k)) % n, (j + l) % 2)
-
-    return from_elements(elems, mul, name=f"D{2 * n}")
-
-
-def generalized_quaternion(order: int) -> TableGroup:
-    """Q_{2^k}: <a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1>, order = 4m."""
-    if order < 8 or order % 4:
-        raise MalformedInput("generalized quaternion groups have order 4m >= 8")
-    m = order // 4
-    n = 2 * m
-    elems = [(i, j) for j in range(2) for i in range(n)]
-
-    def mul(a, b):
-        i, j = a
-        k, l = b
-        base = (i + k) % n if j == 0 else (i - k) % n
-        if j == 1 and l == 1:
-            return ((base + m) % n, 0)
-        return (base, (j + l) % 2)
-
-    return from_elements(elems, mul, name=f"Q{order}")
-
-
-def heisenberg(p: int) -> TableGroup:
-    """Extraspecial group of order p^3 and exponent p (p odd)."""
-    elems = list(itertools.product(range(p), repeat=3))
-
-    def mul(x, y):
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p,
-                (x[2] + y[2] + x[0] * y[1]) % p)
-
-    return from_elements(elems, mul, name=f"H{p ** 3}")
-
-
-def modular_p3(p: int) -> TableGroup:
-    """Extraspecial-type group of order p^3 and exponent p^2: Z/p^2 x| Z/p."""
-    pp = p * p
-    elems = [(i, j) for j in range(p) for i in range(pp)]
-
-    def mul(x, y):
-        return ((x[0] + pow(1 + p, x[1], pp) * y[0]) % pp, (x[1] + y[1]) % p)
-
-    return from_elements(elems, mul, name=f"M{p ** 3}")
 
 
 # ---------------------------------------------------------------------------
@@ -648,15 +560,9 @@ class PSubgroupClasses:
             raise DomainMismatch(
                 f"subgroup {H.members} is not in the computed lattice")
 
-    def reps(self) -> list[Subgroup]:
-        return [cls[0] for cls in self.classes]
-
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    def all_subgroups(self) -> list[Subgroup]:
-        return [s for cls in self.classes for s in cls]
 
 
 def conjugacy_orbit(G: FiniteGroup, S: Subgroup, gens: list[int]) -> list[Subgroup]:

@@ -15,7 +15,7 @@ allowed so the localized two-row computations can reuse it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import (
     CompositeP,
@@ -230,8 +230,7 @@ def sl2_act(A, a: GradedElement) -> GradedElement:
     so that beta and every P^i commute with the action and
     sl2_act(A) o sl2_act(B) = sl2_act(AB)."""
     p = a.p
-    flat = [x % p for row in A for x in row] if isinstance(A[0], (list, tuple)) \
-        else [x % p for x in A]
+    flat = [x % p for row in A for x in row]
     if len(flat) != 4:
         raise MalformedInput("need a 2x2 matrix")
     a00, a01, a10, a11 = flat
@@ -328,28 +327,6 @@ def invariants(p: int) -> InvariantPair:
 
 def _lead(row: list[int], start: int = 0) -> int | None:
     return next((i for i in range(start, len(row)) if row[i]), None)
-
-
-def _echelon_mod_p(rows: Iterable[list[int]], p: int) -> list[tuple[int, list[int]]]:
-    """Row echelon basis over F_p of the span of the rows, as (lead, row)
-    pairs sorted by lead, each row monic at its lead.
-
-    There is no back-substitution: entries above a lead may be nonzero.
-    A row is reduced only against the pivot sharing its current lead.
-    """
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        row = [x % p for x in row]
-        lead = _lead(row)
-        while lead is not None and lead in pivots:
-            f = row[lead]
-            row = [(a - f * b) % p for a, b in zip(row, pivots[lead])]
-            lead = _lead(row, lead + 1)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        pivots[lead] = [(x * inv) % p for x in row]
-    return sorted(pivots.items())
 
 
 def _add_window(pivots: dict[int, list[int]], lead: int, row: list[int],
@@ -522,18 +499,6 @@ class ZetaPropositionResult:
     def matches(self) -> bool:
         return self.exhaustive and sorted(self.survivors) == sorted(self.predicted)
 
-    def survivor_labels(self) -> list[str]:
-        out = []
-        for rows in self.survivors:
-            parts = []
-            for row in rows:
-                mono = " + ".join(
-                    f"{c if c != 1 else ''}xi^{a}*zeta^{b}".lstrip("*")
-                    for (a, b), c in zip(self.ambient, row) if c)
-                parts.append(mono)
-            out.append(" , ".join(parts))
-        return out
-
     def to_json(self) -> dict:
         return {
             "p": self.p, "k": self.k,
@@ -587,11 +552,17 @@ def brute_force_zeta_proposition(p: int, k: int,
             break
         # beta vanishes on polynomials, so a power P^i failed; the kernel
         # of v -> P^i v mod (V) is read off the echelon rows [residue | v]
+        # whose lead lies in the v part, rebuilt from their windows
         i = int(witness[1][1:])
         m = k + i * (p - 1)  # polynomial half-degree of P^i v
-        rows = [ideal.residue(steenrod_power(i, g), m) + row
-                for g, row in zip(gens, basis)]
-        basis = [row[m + 1:] for lead, row in _echelon_mod_p(rows, p) if lead > m]
+        pivots: dict[int, list[int]] = {}
+        for g, row in zip(gens, basis):
+            vec = ideal.residue(steenrod_power(i, g), m) + row
+            lead = _lead(vec)
+            if lead is not None:
+                _add_window(pivots, lead, vec[lead:], p)
+        basis = [[0] * (lead - m - 1) + win + [0] * (m + 1 + dim - lead - len(win))
+                 for lead, win in sorted(pivots.items()) if lead > m]
     # V* as its echelon rows; a line is one monic row, as in the enumeration
     survivors = [tuple(map(tuple, basis))] if basis else []
 
@@ -607,13 +578,7 @@ def brute_force_zeta_proposition(p: int, k: int,
 # ---------------------------------------------------------------------------
 # finite-dimensionality of quotients
 
-class FiniteQuotientResult:
-    def __init__(self, finite: bool, details: dict):
-        self.finite = finite
-        self.details = details
-
-
-def quotient_finite_dimensional(ideal: IdealHandle) -> FiniteQuotientResult:
+def quotient_finite_dimensional(ideal: IdealHandle) -> bool:
     """Is the quotient by a principal ideal (theta) finite-dimensional,
     i.e. are some x^N and y^N in it?
 
@@ -628,13 +593,7 @@ def quotient_finite_dimensional(ideal: IdealHandle) -> FiniteQuotientResult:
     monos = list(ideal.generators[0].terms)
     pure_x = len(monos) == 1 and monos[0][1] == 0
     pure_y = len(monos) == 1 and monos[0][0] == 0
-    return FiniteQuotientResult(pure_x and pure_y, {
-        "reason": "principal polynomial ideal: a power of x (resp. y) is a "
-                  "multiple of the generator only if the generator is a "
-                  "scalar times a pure power",
-        "generator_pure_x_power": pure_x,
-        "generator_pure_y_power": pure_y,
-    })
+    return pure_x and pure_y
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +683,11 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
                         res.to_json()))
         if res.matches and k % (p + 1) == 0:
             s = k // (p + 1)
-            fin = quotient_finite_dimensional(IdealHandle([inv.zeta ** s]))
+            finite = quotient_finite_dimensional(IdealHandle([inv.zeta ** s]))
             legs.append(Leg(f"one-generator-contradiction-k{k}",
-                            REFUTED if fin.finite else VERIFIED, {
+                            REFUTED if finite else VERIFIED, {
                                 "generator": f"zeta^{s}",
-                                "finite_dimensional": fin.finite,
+                                "finite_dimensional": finite,
                                 "conclusion": "the only admissible ideal has an "
                                               "infinite-dimensional quotient",
                             }))

@@ -1,0 +1,154 @@
+"""Fixtures and references that only the tests use: named small groups as
+Cayley tables, the paper's m-fold fiber-join models, and the generic
+order-p generation check that the Qd(p) route is compared against."""
+
+import itertools
+
+from qdp.errors import InvalidModel, MalformedInput
+from qdp.fixrank import TwoRowModule
+from qdp.groups import FiniteGroup, TableGroup, greedy_generators
+
+
+# ---------------------------------------------------------------------------
+# small groups as Cayley tables
+
+def from_elements(elems: list, mul, name: str = "G") -> TableGroup:
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    return TableGroup(table, name=name)
+
+
+def cyclic(n: int) -> TableGroup:
+    return from_elements(list(range(n)), lambda a, b: (a + b) % n, name=f"Z{n}")
+
+
+def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> TableGroup:
+    elems = [(a, b) for a in g.elements() for b in h.elements()]
+    return from_elements(elems, lambda x, y: (g.mul(x[0], y[0]), h.mul(x[1], y[1])),
+                         name=name or f"{g.name}x{h.name}")
+
+
+def elementary_abelian(p: int, rank: int) -> TableGroup:
+    elems = list(itertools.product(range(p), repeat=rank))
+    return from_elements(elems, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+                         name=f"E{p}^{rank}")
+
+
+def dihedral(n: int) -> TableGroup:
+    """Dihedral group of order 2n: (i, j) with j a flip flag."""
+    elems = [(i, j) for j in range(2) for i in range(n)]
+
+    def mul(a, b):
+        i, j = a
+        k, l = b
+        return ((i + (k if j == 0 else -k)) % n, (j + l) % 2)
+
+    return from_elements(elems, mul, name=f"D{2 * n}")
+
+
+def generalized_quaternion(order: int) -> TableGroup:
+    """Q_{2^k}: <a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1>, order = 4m."""
+    if order < 8 or order % 4:
+        raise MalformedInput("generalized quaternion groups have order 4m >= 8")
+    m = order // 4
+    n = 2 * m
+    elems = [(i, j) for j in range(2) for i in range(n)]
+
+    def mul(a, b):
+        i, j = a
+        k, l = b
+        base = (i + k) % n if j == 0 else (i - k) % n
+        if j == 1 and l == 1:
+            return ((base + m) % n, 0)
+        return (base, (j + l) % 2)
+
+    return from_elements(elems, mul, name=f"Q{order}")
+
+
+def heisenberg(p: int) -> TableGroup:
+    """Extraspecial group of order p^3 and exponent p (p odd)."""
+    elems = list(itertools.product(range(p), repeat=3))
+
+    def mul(x, y):
+        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p,
+                (x[2] + y[2] + x[0] * y[1]) % p)
+
+    return from_elements(elems, mul, name=f"H{p ** 3}")
+
+
+def modular_p3(p: int) -> TableGroup:
+    """Extraspecial-type group of order p^3 and exponent p^2: Z/p^2 x| Z/p."""
+    pp = p * p
+    elems = [(i, j) for j in range(p) for i in range(pp)]
+
+    def mul(x, y):
+        return ((x[0] + pow(1 + p, x[1], pp) * y[0]) % pp, (x[1] + y[1]) % p)
+
+    return from_elements(elems, mul, name=f"M{p ** 3}")
+
+
+# ---------------------------------------------------------------------------
+# generation by order-p elements, for any group
+
+def generic_generation_by_order_p(G: FiniteGroup, p: int) -> tuple[bool, list[int]]:
+    """Does the closure of the order-p elements give all of G?  Returns the
+    verdict and the order-p elements, found by scanning all of G."""
+    witnesses = [a for a in G.elements() if G.element_order(a) == p]
+    _, closure = greedy_generators(G, witnesses)
+    return len(closure) == G.order, witnesses
+
+
+# ---------------------------------------------------------------------------
+# join bookkeeping on ranks
+
+def fix_join_rule(r1: int, r2: int) -> int:
+    """Sphere rank of the join: r1 + r2 + 1; the empty sphere (-1) is the
+    identity."""
+    if r1 < -1 or r2 < -1:
+        raise MalformedInput("ranks are >= -1")
+    return r1 + r2 + 1
+
+
+def join_model(M1: TwoRowModule, M2: TwoRowModule) -> TwoRowModule:
+    """Model of the fiber join of two models over the same prime.
+
+    Both nonzero differentials multiply (the join Euler class is the
+    product); both zero differentials convolve the g_n structure constants
+    (transporting operations through the boundary map kills every
+    component except the one on the product of top generators).  Mixed
+    split/nonsplit joins are not modeled.
+    """
+    if M1.p != M2.p:
+        raise InvalidModel("join needs a common prime")
+    M1.validate()
+    M2.validate()
+    p = M1.p
+    n = M1.n + M2.n + 1
+    if (M1.differential is None) != (M2.differential is None):
+        raise InvalidModel("mixed split/nonsplit joins are not modeled; "
+                           "use fix_join_rule on the ranks instead")
+    if M1.differential is not None:
+        lam = (M1.differential[0] * M2.differential[0]) % p
+        a = M1.differential[1] + M2.differential[1]
+        return TwoRowModule(p=p, n=n, differential=(lam, a))
+    top = n if p == 2 else n // 2
+    powers: dict[int, tuple[int, int]] = {}
+    for i in range(1, top + 1):
+        acc = 0
+        for j in range(i + 1):
+            q1 = 1 if j == 0 else M1.powers.get(j, (0, 0))[1]
+            q2 = 1 if i - j == 0 else M2.powers.get(i - j, (0, 0))[1]
+            acc += q1 * q2
+        if acc % p:
+            powers[i] = (0, acc % p)
+    return TwoRowModule(p=p, n=n, differential=None, bockstein_g0=0,
+                        powers=powers)
+
+
+def m_fold_join_model(M: TwoRowModule, m: int) -> TwoRowModule:
+    if m < 1:
+        raise MalformedInput("need m >= 1")
+    out = M
+    for _ in range(m - 1):
+        out = join_model(out, M)
+    return out

@@ -12,20 +12,10 @@ from qdp.dimfun import (
     SuperClassFunction,
     check_borel_smith,
     qdp_obstruction_theorem_B,
-    real_dimension_function,
     realize_as_representation,
 )
-from qdp.fixrank import TwoRowModule, euler_join, fix_rank, m_fold_join_model, non_nilpotent
-from qdp.groups import (
-    cyclic,
-    dihedral,
-    direct_product,
-    elementary_abelian,
-    generalized_quaternion,
-    heisenberg,
-    modular_p3,
-    p_subgroups,
-)
+from qdp.fixrank import TwoRowModule, euler_join, fix_rank, non_nilpotent
+from qdp.groups import p_subgroups
 from qdp.steenrod import (
     GradedElement,
     bockstein,
@@ -34,6 +24,16 @@ from qdp.steenrod import (
     sl2_act,
     steenrod_power,
     theorem_C_driver,
+)
+from fixtures import (
+    cyclic,
+    dihedral,
+    direct_product,
+    elementary_abelian,
+    generalized_quaternion,
+    heisenberg,
+    m_fold_join_model,
+    modular_p3,
 )
 
 
@@ -73,9 +73,9 @@ def test_criterion_3_zeta_power_enumeration():
         res = brute_force_zeta_proposition(3, k)
         assert res.matches and len(res.survivors) == count
         if count:
-            s = k // 4
-            labels = res.survivor_labels()
-            assert f"zeta^{s}" in labels[0]
+            # the one survivor is the line of zeta^(k/4)
+            zeta_line = tuple(int(ab == (0, k // 4)) for ab in res.ambient)
+            assert res.survivors == [(zeta_line,)]
     res = brute_force_zeta_proposition(5, 6)
     assert res.matches and len(res.survivors) == 1
     elapsed = time.monotonic() - t0
@@ -128,7 +128,7 @@ def test_criterion_6_borel_smith_contains_representations():
         p = 2 if G.order % 2 == 0 else 3
         lat = p_subgroups(G, p)
         for entry in real_representation_basis(G):
-            tau = real_dimension_function(entry, lat)
+            tau = SuperClassFunction(lat, entry.fixed_dimension_vector(lat))
             report = check_borel_smith(tau)
             assert report.ok and report.monotone, (G.name, entry.realness)
             pairs += 1
@@ -231,8 +231,9 @@ def test_criterion_10_randomized_property_suite():
     for _ in range(1000):  # sl2 homomorphism + commutation
         A = rng.choice(mats)
         B = rng.choice(mats)
-        AB = ((A[0] * B[0] + A[1] * B[2]) % p, (A[0] * B[1] + A[1] * B[3]) % p,
-              (A[2] * B[0] + A[3] * B[2]) % p, (A[2] * B[1] + A[3] * B[3]) % p)
+        AB = (((A[0] * B[0] + A[1] * B[2]) % p, (A[0] * B[1] + A[1] * B[3]) % p),
+              ((A[2] * B[0] + A[3] * B[2]) % p, (A[2] * B[1] + A[3] * B[3]) % p))
+        A, B = (A[:2], A[2:]), (B[:2], B[2:])
         m = rand_monomial(5)
         assert sl2_act(A, sl2_act(B, m)) == sl2_act(AB, m)
         assert sl2_act(A, bockstein(m)) == bockstein(sl2_act(A, m))

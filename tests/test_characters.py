@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,6 +31,10 @@ from qdp.characters import (
 from qdp.errors import IncompleteInduction, NotPGroup
 from qdp.groups import (
     Subgroup,
+    subgroups_of_p_group,
+    whole_group,
+)
+from fixtures import (
     cyclic,
     dihedral,
     direct_product,
@@ -37,8 +42,6 @@ from qdp.groups import (
     generalized_quaternion,
     heisenberg,
     modular_p3,
-    subgroups_of_p_group,
-    whole_group,
 )
 
 
@@ -119,6 +122,19 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == [1, 1, 1]
     assert cyclotomic_polynomial(9) == [1, 0, 0, 1, 0, 0, 1]
     assert cyclotomic_polynomial(8) == [1, 0, 0, 0, 1]
+
+
+# e = 1 and every prime power up to 2^7, 3^5, 5^3, 7^2, 11^2 and 13
+PRIME_POWER_EXPONENTS = [1] + [q ** k for q, top in ((2, 7), (3, 5), (5, 3), (7, 2),
+                                                     (11, 2), (13, 1))
+                               for k in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("e", PRIME_POWER_EXPONENTS)
+def test_cyclotomic_polynomial_matches_sympy(e):
+    x = sympy.Symbol("x")
+    want = sympy.Poly(sympy.cyclotomic_poly(e, x), x).all_coeffs()[::-1]
+    assert cyclotomic_polynomial(e) == [int(c) for c in want]
 
 
 def test_cyclotomic_arithmetic():
@@ -448,12 +464,12 @@ def test_column_orthogonality():
 
 
 def test_trivial_representation_dimension_function():
-    from qdp.dimfun import real_dimension_function
+    from qdp.dimfun import SuperClassFunction
     from qdp.groups import p_subgroups
     G = cyclic(9)
     lat = p_subgroups(G, 3)
     basis = real_representation_basis(G)
     trivial = next(e for e in basis
                    if all(v.as_rational_int() == 1 for v in e.character.values))
-    tau = real_dimension_function(trivial, lat)
+    tau = SuperClassFunction(lat, trivial.fixed_dimension_vector(lat))
     assert set(tau.values) == {1}

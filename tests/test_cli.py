@@ -19,8 +19,10 @@ from qdp.cli import (
     EXIT_REFUTED,
     main,
 )
+from qdp.groups import p_subgroups
 from qdp.reports import canonical_json
 from qdp.steenrod import GradedElement
+from fixtures import modular_p3
 
 
 def run(capsys, *argv):
@@ -311,6 +313,57 @@ def test_theorem_b_outside_route_two_is_pinned(capsys, argv):
     assert digest == THEOREM_B_OTHER_LEGS_SHA256[argv]
 
 
+
+# sha256 of the canonical JSON of the other subcommands.  Each runs in the
+# directory of its input files, so that the argv the report records names
+# them the same way wherever the package is installed
+SUBCOMMAND_SHA256 = {
+    ("borel-smith", "--group", "group_e9.json", "--tau", "tau_regular_e9.json"):
+        "fb97966160f45f02edc0ca616424dd891aa51f14b767f6e81c29507e7d178b45",
+    ("borel-smith", "--group", "group_e9.json", "--tau", "tau_violating_e9.json"):
+        "d675e41f5e7567fc864662176acdfe8f865d3233430827639f72e2a8079eccfb",
+    ("realize", "--group", "group_e9.json", "--tau", "tau_regular_e9.json"):
+        "9739440be94b0ec3346c8fd6ddd7352f36708f0a2249d29d86230f621a2edf3c",
+    ("fix-rank", "--model", "model_lens_p3.json"):
+        "cf9aa26379e8ad3ed0adcf62f63f6a0351cfd6bbdcf7d0f9e0424695252fa740",
+    ("fix-rank", "--model", "model_rotation_p3.json"):
+        "9dd8caeaa196b0c54afbcd6d765581a3748561fdf93253faaa4b91661007f767",
+    ("fix-rank", "--model", "model_trivial_p3_n4.json"):
+        "cd390af9b8ab584d72badc3f609ff6d36270dbe0a1504a9c85cc020cbbecdd8c",
+    ("prop-zeta", "--p", "5", "--k", "36", "--budget", "400"):
+        "787a71c4ad2a33740f5dd4ca17cb19be72b83b5d705de79865dab20744afb4a2",
+    ("prop-zeta", "--p", "7", "--k", "56", "--budget", "800"):
+        "7002a767fe8238b660095f1c74f2233cd7703effa5349b909f387a6ee5b6efc9",
+    ("steenrod-check", "--p", "7", "--samples", "20", "--seed", "3"):
+        "f19969286763addf86f003fc9cbaccbc4e83b6bd596f50831d7b81bdecadd328",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SUBCOMMAND_SHA256), ids=" ".join)
+def test_subcommand_reports_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.chdir(data_path(""))
+    _, report = run_json(capsys, *argv)  # the status is part of the digest
+    digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
+    assert digest == SUBCOMMAND_SHA256[argv]
+
+
+def test_realize_exponent_nine_is_pinned(tmp_path, capsys, monkeypatch):
+    # M(27) has exponent 9, so its characters take values in Z[zeta_9];
+    # tau is the dimension function of the regular representation
+    G = modular_p3(3)
+    lat = p_subgroups(G, 3)
+    (tmp_path / "group_m27.json").write_text(json.dumps(G.to_json()))
+    (tmp_path / "tau_regular_m27.json").write_text(json.dumps({"p": 3, "values": [
+        {"class_rep": list(cls[0].members), "value": G.order // cls[0].order}
+        for cls in lat.classes]}))
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, "realize", "--group", "group_m27.json",
+                            "--tau", "tau_regular_m27.json")
+    assert code == EXIT_OK
+    digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
+    assert digest == "cf649cd5dcfcc9796a9b1bd8be093eeb963efd15ee928d630e79d9a9b9f9c588"
+
+
 # runs the CLI with the closure of <u+, u-> one member short
 SHORT_SL2 = """
 import sys
@@ -447,8 +500,14 @@ def _model(term, op="P1", **fields):
     {"p": 3, "n": 4.7, "differential": "zero", "steenrod": []},
     {"p": 3.0, "n": 4, "differential": "zero", "steenrod": []},
     {"p": 3, "n": 5, "differential": {"lambda": 1, "a": 3.5}, "steenrod": []},
+    _model(["t^2", "g_n", 1], op="Sq1"),
+    {"p": 2, "n": 2, "differential": "zero",
+     "steenrod": [{"op": "P1", "g_n": [["t", "g_n", 1]]}]},
+    {"p": 3, "n": 2, "differential": "zero",
+     "steenrod": [{"op": "P1", "g_n": [["t^2", "g_n", c]]} for c in (1, 2)]},
 ], ids=["monomial-exponent", "coefficient", "operation-index", "two-element-term",
-        "coefficient-float", "coefficient-bool", "n-float", "p-float", "differential-float"])
+        "coefficient-float", "coefficient-bool", "n-float", "p-float", "differential-float",
+        "sq-at-odd-p", "p-at-p2", "operation-twice"])
 def test_malformed_model_is_malformed(tmp_path, capsys, obj):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj))

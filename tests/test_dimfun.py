@@ -17,7 +17,6 @@ from qdp.dimfun import (
     is_monotone,
     lefschetz_number,
     qdp_obstruction_theorem_B,
-    real_dimension_function,
     realize_as_representation,
     superclassfunction_from_json,
 )
@@ -35,15 +34,8 @@ from qdp.groups import (
     conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
-    cyclic,
     cyclic_subgroups,
-    dihedral,
-    direct_product,
-    elementary_abelian,
-    generalized_quaternion,
-    heisenberg,
     is_normal_in,
-    modular_p3,
     p_subgroups,
     qdp_generators,
     quotient_group,
@@ -51,6 +43,16 @@ from qdp.groups import (
     subgroups_of_p_group,
     sylow_p_subgroup,
     whole_group,
+)
+from fixtures import (
+    cyclic,
+    dihedral,
+    direct_product,
+    elementary_abelian,
+    generalized_quaternion,
+    generic_generation_by_order_p,
+    heisenberg,
+    modular_p3,
 )
 
 
@@ -145,7 +147,7 @@ def seeded_taus(G, p, count=30):
     sometimes with doubled weights), which pass (i) more often and leave the
     parity conditions to decide."""
     lat = p_subgroups(G, p)
-    reps = [frozenset(K.members) for K in lat.reps()]
+    reps = [frozenset(cls[0].members) for cls in lat.classes]
     above = [[any(K <= frozenset(T.members) for T in cls) for cls in lat.classes]
              for K in reps]
     rng = random.Random(f"agreement:{G.name}:{p}")
@@ -215,7 +217,6 @@ def test_condition_ii_violation():
 
 
 def test_condition_iii_quaternion():
-    from qdp.groups import generalized_quaternion
     G = generalized_quaternion(8)
     lat = p_subgroups(G, 2)
     # tau = 2 at the trivial subgroup only: 2 - 0 is even but not divisible
@@ -226,7 +227,7 @@ def test_condition_iii_quaternion():
     # the quaternionic entry of the real basis passes with difference 4
     basis = real_representation_basis(G)
     quat = next(e for e in basis if e.realness == "quaternionic")
-    tau = real_dimension_function(quat, lat)
+    tau = SuperClassFunction(lat, quat.fixed_dimension_vector(lat))
     assert tau.values[lat.class_of(Subgroup(G, (G.identity,)))] == 4
     assert check_borel_smith(tau).ok
 
@@ -252,17 +253,17 @@ def test_monotone_verdict_matches_per_representative_reference(G, p):
     # reference: every subgroup of every class representative, which need
     # not lie in the Sylow subgroup the checker reads
     lat = p_subgroups(G, p)
-    rep_subgroups = [subgroups_of_p_group(K) for K in lat.reps()]
+    rep_subgroups = [subgroups_of_p_group(cls[0]) for cls in lat.classes]
 
     def reference(tau):
         return all(tau.value_of(S) >= tau.value_of(K)
-                   for K, subs in zip(lat.reps(), rep_subgroups) for S in subs)
+                   for (K, *_), subs in zip(lat.classes, rep_subgroups) for S in subs)
 
     # tau(K) = sum of the weights of the classes with a member above K is
     # monotone; moving one value a little may break that, and lifting a
     # nontrivial class above every value (class 0 is the trivial subgroup)
     # always does
-    reps = [frozenset(K.members) for K in lat.reps()]
+    reps = [frozenset(cls[0].members) for cls in lat.classes]
     above = [[any(K <= frozenset(T.members) for T in cls) for cls in lat.classes]
              for K in reps]
     rng = random.Random(f"{G.name}:{p}")
@@ -409,11 +410,12 @@ def test_borel_smith_closed_under_addition_and_join():
     G = heisenberg(3)
     lat = p_subgroups(G, 3)
     basis = real_representation_basis(G)
-    taus = [real_dimension_function(e, lat) for e in basis]
+    taus = [SuperClassFunction(lat, e.fixed_dimension_vector(lat)) for e in basis]
     rng = random.Random(11)
     for _ in range(10):
         a, b = rng.choice(taus), rng.choice(taus)
-        assert check_borel_smith(a + b).ok
+        total = tuple(x + y for x, y in zip(a.values, b.values))
+        assert check_borel_smith(SuperClassFunction(lat, total)).ok
         assert check_borel_smith(join_dimension_function(a, 3)).ok
 
 
@@ -517,7 +519,7 @@ def test_superclassfunction_json_round_trip():
     G = elementary_abelian(3, 2)
     lat, tau = regular_tau(G, 3)
     blob = tau.to_json()
-    tau2 = superclassfunction_from_json(blob)
+    tau2 = superclassfunction_from_json(blob, lattice=lat)
     assert tau2.values == tau.values and tau2.scale == tau.scale
     blob["values"] = blob["values"][:-1]
     with pytest.raises(DomainMismatch):
@@ -590,15 +592,18 @@ def test_lefschetz_values():
 
 
 def test_generation_by_order_p():
-    ok, wits = generation_by_order_p(construct_qdp(3), 3)
+    G = construct_qdp(3)
+    ok, wits = generation_by_order_p(G, 3)
     assert ok and len(wits) == 80
+    assert (ok, wits) == generic_generation_by_order_p(G, 3)
     ok, wits = generation_by_order_p(construct_qdp(5), 5)
     assert ok and len(wits) == 624
-    ok, _ = generation_by_order_p(cyclic(4), 2)
+    # the generic reference, on the groups the Qd(p) route does not take
+    ok, _ = generic_generation_by_order_p(cyclic(4), 2)
     assert not ok
-    ok, _ = generation_by_order_p(cyclic(9), 3)
+    ok, _ = generic_generation_by_order_p(cyclic(9), 3)
     assert not ok
-    ok, _ = generation_by_order_p(cyclic(5), 5)
+    ok, _ = generic_generation_by_order_p(cyclic(5), 5)
     assert ok
 
 

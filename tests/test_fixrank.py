@@ -10,10 +10,7 @@ from qdp.fixrank import (
     FixResult,
     TwoRowModule,
     euler_join,
-    fix_join_rule,
     fix_rank,
-    join_model,
-    m_fold_join_model,
     module_bockstein,
     module_power,
     non_nilpotent,
@@ -28,6 +25,7 @@ from qdp.steenrod import (
     invariants,
     rank_one_power,
 )
+from fixtures import fix_join_rule, join_model, m_fold_join_model
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +376,14 @@ def test_join_rule():
 
 
 def test_euler_join_degrees_and_classes():
-    assert euler_join([4, 6]) == 10
     inv = invariants(3)
     sq = euler_join([inv.zeta, inv.zeta])
     assert sq == inv.zeta ** 2
     assert non_nilpotent(sq)
-    with pytest.raises(MalformedInput):
-        euler_join([4, inv.zeta])
+    # Euler classes are graded elements; a bare degree is not one
+    for classes in ([], [4, 6], [4, inv.zeta]):
+        with pytest.raises(MalformedInput):
+            euler_join(classes)
 
 
 def test_non_nilpotence_criterion():

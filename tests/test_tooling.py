@@ -4,10 +4,14 @@ cannot map to an exit code.  Every certificate runs in a fresh interpreter,
 so the runtime keeps clear of `dataclasses`, the modules it pulls in, and
 `typing`: their import, and the methods `dataclass` generates and compiles
 at every start, would be paid on every run.  The runtime defines nothing
-that neither it nor the tests use, and reads no environment variable.
-Qd(p) keeps no table with one entry per group element."""
+that it does not reach itself, apart from an argparse hook and the one
+function the benchmark imports: code that only the tests use lives under
+tests/.  The names the benchmark traces resolve in the runtime.  The
+runtime reads no environment variable, and Qd(p) keeps no table with one
+entry per group element."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -20,7 +24,6 @@ import qdp
 from qdp.groups import construct_qdp
 
 SRC = Path(qdp.__file__).resolve().parent
-TESTS = Path(__file__).resolve().parent
 
 COVERED = ["steenrod.py", "fixrank.py", "groups.py", "reports.py", "cli.py", "errors.py",
            "characters.py", "dimfun.py"]
@@ -87,29 +90,96 @@ def test_runtime_import_leaves_out_dataclasses():
     assert proc.stdout.strip() == "[]"
 
 
-def _used_names(paths) -> set[str]:
-    names = set()
-    for path in paths:
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# argparse itself calls the `error` hook of `cli._Parser`, and the
+# benchmark imports `reports.canonical_json` to digest the reports
+EXEMPT = {("cli.py", "error"), ("reports.py", "canonical_json")}
+
+
+def unreached_definitions(src: Path) -> list[str]:
+    """The non-dunder definitions of the modules in `src` that no code in
+    `src` refers to outside their own bodies, as "module:line name".
+
+    A reference is a name, an attribute or an imported name equal to the
+    definition's name.  References made inside an unreached definition do
+    not count, so the search runs to a fixpoint: a helper used only by
+    an unreached definition is unreached as well."""
+    defs, refs = [], []
+    for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
+            if isinstance(node, DEFINITIONS):
+                if not (node.name.startswith("__") and node.name.endswith("__")) \
+                        and (path.name, node.name) not in EXEMPT:
+                    defs.append((path.name, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((path.name, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                refs.append((path.name, node.lineno, node.attr))
             elif isinstance(node, ast.alias):
-                names.update((node.name, node.asname))
-    return names
+                refs += [(path.name, node.lineno, n) for n in (node.name, node.asname) if n]
+
+    def inside(ref, d):
+        return ref[0] == d[0] and d[2] <= ref[1] <= d[3]
+
+    unreached: list[tuple] = []
+    while True:
+        live = [r for r in refs if not any(inside(r, d) for d in unreached)]
+        found = [d for d in defs if d not in unreached
+                 and not any(r[2] == d[1] and not inside(r, d) for r in live)]
+        if not found:
+            return [f"{m}:{line} {name}"
+                    for m, name, line, _ in sorted(unreached, key=lambda d: (d[0], d[2]))]
+        unreached += found
 
 
 def test_every_definition_is_used():
-    # argparse itself calls the `error` hook of `cli._Parser`
-    exempt = {("cli.py", "error")}
-    used = _used_names(list(SRC.glob("*.py")) + list(TESTS.glob("*.py")))
-    unused = [f"{name}:{node.lineno} {node.name}" for name in COVERED
-              for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name))
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not (node.name.startswith("__") and node.name.endswith("__"))
-              and (name, node.name) not in exempt and node.name not in used]
-    assert unused == [], f"defined but never referenced: {unused}"
+    unreached = unreached_definitions(SRC)
+    assert unreached == [], f"defined but not reached from src/qdp: {unreached}"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _assigned(path: Path, name: str) -> ast.expr:
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def _strings(node: ast.AST) -> list[str]:
+    return [n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def bench_traced_names() -> list[str]:
+    """The qdp names the benchmark traces or counts: the values of
+    SPAN_TIMES, SPAN_CALLS and TARGET in run.py (their keys name metrics and
+    workloads) and the members of COUNT_ONLY in trace_launch.py."""
+    names = []
+    for var in ("SPAN_TIMES", "SPAN_CALLS", "TARGET"):
+        names += [s for v in _assigned(BENCH / "run.py", var).values for s in _strings(v)]
+    return names + _strings(_assigned(BENCH / "trace_launch.py", "COUNT_ONLY"))
+
+
+def test_bench_traced_names_resolve():
+    # a name that no longer resolves would silently empty its metric;
+    # reports.json_dumps is the tracer's proxy for json.dumps, not a qdp name
+    names = bench_traced_names()
+    assert "dimfun.generation_by_order_p" in names and "groups.p_part" in names
+    unresolved = []
+    for name in names:
+        if name == "reports.json_dumps":
+            continue
+        layer, *attrs = name.split(".")
+        obj = importlib.import_module(f"qdp.{layer}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            unresolved.append(name)
+    assert unresolved == [], f"traced by the benchmark but not in qdp: {unresolved}"
 
 
 def test_qdp_set_up_allocates_less_than_the_group():
