@@ -356,7 +356,6 @@ def induced_values(H: Subgroup, lam: LinearCharacter, classes: ElementClasses,
 
 
 def irreducible_characters(P: FiniteGroup,
-                           classes: ElementClasses | None = None,
                            subgroups: Sequence[Subgroup] = ()) -> list[Character]:
     """The full irreducible character list, certified complete; `subgroups`,
     all subgroups of P if given, saves enumerating them again."""
@@ -365,8 +364,7 @@ def irreducible_characters(P: FiniteGroup,
             _unique_prime(P.order)
         except SizeGuard:
             raise NotPGroup(f"|G| = {P.order} is not a prime power")
-    if classes is None:
-        classes = ElementClasses.compute(P)
+    classes = ElementClasses.compute(P)
     e = group_exponent(P)
     n = P.order
 
@@ -456,10 +454,8 @@ class RealBasisEntry:
 
 
 def real_representation_basis(P: FiniteGroup,
-                              chars: list[Character] | None = None,
                               subgroups: Sequence[Subgroup] = ()) -> list[RealBasisEntry]:
-    if chars is None:
-        chars = irreducible_characters(P, subgroups=subgroups)
+    chars = irreducible_characters(P, subgroups=subgroups)
     classes = chars[0].classes if chars else ElementClasses.compute(P)
     entries: list[RealBasisEntry] = []
     used = set()

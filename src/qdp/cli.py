@@ -22,10 +22,10 @@ from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport
 from .steenrod import (
     DEFAULT_DEGREE_BUDGET,
     GradedElement,
-    bockstein,
     brute_force_zeta_proposition,
     invariants,
     steenrod_power,
+    uv_bockstein_identity,
 )
 
 EXIT_OK = 0
@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     fr = sub.add_parser("fix-rank", help="localized fixed-point rank of a "
                                          "two-row module model")
     fr.add_argument("--model", required=True)
-    fr.add_argument("--pole-bound", type=int, default=None)
-    fr.add_argument("--op-bound", type=int, default=None)
     common(fr)
 
     sc = sub.add_parser("steenrod-check", help="verify the invariant-pair "
@@ -214,7 +212,7 @@ def _cmd_realize(args) -> VerificationReport:
 def _cmd_fix_rank(args) -> VerificationReport:
     from .fixrank import TwoRowModule, fix_rank
     model = TwoRowModule.from_json(_load_json(args.model))
-    res = fix_rank(model, pole_bound=args.pole_bound, op_bound=args.op_bound)
+    res = fix_rank(model)
     return VerificationReport(
         statement_name="localized-fixed-point-rank",
         claim="the localized fixed points of the model form the cohomology "
@@ -231,16 +229,10 @@ def _cmd_steenrod_check(args) -> VerificationReport:
     ok_zeta = steenrod_power(1, inv.zeta).is_zero()
     ok_xi = steenrod_power(1, inv.xi) == inv.zeta ** (p - 1)
     rng = random.Random(args.seed)
-    u = GradedElement.monomial(p, 0, 0, 1, 0)
-    v = GradedElement.monomial(p, 0, 0, 0, 1)
-    x = GradedElement.monomial(p, 1, 0)
-    y = GradedElement.monomial(p, 0, 1)
-    uv, xv_uy = u * v, x * v - u * y
-    ok_bock = True
-    for _ in range(args.samples):
-        g = GradedElement(p, {(rng.randrange(6), rng.randrange(6), 0, 0):
-                              rng.randrange(1, p) for _ in range(3)})
-        ok_bock = ok_bock and bockstein(uv * g) == xv_uy * g
+    samples = [GradedElement(p, {(rng.randrange(6), rng.randrange(6), 0, 0):
+                                 rng.randrange(1, p) for _ in range(3)})
+               for _ in range(args.samples)]
+    ok_bock, _ = uv_bockstein_identity(p, samples)
     status = VERIFIED if (ok_zeta and ok_xi and ok_bock) else REFUTED
     return VerificationReport(
         statement_name="invariant-operation-identities",

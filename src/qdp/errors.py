@@ -18,7 +18,7 @@ class MalformedInput(QdpError):
 
 
 class BudgetError(QdpError):
-    """A configured degree/pole/search budget was exhausted."""
+    """A configured degree budget was exhausted."""
 
 
 def json_int(value, field: str) -> int:
@@ -103,6 +103,3 @@ class InvalidModel(QdpError):
 class NoWitnessFound(QdpError):
     pass
 
-
-class PoleBudget(BudgetError, NoWitnessFound):
-    """The witness search needs more poles than the pole bound allows."""

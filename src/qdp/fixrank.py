@@ -12,7 +12,7 @@ A nonzero differential makes t nilpotent, so the localization vanishes and
 the rank is -1.  Otherwise the module is free; after inverting t each
 degree is spanned by one Laurent monomial per generator, and the rank-r
 line is detected as the largest r carrying an element with nonzero
-g_n-component annihilated by beta and by P^i for every checked i.
+g_n-component annihilated by beta and by every P^i with i <= (5n + 4)p.
 
 Joins enter only through theorem-b's join leg, as the product of graded
 Euler classes; the models of m-fold joins are test fixtures.
@@ -20,12 +20,13 @@ Euler classes; the models of m-fold joins are test fixtures.
 
 from __future__ import annotations
 
+import re
+
 from .errors import (
     Inhomogeneous,
     InvalidModel,
     MalformedInput,
     NoWitnessFound,
-    PoleBudget,
     QdpError,
     json_int,
 )
@@ -98,22 +99,14 @@ class TwoRowModule:
         def mono(degree: int) -> str:
             return rank_one_monomial_to_string(rank_one_canonical_monomial(self.p, degree))
 
+        prefix = "Sq" if self.p == 2 else "P"
         ops = []
-        if self.bockstein_g0 % self.p:
-            ops.append({"op": "b", "g_n": [
-                [mono(self.n + 1), G0, self.bockstein_g0 % self.p]]})
-        shift = 1 if self.p == 2 else self.p - 1
-        for i in sorted(self.powers):
-            c0, cn = self.powers[i]
-            entry = []
-            if c0 % self.p:
-                entry.append([mono(self.n + 2 * i * shift if self.p != 2 else self.n + i),
-                              G0, c0 % self.p])
-            if cn % self.p:
-                entry.append([mono(2 * i * shift if self.p != 2 else i), GN, cn % self.p])
+        for key, c0, cn in [("b", self.bockstein_g0, 0)] + [
+                (i, *self.powers[i]) for i in sorted(self.powers)]:
+            entry = [[mono(_component_degree(self.p, self.n, key, gen)), gen, c % self.p]
+                     for gen, c in ((G0, c0), (GN, cn)) if c % self.p]
             if entry:
-                ops.append({"op": ("Sq" if self.p == 2 else "P") + str(i),
-                            "g_n": entry})
+                ops.append({"op": key if key == "b" else f"{prefix}{key}", "g_n": entry})
         return {"schema": "1", "p": self.p, "n": self.n,
                 "differential": diff, "steenrod": ops}
 
@@ -143,7 +136,8 @@ class TwoRowModule:
                 op = entry.get("op")
                 if op == "b":
                     key = op
-                elif isinstance(op, str) and op.startswith(prefix):
+                # ASCII digits only: int() would also read "+0_1" as 1
+                elif isinstance(op, str) and re.fullmatch(f"{prefix}[0-9]+", op):
                     key = int(op[len(prefix):])
                 else:
                     raise MalformedInput(
@@ -228,8 +222,8 @@ def module_bockstein(x: TwoRowLocalElement) -> TwoRowLocalElement:
     if M.bockstein_g0 % p and not x.cn.is_zero():
         # Koszul sign: beta(h g_n) = beta(h) g_n + (-1)^|h| h beta(g_n)
         sign = -1 if x.cn.degree() % 2 else 1
-        target = RankOneElement.canonical(p, M.n + 1) * (sign * M.bockstein_g0)
-        c0 = c0 + x.cn * target
+        mono = RankOneElement.canonical(p, _component_degree(p, M.n, "b", G0))
+        c0 = c0 + x.cn * mono * (sign * M.bockstein_g0)
     return TwoRowLocalElement(M, c0, cn)
 
 
@@ -237,7 +231,6 @@ def module_power(i: int, x: TwoRowLocalElement) -> TwoRowLocalElement:
     """P^i (Sq^i at p = 2) through the Cartan formula and the model data."""
     M = x.module
     p = M.p
-    shift = 1 if p == 2 else p - 1
     c0 = rank_one_power(i, x.c0)
     cn = rank_one_power(i, x.cn)
     if x.cn.is_zero():
@@ -250,11 +243,10 @@ def module_power(i: int, x: TwoRowLocalElement) -> TwoRowLocalElement:
         if hj.is_zero():
             continue
         if d0:
-            mono = RankOneElement.canonical(
-                p, M.n + (l if p == 2 else 2 * l * shift))
+            mono = RankOneElement.canonical(p, _component_degree(p, M.n, l, G0))
             c0 = c0 + hj * mono * d0
         if dn:
-            mono = RankOneElement.monomial(p, 0, l if p == 2 else l * shift)
+            mono = RankOneElement.canonical(p, _component_degree(p, M.n, l, GN))
             cn = cn + hj * mono * dn
     return TwoRowLocalElement(M, c0, cn)
 
@@ -276,14 +268,19 @@ class FixResult:
         }
 
 
-def default_pole_bound(n: int) -> int:
-    return 2 * (n + 1)
+def _op_bound(p: int, n: int) -> int:
+    """How many P^i fix_rank checks: (5n + 4)p, past (p + 1)n, the last
+    index that can give a new equation.
 
-
-def default_op_bound(p: int, n: int, pole_bound: int) -> int:
-    # covers one full period of the mod-p binomial pattern of every
-    # exponent reachable under the pole bound
-    return (n + 2 * pole_bound) * p
+    The candidate line in degree r is alpha m(r) g_0 + m(r - n) g_n.  Its
+    g_0 exponent lies in [0, n], and every structure constant sits at an
+    index <= n (instability, see `validate`).  So past index n the
+    equations of P^i are sums over l of C(-m, i - l) times a constant,
+    where -m >= -n is the g_n exponent.  As C(-m, j) = (-1)^j
+    C(m - 1 + j, m - 1), Lucas' theorem makes them repeat up to sign with
+    period p^s <= pn.  A larger bound adds only repeats; a smaller one
+    drops equations and can certify a rank that is too large."""
+    return (5 * n + 4) * p
 
 
 def _images(p: int, op_bound: int, f_alpha: TwoRowLocalElement,
@@ -321,30 +318,17 @@ def _annihilating_alpha(p: int, images) -> tuple[int | None, int] | None:
     return alpha, count
 
 
-def fix_rank(M: TwoRowModule, pole_bound: int | None = None,
-             op_bound: int | None = None) -> FixResult:
+def fix_rank(M: TwoRowModule) -> FixResult:
     """Rank r with the localized fixed-point module isomorphic to a rank-r
     sphere's cohomology: -1 when the differential is nonzero, else the top
     degree carrying a beta- and P-annihilated line with g_n-component."""
     M.validate()
-    if pole_bound is not None and pole_bound < 0:
-        raise MalformedInput(f"pole bound must be at least 0, got {pole_bound}")
-    if op_bound is not None and op_bound < 1:
-        raise MalformedInput(f"operation bound must be at least 1, got {op_bound}")
     p, n = M.p, M.n
     if M.differential is not None:
         return FixResult(-1, None, True, 0)
-    if pole_bound is None:
-        pole_bound = default_pole_bound(n)
-    if op_bound is None:
-        op_bound = default_op_bound(p, n, pole_bound)
-
+    op_bound = _op_bound(p, n)
     for r in range(n, -1, -1):
         mono_gn = RankOneElement.canonical(p, r - n)
-        if mono_gn.min_exponent() < -pole_bound:
-            raise PoleBudget(
-                f"needed pole order {-mono_gn.min_exponent()} exceeds "
-                f"bound {pole_bound}")
         f_alpha = TwoRowLocalElement(M, RankOneElement.canonical(p, r),
                                      RankOneElement.zero(p))
         f_gamma = TwoRowLocalElement(M, RankOneElement.zero(p), mono_gn)
@@ -365,7 +349,7 @@ def fix_rank(M: TwoRowModule, pole_bound: int | None = None,
         return FixResult(r, witness, unique, checked_ops)
     raise NoWitnessFound(
         "no annihilated line with g_n-component found above degree 0; "
-        "invalid model or insufficient bounds")
+        "the model is inconsistent")
 
 
 # ---------------------------------------------------------------------------

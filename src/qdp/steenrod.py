@@ -15,6 +15,7 @@ allowed so the localized two-row computations can reuse it.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
 
 from .errors import (
@@ -599,6 +600,19 @@ def quotient_finite_dimensional(ideal: IdealHandle) -> bool:
 # ---------------------------------------------------------------------------
 # the product-of-spheres obstruction driver
 
+def uv_bockstein_identity(p: int, samples: Sequence[GradedElement]) -> tuple[bool, bool]:
+    """Whether beta(uv g) = (xv - uy) g, with x = beta(u) and y = beta(v),
+    for every sample g; and whether (xv - uy) g vanishes only for g = 0."""
+    x = GradedElement.monomial(p, 1, 0)
+    y = GradedElement.monomial(p, 0, 1)
+    u = GradedElement.monomial(p, 0, 0, 1, 0)
+    v = GradedElement.monomial(p, 0, 0, 0, 1)
+    uv, xv_minus_uy = u * v, x * v - u * y
+    images = [(g, xv_minus_uy * g) for g in samples]
+    return (all(bockstein(uv * g) == image for g, image in images),
+            all(image.is_zero() == g.is_zero() for g, image in images))
+
+
 def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
                      degree_budget: int = DEFAULT_DEGREE_BUDGET,
                      max_order: int = DEFAULT_MAX_ORDER):
@@ -651,18 +665,11 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
         "conclusion": "all values nonzero: the action is trivial and n is odd",
     }))
 
-    x = GradedElement.monomial(p, 1, 0)
-    y = GradedElement.monomial(p, 0, 1)
-    u = GradedElement.monomial(p, 0, 0, 1, 0)
-    v = GradedElement.monomial(p, 0, 0, 0, 1)
-    uv = u * v
-    xv_minus_uy = x * v - u * y
     inv = invariants(p)
     samples = [GradedElement.one(p), inv.zeta, inv.xi,
                inv.zeta * inv.zeta + 2 * inv.xi if p > 3 else
                inv.zeta ** 3 + 2 * inv.xi ** 2]
-    bock_ok = all(bockstein(uv * g) == xv_minus_uy * g for g in samples)
-    inj_ok = all((xv_minus_uy * g).is_zero() == g.is_zero() for g in samples)
+    bock_ok, inj_ok = uv_bockstein_identity(p, samples)
     legs.append(Leg("integral-k-invariants", VERIFIED if bock_ok and inj_ok else REFUTED, {
         "identity": "beta(uv*g) = (xv - uy)*g",
         "samples": len(samples),
@@ -757,9 +764,6 @@ class RankOneElement(_SparseElement):
         """The canonical basis monomial of the given degree."""
         return RankOneElement(p, {rank_one_canonical_monomial(p, degree): 1})
 
-    def min_exponent(self) -> int:
-        return min((k for _, k in self.terms), default=0)
-
 
 def rank_one_canonical_monomial(p: int, degree: int) -> tuple[int, int]:
     """(eps, k) of the degree-d basis monomial: t^d at p = 2, else t^(d/2)
@@ -779,10 +783,10 @@ def rank_one_monomial_to_string(mono: tuple[int, int]) -> str:
 
 
 def rank_one_monomial_from_string(p: int, s: str) -> RankOneElement:
-    """Parse 't^2*s', 's', 't', '1' style monomials."""
+    """Parse 't^2*s', 's', 't', '1' style monomials.  An exponent is ASCII
+    digits after at most one '-': int() would also read '+0_2' as 2."""
     if not isinstance(s, str):
         raise MalformedInput(f"bad rank-one monomial {s!r}")
-    s = s.replace(" ", "")
     eps, k = 0, 0
     if s in ("", "1"):
         return RankOneElement.monomial(p, 0, 0)
@@ -791,11 +795,8 @@ def rank_one_monomial_from_string(p: int, s: str) -> RankOneElement:
             eps = 1
         elif part == "t":
             k += 1
-        elif part.startswith("t^"):
-            try:
-                k += int(part[2:])
-            except ValueError:
-                raise MalformedInput(f"bad exponent in rank-one monomial {s!r}")
+        elif re.fullmatch(r"t\^-?[0-9]+", part):
+            k += int(part[2:])
         elif part == "1":
             continue
         else:

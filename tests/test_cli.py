@@ -364,6 +364,22 @@ def test_realize_exponent_nine_is_pinned(tmp_path, capsys, monkeypatch):
     assert digest == "cf649cd5dcfcc9796a9b1bd8be093eeb963efd15ee928d630e79d9a9b9f9c588"
 
 
+def test_eight_fold_rotation_join_is_pinned(tmp_path, capsys, monkeypatch):
+    # the 8-fold fiber join of the p = 3 rotation model (n = 2, P^1 g_n =
+    # t^2 g_n): P^i acts on g_n by C(8, i) t^(2i), and n = 23.  Checking
+    # only P^1 would find rank 19; the full check proves rank 7
+    ops = [{"op": f"P{i}", "g_n": [[f"t^{2 * i}", "g_n", c]]}
+           for i, c in zip(range(1, 9), (2, 1, 2, 1, 2, 1, 2, 1))]
+    (tmp_path / "model_rotation_join8.json").write_text(json.dumps(
+        {"schema": "1", "p": 3, "n": 23, "differential": "zero", "steenrod": ops}))
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, "fix-rank", "--model", "model_rotation_join8.json")
+    assert code == EXIT_OK
+    assert report["witness"]["rank"] == 7 and report["witness"]["checked_ops"] == 358
+    digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
+    assert digest == "e4362478f221699b03433cb29ef1ceca7d1549111639f138185c85af7e74a78c"
+
+
 # runs the CLI with the closure of <u+, u-> one member short
 SHORT_SL2 = """
 import sys
@@ -425,15 +441,26 @@ def test_invariant_check_failure_is_domain_error(capsys, monkeypatch):
     ["steenrod-check", "--p", "3", "--samples", "-1"],
     ["steenrod-check", "--p", "3", "--samples", "0"],
     ["prop-zeta", "--p", "3", "--k", "4", "--budget", "-5"],
-    ["fix-rank", "--model", data_path("model_rotation_p3.json"), "--op-bound", "0"],
-    ["fix-rank", "--model", data_path("model_rotation_p3.json"), "--op-bound", "-3"],
-    ["fix-rank", "--model", data_path("model_rotation_p3.json"), "--pole-bound", "-3"],
-], ids=["samples-negative", "samples-zero", "budget-negative",
-        "op-bound-zero", "op-bound-negative", "pole-bound-negative"])
+], ids=["samples-negative", "samples-zero", "budget-negative"])
 def test_out_of_range_integers_are_malformed(capsys, argv):
     assert main(argv) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--op-bound", "0"), ("--op-bound", "-3"), ("--op-bound", "1"),
+    ("--pole-bound", "-3"), ("--pole-bound", "0"),
+], ids=["op-bound-zero", "op-bound-negative", "op-bound-one",
+        "pole-bound-negative", "pole-bound-zero"])
+def test_fix_rank_takes_no_bound_flags(capsys, flag, value):
+    # fix-rank works its one operation bound out from the model: a smaller
+    # one would drop equations and could certify too large a rank
+    argv = ["fix-rank", "--model", data_path("model_rotation_p3.json"), flag, value]
+    assert main(argv) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("argv,value", [
@@ -505,9 +532,14 @@ def _model(term, op="P1", **fields):
      "steenrod": [{"op": "P1", "g_n": [["t", "g_n", 1]]}]},
     {"p": 3, "n": 2, "differential": "zero",
      "steenrod": [{"op": "P1", "g_n": [["t^2", "g_n", c]]} for c in (1, 2)]},
+    _model(["t^2", "g_n", 1], op="P+0_1"),
+    _model(["t^2", "g_n", 1], op="P\u0661"),
+    _model(["t^+0_2", "g_n", 1]),
+    _model(["t ^ 2", "g_n", 1]),
 ], ids=["monomial-exponent", "coefficient", "operation-index", "two-element-term",
         "coefficient-float", "coefficient-bool", "n-float", "p-float", "differential-float",
-        "sq-at-odd-p", "p-at-p2", "operation-twice"])
+        "sq-at-odd-p", "p-at-p2", "operation-twice", "operation-index-signed",
+        "operation-index-non-ascii", "monomial-exponent-signed", "monomial-spaces"])
 def test_malformed_model_is_malformed(tmp_path, capsys, obj):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj))
@@ -578,14 +610,6 @@ def test_malformed_group_is_malformed(tmp_path, capsys, group):
     assert code == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_pole_bound_is_budget_outcome(capsys):
-    code = main(["fix-rank", "--model", data_path("model_rotation_p3.json"),
-                 "--pole-bound", "0"])
-    assert code == EXIT_BUDGET
-    err = capsys.readouterr().err
-    assert err.startswith("budget: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
 """Two-row models: presentations, localized ranks, joins, Euler classes."""
 
 import json
+import random
 from importlib import resources
 
 import pytest
 
-from qdp.errors import BudgetError, InvalidModel, MalformedInput, NoWitnessFound
+import qdp.fixrank as fixrank
+from qdp.errors import InvalidModel, MalformedInput, NoWitnessFound
 from qdp.fixrank import (
     FixResult,
     TwoRowModule,
@@ -15,8 +17,6 @@ from qdp.fixrank import (
     module_power,
     non_nilpotent,
     TwoRowLocalElement,
-    default_op_bound,
-    default_pole_bound,
 )
 from qdp.steenrod import (
     GradedElement,
@@ -300,14 +300,6 @@ def test_three_sphere_rotation_model_any_normalization():
         assert witness_equations_hold(M, res.witness, res.checked_ops)
 
 
-def test_pole_bound_failure_is_loud():
-    # the rotation model's witness needs one pole; forbidding poles must
-    # surface as an error, never as an invented rank
-    M = TwoRowModule(p=3, n=2, powers={1: (0, 1)})
-    with pytest.raises(NoWitnessFound):
-        fix_rank(M, pole_bound=0)
-
-
 def test_join_model_consistency():
     for p in (3, 5):
         base = TwoRowModule(p=p, n=2, powers={1: (0, 1)})
@@ -488,7 +480,7 @@ def test_module_power_matches_full_cartan_sum(M):
         RankOneElement(p, {(0, -M.n - 1): 1, (eps, 3): 1, (0, 5): 2}))
     top_line = TwoRowLocalElement(M, RankOneElement.zero(p),
                                   RankOneElement.canonical(p, -M.n))
-    op_bound = default_op_bound(p, M.n, default_pole_bound(M.n))
+    op_bound = fixrank._op_bound(p, M.n)
     for x in (mixed, top_line):
         for i in range(1, op_bound + 1):
             got, want = module_power(i, x), reference_module_power(i, x)
@@ -504,6 +496,34 @@ def test_zero_mod_p_operations_do_not_change_the_rank():
     assert res.to_json() == fix_rank(bare).to_json()
 
 
-def test_pole_bound_is_a_budget_outcome():
-    with pytest.raises(BudgetError):
-        fix_rank(ROTATION, pole_bound=0)
+def _random_model(rng):
+    """A zero-differential model at p in {2, 3, 5}, n <= 9, with random
+    structure constants on about half the indices instability allows."""
+    p = rng.choice((2, 3, 5))
+    n = rng.randrange(10)
+    top = n if p == 2 else n // 2
+    bock = rng.randrange(p) if p != 2 and n % 2 else 0
+    powers = {i: (rng.randrange(p) * rng.randrange(2), rng.randrange(p))
+              for i in range(1, top + 1) if rng.randrange(2)}
+    return TwoRowModule(p=p, n=n, bockstein_g0=bock, powers=powers)
+
+
+def _line(M):
+    try:
+        res = fix_rank(M)
+    except NoWitnessFound:
+        return None
+    return res.rank, res.witness.to_terms(), res.unique_line
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tripled_op_bound_finds_the_same_line(monkeypatch, seed):
+    # past (p + 1)n the equations of P^i only repeat, so checking three
+    # times as many operations must not move the rank, witness or line
+    rng = random.Random(seed)
+    models = [_random_model(rng) for _ in range(100)]
+    lines = [_line(M) for M in models]
+    assert sum(line is not None and line[0] > 0 for line in lines) >= 20
+    bound = fixrank._op_bound
+    monkeypatch.setattr(fixrank, "_op_bound", lambda p, n: 3 * bound(p, n))
+    assert [_line(M) for M in models] == lines

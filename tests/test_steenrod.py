@@ -759,7 +759,8 @@ def test_rank_one_monomial_print_parse_round_trip():
         ["t^2*s", "t^1*s", "s", "t", "1", "t^-1"]
 
 
-@pytest.mark.parametrize("text", ["t^x", "t^", "t^2*q", 5, None])
+@pytest.mark.parametrize("text", ["t^x", "t^", "t^2*q", 5, None, "t^+0_2", "t ^ 2",
+                                  "t^-", "t^--2", "t^\u0662"])
 def test_bad_rank_one_monomial_is_malformed(text):
     with pytest.raises(MalformedInput):
         rank_one_monomial_from_string(3, text)

@@ -101,41 +101,71 @@ def unreached_definitions(src: Path) -> list[str]:
     """The non-dunder definitions of the modules in `src` that no code in
     `src` refers to outside their own bodies, as "module:line name".
 
-    A reference is a name, an attribute or an imported name equal to the
-    definition's name.  References made inside an unreached definition do
-    not count, so the search runs to a fixpoint: a helper used only by
+    A reference is a name read, an attribute or an imported name equal to
+    the definition's name; a method (a def directly in a class body) is
+    reached only through an attribute, so a local variable of the same
+    name does not keep it.  References made inside an unreached definition
+    do not count, so the search runs to a fixpoint: a helper used only by
     an unreached definition is unreached as well."""
     defs, refs = [], []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, DEFINITIONS)}
+        for node in ast.walk(tree):
             if isinstance(node, DEFINITIONS):
                 if not (node.name.startswith("__") and node.name.endswith("__")) \
                         and (path.name, node.name) not in EXEMPT:
-                    defs.append((path.name, node.name, node.lineno, node.end_lineno))
-            elif isinstance(node, ast.Name):
-                refs.append((path.name, node.lineno, node.id))
+                    defs.append((path.name, node.name, node.lineno, node.end_lineno,
+                                 id(node) in methods))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((path.name, node.lineno, node.id, False))
             elif isinstance(node, ast.Attribute):
-                refs.append((path.name, node.lineno, node.attr))
+                refs.append((path.name, node.lineno, node.attr, True))
             elif isinstance(node, ast.alias):
-                refs += [(path.name, node.lineno, n) for n in (node.name, node.asname) if n]
+                refs += [(path.name, node.lineno, n, False)
+                         for n in (node.name, node.asname) if n]
 
     def inside(ref, d):
         return ref[0] == d[0] and d[2] <= ref[1] <= d[3]
+
+    def reaches(ref, d):
+        return ref[2] == d[1] and (ref[3] or not d[4]) and not inside(ref, d)
 
     unreached: list[tuple] = []
     while True:
         live = [r for r in refs if not any(inside(r, d) for d in unreached)]
         found = [d for d in defs if d not in unreached
-                 and not any(r[2] == d[1] and not inside(r, d) for r in live)]
+                 and not any(reaches(r, d) for r in live)]
         if not found:
             return [f"{m}:{line} {name}"
-                    for m, name, line, _ in sorted(unreached, key=lambda d: (d[0], d[2]))]
+                    for m, name, line, *_ in sorted(unreached, key=lambda d: (d[0], d[2]))]
         unreached += found
 
 
 def test_every_definition_is_used():
     unreached = unreached_definitions(SRC)
     assert unreached == [], f"defined but not reached from src/qdp: {unreached}"
+
+
+def test_a_local_name_does_not_reach_a_method(tmp_path):
+    # the local `reps` reads the name of the method, which nothing calls
+    (tmp_path / "lattice.py").write_text(
+        "class Classes:\n"
+        "    def __init__(self):\n"
+        "        self.items = [1, 2]\n"
+        "\n"
+        "    def reps(self):\n"
+        "        return self.items\n")
+    (tmp_path / "use.py").write_text(
+        "from lattice import Classes\n"
+        "\n"
+        "def count(c):\n"
+        "    reps = len(c.items)\n"
+        "    return reps\n"
+        "\n"
+        "print(count(Classes()))\n")
+    assert unreached_definitions(tmp_path) == ["lattice.py:5 reps"]
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
