@@ -5,28 +5,23 @@ Every subcommand prints a single verification report (text by default,
 4 when the check ran fine but refuted the claimed property.  Malformed
 input (exit 1, usage errors included), a domain error (exit 2) and a budget
 that cut the answer short (exit 3) print one line to stderr and no report.
+
+Every certificate starts a fresh interpreter, so one table (COMMANDS) and a
+short parser read the flags instead of argparse, whose import and parsers
+cost more than many certificates, and a subcommand imports what it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import random
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
-from .errors import BudgetError, MalformedInput, QdpError, json_int
+from .errors import BudgetError, MalformedInput, QdpError, ascii_int, json_int
 from .groups import DEFAULT_MAX_ORDER, group_from_json, p_subgroups
 from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport
-from .steenrod import (
-    DEFAULT_DEGREE_BUDGET,
-    GradedElement,
-    brute_force_zeta_proposition,
-    invariants,
-    steenrod_power,
-    uv_bockstein_identity,
-)
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -34,11 +29,7 @@ EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
 EXIT_REFUTED = 4
 
-_STATUS_EXIT = {
-    VERIFIED: EXIT_OK,
-    UNSAT: EXIT_OK,
-    REFUTED: EXIT_REFUTED,
-}
+_STATUS_EXIT = {VERIFIED: EXIT_OK, UNSAT: EXIT_OK, REFUTED: EXIT_REFUTED}
 
 
 def _load_json(path: str) -> dict:
@@ -49,126 +40,37 @@ def _load_json(path: str) -> dict:
         raise MalformedInput(f"cannot read {path}: {exc}")
 
 
-def _budget(args) -> int:
-    if args.budget < 0:
-        raise MalformedInput(f"--budget must be at least 0, got {args.budget}")
-    return args.budget
-
-
-def _max_order(args) -> int:
-    if args.max_order < 1:
-        raise MalformedInput(f"--max-order must be at least 1, got {args.max_order}")
-    return args.max_order
-
-
-class _Parser(argparse.ArgumentParser):
-    """A usage error is malformed input: one `error:` line, no usage block."""
-
-    def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        self.exit(EXIT_MALFORMED)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="qdp",
-        description="exact verification of dimension-function and "
-                    "Steenrod-algebra obstructions for Qd(p)")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    def budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET,
-                       help="degree budget for linear algebra "
-                            f"(default {DEFAULT_DEGREE_BUDGET})")
-
-    tb = sub.add_parser("theorem-b", help="no p-effective spherical fibration "
-                                          "over the classifying space of Qd(p)")
-    tb.add_argument("--p", type=int, required=True)
-    tb.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    common(tb)
-
-    tc = sub.add_parser("theorem-c", help="no free Qd(p) action on a product "
-                                          "of two equal-dimensional spheres")
-    tc.add_argument("--p", type=int, required=True)
-    tc.add_argument("--k-list", type=str, default=None,
-                    help="comma-separated distinct integers k >= 1, each "
-                         "checking n = 2k - 1, e.g. 4,8,12; an empty item "
-                         "(as in 4,,8) is malformed")
-    tc.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    common(tc)
-    budget(tc)
-
-    bs = sub.add_parser("borel-smith", help="check the Borel-Smith conditions "
-                                            "for a super class function")
-    bs.add_argument("--group", required=True)
-    bs.add_argument("--tau", required=True)
-    bs.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    common(bs)
-
-    rz = sub.add_parser("realize", help="write a monotone Borel-Smith function "
-                                        "as a real representation")
-    rz.add_argument("--group", required=True)
-    rz.add_argument("--tau", required=True)
-    rz.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    common(rz)
-
-    fr = sub.add_parser("fix-rank", help="localized fixed-point rank of a "
-                                         "two-row module model")
-    fr.add_argument("--model", required=True)
-    common(fr)
-
-    sc = sub.add_parser("steenrod-check", help="verify the invariant-pair "
-                                               "operation identities at p")
-    sc.add_argument("--p", type=int, required=True)
-    sc.add_argument("--samples", type=int, default=20)
-    sc.add_argument("--seed", type=int, default=0)
-    common(sc)
-
-    pz = sub.add_parser("prop-zeta", help="find the Steenrod-closed invariant "
-                                          "ideals generated in degree 2k as the "
-                                          "greatest closed subspace")
-    pz.add_argument("--p", type=int, required=True)
-    pz.add_argument("--k", type=int, required=True)
-    common(pz)
-    budget(pz)
-    return ap
+def _default_budget() -> int:
+    from .steenrod import DEFAULT_DEGREE_BUDGET
+    return DEFAULT_DEGREE_BUDGET
 
 
 # ---------------------------------------------------------------------------
 
 def _cmd_theorem_b(args) -> VerificationReport:
     from .dimfun import qdp_obstruction_theorem_B
-    return qdp_obstruction_theorem_B(args.p, max_order=_max_order(args))
+    return qdp_obstruction_theorem_B(args.p, max_order=args.max_order)
 
 
 def _cmd_theorem_c(args) -> VerificationReport:
     from .steenrod import theorem_C_driver
-    max_order = _max_order(args)
     k_list = None
     if args.k_list is not None:
-        try:
-            k_list = [int(x) for x in args.k_list.split(",")]
-        except ValueError:
-            raise MalformedInput(f"bad --k-list {args.k_list!r}")
-    return theorem_C_driver(args.p, k_list=k_list, degree_budget=_budget(args),
-                            max_order=max_order)
+        k_list = [ascii_int(x, "a --k-list item") for x in args.k_list.split(",")]
+    return theorem_C_driver(args.p, k_list=k_list, degree_budget=args.budget,
+                            max_order=args.max_order)
 
 
 def _load_tau(args):
     from .dimfun import superclassfunction_from_json
-    max_order = _max_order(args)
     gobj = _load_json(args.group)
     tobj = _load_json(args.tau)
-    group = group_from_json(gobj, max_order=max_order)
+    group = group_from_json(gobj, max_order=args.max_order)
     try:
         prime = json_int(tobj["p"], "tau 'p'")
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"tau file needs a prime: {exc}")
-    lattice = p_subgroups(group, prime, max_order=max_order)
+    lattice = p_subgroups(group, prime, max_order=args.max_order)
     return superclassfunction_from_json(tobj, lattice=lattice), group
 
 
@@ -222,9 +124,10 @@ def _cmd_fix_rank(args) -> VerificationReport:
 
 
 def _cmd_steenrod_check(args) -> VerificationReport:
+    import random
+
+    from .steenrod import GradedElement, invariants, steenrod_power, uv_bockstein_identity
     p = args.p
-    if args.samples < 1:
-        raise MalformedInput(f"--samples must be at least 1, got {args.samples}")
     inv = invariants(p)
     ok_zeta = steenrod_power(1, inv.zeta).is_zero()
     ok_xi = steenrod_power(1, inv.xi) == inv.zeta ** (p - 1)
@@ -245,7 +148,8 @@ def _cmd_steenrod_check(args) -> VerificationReport:
 
 
 def _cmd_prop_zeta(args) -> VerificationReport:
-    res = brute_force_zeta_proposition(args.p, args.k, degree_budget=_budget(args))
+    from .steenrod import brute_force_zeta_proposition
+    res = brute_force_zeta_proposition(args.p, args.k, degree_budget=args.budget)
     status = VERIFIED if res.matches else REFUTED
     return VerificationReport(
         statement_name="zeta-power-line",
@@ -256,27 +160,115 @@ def _cmd_prop_zeta(args) -> VerificationReport:
         witness=res.to_json())
 
 
-_COMMANDS = {
-    "theorem-b": _cmd_theorem_b,
-    "theorem-c": _cmd_theorem_c,
-    "borel-smith": _cmd_borel_smith,
-    "realize": _cmd_realize,
-    "fix-rank": _cmd_fix_rank,
-    "steenrod-check": _cmd_steenrod_check,
-    "prop-zeta": _cmd_prop_zeta,
+# ---------------------------------------------------------------------------
+# One table names each subcommand's handler, help line and flags.  A flag is
+# (name, type, default, least, help): the type is int, str or a tuple of
+# choices; the default is a value, _REQUIRED or a function that gives it (called
+# only when the flag is absent); least, if not None, bounds an integer below.
+
+_REQUIRED = object()
+_P = ("--p", int, _REQUIRED, None, "the prime p")
+_MAX_ORDER = ("--max-order", int, DEFAULT_MAX_ORDER, 1, "largest group order to build")
+_GROUP = ("--group", str, _REQUIRED, None, "group JSON file")
+_TAU = ("--tau", str, _REQUIRED, None, "super class function JSON file")
+_BUDGET = ("--budget", int, _default_budget, 0, "degree budget for linear algebra")
+_FORMAT = ("--format", ("text", "json"), "text", None, "report format")
+_K_LIST = ("--k-list", str, None, None, "comma-separated distinct integers k >= 1, each "
+           "checking n = 2k - 1, e.g. 4,8,12; an empty item (as in 4,,8) is malformed")
+
+COMMANDS = {
+    "theorem-b": (_cmd_theorem_b, "no p-effective spherical fibration over the "
+                  "classifying space of Qd(p)", [_P, _MAX_ORDER, _FORMAT]),
+    "theorem-c": (_cmd_theorem_c, "no free Qd(p) action on a product of two "
+                  "equal-dimensional spheres", [_P, _K_LIST, _MAX_ORDER, _FORMAT, _BUDGET]),
+    "borel-smith": (_cmd_borel_smith, "check the Borel-Smith conditions for a super "
+                    "class function", [_GROUP, _TAU, _MAX_ORDER, _FORMAT]),
+    "realize": (_cmd_realize, "write a monotone Borel-Smith function as a real "
+                "representation", [_GROUP, _TAU, _MAX_ORDER, _FORMAT]),
+    "fix-rank": (_cmd_fix_rank, "localized fixed-point rank of a two-row module model",
+                 [("--model", str, _REQUIRED, None, "two-row model JSON file"), _FORMAT]),
+    "steenrod-check": (_cmd_steenrod_check, "verify the invariant-pair operation "
+                       "identities at p", [_P, ("--samples", int, 20, 1, "Bockstein "
+                       "samples"), ("--seed", int, 0, None, "sample seed"), _FORMAT]),
+    "prop-zeta": (_cmd_prop_zeta, "find the Steenrod-closed invariant ideals generated "
+                  "in degree 2k as the greatest closed subspace",
+                  [_P, ("--k", int, _REQUIRED, None, "half the degree"), _FORMAT, _BUDGET]),
 }
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        return "\n".join(
+            ["usage: qdp COMMAND [--flag value | --flag=value ...]", "",
+             "exact verification of dimension-function and Steenrod-algebra "
+             "obstructions for Qd(p)", "", "commands (qdp COMMAND --help lists the flags):"]
+            + [f"  {name:<16}{text}" for name, (_, text, _) in COMMANDS.items()])
+    _, text, flags = COMMANDS[command]
+    lines = [f"usage: qdp {command} [--flag value | --flag=value ...]", "", text, "",
+             "flags (exact names only; the last of a repeated flag counts):"]
+    for name, kind, default, least, helptext in flags:
+        kind = "{" + ",".join(kind) + "}" if type(kind) is tuple else kind.__name__
+        if least is not None:
+            helptext += f", at least {least}"
+        if default is not None:
+            helptext += " (required)" if default is _REQUIRED else \
+                f" (default {default() if callable(default) else default})"
+        lines.append(f"  {name} {kind}  {helptext}")
+    return "\n".join(lines)
+
+
+def parse_args(argv: list[str]):
+    """The handler and the flag values that `argv` names, or None once help
+    or the version is printed.  A usage error raises MalformedInput."""
+    if not argv:
+        raise MalformedInput("the following arguments are required: command")
+    if argv[0] in ("-h", "--help", "--version"):
+        print(__version__ if argv[0] == "--version" else _help(None))
+        return None
+    if argv[0] not in COMMANDS:
+        raise MalformedInput(f"argument command: invalid choice: {argv[0]!r} "
+                             f"(choose from {', '.join(map(repr, COMMANDS))})")
+    handler, _, flags = COMMANDS[argv[0]]
+    table = {flag[0]: flag for flag in flags}
+    values = {flag[0]: flag[2] for flag in flags}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(argv[0]))
+            return None
+        name, eq, text = token.partition("=")
+        if name not in table:
+            raise MalformedInput(f"unrecognized arguments: {token}")
+        if not eq:
+            text = next(tokens, None)
+            # as in argparse, a value starts with '-' only as a negative number
+            if text is None or (text[:1] == "-" and not text[1:].isdigit()):
+                raise MalformedInput(f"argument {name}: expected one argument")
+        _, kind, _, least, _ = table[name]
+        if kind is int:
+            text = ascii_int(text, f"argument {name}")
+            if least is not None and text < least:
+                raise MalformedInput(f"{name} must be at least {least}, got {text}")
+        elif kind is not str and text not in kind:
+            raise MalformedInput(f"argument {name}: invalid choice: {text!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+        values[name] = text
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise MalformedInput(f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{name[2:].replace("-", "_"): value() if callable(value)
+                                       else value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_MALFORMED if exc.code not in (0,) else 0
-    t0 = time.monotonic()
-    try:
-        report = _COMMANDS[args.command](args)
+        parsed = parse_args(argv)
+        if parsed is None:
+            return EXIT_OK
+        handler, args = parsed
+        t0 = time.monotonic()
+        report = handler(args)
     except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

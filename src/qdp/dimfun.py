@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .characters import RealBasisEntry
 from .errors import (
     DomainMismatch,
     EvenPrime,
@@ -217,8 +216,9 @@ def is_monotone(tau: SuperClassFunction) -> tuple[bool, tuple | None]:
 # realization by real representations
 
 def realize_as_representation(tau: SuperClassFunction,
-                              basis: Sequence[RealBasisEntry]) -> dict[int, int] | None:
-    """Nonnegative multiplicities over `basis` with exact sum tau, or None.
+                              basis: Sequence) -> dict[int, int] | None:
+    """Nonnegative multiplicities over `basis`, the entries that
+    characters.real_representation_basis lists, with exact sum tau, or None.
 
     Refuses inputs outside the theorem's hypotheses.  The search is a
     complete DFS: every dimension-function vector is nonnegative and has

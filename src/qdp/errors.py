@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the integer check every
-JSON reader applies.
+"""Exception hierarchy shared by all modules, and the integer checks every
+JSON and string reader applies.
 
 Every domain error raised by the library derives from QdpError so the CLI
 can map failures to exit codes uniformly.  BudgetError subclasses mark
@@ -28,6 +28,16 @@ def json_int(value, field: str) -> int:
     if type(value) is not int:
         raise MalformedInput(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def ascii_int(text: str, field: str) -> int:
+    """An integer in a string the runtime reads: ASCII digits after at most
+    one '-'.  int() would also take '+3', ' 3', '0_3' and '٣', which a
+    report would then echo as its input."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise MalformedInput(f"{field} must be an integer, got {text!r}")
+    return int(text)
 
 
 # group construction and lattice errors

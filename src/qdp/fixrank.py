@@ -20,14 +20,13 @@ Euler classes; the models of m-fold joins are test fixtures.
 
 from __future__ import annotations
 
-import re
-
 from .errors import (
     Inhomogeneous,
     InvalidModel,
     MalformedInput,
     NoWitnessFound,
     QdpError,
+    ascii_int,
     json_int,
 )
 from .groups import is_prime
@@ -136,9 +135,8 @@ class TwoRowModule:
                 op = entry.get("op")
                 if op == "b":
                     key = op
-                # ASCII digits only: int() would also read "+0_1" as 1
-                elif isinstance(op, str) and re.fullmatch(f"{prefix}[0-9]+", op):
-                    key = int(op[len(prefix):])
+                elif isinstance(op, str) and op.startswith(prefix) and "-" not in op:
+                    key = ascii_int(op[len(prefix):], f"the index of operation {op!r}")
                 else:
                     raise MalformedInput(
                         f"unknown operation {op!r}: at p = {p} an operation is "

@@ -15,7 +15,6 @@ allowed so the localized two-row computations can reuse it.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Sequence
 
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
     NotUnimodular,
     PrimeMismatch,
     QdpError,
+    ascii_int,
 )
 from .groups import DEFAULT_MAX_ORDER, is_prime
 
@@ -783,20 +783,20 @@ def rank_one_monomial_to_string(mono: tuple[int, int]) -> str:
 
 
 def rank_one_monomial_from_string(p: int, s: str) -> RankOneElement:
-    """Parse 't^2*s', 's', 't', '1' style monomials.  An exponent is ASCII
-    digits after at most one '-': int() would also read '+0_2' as 2."""
+    """Parse 't^2*s', 's', 't', '1' style monomials.  s appears at most
+    once, since s*s = 0."""
     if not isinstance(s, str):
         raise MalformedInput(f"bad rank-one monomial {s!r}")
     eps, k = 0, 0
     if s in ("", "1"):
         return RankOneElement.monomial(p, 0, 0)
     for part in s.split("*"):
-        if part == "s":
+        if part == "s" and not eps:
             eps = 1
         elif part == "t":
             k += 1
-        elif re.fullmatch(r"t\^-?[0-9]+", part):
-            k += int(part[2:])
+        elif part.startswith("t^"):
+            k += ascii_int(part[2:], f"the exponent in rank-one monomial {s!r}")
         elif part == "1":
             continue
         else:

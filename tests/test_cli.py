@@ -12,6 +12,7 @@ import pytest
 
 import qdp
 from qdp.cli import (
+    COMMANDS,
     EXIT_BUDGET,
     EXIT_DOMAIN,
     EXIT_MALFORMED,
@@ -496,6 +497,75 @@ def test_help_and_version_exit_zero(capsys, flag):
     assert (qdp.__version__ in out.out) == (flag == "--version")
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_subcommand_help_names_its_flags(capsys, command, flag):
+    assert main([command, flag]) == EXIT_OK
+    out = capsys.readouterr()
+    assert not out.err
+    _, _, flags = COMMANDS[command]
+    assert [name for name, *_ in flags if name not in out.out] == []
+
+
+@pytest.mark.parametrize("spaced", [
+    ["theorem-b", "--p", "3"],
+    ["theorem-c", "--p", "3", "--k-list", "4,6", "--budget", "200"],
+    ["fix-rank", "--model", data_path("model_rotation_p3.json")],
+    ["prop-zeta", "--p", "3", "--k", "4"],
+], ids=lambda argv: argv[0])
+def test_flag_equals_value_is_flag_space_value(capsys, spaced):
+    # the reports differ only in the argv they record
+    joined = [spaced[0]] + [f"{flag}={value}" for flag, value in zip(spaced[1::2], spaced[2::2])]
+    code, report = run_json(capsys, *spaced)
+    assert code == EXIT_OK and report["command"][:len(spaced)] == spaced
+    code, joined_report = run_json(capsys, *joined)
+    assert code == EXIT_OK and joined_report["command"][:len(joined)] == joined
+    assert canonical_json({**report, "command": None}) == \
+        canonical_json({**joined_report, "command": None})
+
+
+def test_repeated_flag_keeps_its_last_value(capsys):
+    code, report = run_json(capsys, "theorem-b", "--p", "5", "--p", "3")
+    assert code == EXIT_OK
+    _, once = run_json(capsys, "theorem-b", "--p", "3")
+    assert canonical_json({**report, "command": None}) == canonical_json({**once, "command": None})
+    # degree 8 is beyond a budget of 5
+    assert main(["prop-zeta", "--p", "3", "--k", "4", "--budget", "5"]) == EXIT_BUDGET
+    assert main(["prop-zeta", "--p", "3", "--k", "4", "--budget", "5", "--budget", "200"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem-b", "--p", "3", "--max", "20000"],
+    ["theorem-b", "--p", "3", "--form", "json"],
+    ["theorem-b", "--p", "3", "--budget", "5"],
+    ["fix-rank", "--model", data_path("model_rotation_p3.json"), "--p", "3"],
+], ids=["prefix-of-max-order", "prefix-of-format", "budget-at-theorem-b", "p-at-fix-rank"])
+def test_flags_match_by_exact_name_and_subcommand(capsys, argv):
+    # argparse took a unique prefix, so a report could record a spelling
+    # that no documentation names
+    assert main(argv) == EXIT_MALFORMED
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: unrecognized arguments: {argv[-2]}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem-b", "--p", "0_3"],
+    ["theorem-b", "--p", "٣"],
+    ["theorem-b", "--p", "+3"],
+    ["theorem-b", "--p=3 "],
+    ["theorem-c", "--p", "3", "--k-list", " 4,+8"],
+    ["theorem-c", "--p", "3", "--k-list", "4,٨"],
+    ["steenrod-check", "--p", "3", "--seed", "1_0"],
+], ids=["underscore", "arabic-indic-digit", "plus-sign", "trailing-space", "k-list-space-plus",
+        "k-list-arabic-indic", "seed-underscore"])
+def test_integers_are_spelled_in_ascii_digits(capsys, argv):
+    # int() reads all of these, and the report would echo the spelling
+    assert main(argv) == EXIT_MALFORMED
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_not_monotone_message_is_deterministic(tmp_path, capsys):
     tau = json.loads(Path(data_path("tau_regular_e9.json")).read_text())
     for entry in tau["values"]:
@@ -536,10 +606,14 @@ def _model(term, op="P1", **fields):
     _model(["t^2", "g_n", 1], op="P\u0661"),
     _model(["t^+0_2", "g_n", 1]),
     _model(["t ^ 2", "g_n", 1]),
+    {"p": 3, "n": 3, "differential": "zero",
+     "steenrod": [{"op": "b", "g_n": [["t^2", "g0", 1]]},
+                  {"op": "P1", "g_n": [["t^3*s*s", "g0", 1]]}]},
 ], ids=["monomial-exponent", "coefficient", "operation-index", "two-element-term",
         "coefficient-float", "coefficient-bool", "n-float", "p-float", "differential-float",
         "sq-at-odd-p", "p-at-p2", "operation-twice", "operation-index-signed",
-        "operation-index-non-ascii", "monomial-exponent-signed", "monomial-spaces"])
+        "operation-index-non-ascii", "monomial-exponent-signed", "monomial-spaces",
+        "monomial-s-twice"])
 def test_malformed_model_is_malformed(tmp_path, capsys, obj):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj))
