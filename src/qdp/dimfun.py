@@ -43,7 +43,7 @@ from .groups import (
     qdp_order_p_elements,
     sylow_p_subgroup,
 )
-from .reports import REFUTED, VERIFIED, Certificate, Leg
+from .reports import ASSUMED, REFUTED, VERIFIED, Certificate, Leg
 
 
 class SuperClassFunction:
@@ -308,7 +308,8 @@ def qdp_obstruction_theorem_B(p: int,
     constraints (value 0 exactly at the center among nontrivial cyclic
     subgroups of the Sylow): only the center's G-class holds a subgroup
     constrained to 0, so the clash is another cyclic subgroup of the
-    Sylow in the center's G-orbit.  The two routes must agree.
+    Sylow in the center's G-orbit.  The two routes must agree.  The facts
+    the chain rests on are `assumed` legs that name their source.
     """
     if p == 2:
         raise EvenPrime("the obstruction needs p > 2")
@@ -386,18 +387,26 @@ def qdp_obstruction_theorem_B(p: int,
         "agrees_with_witness_route": agree,
     }))
 
-    # joins preserve effectiveness: sample check that squaring a
-    # non-nilpotent even invariant stays non-nilpotent
-    from .fixrank import euler_join, non_nilpotent
-    from .steenrod import invariants
-    zeta = invariants(p).zeta
-    joined = euler_join([zeta, zeta])
-    effective = non_nilpotent(joined)
-    legs.append(Leg("join-preserves-effectiveness", VERIFIED if effective else REFUTED, {
-        "sample_degree": zeta.degree(),
-        "joined_degree": joined.degree(),
-        "non_nilpotent": effective,
-    }))
+    # the facts the chain rests on, which this driver does not compute
+    paper = "arXiv 1710.07315"
+    legs.append(Leg("main-theorem-input", ASSUMED, {
+        "statement": "for m large the m-fold fiber join has a dimension function "
+                     "that exists, is constant on G-conjugacy classes of "
+                     "p-subgroups and satisfies the Borel-Smith conditions",
+        "reference": f"{paper}, main theorem"}))
+    legs.append(Leg("effectiveness-input", ASSUMED, {
+        "statement": "a p-effective Euler class makes that dimension function 0 "
+                     "at the Sylow center and at no other nontrivial cyclic "
+                     "subgroup of the Sylow",
+        "reference": f"{paper}, effectiveness lemma"}))
+    legs.append(Leg("join-preserves-effectiveness", ASSUMED, {
+        "statement": "the m-fold fiber join of a fibration with p-effective "
+                     "Euler class has p-effective Euler class",
+        "argument": "the Euler class of a fiber join is the product of the "
+                    "Euler classes, and taking the polynomial part is a ring map "
+                    "onto the domain F_p[x, y], so a product of classes with "
+                    "nonzero polynomial parts keeps a nonzero polynomial part",
+        "reference": f"{paper}, fiber joins"}))
 
     return Certificate(name, claim, legs, {
         "conjugator": witness_g,

@@ -14,8 +14,7 @@ degree is spanned by one Laurent monomial per generator, and the rank-r
 line is detected as the largest r carrying an element with nonzero
 g_n-component annihilated by beta and by every P^i with i <= (5n + 4)p.
 
-Joins enter only through theorem-b's join leg, as the product of graded
-Euler classes; the models of m-fold joins are test fixtures.
+The models of m-fold joins are test fixtures.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .groups import is_prime
 from .steenrod import (
-    GradedElement,
     RankOneElement,
     rank_one_bockstein,
     rank_one_canonical_monomial,
@@ -348,29 +346,3 @@ def fix_rank(M: TwoRowModule) -> FixResult:
     raise NoWitnessFound(
         "no annihilated line with g_n-component found above degree 0; "
         "the model is inconsistent")
-
-
-# ---------------------------------------------------------------------------
-# Euler classes of joins
-
-def euler_join(classes: list):
-    """Product of Euler classes under fiber join: graded elements multiply
-    (homogeneity required)."""
-    if not classes:
-        raise MalformedInput("need at least one Euler class")
-    if not all(isinstance(c, GradedElement) for c in classes):
-        raise MalformedInput("Euler classes must be graded elements")
-    out = classes[0]
-    out.degree()  # homogeneity check, raises Inhomogeneous
-    for c in classes[1:]:
-        c.degree()
-        out = out * c
-    return out
-
-
-def non_nilpotent(e: GradedElement) -> bool:
-    """Exact: an element is non-nilpotent iff its polynomial part is
-    nonzero (the exterior ideal squares to zero sector by sector, while a
-    nonzero polynomial part survives in every power because the polynomial
-    subring is a domain)."""
-    return not e.polynomial_part().is_zero()

@@ -23,7 +23,6 @@ from .errors import (
     EvenPrime,
     Inhomogeneous,
     MalformedInput,
-    NotUnimodular,
     PrimeMismatch,
     QdpError,
     ascii_int,
@@ -150,10 +149,6 @@ class GradedElement(_SparseElement):
                  coeff: int = 1) -> "GradedElement":
         return GradedElement(p, {(a, b, eu, ev): coeff})
 
-    def polynomial_part(self) -> "GradedElement":
-        return GradedElement(self.p, {m: c for m, c in self.terms.items()
-                                      if m[2] == 0 and m[3] == 0})
-
     def is_polynomial(self) -> bool:
         return all(m[2] == 0 and m[3] == 0 for m in self.terms)
 
@@ -225,44 +220,6 @@ def _lucas_range(k: int, lo: int, hi: int, p: int) -> list[tuple[int, int]]:
     return out
 
 
-def sl2_act(A, a: GradedElement) -> GradedElement:
-    """Ring automorphism from A in SL2(p): the substitution
-    u -> A00 u + A10 v, v -> A01 u + A11 v and the same matrix on (x, y),
-    so that beta and every P^i commute with the action and
-    sl2_act(A) o sl2_act(B) = sl2_act(AB)."""
-    p = a.p
-    flat = [x % p for row in A for x in row]
-    if len(flat) != 4:
-        raise MalformedInput("need a 2x2 matrix")
-    a00, a01, a10, a11 = flat
-    if (a00 * a11 - a01 * a10) % p != 1:
-        raise NotUnimodular(f"det {A} != 1 mod {p}")
-
-    x_img = GradedElement(p, {(1, 0, 0, 0): a00, (0, 1, 0, 0): a10})
-    y_img = GradedElement(p, {(1, 0, 0, 0): a01, (0, 1, 0, 0): a11})
-    u_img = GradedElement(p, {(0, 0, 1, 0): a00, (0, 0, 0, 1): a10})
-    v_img = GradedElement(p, {(0, 0, 1, 0): a01, (0, 0, 0, 1): a11})
-
-    # x_pows[j] and y_pows[j] are the images of x^j and y^j, each built once
-    x_pows, y_pows = [GradedElement.one(p)], [GradedElement.one(p)]
-    for m in a.terms:
-        while len(x_pows) <= m[0]:
-            x_pows.append(x_pows[-1] * x_img)
-        while len(y_pows) <= m[1]:
-            y_pows.append(y_pows[-1] * y_img)
-
-    out: dict[Mono, int] = {}
-    for (x, y, eu, ev), c in a.terms.items():
-        term = x_pows[x] * y_pows[y]
-        if eu:
-            term = term * u_img
-        if ev:
-            term = term * v_img
-        for m, tc in term.terms.items():
-            out[m] = out.get(m, 0) + c * tc
-    return GradedElement(p, out)
-
-
 # ---------------------------------------------------------------------------
 # SL2(p) invariants
 
@@ -293,33 +250,34 @@ def _invariant_forms(p: int) -> tuple[GradedElement, GradedElement]:
 
 
 def invariants(p: int) -> InvariantPair:
-    """xi and zeta, with their SL2(p)-invariance checked through the
-    Dickson relation xi * zeta = L_{p^2} (Wilkerson, "A primer on the
-    Dickson invariants", Contemp. Math. 19, 1983).
+    """xi and zeta, with their SL2(p)-invariance certified by a Frobenius
+    argument and the Dickson relation xi * zeta = L_{p^2} (Wilkerson, "A
+    primer on the Dickson invariants", Contemp. Math. 19, 1983).
 
     L_q = det[[x, y], [x^q, y^q]] = x y^q - x^q y.  A in SL2(p) sends the
     row (x, y) to (x, y) A.  For q a power of p, Frobenius is additive and
     fixes F_p, so it sends the row (x^q, y^q) to (x^q, y^q) A as well, and
-    L_q to det(A) L_q = L_q.  zeta = L_p is checked directly under u+ and
-    u-, which generate SL2(p).  F_p[x, y] is a domain and zeta != 0, so
-    xi = L_{p^2} / zeta is invariant too.  Computed here: the degrees,
-    zeta under u+ and u-, (x + y)^p = x^p + y^p, and the one product
-    xi * zeta = L_{p^2}."""
+    L_q to det(A) L_q = L_q.  So zeta = L_p is invariant, and F_p[x, y] is
+    a domain with zeta != 0, so xi = L_{p^2} / zeta is invariant too.
+    Computed here: the degrees, zeta = L_p, (x + y)^p = x^p + y^p, and the
+    one product xi * zeta = L_{p^2}."""
     _check_odd_prime(p)
     xi, zeta = _invariant_forms(p)
     if xi.degree() != 2 * p * (p - 1) or zeta.degree() != 2 * (p + 1):
         raise QdpError(f"invariant degrees {xi.degree()}, {zeta.degree()} "
                        f"are wrong at p = {p}")
-    for g in (((1, 1), (0, 1)), ((1, 0), (1, 1))):
-        if sl2_act(g, zeta) != zeta:
-            raise QdpError(f"zeta is not invariant under {g} at p = {p}")
+
+    def L(q: int) -> GradedElement:
+        return GradedElement(p, {(1, q, 0, 0): 1, (q, 1, 0, 0): -1})
+
+    if zeta != L(p):
+        raise QdpError(f"zeta != x y^{p} - x^{p} y at p = {p}")
     x = GradedElement.monomial(p, 1, 0)
     y = GradedElement.monomial(p, 0, 1)
     if (x + y) ** p != x ** p + y ** p:
         raise QdpError(f"Frobenius is not additive at p = {p}")
-    q = p * p
-    if xi * zeta != GradedElement(p, {(1, q, 0, 0): 1, (q, 1, 0, 0): -1}):
-        raise QdpError(f"xi * zeta != x y^{q} - x^{q} y at p = {p}")
+    if xi * zeta != L(p * p):
+        raise QdpError(f"xi * zeta != x y^{p * p} - x^{p * p} y at p = {p}")
     return InvariantPair(p, xi, zeta)
 
 
@@ -579,19 +537,19 @@ def brute_force_zeta_proposition(p: int, k: int,
 # ---------------------------------------------------------------------------
 # finite-dimensionality of quotients
 
-def quotient_finite_dimensional(ideal: IdealHandle) -> bool:
-    """Is the quotient by a principal ideal (theta) finite-dimensional,
-    i.e. are some x^N and y^N in it?
+def quotient_finite_dimensional(theta: GradedElement) -> bool:
+    """Is F_p[x, y] / (theta) finite-dimensional, i.e. are some x^N and y^N
+    multiples of theta?
 
     The polynomial ring is a domain: x^N is a multiple of theta only when
     theta is a scalar times a power of x, and likewise for y.  A constant is
-    both, so the unit ideal comes out finite.  Other ideals are not decided
-    here and are rejected.
+    both, so the unit ideal comes out finite, and (0) comes out infinite.
+    A theta with an exterior part is rejected.
     """
-    if len(ideal.generators) != 1:
+    if not theta.is_polynomial():
         raise MalformedInput("finite-dimensionality is decided only for a "
-                             "principal ideal")
-    monos = list(ideal.generators[0].terms)
+                             "generator in F_p[x, y]")
+    monos = list(theta.terms)
     pure_x = len(monos) == 1 and monos[0][1] == 0
     pure_y = len(monos) == 1 and monos[0][0] == 0
     return pure_x and pure_y
@@ -666,23 +624,27 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
     }))
 
     inv = invariants(p)
-    samples = [GradedElement.one(p), inv.zeta, inv.xi,
-               inv.zeta * inv.zeta + 2 * inv.xi if p > 3 else
-               inv.zeta ** 3 + 2 * inv.xi ** 2]
-    bock_ok, inj_ok = uv_bockstein_identity(p, samples)
+    bock_ok, inj_ok = uv_bockstein_identity(p, [GradedElement.one(p)])
     legs.append(Leg("integral-k-invariants", VERIFIED if bock_ok and inj_ok else REFUTED, {
         "identity": "beta(uv*g) = (xv - uy)*g",
-        "samples": len(samples),
+        "computed": "beta(uv) = xv - uy",
+        "argument": "beta is a derivation that vanishes on F_p[x, y], so "
+                    "beta(uv*g) = beta(uv)*g for every polynomial g; the v- and "
+                    "u-components of (xv - uy)*g are xg and -yg, so it vanishes "
+                    "only for g = 0",
         "kills_exterior_summand": inj_ok,
     }))
 
     legs.append(Leg("invariant-subring-input", ASSUMED, {
         "statement": "the restricted k-invariants are invariant under SL2(p) "
-                     "(stable-element argument, consumed as input)"}))
+                     "(stable-element argument, consumed as input)",
+        "reference": "Cartan and Eilenberg, Homological Algebra (1956), XII.10"}))
     legs.append(Leg("orbit-space-finiteness-input", ASSUMED, {
         "statement": "for a finite free action the quotient of the rank-two "
                      "cohomology by the k-invariant ideal is finite "
-                     "dimensional and Steenrod-closed (consumed as input)"}))
+                     "dimensional and Steenrod-closed (consumed as input)",
+        "reference": "Unlu, Constructions of free group actions on products "
+                     "of spheres, PhD thesis, Wisconsin (2004)"}))
 
     for k in k_list:
         res = brute_force_zeta_proposition(p, k, degree_budget)
@@ -690,7 +652,7 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
                         res.to_json()))
         if res.matches and k % (p + 1) == 0:
             s = k // (p + 1)
-            finite = quotient_finite_dimensional(IdealHandle([inv.zeta ** s]))
+            finite = quotient_finite_dimensional(inv.zeta ** s)
             legs.append(Leg(f"one-generator-contradiction-k{k}",
                             REFUTED if finite else VERIFIED, {
                                 "generator": f"zeta^{s}",

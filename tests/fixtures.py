@@ -1,12 +1,15 @@
 """Fixtures and references that only the tests use: named small groups as
-Cayley tables, the paper's m-fold fiber-join models, and the generic
-order-p generation check that the Qd(p) route is compared against."""
+Cayley tables, the paper's m-fold fiber-join models and their Euler
+classes, the generic order-p generation check that the Qd(p) route is
+compared against, and the SL2(p) substitution action that the invariants
+are checked against."""
 
 import itertools
 
-from qdp.errors import InvalidModel, MalformedInput
+from qdp.errors import InvalidModel, MalformedInput, NotUnimodular
 from qdp.fixrank import TwoRowModule
 from qdp.groups import FiniteGroup, TableGroup, greedy_generators
+from qdp.steenrod import GradedElement
 
 
 # ---------------------------------------------------------------------------
@@ -152,3 +155,70 @@ def m_fold_join_model(M: TwoRowModule, m: int) -> TwoRowModule:
     for _ in range(m - 1):
         out = join_model(out, M)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Euler classes of joins
+
+def euler_join(classes: list) -> GradedElement:
+    """Product of Euler classes under fiber join: graded elements multiply
+    (homogeneity required)."""
+    if not classes:
+        raise MalformedInput("need at least one Euler class")
+    if not all(isinstance(c, GradedElement) for c in classes):
+        raise MalformedInput("Euler classes must be graded elements")
+    out = classes[0]
+    out.degree()  # homogeneity check, raises Inhomogeneous
+    for c in classes[1:]:
+        c.degree()
+        out = out * c
+    return out
+
+
+def non_nilpotent(e: GradedElement) -> bool:
+    """Exact: an element is non-nilpotent iff its polynomial part is
+    nonzero (the exterior ideal squares to zero sector by sector, while a
+    nonzero polynomial part survives in every power because the polynomial
+    subring is a domain)."""
+    return any(m[2] == 0 and m[3] == 0 for m in e.terms)
+
+
+# ---------------------------------------------------------------------------
+# the SL2(p) action on F_p[x, y] (x) Lambda(u, v)
+
+def sl2_act(A, a: GradedElement) -> GradedElement:
+    """Ring automorphism from A in SL2(p): the substitution
+    u -> A00 u + A10 v, v -> A01 u + A11 v and the same matrix on (x, y),
+    so that beta and every P^i commute with the action and
+    sl2_act(A) o sl2_act(B) = sl2_act(AB)."""
+    p = a.p
+    flat = [x % p for row in A for x in row]
+    if len(flat) != 4:
+        raise MalformedInput("need a 2x2 matrix")
+    a00, a01, a10, a11 = flat
+    if (a00 * a11 - a01 * a10) % p != 1:
+        raise NotUnimodular(f"det {A} != 1 mod {p}")
+
+    x_img = GradedElement(p, {(1, 0, 0, 0): a00, (0, 1, 0, 0): a10})
+    y_img = GradedElement(p, {(1, 0, 0, 0): a01, (0, 1, 0, 0): a11})
+    u_img = GradedElement(p, {(0, 0, 1, 0): a00, (0, 0, 0, 1): a10})
+    v_img = GradedElement(p, {(0, 0, 1, 0): a01, (0, 0, 0, 1): a11})
+
+    # x_pows[j] and y_pows[j] are the images of x^j and y^j, each built once
+    x_pows, y_pows = [GradedElement.one(p)], [GradedElement.one(p)]
+    for m in a.terms:
+        while len(x_pows) <= m[0]:
+            x_pows.append(x_pows[-1] * x_img)
+        while len(y_pows) <= m[1]:
+            y_pows.append(y_pows[-1] * y_img)
+
+    out: dict = {}
+    for (x, y, eu, ev), c in a.terms.items():
+        term = x_pows[x] * y_pows[y]
+        if eu:
+            term = term * u_img
+        if ev:
+            term = term * v_img
+        for m, tc in term.terms.items():
+            out[m] = out.get(m, 0) + c * tc
+    return GradedElement(p, out)

@@ -14,14 +14,13 @@ from qdp.dimfun import (
     qdp_obstruction_theorem_B,
     realize_as_representation,
 )
-from qdp.fixrank import TwoRowModule, euler_join, fix_rank, non_nilpotent
+from qdp.fixrank import TwoRowModule, fix_rank
 from qdp.groups import p_subgroups
 from qdp.steenrod import (
     GradedElement,
     bockstein,
     brute_force_zeta_proposition,
     invariants,
-    sl2_act,
     steenrod_power,
     theorem_C_driver,
 )
@@ -30,10 +29,13 @@ from fixtures import (
     dihedral,
     direct_product,
     elementary_abelian,
+    euler_join,
     generalized_quaternion,
     heisenberg,
     m_fold_join_model,
     modular_p3,
+    non_nilpotent,
+    sl2_act,
 )
 
 

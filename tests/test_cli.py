@@ -250,37 +250,34 @@ def test_theorem_c_without_asserts():
     assert json.loads(proc.stdout)["status"] == "unsat-certificate"
 
 
-# sha256 of the canonical JSON of the Qd(p) certificates.  The theorem-c
-# pins were taken from the brute-force Sylow scan and greedy closure of G
-# that the structural route replaced, which must reproduce them byte for
-# byte.  The theorem-b pins were retaken when route two was cut to the
-# center's G-orbit; THEOREM_B_OTHER_LEGS_SHA256 holds the rest of those
-# certificates to what they were before.  The theorem-b pins at p = 13, 19
-# and 31 were taken with the |G|-entry action table that Qd(p) arithmetic
-# on 2x2 matrices replaced
+# sha256 of the canonical JSON of the Qd(p) certificates, retaken when the
+# theorem-b join leg became an assumed input, the theorem-c Bockstein leg
+# became one computed product and every assumed leg gained a reference;
+# THEOREM_B_OTHER_LEGS_SHA256 holds the rest of the theorem-b certificates
+# to what they were before
 CANONICAL_SHA256 = {
     ("theorem-b", "--p", "3"):
-        "6d428d64ea054107cf335e440a59c7cea5d39221538be63590146c1108fbce4d",
+        "02c2fc04c9b2195d16ef3bdcc9374835d4026760580c2843cce8a20f44030165",
     ("theorem-b", "--p", "5"):
-        "cfe928c7789c1c154bbc0139473b26ff4d098f8b40e09c6382b5eb5f5d7b4c64",
+        "4e818488f5ff2e327dc28b0e7c666b0d775cb5f6681aa857dcef13d3f665bd86",
     ("theorem-b", "--p", "7", "--max-order", "16464"):
-        "fe837d11090b0f9ca8f9af57ce35b92300987bfdb5fd99f59451fd2e2e32edee",
+        "e4fc24cf88619e7ff57d84bffc65c5bbdf3461bec3c14e2afc58295aae3468a1",
     ("theorem-b", "--p", "11", "--max-order", "159720"):
-        "21746112ad000bc0709b8660b35c42c1a90efc9e84defeec7a942dad2a6bc23c",
+        "7c42f79eadcc5ff46de980688f6cf3313af85ca26dba8f7d40232baea3f1de10",
     ("theorem-b", "--p", "13", "--max-order", "369096"):
-        "db15926e7dd4417214c9bdee2eb2a099e57db2224eaed5211e830a34be4894da",
+        "58263b98b74a5387c2972d7789ec31c04a5641f8ff2de5b5f770a1a46967887c",
     ("theorem-b", "--p", "19", "--max-order", "2469240"):
-        "7f93989a6c93e32f71e9bff5bd24004f16c18431e0e6b1e526c28f9b26da6039",
+        "d0c87a9f1b0dc9439c64792ee5d561ffba934e310c865c316da27495a5e14faf",
     ("theorem-b", "--p", "31", "--max-order", "28599360"):
-        "e7ad5263014bcc2feacc721cea702d6f4e13138954f5f1dca9b1d96663ecbf7b",
+        "9d00e6fbbc2e232a09076ee52a2711f1e9b1d67a8757dda23566fb2542380a49",
     ("theorem-c", "--p", "3"):
-        "c885560e407a9431fb8056447a6972ad9d6e938911a86f2d2acff9b84e4525f9",
+        "4f5d95d4c0b79ce2eaea9f21d8ad836a0ae9d3d679524471e1bf45dcc2588fae",
     ("theorem-c", "--p", "5", "--k-list", "6,12"):
-        "f972644aa974f8fe67c8747b8e66f54e59d62d422cd0c9fa4d4cfd236670d5f1",
+        "c754291c3fca66e6961718a82294a6396d7135c77797f1000be2e9a22cd3376b",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(CANONICAL_SHA256))
+@pytest.mark.parametrize("argv", sorted(CANONICAL_SHA256), ids=" ".join)
 def test_qdp_certificates_are_pinned(capsys, argv):
     code, report = run_json(capsys, *argv)
     assert code == EXIT_OK
@@ -289,25 +286,28 @@ def test_qdp_certificates_are_pinned(capsys, argv):
 
 
 # sha256 of the canonical theorem-b JSON with the details of the
-# effectiveness-constraints leg removed, taken while route two still built
-# the G-orbit of every class of cyclic subgroups of the Sylow subgroup:
-# the status, the witness and every other leg must not move
+# effectiveness-constraints leg and the three legs after constraint-unsat
+# removed, taken while the join leg still squared zeta: the status, the
+# witness and every other leg must not move
 THEOREM_B_OTHER_LEGS_SHA256 = {
     ("theorem-b", "--p", "3"):
-        "def4daecaf99ee54a90ade717922483305ac6e7e7cb379e13b38c56e71ec8748",
+        "68e6483d47a3e997c9d37a2a552245c7c6af987db5ebf3a82f8c22f72da860d7",
     ("theorem-b", "--p", "5"):
-        "1228da07f60772cd5ffb9e932717a298dc31f21a749792dee5d67ef71e38fc44",
+        "08b583cbd942340ac8870b55eaa78c1c72731bacdf1b2d365d928b974e8ed166",
     ("theorem-b", "--p", "7", "--max-order", "16464"):
-        "24608e1bcb5cb63d127ab319e67bc276aaca97c220da581238d17b706050b741",
+        "7fa75a268a53adbfaac2a1c4070f1760cb7f908c5ae7b8c31c28e961c9ab2a68",
     ("theorem-b", "--p", "11", "--max-order", "159720"):
-        "9673ddceb4600f0253b346a4c6dd396bea832cba0e894b75d1e3ef9b2a4c6ce2",
+        "98627c6b9cdd18b3d01f4e7ba0a448a6a249010fe29a2a3c01de3fc2ead271d7",
 }
+THEOREM_B_INPUT_LEGS = {"main-theorem-input", "effectiveness-input",
+                        "join-preserves-effectiveness"}
 
 
-@pytest.mark.parametrize("argv", sorted(THEOREM_B_OTHER_LEGS_SHA256))
+@pytest.mark.parametrize("argv", sorted(THEOREM_B_OTHER_LEGS_SHA256), ids=" ".join)
 def test_theorem_b_outside_route_two_is_pinned(capsys, argv):
     code, report = run_json(capsys, *argv)
     assert code == EXIT_OK
+    report["legs"] = [l for l in report["legs"] if l["name"] not in THEOREM_B_INPUT_LEGS]
     (leg,) = [l for l in report["legs"] if l["name"] == "effectiveness-constraints"]
     del leg["details"]
     digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
@@ -433,9 +433,22 @@ def test_theorem_c_failed_leg_is_refuted(capsys, monkeypatch):
 
 
 def test_invariant_check_failure_is_domain_error(capsys, monkeypatch):
-    monkeypatch.setattr("qdp.steenrod.sl2_act", lambda A, a: a * 2)
+    import qdp.steenrod as steenrod
+    forms = steenrod._invariant_forms
+    monkeypatch.setattr(steenrod, "_invariant_forms",
+                        lambda p: (forms(p)[0], forms(p)[1] * 2))
     assert main(["steenrod-check", "--p", "3"]) == EXIT_DOMAIN
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: zeta != x y^3 - x^3 y")
+
+
+def test_theorem_c_bockstein_leg_is_checked(capsys, monkeypatch):
+    monkeypatch.setattr("qdp.steenrod.bockstein", lambda a: GradedElement.zero(a.p))
+    code, report = run_json(capsys, "theorem-c", "--p", "3", "--k-list", "4")
+    assert code == EXIT_REFUTED
+    assert report["status"] == "refuted"
+    refuted = [leg["name"] for leg in report["legs"] if leg["status"] == "refuted"]
+    assert refuted == ["integral-k-invariants"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -741,15 +754,19 @@ def test_tau_commands_without_asserts(capsys, command):
     assert canonical_json(json.loads(proc.stdout)) == canonical_json(plain)
 
 
-def test_theorem_b_join_leg_is_checked(capsys, monkeypatch):
-    monkeypatch.setattr("qdp.fixrank.non_nilpotent", lambda e: False)
-    code, report = run_json(capsys, "theorem-b", "--p", "3")
-    assert code == EXIT_REFUTED
-    assert report["status"] == "refuted"
-    legs = {leg["name"]: leg["status"] for leg in report["legs"]}
-    assert legs["join-preserves-effectiveness"] == "refuted"
-    assert legs["constraint-unsat"] == "verified"
-    assert "Traceback" not in capsys.readouterr().err
+@pytest.mark.parametrize("command, names", [
+    ("theorem-b", THEOREM_B_INPUT_LEGS),
+    ("theorem-c", {"invariant-subring-input", "orbit-space-finiteness-input"}),
+], ids=["theorem-b", "theorem-c"])
+def test_assumed_legs_are_named_inputs(capsys, command, names):
+    # a leg the driver does not compute names the fact it stands for and its source
+    code, report = run_json(capsys, command, "--p", "3")
+    assert code == EXIT_OK
+    assumed = {leg["name"]: leg["details"] for leg in report["legs"]
+               if leg["status"] == "assumed"}
+    assert set(assumed) == names
+    for details in assumed.values():
+        assert details["statement"] and details["reference"]
 
 
 def test_budget_exit_code(capsys):

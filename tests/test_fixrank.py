@@ -11,11 +11,9 @@ from qdp.errors import InvalidModel, MalformedInput, NoWitnessFound
 from qdp.fixrank import (
     FixResult,
     TwoRowModule,
-    euler_join,
     fix_rank,
     module_bockstein,
     module_power,
-    non_nilpotent,
     TwoRowLocalElement,
 )
 from qdp.steenrod import (
@@ -25,7 +23,13 @@ from qdp.steenrod import (
     invariants,
     rank_one_power,
 )
-from fixtures import fix_join_rule, join_model, m_fold_join_model
+from fixtures import (
+    euler_join,
+    fix_join_rule,
+    join_model,
+    m_fold_join_model,
+    non_nilpotent,
+)
 
 
 # ---------------------------------------------------------------------------

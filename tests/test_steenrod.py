@@ -38,10 +38,10 @@ from qdp.steenrod import (
     rank_one_monomial_from_string,
     rank_one_monomial_to_string,
     rank_one_power,
-    sl2_act,
     steenrod_power,
     theorem_C_driver,
 )
+from fixtures import sl2_act
 
 P = 3
 
@@ -235,8 +235,8 @@ def test_invariant_degrees():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_invariants_are_fixed_by_the_unipotent_generators(p):
-    # the substitution check `invariants` ran before the Dickson relation
-    # replaced it for xi; u+ and u- generate SL2(p)
+    # the substitution check `invariants` ran before the Frobenius argument
+    # replaced it; u+ and u- generate SL2(p)
     inv = invariants(p)
     for g in (((1, 1), (0, 1)), ((1, 0), (1, 1))):
         assert sl2_act(g, inv.xi) == inv.xi
@@ -656,14 +656,15 @@ def test_lucas_range_is_the_nonzero_binomials():
 def test_quotient_finite_dimensional():
     inv = invariants(P)
     for s in (1, 2, 3):
-        assert not quotient_finite_dimensional(IdealHandle([inv.zeta ** s]))
-    assert not quotient_finite_dimensional(IdealHandle([x * x]))
+        assert not quotient_finite_dimensional(inv.zeta ** s)
+    assert not quotient_finite_dimensional(x * x)
+    assert not quotient_finite_dimensional(GradedElement.zero(P))
     # a constant is both a pure x-power and a pure y-power: the unit ideal
-    assert quotient_finite_dimensional(IdealHandle([GradedElement.one(P)]))
-    # only principal ideals with a polynomial generator are decided
-    for gens in ([x, y], [x * x, x * y], [u * v]):
+    assert quotient_finite_dimensional(GradedElement.one(P))
+    # only a generator in F_p[x, y] is decided
+    for theta in (u, u * v, x + u):
         with pytest.raises(MalformedInput):
-            quotient_finite_dimensional(IdealHandle(gens))
+            quotient_finite_dimensional(theta)
 
 
 def test_theorem_c_driver():

@@ -106,17 +106,19 @@ def test_cli_import_leaves_out_argparse():
 DATA = SRC / "data"
 
 
-@pytest.mark.parametrize("command", ["borel-smith", "realize"])
-def test_tau_commands_leave_out_steenrod(command):
-    # theorem-b is not in this list: its join leg takes zeta from qdp.steenrod
+TAU_FILES = ["--group", str(DATA / "group_e9.json"), "--tau", str(DATA / "tau_regular_e9.json")]
+
+
+@pytest.mark.parametrize("argv", [["borel-smith", *TAU_FILES], ["realize", *TAU_FILES],
+                                  ["theorem-b", "--p", "3"]], ids=lambda argv: argv[0])
+def test_tau_commands_leave_out_steenrod(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    argv = [command, "--group", str(DATA / "group_e9.json"),
-            "--tau", str(DATA / "tau_regular_e9.json")]
     code = (f"import sys, qdp.cli; code = qdp.cli.main({argv!r}); "
-            "print(code, 'qdp.steenrod' in sys.modules, file=sys.stderr)")
+            "print(code, 'qdp.steenrod' in sys.modules, 'qdp.fixrank' in sys.modules, "
+            "file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.stderr.strip().splitlines()[-1] == "0 False", proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "0 False False", proc.stderr
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
