@@ -68,12 +68,12 @@ class TwoRowModule:
             lam, a = self.differential
             if lam % p == 0:
                 raise InvalidModel("differential coefficient must be a unit")
-            want = n + 1 if p == 2 else (n + 1) / 2
+            want = n + 1 if p == 2 else (n + 1) // 2
             if p != 2 and (n + 1) % 2:
                 raise InvalidModel(
                     "no polynomial-part target in odd degree: for odd p a "
                     "nonzero differential needs odd fiber degree")
-            if a != int(want):
+            if a != want:
                 raise InvalidModel(f"differential exponent must be {want}")
         top = self.n if p == 2 else n // 2
         for i, (c0, cn) in self.powers.items():

@@ -37,7 +37,8 @@ Mono = tuple[int, int, int, int]  # (a, b, eu, ev): x^a y^b u^eu v^ev
 class _SparseElement:
     """Sparse F_p combination of monomials, `terms` mapping a monomial to a
     nonzero coefficient in 1..p-1.  A subclass names its unit monomial
-    `_ONE` and supplies `_valid(p, m)`, the degree `_degree_of(m)` of one
+    `_ONE` and the slots `_EXTERIOR` of a monomial that hold exterior
+    exponents, and supplies `_valid(p, m)`, the degree `_degree_of(m)` of one
     monomial and the coefficient dict `_product(other)` of a product."""
 
     __slots__ = ("p", "terms")
@@ -89,9 +90,20 @@ class _SparseElement:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """Binary powering, except that a base of two polynomial terms
+        A + B expands by the binomial theorem: they commute, so
+        (A + B)^k = sum_i C(k, i) A^i B^(k-i), and a monomial power scales
+        its exponents."""
         if k < 0:
             raise MalformedInput(f"negative exponent {k}")
-        out, base = self.one(self.p), self
+        p = self.p
+        if len(self.terms) == 2 and self.is_polynomial():
+            (ma, ca), (mb, cb) = self.terms.items()
+            return type(self)(p, {
+                tuple(ea * i + eb * (k - i) for ea, eb in zip(ma, mb)):
+                    coef * pow(ca, i, p) * pow(cb, k - i, p)
+                for i, coef in _lucas_range(k, 0, k, p)})
+        out, base = self.one(p), self
         while k:
             if k & 1:
                 out = out * base
@@ -110,6 +122,10 @@ class _SparseElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_polynomial(self) -> bool:
+        """No monomial has an exterior factor (the `_EXTERIOR` slots)."""
+        return not any(m[j] for m in self.terms for j in self._EXTERIOR)
+
     def degree(self) -> int:
         """Degree of a homogeneous element (0 for the zero element)."""
         if not self.terms:
@@ -125,6 +141,7 @@ class GradedElement(_SparseElement):
 
     __slots__ = ()
     _ONE = (0, 0, 0, 0)
+    _EXTERIOR = (2, 3)
 
     @staticmethod
     def _valid(p: int, m: Mono) -> bool:
@@ -148,9 +165,6 @@ class GradedElement(_SparseElement):
     def monomial(p: int, a: int, b: int, eu: int = 0, ev: int = 0,
                  coeff: int = 1) -> "GradedElement":
         return GradedElement(p, {(a, b, eu, ev): coeff})
-
-    def is_polynomial(self) -> bool:
-        return all(m[2] == 0 and m[3] == 0 for m in self.terms)
 
 
 def bockstein(a: GradedElement) -> GradedElement:
@@ -699,6 +713,7 @@ class RankOneElement(_SparseElement):
 
     __slots__ = ()
     _ONE = (0, 0)
+    _EXTERIOR = (0,)
 
     @staticmethod
     def _valid(p: int, m: tuple[int, int]) -> bool:

@@ -64,7 +64,7 @@ REPORT_KEYS = {"schema", "command", "statement", "status", "legs", "witness",
                "timing_ms"}
 
 
-@pytest.mark.parametrize("argv", [
+ONE_PER_SUBCOMMAND = [
     ["theorem-b", "--p", "3"],
     ["theorem-c", "--p", "3", "--k-list", "4"],
     ["borel-smith", "--group", data_path("group_e9.json"),
@@ -74,7 +74,10 @@ REPORT_KEYS = {"schema", "command", "statement", "status", "legs", "witness",
     ["fix-rank", "--model", data_path("model_rotation_p3.json")],
     ["steenrod-check", "--p", "3"],
     ["prop-zeta", "--p", "3", "--k", "4"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", ONE_PER_SUBCOMMAND, ids=lambda argv: argv[0])
 def test_one_report_shape(capsys, argv):
     code, report = run_json(capsys, *argv)
     assert code == EXIT_OK
@@ -813,3 +816,71 @@ def test_non_prime_p_is_one_domain_error(capsys, argv, p):
     # is checked first
     assert main(argv + ["--p", p]) == EXIT_DOMAIN
     assert capsys.readouterr().err == f"error: {p} is not prime\n"
+
+
+def test_differential_exponent_message_is_an_integer(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"p": 7, "n": 5, "differential": {"lambda": 1, "a": 2}}))
+    assert main(["fix-rank", "--model", str(model)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: differential exponent must be 3\n"
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `run` freezes the start-up heap, `main` never does
+
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
+
+
+def test_main_never_freezes(capsys):
+    import gc
+    before = gc.get_freeze_count()
+    for _ in range(5):
+        for argv in (["steenrod-check", "--p", "3"], ["--version"],
+                     ["fix-rank", "--model", data_path("model_rotation_p3.json")],
+                     ["theorem-b", "--p", "x"]):
+            main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", ONE_PER_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_process_entry_matches_main(capsys, argv):
+    argv = argv + ["--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    code, out = run(capsys, *argv)
+    assert proc.returncode == code, proc.stderr
+    child, here = json.loads(proc.stdout), json.loads(out)
+    del child["timing_ms"], here["timing_ms"]
+    assert json.dumps(child, sort_keys=True) == json.dumps(here, sort_keys=True)
+
+
+def test_process_entry_freezes():
+    script = ("import gc, runpy, sys\n"
+              "sys.argv = ['qdp', '--version']\n"
+              "try:\n"
+              "    runpy.run_module('qdp.cli', run_name='__main__')\n"
+              "except SystemExit as exc:\n"
+              "    print(exc.code, gc.get_freeze_count())\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    version, last = proc.stdout.splitlines()
+    code, frozen = last.split()
+    assert version == qdp.__version__ and code == str(EXIT_OK) and int(frozen) > 0
+
+
+def test_script_is_the_main_block_entry():
+    import ast
+    tomllib = pytest.importorskip("tomllib")
+    import qdp.cli
+    tree = ast.parse(Path(qdp.cli.__file__).read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    called = stmt.value.func.id
+    pyproject = Path(qdp.__file__).resolve().parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts["qdp"] == f"qdp.cli:{called}"
+    assert callable(getattr(qdp.cli, called)) and called != "main"

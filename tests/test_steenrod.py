@@ -127,6 +127,22 @@ def test_power_is_repeated_product(e, k):
     assert e ** k == prod
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_binomial_power_is_repeated_product(p):
+    """Two-term polynomial bases take the binomial route, in both algebras;
+    the rest (an exterior term, three terms) keep binary powering."""
+    gx, gy = GradedElement.monomial(p, 1, 0), GradedElement.monomial(p, 0, 1)
+    gu = GradedElement.monomial(p, 0, 0, 1, 0)
+    t = RankOneElement.monomial(p, 0, 1)
+    bases = [gx + gy, 2 * gx * gy ** p - gx ** p * gy, gx ** 3 + (p - 1) * gy ** 2,
+             t + RankOneElement.monomial(p, 0, -2, 3), gx + gu, gx + gy + gx * gy]
+    for base in bases:
+        prod = base.one(p)
+        for k in range(2 * p + 3):
+            assert base ** k == prod, (base.terms, k)
+            prod = prod * base
+
+
 def test_negative_power_rejected():
     with pytest.raises(MalformedInput):
         x ** -1

@@ -252,3 +252,30 @@ def test_qdp_set_up_allocates_less_than_the_group():
         tracemalloc.stop()
     assert G.order == 28599360
     assert peak < 32 * 2 ** 20, f"construct_qdp(31) peaked at {peak / 2 ** 20:.1f} MB"
+
+
+def _bench_record():
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_diff_reports_each_metric():
+    def record(digest, batch, ratio):
+        return {"workloads": {"zeta": {
+            "canonical_sha256": digest, "commit": "c", "src_qdp_lines": 1,
+            "result": {"metrics": {"batch_s": {"value": batch, "unit": "s"},
+                                   "pass_ratio": {"value": ratio, "unit": "ratio"}}}}}}
+
+    lines = _bench_record().diff(record("aa", 2.0, 1.0), record("aa", 1.5, 1.0))
+    assert lines == [
+        "fusion  not in both records",
+        "zeta    batch_s          2.000000 ->     1.500000 s       -25.0%",
+        "zeta    pass_ratio       1.000000 ->     1.000000 ratio    +0.0%",
+        "corpus  not in both records"]
+    lines = _bench_record().diff(record("aa", 0.0, 1.0), record("bb", 0.5, 1.0))
+    assert lines[1] == "zeta    canonical_sha256 aa -> bb"
+    assert lines[2].endswith("     n/a")
