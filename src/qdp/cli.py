@@ -27,7 +27,14 @@ import time
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import BudgetError, MalformedInput, QdpError, ascii_int, json_int
+from .errors import (
+    DEFAULT_DEGREE_BUDGET,
+    BudgetError,
+    MalformedInput,
+    QdpError,
+    ascii_int,
+    json_int,
+)
 from .groups import DEFAULT_MAX_ORDER, group_from_json, p_subgroups
 from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport
 
@@ -46,11 +53,6 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
-
-
-def _default_budget() -> int:
-    from .steenrod import DEFAULT_DEGREE_BUDGET
-    return DEFAULT_DEGREE_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +173,15 @@ def _cmd_prop_zeta(args) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # One table names each subcommand's handler, help line and flags.  A flag is
 # (name, type, default, least, help): the type is int, str or a tuple of
-# choices; the default is a value, _REQUIRED or a function that gives it (called
-# only when the flag is absent); least, if not None, bounds an integer below.
+# choices; the default is a value or _REQUIRED; least, if not None, bounds an
+# integer below.
 
 _REQUIRED = object()
 _P = ("--p", int, _REQUIRED, None, "the prime p")
 _MAX_ORDER = ("--max-order", int, DEFAULT_MAX_ORDER, 1, "largest group order to build")
 _GROUP = ("--group", str, _REQUIRED, None, "group JSON file")
 _TAU = ("--tau", str, _REQUIRED, None, "super class function JSON file")
-_BUDGET = ("--budget", int, _default_budget, 0, "degree budget for linear algebra")
+_BUDGET = ("--budget", int, DEFAULT_DEGREE_BUDGET, 0, "degree budget for linear algebra")
 _FORMAT = ("--format", ("text", "json"), "text", None, "report format")
 _K_LIST = ("--k-list", str, None, None, "comma-separated distinct integers k >= 1, each "
            "checking n = 2k - 1, e.g. 4,8,12; an empty item (as in 4,,8) is malformed")
@@ -219,8 +221,7 @@ def _help(command: str | None) -> str:
         if least is not None:
             helptext += f", at least {least}"
         if default is not None:
-            helptext += " (required)" if default is _REQUIRED else \
-                f" (default {default() if callable(default) else default})"
+            helptext += " (required)" if default is _REQUIRED else f" (default {default})"
         lines.append(f"  {name} {kind}  {helptext}")
     return "\n".join(lines)
 
@@ -264,8 +265,8 @@ def parse_args(argv: list[str]):
     missing = [name for name, value in values.items() if value is _REQUIRED]
     if missing:
         raise MalformedInput(f"the following arguments are required: {', '.join(missing)}")
-    return handler, SimpleNamespace(**{name[2:].replace("-", "_"): value() if callable(value)
-                                       else value for name, value in values.items()})
+    return handler, SimpleNamespace(**{name[2:].replace("-", "_"): value
+                                       for name, value in values.items()})
 
 
 def main(argv=None) -> int:

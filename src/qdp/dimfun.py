@@ -36,7 +36,6 @@ from .groups import (
     conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
-    cyclic_subgroups,
     is_conjugate,
     is_normal_in,
     qdp_generators,
@@ -303,13 +302,14 @@ def qdp_obstruction_theorem_B(p: int,
     """Certificate that no dimension function compatible with a p-effective
     Euler class exists on Qd(p), p odd.
 
-    Route one finds a fusion witness g conjugating the Sylow center onto a
-    non-central cyclic subgroup.  Route two encodes the effectiveness
-    constraints (value 0 exactly at the center among nontrivial cyclic
-    subgroups of the Sylow): only the center's G-class holds a subgroup
-    constrained to 0, so the clash is another cyclic subgroup of the
-    Sylow in the center's G-orbit.  The two routes must agree.  The facts
-    the chain rests on are `assumed` legs that name their source.
+    Route two encodes the effectiveness constraints (value 0 exactly at the
+    center among nontrivial cyclic subgroups of the Sylow): only the
+    center's G-class holds a subgroup constrained to 0, so the clash is
+    another cyclic subgroup of the Sylow in the center's G-orbit.  Route
+    one confirms it: a fusion witness g, found by a scan of G that does not
+    use the generators, conjugates the center onto the first such subgroup
+    and is checked.  The facts the chain rests on are `assumed` legs that
+    name their source.
     """
     if p == 2:
         raise EvenPrime("the obstruction needs p > 2")
@@ -329,15 +329,17 @@ def qdp_obstruction_theorem_B(p: int,
     if Z.order != p:
         return Certificate(name, claim, legs, {})
 
-    cycs = [C for C in cyclic_subgroups(P) if C.order > 1]
-
     # Z is the only subgroup constrained to 0, so its class is the only one
     # that can carry both constraints; it is Z's G-class only if the
-    # generators are shown to generate G
+    # generators are shown to generate G.  Conjugates of Z are cyclic of
+    # order p, so the cyclic subgroups of P in that class are the orbit
+    # members other than Z that lie in P: Z's mates, in member order
     gens, generated = qdp_generators(G)
-    orbit = {T.members for T in conjugacy_orbit(G, Z, gens)}
-    zkey = min(orbit)
-    unsat = any(C.members in orbit for C in cycs if C.members != Z.members)
+    orbit = conjugacy_orbit(G, Z, gens)
+    zkey = orbit[0].members
+    pset = set(P.members)
+    mates = [T for T in orbit if T.members != Z.members and pset.issuperset(T.members)]
+    unsat = bool(mates)
     classes = {
         "variables": [list(zkey)],
         "constraints": {str(list(zkey)): ["= 0", ">= 1"] if unsat else ["= 0"]},
@@ -349,14 +351,11 @@ def qdp_obstruction_theorem_B(p: int,
     legs.append(Leg("effectiveness-constraints", VERIFIED if generated else REFUTED,
                     classes))
 
-    # Z's orbit-mates first (a stable sort keeps the order of cycs), so the
-    # first hit is the first subgroup of cycs conjugate to Z; is_conjugate
-    # stays the independent check and the rest remain as a fallback
+    # route one confirms a mate: is_conjugate scans G without the generators,
+    # and conjugate_subgroup checks the conjugator it returns
     witness_g = None
     witness_c = None
-    for C in sorted(cycs, key=lambda C: C.members not in orbit):
-        if C.members == Z.members:
-            continue
+    for C in mates:
         g = is_conjugate(G, Z, C)
         if g is not None:
             witness_g, witness_c = g, C
@@ -370,21 +369,21 @@ def qdp_obstruction_theorem_B(p: int,
                       "subgroup of the Sylow was found and checked",
         }))
         return Certificate(name, claim, legs, {})
-    non_central = any(G.mul(x, y) != G.mul(y, x)
-                      for x in witness_c.members for y in P.members)
     legs.append(Leg("fusion-witness", VERIFIED, {
         "witness": witness_g,
         "witness_description": G.describe(witness_g),
         "conjugate_subgroup": list(witness_c.members),
-        "non_central_in_sylow": non_central,
+        # Z is the center of P, so a subgroup of P outside it is not central
+        "non_central_in_sylow": not set(witness_c.members) <= set(Z.members),
     }))
 
-    agree = unsat and witness_c.members in orbit
-    legs.append(Leg("constraint-unsat", VERIFIED if agree else REFUTED, {
+    # witness_c is one of route two's mates, so the checked conjugator is
+    # the two routes' agreement on the clash
+    legs.append(Leg("constraint-unsat", VERIFIED, {
         "unsat": unsat,
-        "clash_classes": [list(zkey)] if unsat else [],
+        "clash_classes": [list(zkey)],
         "forced_equal_values": [list(Z.members), list(witness_c.members)],
-        "agrees_with_witness_route": agree,
+        "agrees_with_witness_route": True,
     }))
 
     # the facts the chain rests on, which this driver does not compute

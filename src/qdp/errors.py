@@ -21,6 +21,10 @@ class BudgetError(QdpError):
     """A configured degree budget was exhausted."""
 
 
+# the degree budget when none is configured (the CLI's --budget default)
+DEFAULT_DEGREE_BUDGET = 200
+
+
 def json_int(value, field: str) -> int:
     """A JSON integer field as is.  A float, bool, string or anything else is
     malformed input: truncating 4.7 to 4 or reading true as 1 would certify

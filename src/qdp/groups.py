@@ -18,7 +18,6 @@ by scanning all of G.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 from .errors import (
@@ -494,27 +493,6 @@ def _unique_prime(n: int) -> int:
                 raise SizeGuard(f"order {n} is not a prime power")
             return p
     raise SizeGuard("trivial group has no prime")
-
-
-def cyclic_subgroups(P: Subgroup) -> list[Subgroup]:
-    """The cyclic subgroups of P, sorted by (order, members).  <g> is the
-    powers of g; its generators are the g^k with k prime to |g|, so those
-    members are skipped once <g> is found."""
-    G = P.group
-    found = []
-    generators: set[int] = set()
-    for g in P.members:
-        if g in generators:
-            continue
-        powers = [G.identity]
-        x = g
-        while x != G.identity:
-            powers.append(x)
-            x = G.mul(x, g)
-        n = len(powers)
-        generators.update(powers[k] for k in range(1, n) if math.gcd(k, n) == 1)
-        found.append(tuple(sorted(powers)))
-    return [Subgroup(G, k) for k in sorted(found, key=lambda t: (len(t), t))]
 
 
 def is_conjugate(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int | None:

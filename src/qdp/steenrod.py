@@ -18,6 +18,7 @@ import math
 from collections.abc import Sequence
 
 from .errors import (
+    DEFAULT_DEGREE_BUDGET,
     CompositeP,
     DegreeBudget,
     EvenPrime,
@@ -28,8 +29,6 @@ from .errors import (
     ascii_int,
 )
 from .groups import DEFAULT_MAX_ORDER, is_prime
-
-DEFAULT_DEGREE_BUDGET = 200
 
 Mono = tuple[int, int, int, int]  # (a, b, eu, ev): x^a y^b u^eu v^ev
 

@@ -1,14 +1,16 @@
 """Fixtures and references that only the tests use: named small groups as
 Cayley tables, the paper's m-fold fiber-join models and their Euler
 classes, the generic order-p generation check that the Qd(p) route is
-compared against, and the SL2(p) substitution action that the invariants
-are checked against."""
+compared against, the cyclic subgroups of a p-group that theorem-b's
+center orbit is compared against, and the SL2(p) substitution action that
+the invariants are checked against."""
 
 import itertools
+import math
 
 from qdp.errors import InvalidModel, MalformedInput, NotUnimodular
 from qdp.fixrank import TwoRowModule
-from qdp.groups import FiniteGroup, TableGroup, greedy_generators
+from qdp.groups import FiniteGroup, Subgroup, TableGroup, greedy_generators
 from qdp.steenrod import GradedElement
 
 
@@ -91,7 +93,7 @@ def modular_p3(p: int) -> TableGroup:
 
 
 # ---------------------------------------------------------------------------
-# generation by order-p elements, for any group
+# generation by order-p elements and cyclic subgroups, for any group
 
 def generic_generation_by_order_p(G: FiniteGroup, p: int) -> tuple[bool, list[int]]:
     """Does the closure of the order-p elements give all of G?  Returns the
@@ -99,6 +101,27 @@ def generic_generation_by_order_p(G: FiniteGroup, p: int) -> tuple[bool, list[in
     witnesses = [a for a in G.elements() if G.element_order(a) == p]
     _, closure = greedy_generators(G, witnesses)
     return len(closure) == G.order, witnesses
+
+
+def cyclic_subgroups(P: Subgroup) -> list[Subgroup]:
+    """The cyclic subgroups of P, sorted by (order, members).  <g> is the
+    powers of g; its generators are the g^k with k prime to |g|, so those
+    members are skipped once <g> is found."""
+    G = P.group
+    found = []
+    generators: set[int] = set()
+    for g in P.members:
+        if g in generators:
+            continue
+        powers = [G.identity]
+        x = g
+        while x != G.identity:
+            powers.append(x)
+            x = G.mul(x, g)
+        n = len(powers)
+        generators.update(powers[k] for k in range(1, n) if math.gcd(k, n) == 1)
+        found.append(tuple(sorted(powers)))
+    return [Subgroup(G, k) for k in sorted(found, key=lambda t: (len(t), t))]
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,12 @@ from qdp.errors import (
     ShapeMismatch,
 )
 from qdp.groups import (
+    QdpGroup,
     Subgroup,
     center,
     conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
-    cyclic_subgroups,
     is_normal_in,
     p_subgroups,
     qdp_generators,
@@ -46,6 +46,7 @@ from qdp.groups import (
 )
 from fixtures import (
     cyclic,
+    cyclic_subgroups,
     dihedral,
     direct_product,
     elementary_abelian,
@@ -626,9 +627,9 @@ def test_theorem_b_certificates():
         assert set(C.members) <= set(P.members)
 
 
-# (conjugator, center, conjugate): the search returns the first subgroup in
-# cyclic_subgroups order that is conjugate to the center, and the first
-# conjugator in index order
+# (conjugator, center, conjugate): the conjugate is the first member of the
+# center's G-orbit, in member order, that lies in the Sylow subgroup other
+# than the center, and the conjugator is the first in index order
 THEOREM_B_WITNESSES = {
     3: (12, [6, 102, 198], [6, 30, 54]),
     5: (40, [20, 740, 1460, 2180, 2900], [20, 140, 260, 380, 500]),
@@ -708,6 +709,37 @@ def test_theorem_b_takes_two_orbits(monkeypatch):
         G = construct_qdp(p, max_order=p ** 3 * (p * p - 1))
         assert cert.status == "unsat-certificate"
         assert calls == [(p * G.nmat + G.identity,), tuple(cert.witness["center"])]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_theorem_b_failed_generation_is_refuted(monkeypatch, p):
+    # the orbit under unproven generators may be smaller than Z's G-class,
+    # so the certificate must not stand on it
+    import qdp.dimfun
+    real = qdp.dimfun.qdp_generators
+    monkeypatch.setattr(qdp.dimfun, "qdp_generators", lambda G: (real(G)[0], False))
+    cert = qdp_obstruction_theorem_B(p, max_order=p ** 3 * (p * p - 1))
+    legs = {leg.name: leg for leg in cert.legs}
+    assert cert.status == "refuted"
+    assert legs["effectiveness-constraints"].status == "refuted"
+    assert "not shown to generate" in legs["effectiveness-constraints"].details["reason"]
+
+
+def test_theorem_b_mul_guard(monkeypatch):
+    # route one tries only the center's orbit members inside P; listing the
+    # cyclic subgroups of P or testing commutators over witness x P would
+    # exceed the bound
+    real = QdpGroup.mul
+    calls = [0]
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(QdpGroup, "mul", counted)
+    cert = qdp_obstruction_theorem_B(19, max_order=19 ** 3 * 360)
+    assert cert.status == "unsat-certificate"
+    assert calls[0] < 50_000
 
 
 def test_theorem_b_rejects_two():

@@ -14,7 +14,6 @@ from qdp.groups import (
     center,
     conjugate_subgroup,
     construct_qdp,
-    cyclic_subgroups,
     derived_subgroup,
     generating_set,
     greedy_generators,
@@ -31,6 +30,7 @@ from qdp.groups import (
 )
 from fixtures import (
     cyclic,
+    cyclic_subgroups,
     dihedral,
     direct_product,
     elementary_abelian,

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import qdp
+from qdp import cli
 from qdp.groups import construct_qdp
 
 SRC = Path(qdp.__file__).resolve().parent
@@ -119,6 +120,19 @@ def test_tau_commands_leave_out_steenrod(argv):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.stderr.strip().splitlines()[-1] == "0 False False", proc.stderr
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_loads_no_subcommand_module(command):
+    # help reads the flag table alone; a default that needs a subcommand
+    # module would load it on every run of the command
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (f"import sys, qdp.cli; code = qdp.cli.main([{command!r}, '--help']); "
+            "print(code, sorted({'qdp.steenrod', 'qdp.dimfun', 'qdp.characters', "
+            "'qdp.fixrank'} & set(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr.strip().splitlines()[-1] == "0 []", proc.stderr
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
