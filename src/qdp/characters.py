@@ -5,16 +5,18 @@ a linear character of some subgroup.  We induce the linear characters of
 the subgroups from the largest down, keep the norm-one results (genuine
 characters, so irreducible) until their squared degrees sum to |P|, which
 makes them the whole table, and certify it by sum-of-squares and exact
-pairwise orthogonality.  All values live in the ring of cyclotomic integers
-Z[zeta_e], e = exp(P), represented as integer vectors in the power basis of
-Z[x]/(Phi_e); no floating point anywhere.  The pairwise check evaluates the
-table in F_ell^phi(e) for a prime ell = 1 (mod e) above a bound on the
-inner products' coefficients, which keeps it exact (`_check_orthogonal`).
+pairwise orthogonality.  The linear characters of a subgroup H are the
+faithful characters of its cyclic quotients H/K, K running over the same
+subgroup list (`linear_characters`).  All values live in the ring of
+cyclotomic integers Z[zeta_e], e = exp(P), represented as integer vectors
+in the power basis of Z[x]/(Phi_e); no floating point anywhere.  The
+pairwise check evaluates the table in F_ell^phi(e) for a prime
+ell = 1 (mod e) above a bound on the inner products' coefficients, which
+keeps it exact (`_check_orthogonal`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from operator import mul
@@ -23,13 +25,10 @@ from .errors import DomainMismatch, IncompleteInduction, NonIntegral, NotPGroup,
 from .groups import (
     FiniteGroup,
     Subgroup,
-    TableGroup,
     _unique_prime,
-    derived_subgroup,
     element_conjugacy_classes,
+    is_normal_in,
     is_prime,
-    quotient_group,
-    subgroup_closure,
     subgroups_of_p_group,
     whole_group,
 )
@@ -177,31 +176,7 @@ class ElementClasses:
 
 
 # ---------------------------------------------------------------------------
-# linear characters via the abelianization
-
-def _restrict_group(Q: TableGroup, members: tuple[int, ...]) -> tuple[TableGroup, list[int]]:
-    idx = {m: i for i, m in enumerate(members)}
-    table = [[idx[Q.mul(a, b)] for b in members] for a in members]
-    return TableGroup(table), list(members)
-
-
-def _cyclic_decomposition(Q: TableGroup) -> list[tuple[int, int]]:
-    """Internal direct-product basis [(generator, order)] of an abelian p-group."""
-    if Q.order == 1:
-        return []
-    orders = [Q.element_order(a) for a in Q.elements()]
-    m = max(orders)
-    a = orders.index(m)
-    if m == Q.order:
-        return [(a, m)]
-    cyc = set(subgroup_closure(Q, [a]))
-    for B in subgroups_of_p_group(whole_group(Q)):
-        if B.order * m == Q.order and len(set(B.members) & cyc) == 1:
-            sub, mapping = _restrict_group(Q, B.members)
-            return [(a, m)] + [(mapping[g], o) for g, o in _cyclic_decomposition(sub)]
-    raise NotPGroup(f"order-{Q.order} group has no complement to a cyclic "
-                    "subgroup of largest order: not an abelian p-group")
-
+# linear characters from the subgroup lattice
 
 class LinearCharacter:
     """zeta_modulus^(exponent) valued homomorphism, stored by exponents."""
@@ -211,31 +186,34 @@ class LinearCharacter:
         self.exponents = exponents  # parent-group element -> exponent mod modulus
 
 
-def linear_characters(H: Subgroup) -> list[LinearCharacter]:
-    Q, coset_of = quotient_group(H, derived_subgroup(H))
-    basis = _cyclic_decomposition(Q)
-    mods = [m for _, m in basis]
-    exp_q = max(mods, default=1)
+def linear_characters(H: Subgroup, subgroups: Sequence[Subgroup]) -> list[LinearCharacter]:
+    """Every linear character of H, each once; `subgroups` must hold every
+    normal subgroup of H, as the subgroup list of a p-group containing H does.
 
-    coords: dict[int, tuple[int, ...]] = {}
-    for tup in itertools.product(*(range(m) for m in mods)):
-        g = Q.identity
-        for (b, _), k in zip(basis, tup):
-            g = Q.mul(g, Q.power(b, k))
-        coords[g] = tup
-    if len(coords) != Q.order:
-        raise IncompleteInduction(
-            f"cyclic basis reaches {len(coords)} of the {Q.order} elements of "
-            "the abelianization")
-
+    The image of a linear character is a finite subgroup of C^x, so its
+    kernel K is normal in H with H/K cyclic, and it is a faithful character
+    of H/K; conversely every faithful character of a cyclic H/K is linear on
+    H.  So each such K, with gK of order m = |H : K|, contributes
+    g^i k -> zeta_m^(i j) for each j prime to m."""
+    G = H.group
+    hset = set(H.members)
     out = []
-    for jtup in itertools.product(*(range(m) for m in mods)):
-        exps = {}
-        for h in H.members:
-            co = coords[coset_of[h]]
-            val = sum(j * k * (exp_q // m) for j, k, m in zip(jtup, co, mods))
-            exps[h] = val % exp_q
-        out.append(LinearCharacter(exp_q, exps))
+    for K in subgroups:
+        if not hset.issuperset(K.members) or not is_normal_in(K, H):
+            continue
+        m = H.order // K.order
+        kset = set(K.members)
+        for g in H.members:
+            powers = [G.identity]  # g^i for i below the order of gK
+            while (x := G.mul(powers[-1], g)) not in kset:
+                powers.append(x)
+            if len(powers) == m:
+                break
+        else:
+            continue  # H/K is not cyclic
+        exponents = {G.mul(x, k): i for i, x in enumerate(powers) for k in K.members}
+        out += [LinearCharacter(m, {h: i * j % m for h, i in exponents.items()})
+                for j in range(m) if math.gcd(j, m) == 1]
     return out
 
 
@@ -357,8 +335,10 @@ def induced_values(H: Subgroup, lam: LinearCharacter, classes: ElementClasses,
 
 def irreducible_characters(P: FiniteGroup,
                            subgroups: Sequence[Subgroup] = ()) -> list[Character]:
-    """The full irreducible character list, certified complete; `subgroups`,
-    all subgroups of P if given, saves enumerating them again."""
+    """The full irreducible character list, certified complete.  The
+    subgroups of P, enumerated here unless `subgroups` gives them, are both
+    where characters are induced from and the kernels their linear
+    characters are read off."""
     if P.order > 1:  # the trivial group counts as a p-group
         try:
             _unique_prime(P.order)
@@ -370,7 +350,7 @@ def irreducible_characters(P: FiniteGroup,
 
     subgroups = subgroups or subgroups_of_p_group(whole_group(P))
     inductions = ((H, lam) for H in sorted(subgroups, key=lambda S: -S.order)
-                  for lam in linear_characters(H))
+                  for lam in linear_characters(H, subgroups))
     seen: set[tuple] = set()
     irreducible = []
     squares = 0

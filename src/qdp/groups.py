@@ -1,11 +1,11 @@
 """Finite groups given by explicit multiplication, and their p-subgroup lattices.
 
 A group is a set of indexed elements 0..n-1 with a total multiplication.
-Groups read from JSON tables, and quotients, are stored as Cayley tables
-(the named small groups live with the tests); Qd(p) = (Z/p)^2 x| SL2(Z/p)
-is stored structurally (vector part + matrix part): a product is computed
-from two 2x2 matrices, and no table is larger than SL2(p), so set-up is
-O(p^3) and Qd(31), of order 28.6 million, costs a few MB.
+Groups read from JSON tables are stored as Cayley tables (the named small
+groups live with the tests); Qd(p) = (Z/p)^2 x| SL2(Z/p) is stored
+structurally (vector part + matrix part): a product is computed from two
+2x2 matrices, and no table is larger than SL2(p), so set-up is O(p^3) and
+Qd(31), of order 28.6 million, costs a few MB.
 
 Subgroups are sorted index tuples.  Enumeration is restricted to
 p-subgroups: every p-subgroup of G is conjugate into a fixed Sylow
@@ -154,9 +154,11 @@ class QdpGroup(FiniteGroup):
     `mats` itself, of size |SL2(p)|."""
 
     def __init__(self, p: int, max_order: int = DEFAULT_MAX_ORDER):
-        if not is_prime(p):
-            raise CompositeP(f"{p} is not prime")
         order = p ** 3 * (p * p - 1)
+        # `is_prime` divides up to sqrt(p); a p >= 2 with p^2 above the
+        # guard is refused by the guard without it, as |Qd(p)| > p^2
+        if (p < 2 or p * p <= max_order) and not is_prime(p):
+            raise CompositeP(f"{p} is not prime")
         if order > max_order:
             raise SizeGuard(
                 f"|Qd({p})| = {order} exceeds the guard {max_order}; "
@@ -586,23 +588,7 @@ def p_subgroups(G: FiniteGroup, p: int,
 
 
 # ---------------------------------------------------------------------------
-# quotients and normality
-
-def quotient_group(K: Subgroup, H: Subgroup) -> tuple[TableGroup, dict[int, int]]:
-    """Coset table of K/H (H normal in K) and the member -> coset map."""
-    G = K.group
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for k in K.members:
-        if k in coset_of:
-            continue
-        ci = len(reps)
-        reps.append(k)
-        for h in H.members:
-            coset_of[G.mul(k, h)] = ci
-    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
-    return TableGroup(table, name="quotient"), coset_of
-
+# normality
 
 def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
     """Whether every k in K has k H k^-1 = H.  Conjugation by k is an
@@ -618,31 +604,6 @@ def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
         if any(G.mul(G.mul(k, h), ki) not in hset for h in hgens):
             return False
     return True
-
-
-def derived_subgroup(H: Subgroup) -> Subgroup:
-    """[H, H], as the normal closure in H of the commutators of a (greedy)
-    generating set of H.  That closure N is normal with H/N abelian, since
-    the generators commute modulo N, and every commutator of H lies in
-    [H, H]; so N = [H, H].  N grows by each conjugate k n k^-1, k a
-    generator of H and n a generator of N, that falls outside it; once none
-    does, the k normalize N, and so does all of H."""
-    G = H.group
-    hgens = greedy_generators(G, H.members)[0]
-    pairs = [(k, G.inv(k)) for k in hgens]
-    ngens = [G.mul(G.mul(a, b), G.mul(ai, bi))
-             for i, (a, ai) in enumerate(pairs) for b, bi in pairs[i + 1:]]
-    members = set(subgroup_closure(G, ngens))
-    frontier = list(ngens)
-    while frontier:
-        n = frontier.pop()
-        for k, ki in pairs:
-            c = G.mul(G.mul(k, n), ki)
-            if c not in members:
-                ngens.append(c)
-                frontier.append(c)
-                members = set(subgroup_closure(G, ngens))
-    return Subgroup(G, tuple(members))
 
 
 def element_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:

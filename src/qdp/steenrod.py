@@ -606,17 +606,16 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
             "not covered here: the p = 2 case reduces to the known "
             "non-existence of free A4-actions on products of two equal "
             "dimensional spheres")
-    _check_odd_prime(p)
+    from .dimfun import generation_by_order_p, lefschetz_number
+    from .groups import construct_qdp
+
+    G = construct_qdp(p, max_order=max_order)  # tests p prime within the guard
     if k_list is None:
         k_list = [p + 1, 2 * (p + 1), 3 * (p + 1)]
     if not k_list or len(set(k_list)) < len(k_list):
         raise MalformedInput(f"k_list must name distinct k, got {list(k_list)}")
 
-    from .dimfun import generation_by_order_p, lefschetz_number
-    from .groups import construct_qdp
-
     legs = []
-    G = construct_qdp(p, max_order=max_order)
     generated, wit = generation_by_order_p(G, p)
     legs.append(Leg("order-p-generation", VERIFIED if generated else REFUTED, {
         "group_order": G.order, "order_p_elements": len(wit)}))

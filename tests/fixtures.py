@@ -2,15 +2,17 @@
 Cayley tables, the paper's m-fold fiber-join models and their Euler
 classes, the generic order-p generation check that the Qd(p) route is
 compared against, the cyclic subgroups of a p-group that theorem-b's
-center orbit is compared against, and the SL2(p) substitution action that
-the invariants are checked against."""
+center orbit is compared against, the quotient table that the Borel-Smith
+checker is compared against, the all-pairs commutator subgroup that the
+count of linear characters is checked against, and the SL2(p) substitution
+action that the invariants are checked against."""
 
 import itertools
 import math
 
 from qdp.errors import InvalidModel, MalformedInput, NotUnimodular
 from qdp.fixrank import TwoRowModule
-from qdp.groups import FiniteGroup, Subgroup, TableGroup, greedy_generators
+from qdp.groups import FiniteGroup, Subgroup, TableGroup, greedy_generators, subgroup_closure
 from qdp.steenrod import GradedElement
 
 
@@ -92,6 +94,19 @@ def modular_p3(p: int) -> TableGroup:
     return from_elements(elems, mul, name=f"M{p ** 3}")
 
 
+def wreath_3_3() -> TableGroup:
+    """Z/3 wr Z/3 = (Z/3)^3 x| Z/3, the generator of the top rotating the
+    coordinates: of order 81, with a derived subgroup of order 9 that the
+    commutator of its two generators alone does not generate."""
+    elems = list(itertools.product(range(3), repeat=4))
+
+    def mul(a, b):
+        k = a[3]
+        return tuple((a[i] + b[(i - k) % 3]) % 3 for i in range(3)) + ((k + b[3]) % 3,)
+
+    return from_elements(elems, mul, name="Z3wrZ3")
+
+
 # ---------------------------------------------------------------------------
 # generation by order-p elements and cyclic subgroups, for any group
 
@@ -122,6 +137,34 @@ def cyclic_subgroups(P: Subgroup) -> list[Subgroup]:
         generators.update(powers[k] for k in range(1, n) if math.gcd(k, n) == 1)
         found.append(tuple(sorted(powers)))
     return [Subgroup(G, k) for k in sorted(found, key=lambda t: (len(t), t))]
+
+
+# ---------------------------------------------------------------------------
+# quotients and commutators
+
+def quotient_group(K: Subgroup, H: Subgroup) -> tuple[TableGroup, dict[int, int]]:
+    """Coset table of K/H (H normal in K) and the member -> coset map."""
+    G = K.group
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for k in K.members:
+        if k in coset_of:
+            continue
+        ci = len(reps)
+        reps.append(k)
+        for h in H.members:
+            coset_of[G.mul(k, h)] = ci
+    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
+    return TableGroup(table, name="quotient"), coset_of
+
+
+def all_pairs_derived_subgroup(H: Subgroup) -> Subgroup:
+    """[H, H], as the subgroup generated by every commutator a b a^-1 b^-1
+    of H."""
+    G = H.group
+    return Subgroup(G, subgroup_closure(G, [
+        G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
+        for a in H.members for b in H.members]))
 
 
 # ---------------------------------------------------------------------------

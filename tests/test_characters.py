@@ -35,6 +35,7 @@ from qdp.groups import (
     whole_group,
 )
 from fixtures import (
+    all_pairs_derived_subgroup,
     cyclic,
     dihedral,
     direct_product,
@@ -42,6 +43,7 @@ from fixtures import (
     generalized_quaternion,
     heisenberg,
     modular_p3,
+    wreath_3_3,
 )
 
 
@@ -77,8 +79,9 @@ def reference_irreducible_characters(G):
     classes = ElementClasses.compute(G)
     e = group_exponent(G)
     table = set()
-    for H in subgroups_of_p_group(whole_group(G)):
-        for lam in linear_characters(H):
+    subs = subgroups_of_p_group(whole_group(G))
+    for H in subs:
+        for lam in linear_characters(H, subs):
             vals = induced_values(H, lam, classes, e)
             norm = CyclotomicInteger.zero(e)
             for ci, cls in enumerate(classes.classes):
@@ -346,6 +349,27 @@ def test_linear_characters_of_cyclic_are_roots_of_unity():
     for c in chars:
         cube = c.value_at(1) * c.value_at(1) * c.value_at(1)
         assert cube.as_rational_int() == 1
+
+
+@pytest.mark.parametrize("G", [
+    elementary_abelian(3, 3), heisenberg(3), modular_p3(3), heisenberg(5), wreath_3_3(),
+    generalized_quaternion(16), dihedral(8)],
+    ids=["E27", "H27", "M27", "H125", "Z3wrZ3", "Q16", "D16"])
+def test_linear_characters_are_the_homomorphisms_to_roots_of_unity(G):
+    # for every subgroup H: pairwise distinct homomorphisms H -> Z/m, as
+    # many as H has, |H : [H, H]|; in Z3 wr Z3 [H, H] is more than the
+    # closure of the commutators of two generators
+    subs = subgroups_of_p_group(whole_group(G))
+    for H in subs:
+        chars = linear_characters(H, subs)
+        for lam in chars:
+            exps, m = lam.exponents, lam.modulus
+            assert sorted(exps) == list(H.members)
+            assert all((exps[G.mul(a, b)] - exps[a] - exps[b]) % m == 0
+                       for a in H.members for b in H.members), H.members
+        values = {tuple(Fraction(lam.exponents[h], lam.modulus) % 1 for h in H.members)
+                  for lam in chars}
+        assert len(values) == len(chars) == H.order // all_pairs_derived_subgroup(H).order
 
 
 def test_fixed_dimension_regular_character():

@@ -818,6 +818,17 @@ def test_non_prime_p_is_one_domain_error(capsys, argv, p):
     assert capsys.readouterr().err == f"error: {p} is not prime\n"
 
 
+@pytest.mark.parametrize("command", ["theorem-b", "theorem-c"])
+def test_huge_prime_meets_the_size_guard_first(command):
+    # 999999999999999989 is prime, and trial division up to its square root
+    # would run for hours: |Qd(p)| > p^2 > the guard settles it first
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", command, "--p", "999999999999999989"],
+                          capture_output=True, text=True, env=_child_env(), timeout=20)
+    assert proc.returncode == EXIT_DOMAIN
+    assert proc.stderr.startswith("error: |Qd(999999999999999989)| = ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_differential_exponent_message_is_an_integer(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"p": 7, "n": 5, "differential": {"lambda": 1, "a": 2}}))

@@ -38,7 +38,6 @@ from qdp.groups import (
     is_normal_in,
     p_subgroups,
     qdp_generators,
-    quotient_group,
     subgroup_closure,
     subgroups_of_p_group,
     sylow_p_subgroup,
@@ -54,6 +53,7 @@ from fixtures import (
     generic_generation_by_order_p,
     heisenberg,
     modular_p3,
+    quotient_group,
 )
 
 
@@ -304,20 +304,12 @@ def test_one_sylow_lattice_per_certificate(tmp_path, monkeypatch, capsys, comman
     import qdp.dimfun
     import qdp.groups
     argv = [command, *h5_constant_files(tmp_path)]
-    loaded, calls = [], []
-    load, enumerate_subgroups = qdp.cli.group_from_json, qdp.groups.subgroups_of_p_group
-
-    def loading(obj, **kwargs):
-        loaded.append(load(obj, **kwargs))
-        return loaded[-1]
+    calls, enumerate_subgroups = [], qdp.groups.subgroups_of_p_group
 
     def counted(P):
-        # the abelianization quotients of linear_characters are other groups
-        if P.group is loaded[0]:
-            calls.append(P.order)
+        calls.append(P.order)
         return enumerate_subgroups(P)
 
-    monkeypatch.setattr(qdp.cli, "group_from_json", loading)
     for module in (qdp.groups, qdp.characters, qdp.dimfun):
         if hasattr(module, "subgroups_of_p_group"):  # every name it is looked up by
             monkeypatch.setattr(module, "subgroups_of_p_group", counted)
@@ -337,20 +329,6 @@ def test_one_monotonicity_run_per_realize(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(qdp.dimfun, "is_monotone", counted)
     assert qdp.cli.main(["realize", *h5_constant_files(tmp_path)]) == 0
     assert len(calls) == 1
-
-
-def test_borel_smith_builds_no_quotient_table(tmp_path, monkeypatch, capsys):
-    import qdp.cli
-    import qdp.groups
-    calls, quotient = [], qdp.groups.quotient_group
-
-    def counted(K, H):
-        calls.append((K, H))
-        return quotient(K, H)
-
-    monkeypatch.setattr(qdp.groups, "quotient_group", counted)
-    assert qdp.cli.main(["borel-smith", *h5_constant_files(tmp_path)]) == 0
-    assert calls == []
 
 
 # ---------------------------------------------------------------------------

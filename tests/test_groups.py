@@ -14,7 +14,6 @@ from qdp.groups import (
     center,
     conjugate_subgroup,
     construct_qdp,
-    derived_subgroup,
     generating_set,
     greedy_generators,
     group_from_json,
@@ -22,7 +21,6 @@ from qdp.groups import (
     is_normal_in,
     p_subgroups,
     qdp_generators,
-    quotient_group,
     subgroup_closure,
     subgroups_of_p_group,
     sylow_p_subgroup,
@@ -39,6 +37,7 @@ from fixtures import (
     generic_generation_by_order_p,
     heisenberg,
     modular_p3,
+    quotient_group,
 )
 from test_dimfun import reference_pairs
 
@@ -398,43 +397,6 @@ def test_is_normal_in_matches_all_pairs(G, abelian):
             assert is_normal_in(H, K) == want, (H.members, K.members)
             verdicts.add(want)
     assert verdicts == ({True} if abelian else {True, False})
-
-
-def all_pairs_derived_subgroup(H):
-    """The subgroup generated by every commutator a b a^-1 b^-1 of H, the
-    rule `linear_characters` used before `derived_subgroup`."""
-    G = H.group
-    return Subgroup(G, subgroup_closure(G, [
-        G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
-        for a in H.members for b in H.members]))
-
-
-def wreath_3_3():
-    """Z/3 wr Z/3 = (Z/3)^3 x| Z/3, the generator of the top rotating the
-    coordinates: of order 81, with a derived subgroup of order 9 that the
-    commutator of its two generators alone does not generate."""
-    elems = list(itertools.product(range(3), repeat=4))
-
-    def mul(a, b):
-        k = a[3]
-        return tuple((a[i] + b[(i - k) % 3]) % 3 for i in range(3)) + ((k + b[3]) % 3,)
-
-    return from_elements(elems, mul, name="Z3wrZ3")
-
-
-@pytest.mark.parametrize("G, orders", [
-    (elementary_abelian(3, 3), {1}), (heisenberg(3), {1, 3}),
-    (modular_p3(3), {1, 3}), (heisenberg(5), {1, 5}), (wreath_3_3(), {1, 3, 9})],
-    ids=["E27", "H27", "M27", "H125", "Z3wrZ3"])
-def test_derived_subgroup_matches_all_pairs(G, orders):
-    # of the groups of order p^3 only the whole nonabelian group has
-    # [H, H] != 1; in Z3 wr Z3 it takes the normal closure
-    found = set()
-    for H in subgroups_of_p_group(whole_group(G)):
-        D = derived_subgroup(H)
-        assert D == all_pairs_derived_subgroup(H), H.members
-        found.add(D.order)
-    assert found == orders
 
 
 def test_p_subgroups_against_brute_force():
