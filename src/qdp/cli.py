@@ -103,11 +103,10 @@ def _cmd_realize(args) -> VerificationReport:
     tau, group = _load_tau(args)
     # characters need a p-group, which is its own Sylow subgroup
     basis = real_representation_basis(group, subgroups=tau.lattice.sylow_subgroups)
-    sol = realize_as_representation(tau, basis)
+    sol, refutation = realize_as_representation(tau, basis)
     if sol is None:
         status = REFUTED
-        witness = {"note": "complete bounded search found no nonnegative "
-                           "combination"}
+        witness = refutation
     else:
         status = VERIFIED
         witness = {"multiplicities": {str(k): v for k, v in sol.items()},

@@ -6,7 +6,9 @@ normal pairs of a Sylow subgroup (checking inside one Sylow covers every
 pair of p-subgroups up to conjugacy, and the values are class functions).
 The realization solver writes a monotone Borel-Smith function as a
 nonnegative integer combination of fixed-point dimension functions of
-real irreducible representations, by bounded exhaustive search.
+real irreducible representations, by one exact integer solve on the
+classes of cyclic subgroups, or names the coordinate or the class that
+rules every such combination out.
 
 This module also holds the group-theoretic non-existence driver for
 Qd(p): p-effectiveness forces the dimension function to vanish exactly at
@@ -17,6 +19,7 @@ the full group makes that vanishing pattern impossible.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd
 
 from .errors import (
     DomainMismatch,
@@ -24,6 +27,7 @@ from .errors import (
     MalformedInput,
     NotBorelSmith,
     NotMonotone,
+    QdpError,
     ShapeMismatch,
     json_int,
 )
@@ -214,15 +218,22 @@ def is_monotone(tau: SuperClassFunction) -> tuple[bool, tuple | None]:
 # ---------------------------------------------------------------------------
 # realization by real representations
 
-def realize_as_representation(tau: SuperClassFunction,
-                              basis: Sequence) -> dict[int, int] | None:
+def realize_as_representation(tau: SuperClassFunction, basis: Sequence
+                              ) -> tuple[dict[int, int] | None, dict | None]:
     """Nonnegative multiplicities over `basis`, the entries that
-    characters.real_representation_basis lists, with exact sum tau, or None.
+    characters.real_representation_basis lists, with exact sum tau, or the
+    reason there are none: (multiplicities, None) or (None, reason).
 
-    Refuses inputs outside the theorem's hypotheses.  The search is a
-    complete DFS: every dimension-function vector is nonnegative and has
-    positive value at the trivial subgroup, so multiplicities are bounded
-    and pointwise-nonnegative residuals prune exactly.
+    Refuses inputs outside the theorem's hypotheses.  A rational character
+    is determined by its fixed dimensions at the cyclic subgroups (Moebius
+    inversion over the subgroups of each), Galois-conjugate entries share
+    their fixed-dimension vector, and the rational irreducibles are as many
+    as the classes of cyclic subgroups (Artin).  So the lowest-index entry
+    of each distinct vector, restricted to the cyclic classes, gives a
+    square invertible integer system with one rational solution, and tau
+    is realized exactly when that solution is a nonnegative integer vector
+    that also meets tau on the non-cyclic classes.  The solve is checked
+    against its own system, and every other row is checked directly.
     """
     if tau.scale != 1:
         raise MalformedInput("realization needs an integer-valued function")
@@ -238,33 +249,70 @@ def realize_as_representation(tau: SuperClassFunction,
         raise NotBorelSmith(f"{len(report.violations)} violations")
 
     vectors = [entry.fixed_dimension_vector(lat) for entry in basis]
-    triv = lat.class_of(Subgroup(lat.group, (lat.group.identity,)))
-    order = sorted(range(len(basis)), key=lambda i: -vectors[i][triv])
+    first: dict[tuple[int, ...], int] = {}
+    for i, vec in enumerate(vectors):
+        first.setdefault(vec, i)
+    columns = list(first.values())  # one entry per Galois class, in index order
+    G, p = lat.group, lat.prime
+    # a p-group H is cyclic iff some member has order |H|, i.e. x^(|H|/p) != 1
+    cyclic = [c for c, (H, *_) in enumerate(lat.classes) if H.order == 1 or any(
+        G.power(x, H.order // p) != G.identity for x in H.members)]
+    if len(cyclic) != len(columns):
+        raise QdpError(f"{len(columns)} distinct fixed-dimension vectors for "
+                       f"{len(cyclic)} classes of cyclic subgroups")
+    matrix = [[vectors[j][c] for j in columns] for c in cyclic]
+    rhs = [tau.values[c] for c in cyclic]
+    solved = _solve_exact(matrix, rhs)
+    if solved is None:
+        raise QdpError("the fixed-dimension vectors are singular on the cyclic classes")
+    det, nums = solved
+    if any(sum(a * y for a, y in zip(row, nums)) != det * t for row, t in zip(matrix, rhs)):
+        raise QdpError("the exact solve does not satisfy its system")
+    for j, num in zip(columns, nums):
+        if num < 0 or num % det:
+            g = gcd(num, det)
+            return None, {"reason": "negative coordinate" if num < 0 else
+                          "fractional coordinate", "basis_index": j,
+                          "numerator": num // g, "denominator": det // g}
+    mult = {j: num // det for j, num in zip(columns, nums) if num}
+    for c in sorted(set(range(lat.n_classes)) - set(cyclic)):
+        lhs = sum(m * vectors[j][c] for j, m in mult.items())
+        if lhs != tau.values[c]:
+            return None, {"reason": "non-cyclic class",
+                          "class_rep": list(lat.classes[c][0].members),
+                          "lhs": lhs, "rhs": tau.values[c]}
+    return mult, None
 
-    result: dict[int, int] = {}
 
-    def dfs(k: int, residual: tuple[int, ...]) -> bool:
-        if all(v == 0 for v in residual):
-            return True
-        if k == len(order):
-            return False
-        idx = order[k]
-        vec = vectors[idx]
-        cap = residual[triv] // vec[triv]
-        for c in range(cap, -1, -1):
-            nxt = tuple(r - c * vec[i] for i, r in enumerate(residual))
-            if any(v < 0 for v in nxt):
-                continue
-            if c:
-                result[idx] = c
-            if dfs(k + 1, nxt):
-                return True
-            result.pop(idx, None)
-        return False
+def _solve_exact(matrix: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] | None:
+    """The solution x of matrix x = rhs for a square integer matrix, as
+    (d, y) with d > 0 and x = y / d, or None if the matrix is singular.
 
-    if dfs(0, tau.values):
-        return dict(sorted(result.items()))
-    return None
+    Fraction-free (Bareiss) elimination keeps every entry an integer minor,
+    so the last pivot is the determinant up to sign; by Cramer's rule
+    det * x is an integer vector, and back substitution finds it with
+    exact divisions."""
+    n = len(matrix)
+    rows = [row + [t] for row, t in zip(matrix, rhs)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        akk = top[k]
+        for row in rows[k + 1:]:
+            aik = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (akk * row[j] - aik * top[j]) // prev
+        prev = akk
+    det = prev
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return (det, y) if det > 0 else (-det, [-v for v in y])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ the rank is -1.  Otherwise the module is free; after inverting t each
 degree is spanned by one Laurent monomial per generator, and the rank-r
 line is detected as the largest r carrying an element with nonzero
 g_n-component annihilated by beta and by every P^i with i <= (5n + 4)p.
+Each operation gives that line two scalar equations, read off Lucas
+binomials and the structure constants; the witness they select is then
+checked through the Cartan formula of module_bockstein and module_power.
 
 The models of m-fold joins are test fixtures.
 """
@@ -31,6 +34,7 @@ from .errors import (
 from .groups import is_prime
 from .steenrod import (
     RankOneElement,
+    binom_mod,
     rank_one_bockstein,
     rank_one_canonical_monomial,
     rank_one_monomial_from_string,
@@ -279,63 +283,94 @@ def _op_bound(p: int, n: int) -> int:
     return (5 * n + 4) * p
 
 
-def _images(p: int, op_bound: int, f_alpha: TwoRowLocalElement,
-            f_gamma: TwoRowLocalElement):
-    """Images of the two basis elements under beta (odd p), then P^1 ..
-    P^op_bound, computed one operation at a time."""
-    if p != 2:
-        yield module_bockstein(f_alpha), module_bockstein(f_gamma)
+def _line_equations(M: TwoRowModule, r: int, op_bound: int):
+    """The scalar equations of the degree-r line alpha m(r) g_0 + m(r - n) g_n,
+    one triple (a0, g0, gn) per operation: beta at odd p, then P^1 ..
+    P^op_bound, each computed only when it is reached.
+
+    In degree d the rank-one algebra has one monomial, the canonical m(d),
+    so an operation sends each basis element to a multiple of the single
+    monomial of each slot: m(r) g_0 to a0 times the g_0 slot's, and
+    m(r - n) g_n to g0 times the g_0 slot's plus gn times the g_n slot's.
+    With m(r) = s^e t^k (t^r at p = 2), P^i(m(r)) = C(k, i) m(r + 2i(p-1)),
+    and the Cartan formula puts P^(i-l) on the coefficient of g_n and P^l
+    on g_n itself."""
+    p, n = M.p, M.n
+    if p == 2:
+        k, j = r, r - n
+    else:
+        e, k = rank_one_canonical_monomial(p, r)
+        f, j = rank_one_canonical_monomial(p, r - n)
+        # beta(s^f t^j g_n) = f t^(j+1) g_n + (-1)^f s^f t^j beta(g_n), and a
+        # nonzero bockstein_g0 needs odd n (validate), so beta(g_n) is
+        # bockstein_g0 times the g_0 slot's monomial t^((n+1)/2)
+        yield e, (-1) ** f * M.bockstein_g0 % p, f
+        if f:
+            return  # gn = 1: no line in this degree
+    # from here m(r - n) = t^j, so no product below carries s twice
+    ops = [(l, d0 % p, dn % p) for l, (d0, dn) in sorted(M.powers.items())
+           if l >= 1 and (d0 % p or dn % p)]
+    c = [1]  # c[h] = C(j, h), the coefficient of P^h(t^j)
     for i in range(1, op_bound + 1):
-        yield module_power(i, f_alpha), module_power(i, f_gamma)
+        c.append(binom_mod(j, i, p))
+        g0, gn = 0, c[i]
+        for l, d0, dn in ops:
+            if l > i:
+                break
+            g0 += d0 * c[i - l]
+            gn += dn * c[i - l]
+        yield binom_mod(k, i, p), g0 % p, gn % p
 
 
-def _annihilating_alpha(p: int, images) -> tuple[int | None, int] | None:
-    """Solve for alpha with alpha * f_alpha + f_gamma annihilated.
+def _annihilating_alpha(M: TwoRowModule, r: int,
+                        op_bound: int) -> tuple[int | None, int] | None:
+    """Solve for alpha with alpha m(r) g_0 + m(r - n) g_n annihilated.
 
-    Each image pair is linear in (alpha, gamma); every nonzero slot gives an
-    equation c_alpha * alpha + c_gamma = 0.  Returns None at the first
-    contradiction, leaving the remaining images uncomputed; otherwise
-    (alpha, or None when no equation pins it, and the number of images)."""
+    Each operation gives a0 alpha + g0 = 0 in the g_0 slot and gn = 0 in
+    the g_n slot.  Returns None at the first contradiction, leaving the
+    remaining operations uncomputed; otherwise (alpha, or None when no
+    equation pins it, and the number of operations)."""
+    p = M.p
     alpha = None
     count = 0
-    for count, (ia, ig) in enumerate(images, 1):
-        for ta, tg in ((ia.c0.terms, ig.c0.terms), (ia.cn.terms, ig.cn.terms)):
-            for s in set(ta) | set(tg):
-                ca = ta.get(s, 0) % p
-                cg = tg.get(s, 0) % p
-                if ca:
-                    val = (-cg * pow(ca, -1, p)) % p
-                    if alpha is None:
-                        alpha = val
-                    elif alpha != val:
-                        return None
-                elif cg:
-                    return None
+    for count, (a0, g0, gn) in enumerate(_line_equations(M, r, op_bound), 1):
+        if gn:
+            return None
+        if a0:
+            val = (-g0 * pow(a0, -1, p)) % p
+            if alpha is None:
+                alpha = val
+            elif alpha != val:
+                return None
+        elif g0:
+            return None
     return alpha, count
 
 
 def fix_rank(M: TwoRowModule) -> FixResult:
     """Rank r with the localized fixed-point module isomorphic to a rank-r
     sphere's cohomology: -1 when the differential is nonzero, else the top
-    degree carrying a beta- and P-annihilated line with g_n-component."""
+    degree carrying a beta- and P-annihilated line with g_n-component.
+
+    Each degree is decided by the scalar equations of `_line_equations`,
+    stopping at the first contradiction; the witness of the degree found
+    is then checked independently, by applying beta and every P^i to it
+    through module_bockstein and module_power."""
     M.validate()
     p, n = M.p, M.n
     if M.differential is not None:
         return FixResult(-1, None, True, 0)
     op_bound = _op_bound(p, n)
     for r in range(n, -1, -1):
-        mono_gn = RankOneElement.canonical(p, r - n)
-        f_alpha = TwoRowLocalElement(M, RankOneElement.canonical(p, r),
-                                     RankOneElement.zero(p))
-        f_gamma = TwoRowLocalElement(M, RankOneElement.zero(p), mono_gn)
-
-        solved = _annihilating_alpha(p, _images(p, op_bound, f_alpha, f_gamma))
+        solved = _annihilating_alpha(M, r, op_bound)
         if solved is None:
             continue
         alpha, checked_ops = solved
         witness = TwoRowLocalElement(
-            M, RankOneElement.canonical(p, r) * (alpha or 0), mono_gn)
-        # the witness must really be annihilated
+            M, RankOneElement.canonical(p, r) * (alpha or 0),
+            RankOneElement.canonical(p, r - n))
+        # the witness must really be annihilated: the Cartan route of
+        # module_bockstein and module_power checks the scalar equations
         if (p != 2 and not module_bockstein(witness).is_zero()) or any(
                 not module_power(i, witness).is_zero() for i in range(1, op_bound + 1)):
             raise QdpError(f"rank {r} witness is not annihilated by the operations")

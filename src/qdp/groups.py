@@ -394,10 +394,15 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     p-group, and inside any Sylow subgroup containing H such a g exists
     whenever H is not yet Sylow, so the loop always completes.
     """
-    if not is_prime(p):
+    # divisibility first: a p that does not divide |G| is refused without
+    # the trial division of is_prime, which a huge p would make endless;
+    # after it p <= |G|
+    if p < 2:
         raise CompositeP(f"{p} is not prime")
     if G.order % p:
         raise SizeGuard(f"{p} does not divide |G| = {G.order}")
+    if not is_prime(p):
+        raise CompositeP(f"{p} is not prime")
     target = p_part(G.order, p)
     if isinstance(G, QdpGroup) and p == G.p:
         return _qdp_sylow(G, target)
@@ -463,7 +468,8 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
     if n == 1:
         return [P]
     p = _unique_prime(n)
-    pairs = [(g, G.inv(g)) for g in P.members]
+    # g^p depends on g alone, so it is computed once per member
+    triples = [(g, G.inv(g), G.power(g, p)) for g in P.members]
     start = (G.identity,)
     seen = {start}
     frontier = [(start, [])]
@@ -471,8 +477,8 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
         h, hgens = frontier.pop()
         hset = set(h)
         covered = set(h)  # members of the extensions of h found so far
-        for g, gi in pairs:
-            if g in covered or G.power(g, p) not in hset or \
+        for g, gi, gp in triples:
+            if g in covered or gp not in hset or \
                     any(G.mul(G.mul(g, x), gi) not in hset for x in hgens):
                 continue
             cosets = set(h)

@@ -4,16 +4,25 @@ classes, the generic order-p generation check that the Qd(p) route is
 compared against, the cyclic subgroups of a p-group that theorem-b's
 center orbit is compared against, the quotient table that the Borel-Smith
 checker is compared against, the all-pairs commutator subgroup that the
-count of linear characters is checked against, and the SL2(p) substitution
-action that the invariants are checked against."""
+count of linear characters is checked against, the element-level route of
+fix_rank and the bounded search of realize that the scalar equations and
+the exact solve are compared against, and the SL2(p) substitution action
+that the invariants are checked against."""
 
 import itertools
 import math
 
-from qdp.errors import InvalidModel, MalformedInput, NotUnimodular
-from qdp.fixrank import TwoRowModule
+from qdp.errors import InvalidModel, MalformedInput, NoWitnessFound, NotUnimodular
+from qdp.fixrank import (
+    FixResult,
+    TwoRowLocalElement,
+    TwoRowModule,
+    _op_bound,
+    module_bockstein,
+    module_power,
+)
 from qdp.groups import FiniteGroup, Subgroup, TableGroup, greedy_generators, subgroup_closure
-from qdp.steenrod import GradedElement
+from qdp.steenrod import GradedElement, RankOneElement
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +177,43 @@ def all_pairs_derived_subgroup(H: Subgroup) -> Subgroup:
 
 
 # ---------------------------------------------------------------------------
+# realization by bounded search
+
+def dfs_realization(tau, basis) -> dict[int, int] | None:
+    """Nonnegative multiplicities over `basis` with exact sum tau, or None,
+    by a complete DFS: every fixed-dimension vector is nonnegative and has
+    positive value at the trivial subgroup, so multiplicities are bounded
+    and pointwise-nonnegative residuals prune exactly.  Entries are tried
+    by decreasing degree, stably, and each with its largest multiplicity
+    first."""
+    lat = tau.lattice
+    vectors = [entry.fixed_dimension_vector(lat) for entry in basis]
+    triv = lat.class_of(Subgroup(lat.group, (lat.group.identity,)))
+    order = sorted(range(len(basis)), key=lambda i: -vectors[i][triv])
+    result: dict[int, int] = {}
+
+    def dfs(k: int, residual: tuple[int, ...]) -> bool:
+        if all(v == 0 for v in residual):
+            return True
+        if k == len(order):
+            return False
+        idx = order[k]
+        vec = vectors[idx]
+        for c in range(residual[triv] // vec[triv], -1, -1):
+            nxt = tuple(r - c * vec[i] for i, r in enumerate(residual))
+            if any(v < 0 for v in nxt):
+                continue
+            if c:
+                result[idx] = c
+            if dfs(k + 1, nxt):
+                return True
+            result.pop(idx, None)
+        return False
+
+    return dict(sorted(result.items())) if dfs(0, tau.values) else None
+
+
+# ---------------------------------------------------------------------------
 # join bookkeeping on ranks
 
 def fix_join_rule(r1: int, r2: int) -> int:
@@ -221,6 +267,68 @@ def m_fold_join_model(M: TwoRowModule, m: int) -> TwoRowModule:
     for _ in range(m - 1):
         out = join_model(out, M)
     return out
+
+
+# ---------------------------------------------------------------------------
+# localized fixed-point ranks through element-level images
+
+def _images(p: int, op_bound: int, f_alpha: TwoRowLocalElement,
+            f_gamma: TwoRowLocalElement):
+    """Images of the two basis elements under beta (odd p), then P^1 ..
+    P^op_bound, computed one operation at a time."""
+    if p != 2:
+        yield module_bockstein(f_alpha), module_bockstein(f_gamma)
+    for i in range(1, op_bound + 1):
+        yield module_power(i, f_alpha), module_power(i, f_gamma)
+
+
+def _annihilating_alpha(p: int, images) -> tuple[int | None, int] | None:
+    """Solve for alpha with alpha * f_alpha + f_gamma annihilated.
+
+    Each image pair is linear in (alpha, gamma); every nonzero slot gives an
+    equation c_alpha * alpha + c_gamma = 0.  Returns None at the first
+    contradiction; otherwise (alpha, or None when no equation pins it, and
+    the number of images)."""
+    alpha = None
+    count = 0
+    for count, (ia, ig) in enumerate(images, 1):
+        for ta, tg in ((ia.c0.terms, ig.c0.terms), (ia.cn.terms, ig.cn.terms)):
+            for s in set(ta) | set(tg):
+                ca = ta.get(s, 0) % p
+                cg = tg.get(s, 0) % p
+                if ca:
+                    val = (-cg * pow(ca, -1, p)) % p
+                    if alpha is None:
+                        alpha = val
+                    elif alpha != val:
+                        return None
+                elif cg:
+                    return None
+    return alpha, count
+
+
+def image_fix_rank(M: TwoRowModule) -> FixResult:
+    """fix_rank with each degree's equations read off the images of the two
+    basis elements under module_bockstein and module_power, slot by slot:
+    the route the scalar equations of `fixrank` are compared against."""
+    M.validate()
+    p, n = M.p, M.n
+    if M.differential is not None:
+        return FixResult(-1, None, True, 0)
+    op_bound = _op_bound(p, n)
+    for r in range(n, -1, -1):
+        mono_gn = RankOneElement.canonical(p, r - n)
+        f_alpha = TwoRowLocalElement(M, RankOneElement.canonical(p, r),
+                                     RankOneElement.zero(p))
+        f_gamma = TwoRowLocalElement(M, RankOneElement.zero(p), mono_gn)
+        solved = _annihilating_alpha(p, _images(p, op_bound, f_alpha, f_gamma))
+        if solved is None:
+            continue
+        alpha, checked_ops = solved
+        witness = TwoRowLocalElement(
+            M, RankOneElement.canonical(p, r) * (alpha or 0), mono_gn)
+        return FixResult(r, witness, alpha is not None or r == 0, checked_ops)
+    raise NoWitnessFound("no annihilated line with g_n-component")
 
 
 # ---------------------------------------------------------------------------

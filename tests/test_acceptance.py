@@ -152,8 +152,8 @@ def test_criterion_7_realization_round_trip():
             tau = SuperClassFunction(lat, tuple(
                 sum(c * v[i] for c, v in zip(coeffs, vecs))
                 for i in range(lat.n_classes)))
-            sol = realize_as_representation(tau, basis)
-            assert sol is not None
+            sol, refutation = realize_as_representation(tau, basis)
+            assert sol is not None and refutation is None
             rebuilt = [0] * lat.n_classes
             for idx, mult in sol.items():
                 rebuilt = [r + mult * v for r, v in zip(rebuilt, vecs[idx])]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -155,6 +156,24 @@ def test_realize_cli(capsys):
     assert code == EXIT_OK and report["status"] == "verified"
     mults = report["witness"]["multiplicities"]
     assert sum(int(v) for v in mults.values()) >= 1
+
+
+def test_refuted_realize_names_its_reason(tmp_path, capsys, monkeypatch):
+    # the Borel-Smith gate would refuse tau = (1, 3) on Z/3, so it is lifted
+    # to reach the solver's refutation: the faithful pair's coordinate is -1
+    import qdp.dimfun
+    from qdp.dimfun import BorelSmithReport
+    monkeypatch.setattr(qdp.dimfun, "check_borel_smith",
+                        lambda tau: BorelSmithReport(monotone=True))
+    table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    (tmp_path / "z3.json").write_text(json.dumps({"kind": "table", "n": 3, "mul": table}))
+    (tmp_path / "tau.json").write_text(json.dumps({"p": 3, "values": [
+        {"class_rep": [0], "value": 1}, {"class_rep": [0, 1, 2], "value": 3}]}))
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, "realize", "--group", "z3.json", "--tau", "tau.json")
+    assert code == EXIT_REFUTED and report["status"] == "refuted"
+    assert report["witness"] == {"reason": "negative coordinate", "basis_index": 0,
+                                 "numerator": -1, "denominator": 1}
 
 
 def test_fix_rank_cli(capsys):
@@ -827,6 +846,22 @@ def test_huge_prime_meets_the_size_guard_first(command):
     assert proc.returncode == EXIT_DOMAIN
     assert proc.stderr.startswith("error: |Qd(999999999999999989)| = ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_tau_prime_is_checked_against_the_group_first(tmp_path):
+    # 999999999999999989 is prime, and trial division up to its square root
+    # would run for hours; it does not divide |Z/3|, which settles it first
+    table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    group, tau = tmp_path / "z3.json", tmp_path / "tau.json"
+    group.write_text(json.dumps({"kind": "table", "n": 3, "mul": table}))
+    tau.write_text(json.dumps({"p": 999999999999999989, "values": [2, 2]}))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", "borel-smith",
+                           "--group", str(group), "--tau", str(tau)],
+                          capture_output=True, text=True, env=_child_env(), timeout=20)
+    assert time.monotonic() - start < 2
+    assert proc.returncode == EXIT_DOMAIN
+    assert proc.stderr == "error: 999999999999999989 does not divide |G| = 3\n"
 
 
 def test_differential_exponent_message_is_an_integer(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Borel-Smith checker, realization solver, joins, and the fibration
 obstruction certificate."""
 
+import functools
 import json
 import math
 import random
 
 import pytest
 
+import qdp.dimfun as dimfun
 from qdp.characters import real_representation_basis
 from qdp.dimfun import (
     BorelSmithReport,
@@ -26,6 +28,7 @@ from qdp.errors import (
     MalformedInput,
     NotBorelSmith,
     NotMonotone,
+    QdpError,
     ShapeMismatch,
 )
 from qdp.groups import (
@@ -46,6 +49,7 @@ from qdp.groups import (
 from fixtures import (
     cyclic,
     cyclic_subgroups,
+    dfs_realization,
     dihedral,
     direct_product,
     elementary_abelian,
@@ -445,7 +449,7 @@ def test_realize_regular_of_z3():
     G = cyclic(3)
     lat, tau = regular_tau(G, 3)
     basis = real_representation_basis(G)
-    sol = realize_as_representation(tau, basis)
+    sol, _ = realize_as_representation(tau, basis)
     # one copy of the trivial entry and one of the realified faithful pair
     assert sol is not None and sorted(sol.values()) == [1, 1]
     degrees = sorted(basis[i].real_degree for i in sol)
@@ -457,9 +461,9 @@ def test_realize_zero_and_two_dimensional():
     lat = p_subgroups(G, 3)
     basis = real_representation_basis(G)
     assert realize_as_representation(
-        SuperClassFunction(lat, (0, 0)), basis) == {}
+        SuperClassFunction(lat, (0, 0)), basis) == ({}, None)
     tau = SuperClassFunction(lat, (2, 0))
-    sol = realize_as_representation(tau, basis)
+    sol, _ = realize_as_representation(tau, basis)
     assert sol is not None
     (idx, mult), = sol.items()
     assert mult == 1 and basis[idx].realness == "complex_pair"
@@ -487,11 +491,186 @@ def test_realization_round_trip_reproduces_tau():
         tau = SuperClassFunction(lat, tuple(
             sum(c * v[i] for c, v in zip(coeffs, vecs))
             for i in range(lat.n_classes)))
-        sol = realize_as_representation(tau, basis)
+        sol, _ = realize_as_representation(tau, basis)
         rebuilt = [0] * lat.n_classes
         for idx, mult in sol.items():
             rebuilt = [r + mult * v for r, v in zip(rebuilt, vecs[idx])]
         assert tuple(rebuilt) == tau.values
+
+
+# ---------------------------------------------------------------------------
+# realization by the exact solve, against the bounded search
+
+SOLVE_GROUPS = {
+    "E9": (lambda: elementary_abelian(3, 2), 3),
+    "E25": (lambda: elementary_abelian(5, 2), 5),
+    "E27": (lambda: elementary_abelian(3, 3), 3),
+    "H27": (lambda: heisenberg(3), 3),
+    "M27": (lambda: modular_p3(3), 3),
+    "H125": (lambda: heisenberg(5), 5),
+    "D8": (lambda: dihedral(4), 2),
+    "Q8": (lambda: generalized_quaternion(8), 2),
+    "D16": (lambda: dihedral(8), 2),
+    "Q16": (lambda: generalized_quaternion(16), 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_and_basis(name):
+    build, p = SOLVE_GROUPS[name]
+    lat = p_subgroups(build(), p)
+    return lat, real_representation_basis(lat.group, subgroups=lat.sylow_subgroups)
+
+
+def permutation_tau(lat, Ks):
+    """H -> sum over K of |H\\P/K|, the fixed dimensions of the permutation
+    representations on the cosets of the maximal subgroups K.  K is normal
+    of index p, so the H-orbits on P/K are the cosets of HK: p of them when
+    H lies in K, else one."""
+    p = lat.prime
+    return SuperClassFunction(lat, tuple(
+        sum(p if set(cls[0].members) <= set(K.members) else 1 for K in Ks)
+        for cls in lat.classes))
+
+
+def realize_or_error(tau, basis):
+    try:
+        return realize_as_representation(tau, basis)
+    except QdpError as exc:
+        return type(exc)
+
+
+def lift_the_gate(monkeypatch):
+    # realize refuses a tau that is not monotone or not Borel-Smith; lifting
+    # that gate lets the solver's own checks meet any nonnegative tau
+    monkeypatch.setattr(dimfun, "check_borel_smith",
+                        lambda tau: BorelSmithReport(monotone=True))
+
+
+@pytest.mark.parametrize("terms", (1, 2, 3))
+@pytest.mark.parametrize("name", sorted(SOLVE_GROUPS))
+def test_exact_solve_matches_the_search(name, terms):
+    # tau and its perturbed twin, which differs by 1 on one class; the
+    # search finishes within a second on each of these
+    lat, basis = lattice_and_basis(name)
+    maximal = [S for S in lat.sylow_subgroups if S.order * lat.prime == lat.group.order]
+    for seed in range(2):
+        rng = random.Random(seed)
+        tau = permutation_tau(lat, [rng.choice(maximal) for _ in range(terms)])
+        assert realize_as_representation(tau, basis) == (dfs_realization(tau, basis), None)
+        values = list(tau.values)
+        values[rng.randrange(len(values))] += rng.choice((-1, 1))
+        twin = SuperClassFunction(lat, tuple(values))
+        assert realize_or_error(twin, basis) in (NotMonotone, NotBorelSmith)
+        assert dfs_realization(twin, basis) is None
+
+
+@pytest.mark.parametrize("name", ["E9", "H27", "M27", "D8", "Q8", "D16"])
+def test_exact_solve_matches_the_search_past_the_gate(monkeypatch, name):
+    lift_the_gate(monkeypatch)
+    lat, basis = lattice_and_basis(name)
+    vectors = [entry.fixed_dimension_vector(lat) for entry in basis]
+    rng = random.Random(name)
+    realized = refuted = 0
+    for _ in range(40):
+        # a nonnegative combination of the basis vectors, a virtual one
+        # clipped at 0, or a nonnegative one plus noise
+        kind = rng.randrange(3)
+        coeffs = [rng.randrange(-(kind == 1), 3) for _ in basis]
+        values = [max(0, sum(c * v[k] for c, v in zip(coeffs, vectors)))
+                  for k in range(lat.n_classes)]
+        if kind == 2:
+            values = [v + rng.randrange(2) for v in values]
+        tau = SuperClassFunction(lat, tuple(values))
+        sol, refutation = realize_as_representation(tau, basis)
+        want = dfs_realization(tau, basis)
+        assert sol == want
+        assert (refutation is None) == (want is not None)
+        realized += want is not None
+        refuted += want is None
+    assert realized >= 10 and refuted >= 10
+
+
+def test_refutation_names_a_negative_coordinate(monkeypatch):
+    # on Z/3 the trivial entry takes tau(Z/3) = 3 and the faithful pair
+    # (tau(1) - tau(Z/3)) / 2 = -1
+    lift_the_gate(monkeypatch)
+    G = cyclic(3)
+    lat = p_subgroups(G, 3)
+    basis = real_representation_basis(G)
+    pair = next(i for i, e in enumerate(basis) if e.realness == "complex_pair")
+    assert realize_as_representation(SuperClassFunction(lat, (1, 3)), basis) == (None, {
+        "reason": "negative coordinate", "basis_index": pair,
+        "numerator": -1, "denominator": 1})
+
+
+def test_refutation_names_a_fractional_coordinate(monkeypatch):
+    lift_the_gate(monkeypatch)
+    G = cyclic(3)
+    lat = p_subgroups(G, 3)
+    basis = real_representation_basis(G)
+    pair = next(i for i, e in enumerate(basis) if e.realness == "complex_pair")
+    assert realize_as_representation(SuperClassFunction(lat, (2, 1)), basis) == (None, {
+        "reason": "fractional coordinate", "basis_index": pair,
+        "numerator": 1, "denominator": 2})
+
+
+def test_refutation_names_a_failing_non_cyclic_class(monkeypatch):
+    # 1 on every cyclic subgroup of E(3^2) is the trivial representation,
+    # which is 1 on the whole group as well, not 0
+    lift_the_gate(monkeypatch)
+    G = elementary_abelian(3, 2)
+    lat = p_subgroups(G, 3)
+    basis = real_representation_basis(G)
+    values = tuple(0 if cls[0].order == 9 else 1 for cls in lat.classes)
+    assert realize_as_representation(SuperClassFunction(lat, values), basis) == (None, {
+        "reason": "non-cyclic class", "class_rep": list(range(9)), "lhs": 1, "rhs": 0})
+
+
+def test_realize_refuses_a_basis_short_of_a_galois_class():
+    lat, basis = lattice_and_basis("E9")
+    tau = SuperClassFunction(lat, (1,) * lat.n_classes)
+    with pytest.raises(QdpError, match="4 distinct fixed-dimension vectors for 5 classes"):
+        realize_as_representation(tau, basis[:-1])
+
+
+class StubEntry:
+    def __init__(self, vector):
+        self.vector = vector
+
+    def fixed_dimension_vector(self, lattice):
+        return self.vector
+
+
+def test_realize_refuses_a_singular_system():
+    lat = p_subgroups(cyclic(3), 3)
+    with pytest.raises(QdpError, match="singular"):
+        realize_as_representation(SuperClassFunction(lat, (2, 2)),
+                                  [StubEntry((1, 1)), StubEntry((2, 2))])
+
+
+def test_realize_checks_the_solve_against_its_system(monkeypatch):
+    lat, basis = lattice_and_basis("E9")
+    tau = permutation_tau(lat, lat.sylow_subgroups[-5:-1])
+    assert realize_as_representation(tau, basis)[0]
+    monkeypatch.setattr(dimfun, "_solve_exact", lambda matrix, rhs: (1, [0] * len(rhs)))
+    with pytest.raises(QdpError, match="does not satisfy"):
+        realize_as_representation(tau, basis)
+
+
+def test_realize_on_h5_at_degree_25():
+    # five permutation terms on H(5): the case where the search ran for
+    # seconds; the witness is checked by its sum alone
+    lat, basis = lattice_and_basis("H125")
+    maximal = [S for S in lat.sylow_subgroups if S.order == 25]
+    rng = random.Random(2)
+    tau = permutation_tau(lat, [rng.choice(maximal) for _ in range(5)])
+    assert tau.value_of(Subgroup(lat.group, (lat.group.identity,))) == 25
+    sol, refutation = realize_as_representation(tau, basis)
+    assert refutation is None and all(m > 0 for m in sol.values())
+    vectors = [basis[i].fixed_dimension_vector(lat) for i in sol]
+    assert tuple(sum(m * v[k] for m, v in zip(sol.values(), vectors))
+                 for k in range(lat.n_classes)) == tau.values
 
 
 def test_superclassfunction_json_round_trip():

@@ -26,6 +26,7 @@ from qdp.steenrod import (
 from fixtures import (
     euler_join,
     fix_join_rule,
+    image_fix_rank,
     join_model,
     m_fold_join_model,
     non_nilpotent,
@@ -531,3 +532,62 @@ def test_tripled_op_bound_finds_the_same_line(monkeypatch, seed):
     bound = fixrank._op_bound
     monkeypatch.setattr(fixrank, "_op_bound", lambda p, n: 3 * bound(p, n))
     assert [_line(M) for M in models] == lines
+
+
+# ---------------------------------------------------------------------------
+# the scalar equations against the element-level images
+
+def _fix_json(route, M):
+    try:
+        return route(M).to_json()
+    except NoWitnessFound:
+        return None
+
+
+@pytest.mark.parametrize("M", _cartan_models(),
+                         ids=lambda M: f"p{M.p}-n{M.n}-{len(M.powers)}ops")
+def test_scalar_equations_match_the_images_on_the_joins(M):
+    assert _fix_json(fix_rank, M) == _fix_json(image_fix_rank, M)
+
+
+def _sparse_model(rng):
+    """A zero-differential model at p in {2, 3, 5, 7}, n <= 14, with at most
+    two operations on g_n, each with a nonzero g_0 component, and a nonzero
+    bockstein_g0 on about half the odd-degree models at odd p: sparse
+    enough that many such models are consistent."""
+    p = rng.choice((2, 3, 5, 7))
+    n = rng.randrange(15)
+    top = n if p == 2 else n // 2
+    bock = rng.randrange(1, p) if p != 2 and n % 2 and rng.randrange(2) else 0
+    powers = {i: (rng.randrange(1, p), rng.randrange(p) * rng.randrange(2))
+              for i in rng.sample(range(1, top + 1), min(top, rng.randrange(3)))}
+    return TwoRowModule(p=p, n=n, bockstein_g0=bock, powers=powers)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_equations_match_the_images_on_a_seeded_grid(seed):
+    rng = random.Random(seed)
+    models = [_sparse_model(rng) for _ in range(150)]
+    got = [_fix_json(fix_rank, M) for M in models]
+    assert got == [_fix_json(image_fix_rank, M) for M in models]
+    consistent = [(M, res) for M, res in zip(models, got) if res is not None]
+    assert {M.p for M, _ in consistent} == {2, 3, 5, 7}
+    assert sum(1 for M, _ in consistent if M.bockstein_g0) >= 2
+    assert sum(1 for _, res in consistent
+               if any(gen == "g0" for _, gen, _ in res["witness"])) >= 5
+
+
+def test_witness_check_is_the_only_module_power_route(monkeypatch):
+    # the equations are scalars; module_power runs once per P^i, on the
+    # witness alone
+    calls = []
+
+    def counted(i, x):
+        calls.append(i)
+        return module_power(i, x)
+
+    monkeypatch.setattr(fixrank, "module_power", counted)
+    res = fix_rank(m_fold_join_model(ROTATION, 8))
+    assert (res.rank, res.witness.module.n) == (7, 23)
+    assert calls == list(range(1, fixrank._op_bound(3, 23) + 1))
+    assert len(calls) == 357

@@ -419,6 +419,36 @@ def test_lattice_of_p_groups_against_brute_force():
         assert ours == brute_force_p_subgroups(G, p), G.name
 
 
+@pytest.mark.parametrize("order, p, error, message", [
+    (3, 1, CompositeP, "1 is not prime"),
+    (3, -3, CompositeP, "-3 is not prime"),
+    (3, 9, SizeGuard, "9 does not divide |G| = 3"),
+    (9, 9, CompositeP, "9 is not prime"),
+])
+def test_sylow_checks_divisibility_before_primality(order, p, error, message):
+    # a p that does not divide |G| needs no trial division, and one that
+    # does is at most |G| (test_cli runs a huge prime under a timeout)
+    with pytest.raises(error) as info:
+        sylow_p_subgroup(cyclic(order), p)
+    assert str(info.value) == message
+
+
+def test_subgroup_search_powers_each_member_once(monkeypatch):
+    # g^p depends on g alone: one power per member of H(5), not one per
+    # (frontier subgroup, member) pair
+    G = heisenberg(5)
+    calls, power = [], G.power
+
+    def counted(a, k):
+        calls.append((a, k))
+        return power(a, k)
+
+    monkeypatch.setattr(G, "power", counted)
+    ours = {S.members for S in subgroups_of_p_group(whole_group(G))}
+    assert sorted(calls) == [(a, 5) for a in G.elements()]
+    assert ours == brute_force_p_subgroups(G, 5)
+
+
 def test_p_subgroups_matches_s4_enumeration():
     lat = p_subgroups(construct_qdp(2), 2)
     s4 = s4_permutation_group()

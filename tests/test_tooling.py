@@ -3,7 +3,8 @@ which `python -O` strips, nor on `raise AssertionError`, which the CLI
 cannot map to an exit code.  Every certificate runs in a fresh interpreter,
 so the runtime keeps clear of `dataclasses`, the modules it pulls in, and
 `typing`: their import, and the methods `dataclass` generates and compiles
-at every start, would be paid on every run.  For the same reason the CLI
+at every start, would be paid on every run.  Certificates leave out
+`fractions` and `decimal` for the same reason.  For the same reason the CLI
 loads no argparse, and a subcommand no module it does not run.  The
 runtime defines nothing that it does not reach itself, apart from the one
 function the benchmark imports: code that only the tests use lives under
@@ -120,6 +121,20 @@ def test_tau_commands_leave_out_steenrod(argv):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.stderr.strip().splitlines()[-1] == "0 False False", proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["borel-smith", *TAU_FILES], ["realize", *TAU_FILES],
+                                  ["theorem-b", "--p", "3"]], ids=lambda argv: argv[0])
+def test_certificates_leave_out_fractions_and_decimal(argv):
+    # importing fractions (and decimal, which it can pull in) costs about
+    # 2 ms per certificate; the exact solves keep to integers instead
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (f"import sys, qdp.cli; code = qdp.cli.main({argv!r}); "
+            "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)), "
+            "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr.strip().splitlines()[-1] == "0 []", proc.stderr
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
