@@ -322,8 +322,8 @@ def _line_equations(M: TwoRowModule, r: int, op_bound: int):
         yield binom_mod(k, i, p), g0 % p, gn % p
 
 
-def _annihilating_alpha(M: TwoRowModule, r: int,
-                        op_bound: int) -> tuple[int | None, int] | None:
+def _solve_line(M: TwoRowModule, r: int,
+                op_bound: int) -> tuple[int | None, int] | None:
     """Solve for alpha with alpha m(r) g_0 + m(r - n) g_n annihilated.
 
     Each operation gives a0 alpha + g0 = 0 in the g_0 slot and gn = 0 in
@@ -362,7 +362,7 @@ def fix_rank(M: TwoRowModule) -> FixResult:
         return FixResult(-1, None, True, 0)
     op_bound = _op_bound(p, n)
     for r in range(n, -1, -1):
-        solved = _annihilating_alpha(M, r, op_bound)
+        solved = _solve_line(M, r, op_bound)
         if solved is None:
             continue
         alpha, checked_ops = solved
