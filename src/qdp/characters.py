@@ -13,6 +13,14 @@ in the power basis of Z[x]/(Phi_e); no floating point anywhere.  The
 pairwise check evaluates the table in F_ell^phi(e) for a prime
 ell = 1 (mod e) above a bound on the inner products' coefficients, which
 keeps it exact (`_check_orthogonal`).
+
+The kernels add up on those integer vectors and make one
+CyclotomicInteger per result: an induced value sums rows of the power
+table; an inner product convolves the class-weighted products into one
+unreduced coefficient list and reduces it by Phi_e once; a fixed
+dimension and a Frobenius-Schur indicator weight each class value by a
+member count (of H in the class, resp. of the g with g^2 in it) instead
+of adding one value per group element.
 """
 
 from __future__ import annotations
@@ -102,11 +110,6 @@ class CyclotomicInteger:
     def zero(e: int) -> "CyclotomicInteger":
         return CyclotomicInteger(e, (0,) * _CycloContext.get(e).phi)
 
-    @staticmethod
-    def zeta_power(e: int, k: int) -> "CyclotomicInteger":
-        ctx = _CycloContext.get(e)
-        return CyclotomicInteger(e, ctx.powers[k % e])
-
     def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
         if self.order != other.order:
             raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
@@ -159,6 +162,8 @@ class ElementClasses:
         self.classes = classes
         self.class_of = class_of
         self.inv_class = inv_class
+        self._in_subgroup: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._squares: tuple[int, ...] | None = None
 
     @staticmethod
     def compute(G: FiniteGroup) -> "ElementClasses":
@@ -173,6 +178,26 @@ class ElementClasses:
     @property
     def identity_class(self) -> int:
         return self.class_of[self.group.identity]
+
+    def count_in(self, H: Subgroup) -> tuple[int, ...]:
+        """|H n C| for each class C, counted once per subgroup."""
+        counts = self._in_subgroup.get(H.members)
+        if counts is None:
+            tally = [0] * len(self.classes)
+            for h in H.members:
+                tally[self.class_of[h]] += 1
+            counts = self._in_subgroup[H.members] = tuple(tally)
+        return counts
+
+    def count_squares(self) -> tuple[int, ...]:
+        """The number of g with g^2 in C for each class C, counted once."""
+        if self._squares is None:
+            G = self.group
+            tally = [0] * len(self.classes)
+            for g in G.elements():
+                tally[self.class_of[G.mul(g, g)]] += 1
+            self._squares = tuple(tally)
+        return self._squares
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +221,13 @@ def linear_characters(H: Subgroup, subgroups: Sequence[Subgroup]) -> list[Linear
     H.  So each such K, with gK of order m = |H : K|, contributes
     g^i k -> zeta_m^(i j) for each j prime to m."""
     G = H.group
-    hset = set(H.members)
+    hset = H.member_set
     out = []
     for K in subgroups:
         if not hset.issuperset(K.members) or not is_normal_in(K, H):
             continue
         m = H.order // K.order
-        kset = set(K.members)
+        kset = K.member_set
         for g in H.members:
             powers = [G.identity]  # g^i for i below the order of gK
             while (x := G.mul(powers[-1], g)) not in kset:
@@ -227,21 +252,42 @@ class Character:
         self.classes = classes
         self.values = values
         self.degree = degree
-
-    def value_at(self, a: int) -> CyclotomicInteger:
-        return self.values[self.classes.class_of[a]]
+        # power-basis coordinate k of every class value, for _class_sum
+        self.columns = tuple(zip(*(v.coeffs for v in values)))
 
     def sort_key(self):
         return (self.degree, tuple(v.coeffs for v in self.values))
 
 
 def _inner_product_times_order(chi_vals, psi_vals, classes: ElementClasses) -> CyclotomicInteger:
-    """|G| * <chi, psi> = sum_g chi(g) psi(g^-1)."""
+    """|G| * <chi, psi> = sum_g chi(g) psi(g^-1): one exact product per
+    class, weighted by the class size, convolved into one coefficient list
+    of degree below 2 phi(e) - 1 and reduced by Phi_e once."""
     e = chi_vals[0].order
-    acc = CyclotomicInteger.zero(e)
+    ctx = _CycloContext.get(e)
+    phi = ctx.phi
+    conv = [0] * (2 * phi - 1)
     for ci, cls in enumerate(classes.classes):
-        acc = acc + len(cls) * (chi_vals[ci] * psi_vals[classes.inv_class[ci]])
-    return acc
+        _add_product(conv, len(cls), chi_vals[ci].coeffs,
+                     psi_vals[classes.inv_class[ci]].coeffs)
+    out = conv[:phi]
+    for j in range(phi, 2 * phi - 1):
+        c = conv[j]
+        if c:
+            for k, v in enumerate(ctx.powers[j]):
+                out[k] += c * v
+    return CyclotomicInteger(e, tuple(out))
+
+
+def _add_product(conv: list[int], weight: int, a: Sequence[int], b: Sequence[int]) -> None:
+    """conv += weight * a * b, the product of two power-basis vectors as an
+    unreduced polynomial."""
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            x *= weight
+            for j, y in terms:
+                conv[i + j] += x * y
 
 
 def _evaluation_rows(e: int, bound: int) -> tuple[int, list[list[int]]]:
@@ -312,24 +358,30 @@ def group_exponent(G: FiniteGroup) -> int:
 
 def induced_values(H: Subgroup, lam: LinearCharacter, classes: ElementClasses,
                    e: int) -> tuple[CyclotomicInteger, ...]:
+    """Ind_H^G lam at each class rep g: the sum of lam(x^-1 g x) over the
+    left coset representatives x of H with x^-1 g x in H.  Each term is a
+    root of unity zeta_e^k, the power-table row k; a class's rows are added
+    up as integer vectors and make one CyclotomicInteger."""
     G = H.group
-    hset = set(H.members)
+    mul = G.mul
+    hset = H.member_set
     reps = []
     seen = set()
     for g in G.elements():
         if g not in seen:
-            reps.append(g)
-            seen.update(G.mul(g, h) for h in H.members)
+            reps.append((G.inv(g), g))
+            seen.update([mul(g, h) for h in H.members])
     scale = e // lam.modulus
+    exponents = lam.exponents
+    ctx = _CycloContext.get(e)
+    powers = ctx.powers
+    zero = (0,) * ctx.phi  # the sum of no rows
     values = []
     for cls in classes.classes:
         g = cls[0]
-        acc = CyclotomicInteger.zero(e)
-        for x in reps:
-            y = G.mul(G.mul(G.inv(x), g), x)
-            if y in hset:
-                acc = acc + CyclotomicInteger.zeta_power(e, scale * lam.exponents[y])
-        values.append(acc)
+        rows = [powers[scale * exponents[y]] for xi, x in reps
+                if (y := mul(mul(xi, g), x)) in hset]
+        values.append(CyclotomicInteger(e, tuple(map(sum, zip(zero, *rows)))))
     return tuple(values)
 
 
@@ -379,11 +431,17 @@ def irreducible_characters(P: FiniteGroup,
     return irreducible
 
 
+def _class_sum(chi: Character, counts: Sequence[int]) -> CyclotomicInteger:
+    """sum over classes c of counts[c] * chi(c): per power-basis
+    coordinate, one integer dot product over the classes."""
+    return CyclotomicInteger(chi.values[0].order, tuple(
+        sum(map(mul, counts, column)) for column in chi.columns))
+
+
 def fixed_dimension(chi: Character, H: Subgroup) -> int:
-    """dim of the fixed subspace of H, i.e. <res_H chi, 1> exactly."""
-    acc = CyclotomicInteger.zero(chi.values[0].order)
-    for h in H.members:
-        acc = acc + chi.value_at(h)
+    """dim of the fixed subspace of H, i.e. <res_H chi, 1> exactly: the sum
+    of n_c chi(c) over the classes c, n_c = |H n c|, divided by |H|."""
+    acc = _class_sum(chi, chi.classes.count_in(H))
     r = acc.as_rational_int()
     if r is None or r % H.order or r < 0:
         raise NonIntegral(f"character average over subgroup is {acc}, not an integer")
@@ -391,10 +449,10 @@ def fixed_dimension(chi: Character, H: Subgroup) -> int:
 
 
 def frobenius_schur(chi: Character) -> int:
+    """(1/|G|) sum_g chi(g^2): the sum of n_c chi(c) over the classes c,
+    n_c the number of g with g^2 in c."""
     G = chi.group
-    acc = CyclotomicInteger.zero(chi.values[0].order)
-    for g in G.elements():
-        acc = acc + chi.value_at(G.mul(g, g))
+    acc = _class_sum(chi, chi.classes.count_squares())
     r = acc.as_rational_int()
     if r is None or r % G.order:
         raise NonIntegral("Frobenius-Schur sum is not an integer multiple of |G|")
@@ -439,6 +497,9 @@ def real_representation_basis(P: FiniteGroup,
     classes = chars[0].classes if chars else ElementClasses.compute(P)
     entries: list[RealBasisEntry] = []
     used = set()
+    # the characters' value tuples are distinct (irreducible_characters
+    # keeps each once), so a dict finds the conjugate's index
+    index = {tuple(v.coeffs for v in chi.values): j for j, chi in enumerate(chars)}
     for i, chi in enumerate(chars):
         if i in used:
             continue
@@ -448,15 +509,8 @@ def real_representation_basis(P: FiniteGroup,
         elif nu == -1:
             entries.append(RealBasisEntry(chi, QUATERNIONIC))
         else:
-            conj = tuple(chi.values[classes.inv_class[k]].coeffs
-                         for k in range(len(classes.classes)))
-            partner = None
-            for j, other in enumerate(chars):
-                if j != i and j not in used and \
-                        tuple(v.coeffs for v in other.values) == conj:
-                    partner = j
-                    break
-            if partner is None:
+            partner = index.get(tuple(chi.values[c].coeffs for c in classes.inv_class))
+            if partner is None or partner == i or partner in used:
                 raise IncompleteInduction("complex character without conjugate partner")
             used.add(partner)
             entries.append(RealBasisEntry(chi, COMPLEX_PAIR))

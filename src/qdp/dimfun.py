@@ -163,39 +163,41 @@ def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
     abelian iff it has p+1 subgroups of order p.  A 2-group with a single
     involution is cyclic or generalized quaternion, and it is cyclic iff
     it has a single subgroup of index 2.
+
+    Normality is `is_normal_in`, on generators each lattice subgroup finds
+    once (Subgroup.generators), not once per pair.
     """
     lat = tau.lattice
     p = lat.prime
-    subs = lat.sylow_subgroups
-    sets = [frozenset(S.members) for S in subs]
+    # (subgroup, member set, order, tau value) of each lattice subgroup
+    nodes = [(S, S.member_set, S.order, tau.value_of(S)) for S in lat.sylow_subgroups]
     violations: list[Violation] = []
-    for K, kset in zip(subs, sets):
-        for H, hset in zip(subs, sets):
-            index = K.order // H.order
+    for K, kset, k_order, tk in nodes:
+        for H, hset, h_order, th in nodes:
+            index = k_order // h_order
             if (p > 2 and index not in (p, p * p)) or not hset < kset \
                     or not is_normal_in(H, K):
                 continue
-            d = tau.value_of(H) - tau.value_of(K)
+            d = th - tk
             if index == p:
                 if p > 2 and d % 2:
                     violations.append(Violation("ii", (H, K), d, 0))
                 continue
-            between = [M for M, mset in zip(subs, sets) if hset < mset < kset]
-            lines = [M for M in between if M.order == p * H.order]
+            between = [node for node in nodes if hset < node[1] < kset]
+            lines = [node for node in between if node[2] == p * h_order]
             if index == p * p and len(lines) == p + 1:
-                tk = tau.value_of(K)
-                rhs = sum(tau.value_of(M) - tk for M in lines)
+                rhs = sum(node[3] - tk for node in lines)
                 if d != rhs:
                     violations.append(Violation("i", (H, K), d, rhs))
             elif p == 2 and len(lines) == 1:
                 if index == 4:
                     modulus = 2
-                elif sum(2 * M.order == K.order for M in between) > 1:
+                elif sum(2 * node[2] == k_order for node in between) > 1:
                     modulus = 4
                 else:
                     continue  # cyclic of order 8 or more: no condition
-                L = lines[0]
-                d = tau.value_of(H) - tau.value_of(L)
+                L, _, _, tl = lines[0]
+                d = th - tl
                 if d % modulus:
                     violations.append(Violation("iii", (H, L, K), d, modulus))
     mono, wit = is_monotone(tau)
@@ -210,7 +212,7 @@ def is_monotone(tau: SuperClassFunction) -> tuple[bool, tuple | None]:
     values = [tau.value_of(S) for S in subs]
     for K, tk in zip(subs, values):
         for H, th in zip(subs, values):
-            if th < tk and set(H.members).issubset(K.members):
+            if th < tk and H.member_set <= K.member_set:
                 return False, (H, K)
     return True, None
 

@@ -188,12 +188,21 @@ def _component_degree(p: int, n: int, key: str | int, gen: str) -> int:
 # localized elements over the two generators
 
 class TwoRowLocalElement:
-    """c0 * g_0 + cn * g_n with rank-one Laurent coefficients."""
+    """c0 * g_0 + cn * g_n with rank-one Laurent coefficients, never
+    mutated; the P^h(cn) computed so far are kept with it (`cn_power`)."""
 
     def __init__(self, module: TwoRowModule, c0: RankOneElement, cn: RankOneElement):
         self.module = module
         self.c0 = c0
         self.cn = cn
+        self._cn_powers: dict[int, RankOneElement] = {}
+
+    def cn_power(self, h: int) -> RankOneElement:
+        """P^h (Sq^h at p = 2) of the g_n coefficient, computed once per h."""
+        out = self._cn_powers.get(h)
+        if out is None:
+            out = self._cn_powers[h] = rank_one_power(h, self.cn)
+        return out
 
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.cn.is_zero()
@@ -228,18 +237,22 @@ def module_bockstein(x: TwoRowLocalElement) -> TwoRowLocalElement:
 
 
 def module_power(i: int, x: TwoRowLocalElement) -> TwoRowLocalElement:
-    """P^i (Sq^i at p = 2) through the Cartan formula and the model data."""
+    """P^i (Sq^i at p = 2) through the Cartan formula and the model data.
+
+    Each Cartan term P^(i-l)(x.cn) P^l(g_n) takes P^(i-l)(x.cn) from
+    x.cn_power, so checking one witness against P^1 .. P^N powers its g_n
+    coefficient once per index h <= N, not once per (i, l)."""
     M = x.module
     p = M.p
     c0 = rank_one_power(i, x.c0)
-    cn = rank_one_power(i, x.cn)
+    cn = x.cn_power(i)
     if x.cn.is_zero():
         return TwoRowLocalElement(M, c0, cn)
     for l, (d0, dn) in M.powers.items():  # P^l falls on g_n, P^(i-l) on x.cn
         d0, dn = d0 % p, dn % p
         if not 1 <= l <= i or not (d0 or dn):
             continue
-        hj = rank_one_power(i - l, x.cn)
+        hj = x.cn_power(i - l)
         if hj.is_zero():
             continue
         if d0:
@@ -355,7 +368,10 @@ def fix_rank(M: TwoRowModule) -> FixResult:
     Each degree is decided by the scalar equations of `_line_equations`,
     stopping at the first contradiction; the witness of the degree found
     is then checked independently, by applying beta and every P^i to it
-    through module_bockstein and module_power."""
+    through module_bockstein and module_power.  The P^i calls share one
+    witness, which keeps each P^h of its g_n coefficient once
+    (TwoRowLocalElement.cn_power), so the check powers that coefficient
+    op_bound times rather than once per structure constant and index."""
     M.validate()
     p, n = M.p, M.n
     if M.differential is not None:

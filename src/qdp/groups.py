@@ -18,7 +18,8 @@ by scanning all of G.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
 from .errors import (
     CompositeP,
@@ -89,21 +90,30 @@ class FiniteGroup:
     def to_json(self) -> dict:
         raise NotImplementedError
 
+    def rows(self) -> Sequence[tuple[int, ...]]:
+        """The multiplication table: row a holds a b for b = 0..n-1."""
+        n = self.order
+        return [tuple(map(self.mul, [a] * n, range(n))) for a in range(n)]
+
     def check_axioms(self) -> None:
         """Identity and inverses at every element, then associativity by
         Light's test: (a g) b = a (g b) for all a, b and every g of a
         generating set, one table row per (g, a).  The elements for which
         that holds are closed under products, so it holds for all of G."""
-        n, e, mul = self.order, self.identity, self.mul
+        n, e = self.order, self.identity
+        rows = self.rows()
         for a in range(n):
-            if mul(a, e) != a or mul(e, a) != a:
+            if rows[a][e] != a or rows[e][a] != a:
                 raise MalformedInput(f"identity fails at {a}")
-            if mul(a, self.inv(a)) != e or mul(self.inv(a), a) != e:
+            b = self.inv(a)
+            if rows[a][b] != e or rows[b][a] != e:
                 raise MalformedInput(f"inverse fails at {a}")
-        rows = [[mul(a, b) for b in range(n)] for a in range(n)]
         for g in generating_set(self):
+            # row -> a (g b) over all b, one C-level gather per row; n >= 2
+            # here, since a generating set of the trivial group is empty
+            times_g = itemgetter(*rows[g])
             for a, row in enumerate(rows):
-                if rows[row[g]] != [row[gb] for gb in rows[g]]:
+                if rows[row[g]] != times_g(row):
                     raise MalformedInput(f"associativity fails at a = {a}, g = {g}")
 
 
@@ -112,33 +122,39 @@ class TableGroup(FiniteGroup):
         n = len(table)
         if any(len(row) != n for row in table):
             raise MalformedInput("multiplication table must be square")
-        if any(not (0 <= v < n) for row in table for v in row):
+        if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
             raise MalformedInput("table entries must be indices 0..n-1")
-        self.table = tuple(tuple(row) for row in table)
+        self.table = rows = tuple(tuple(row) for row in table)
         self.order = n
         self.name = name
         ident = None
+        indices = tuple(range(n))
         for e in range(n):
-            if all(self.table[e][a] == a and self.table[a][e] == a for a in range(n)):
+            if rows[e] == indices and all(row[e] == a for a, row in enumerate(rows)):
                 ident = e
                 break
         if ident is None:
             raise MalformedInput("table has no two-sided identity")
         self.identity = ident
         self._inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == ident and self.table[b][a] == ident:
-                    self._inv[a] = b
-                    break
-            if self._inv[a] < 0:
+        for a, row in enumerate(rows):
+            # the first right inverse; in a group it is the only one, and
+            # two-sided.  Otherwise scan for the first two-sided one
+            b = row.index(ident) if ident in row else -1
+            if b < 0 or rows[b][a] != ident:
+                b = next((b for b in range(n) if row[b] == ident and rows[b][a] == ident), -1)
+            if b < 0:
                 raise MalformedInput(f"element {a} has no two-sided inverse")
+            self._inv[a] = b
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
         return self._inv[a]
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self.table
 
     def to_json(self) -> dict:
         return {"kind": "table", "n": self.order, "mul": [list(r) for r in self.table]}
@@ -247,7 +263,13 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
         mul = obj.get("mul")
         if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
             raise MalformedInput("table group JSON needs 'mul', a list of integer rows")
-        group = TableGroup([[json_int(v, "table entry") for v in row] for row in mul])
+        for row in mul:
+            # one pass over the entry types per row; a row with another
+            # type than int names its first offending entry
+            if not set(map(type, row)) <= {int}:
+                for v in row:
+                    json_int(v, "table entry")
+        group = TableGroup(mul)
         group.check_axioms()
         return group
     raise MalformedInput(f"unknown group kind {obj['kind']!r}")
@@ -257,13 +279,32 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
 # subgroups
 
 class Subgroup:
+    """Sorted members of a subgroup, never mutated; its member set and a
+    generating set are found on first use and kept (`member_set`,
+    `generators`), so the pair scans of a lattice build neither per pair."""
+
     def __init__(self, group: FiniteGroup, members: tuple[int, ...]):
         self.group = group
         self.members = tuple(sorted(members))
+        self._member_set: frozenset[int] | None = None
+        self._generators: list[tuple[int, int]] | None = None
 
     @property
     def order(self) -> int:
         return len(self.members)
+
+    @property
+    def member_set(self) -> frozenset[int]:
+        if self._member_set is None:
+            self._member_set = frozenset(self.members)
+        return self._member_set
+
+    def generators(self) -> list[tuple[int, int]]:
+        """(g, g^-1) for each g that greedy_generators keeps from the members."""
+        if self._generators is None:
+            G = self.group
+            self._generators = [(g, G.inv(g)) for g in greedy_generators(G, self.members)[0]]
+        return self._generators
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and self.members == other.members
@@ -464,6 +505,7 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
     test against K needs.
     """
     G = P.group
+    mul = G.mul
     n = P.order
     if n == 1:
         return [P]
@@ -478,19 +520,22 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
         hset = set(h)
         covered = set(h)  # members of the extensions of h found so far
         for g, gi, gp in triples:
-            if g in covered or gp not in hset or \
-                    any(G.mul(G.mul(g, x), gi) not in hset for x in hgens):
+            if g in covered or gp not in hset:
                 continue
-            cosets = set(h)
-            x = g
-            for _ in range(p - 1):
-                cosets.update(G.mul(x, y) for y in h)
-                x = G.mul(x, g)
-            covered |= cosets
-            key = tuple(sorted(cosets))
-            if key not in seen:
-                seen.add(key)
-                frontier.append((key, hgens + [g]))
+            for x in hgens:
+                if mul(mul(g, x), gi) not in hset:
+                    break
+            else:  # g normalizes h
+                cosets = set(h)
+                x = g
+                for _ in range(p - 1):
+                    cosets.update([mul(x, y) for y in h])
+                    x = mul(x, g)
+                covered |= cosets
+                key = tuple(sorted(cosets))
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append((key, hgens + [g]))
     return [Subgroup(G, k) for k in sorted(seen, key=lambda t: (len(t), t))]
 
 
@@ -552,13 +597,14 @@ class PSubgroupClasses:
 
 
 def conjugacy_orbit(G: FiniteGroup, S: Subgroup, gens: list[int]) -> list[Subgroup]:
+    mul = G.mul
     pairs = [(g, G.inv(g)) for g in gens]
     seen = {S.members}
     frontier = [S.members]
     while frontier:
         t = frontier.pop()
         for g, gi in pairs:
-            u = tuple(sorted(G.mul(G.mul(g, x), gi) for x in t))
+            u = tuple(sorted([mul(mul(g, x), gi) for x in t]))
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -601,14 +647,14 @@ def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
     automorphism, so k H k^-1 is generated by the conjugates of the
     generators of H and has |H| members; it equals H once those conjugates
     lie in H.  The k that normalize H form a group, so the generators of K
-    suffice."""
-    G = H.group
-    hset = set(H.members)
-    hgens = greedy_generators(G, H.members)[0]
-    for k in greedy_generators(G, K.members)[0]:
-        ki = G.inv(k)
-        if any(G.mul(G.mul(k, h), ki) not in hset for h in hgens):
-            return False
+    suffice.  Both generating sets are the subgroups' kept ones."""
+    mul = H.group.mul
+    hset = H.member_set
+    hgens = H.generators()
+    for k, ki in K.generators():
+        for h, _ in hgens:
+            if mul(mul(k, h), ki) not in hset:
+                return False
     return True
 
 

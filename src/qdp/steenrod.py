@@ -208,10 +208,14 @@ def steenrod_power(i: int, a: GradedElement) -> GradedElement:
 def _lucas_range(k: int, lo: int, hi: int, p: int) -> list[tuple[int, int]]:
     """The pairs (j, C(k, j) mod p), k >= 0, for the j in [lo, hi] with
     C(k, j) != 0 mod p, in increasing j.  By Lucas' theorem those are the
-    j whose base-p digits are each at most the matching digit of k.  A j
-    whose highest offending digit sits at p^d is skipped, with every j
-    after it that keeps its digits from p^(d+1) up, to the next multiple
-    of p^(d+1)."""
+    j whose base-p digits are each at most the matching digit of k, and
+    C(k, j) is the product of the digit binomials C(k_d, j_d), each taken
+    mod p (`_row_binomials`) once p is large enough for them to be large.
+    A j whose highest offending digit sits at p^d is skipped, with every j
+    after it that keeps its digits from p^(d+1) up, to the next multiple of
+    p^(d+1)."""
+    # below 64 a digit binomial is a machine word, and math.comb is exact
+    comb = math.comb if p < 64 else _row_binomials(p)
     out = []
     j = lo
     while j <= hi:
@@ -222,7 +226,7 @@ def _lucas_range(k: int, lo: int, hi: int, p: int) -> list[tuple[int, int]]:
             if td > kd:
                 skip = w
             else:
-                coef *= math.comb(kd, td)
+                coef *= comb(kd, td)
             kk //= p
             t //= p
         if skip:
@@ -231,6 +235,22 @@ def _lucas_range(k: int, lo: int, hi: int, p: int) -> list[tuple[int, int]]:
             out.append((j, coef % p))
             j += 1
     return out
+
+
+def _row_binomials(p: int):
+    """A function (a, b) -> C(a, b) mod p for 0 <= b <= a < p.  An exact
+    digit binomial has up to about p bits; this one is read off a row per
+    digit value a, grown as far as asked by
+    C(a, b) = C(a, b - 1) (a - b + 1) / b mod p: O(b) small products."""
+    rows: dict[int, list[int]] = {}
+
+    def comb(a: int, b: int) -> int:
+        row = rows.setdefault(a, [1])
+        for s in range(len(row), b + 1):
+            row.append(row[-1] * (a - s + 1) * pow(s, -1, p) % p)
+        return row[b]
+
+    return comb
 
 
 # ---------------------------------------------------------------------------

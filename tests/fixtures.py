@@ -4,15 +4,19 @@ classes, the generic order-p generation check that the Qd(p) route is
 compared against, the cyclic subgroups of a p-group that theorem-b's
 center orbit is compared against, the quotient table that the Borel-Smith
 checker is compared against, the all-pairs commutator subgroup that the
-count of linear characters is checked against, the element-level route of
-fix_rank and the bounded search of realize that the scalar equations and
-the exact solve are compared against, and the SL2(p) substitution action
-that the invariants are checked against."""
+count of linear characters is checked against, the object-level character
+kernels (one CyclotomicInteger operation per coset term, group element or
+class product) that the integer-vector kernels of qdp.characters are
+compared against, the element-level route of fix_rank and the bounded
+search of realize that the scalar equations and the exact solve are
+compared against, and the SL2(p) substitution action that the invariants
+are checked against."""
 
 import itertools
 import math
 
-from qdp.errors import InvalidModel, MalformedInput, NoWitnessFound, NotUnimodular
+from qdp.characters import CyclotomicInteger, _CycloContext
+from qdp.errors import InvalidModel, MalformedInput, NoWitnessFound, NonIntegral, NotUnimodular
 from qdp.fixrank import (
     FixResult,
     TwoRowLocalElement,
@@ -174,6 +178,78 @@ def all_pairs_derived_subgroup(H: Subgroup) -> Subgroup:
     return Subgroup(G, subgroup_closure(G, [
         G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
         for a in H.members for b in H.members]))
+
+
+# ---------------------------------------------------------------------------
+# character kernels on CyclotomicInteger objects
+
+def zeta_power(e: int, k: int) -> CyclotomicInteger:
+    """zeta_e^k in the power basis."""
+    return CyclotomicInteger(e, _CycloContext.get(e).powers[k % e])
+
+
+def value_at(chi, a: int) -> CyclotomicInteger:
+    """chi at the group element a."""
+    return chi.values[chi.classes.class_of[a]]
+
+
+def object_induced_values(H, lam, classes, e: int) -> tuple[CyclotomicInteger, ...]:
+    """Ind_H^G lam at each class rep g, one CyclotomicInteger addition per
+    coset representative x with x^-1 g x in H."""
+    G = H.group
+    hset = set(H.members)
+    reps = []
+    seen = set()
+    for g in G.elements():
+        if g not in seen:
+            reps.append(g)
+            seen.update(G.mul(g, h) for h in H.members)
+    scale = e // lam.modulus
+    values = []
+    for cls in classes.classes:
+        g = cls[0]
+        acc = CyclotomicInteger.zero(e)
+        for x in reps:
+            y = G.mul(G.mul(G.inv(x), g), x)
+            if y in hset:
+                acc = acc + zeta_power(e, scale * lam.exponents[y])
+        values.append(acc)
+    return tuple(values)
+
+
+def object_inner_product_times_order(chi_vals, psi_vals, classes) -> CyclotomicInteger:
+    """|G| * <chi, psi> = sum_g chi(g) psi(g^-1), one reduced product per
+    class."""
+    acc = CyclotomicInteger.zero(chi_vals[0].order)
+    for ci, cls in enumerate(classes.classes):
+        acc = acc + len(cls) * (chi_vals[ci] * psi_vals[classes.inv_class[ci]])
+    return acc
+
+
+def object_fixed_dimension(chi, H) -> int:
+    """<res_H chi, 1>, adding chi(h) for every member h of H."""
+    acc = CyclotomicInteger.zero(chi.values[0].order)
+    for h in H.members:
+        acc = acc + value_at(chi, h)
+    r = acc.as_rational_int()
+    if r is None or r % H.order or r < 0:
+        raise NonIntegral(f"character average over subgroup is {acc}, not an integer")
+    return r // H.order
+
+
+def object_frobenius_schur(chi) -> int:
+    """(1/|G|) sum_g chi(g^2), adding chi(g^2) for every g."""
+    G = chi.group
+    acc = CyclotomicInteger.zero(chi.values[0].order)
+    for g in G.elements():
+        acc = acc + value_at(chi, G.mul(g, g))
+    r = acc.as_rational_int()
+    if r is None or r % G.order:
+        raise NonIntegral("Frobenius-Schur sum is not an integer multiple of |G|")
+    ind = r // G.order
+    if ind not in (-1, 0, 1):
+        raise NonIntegral(f"Frobenius-Schur indicator {ind} is not -1, 0 or 1")
+    return ind
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from qdp.characters import (
     linear_characters,
     real_representation_basis,
 )
-from qdp.errors import IncompleteInduction, NotPGroup
+from qdp.errors import IncompleteInduction, NonIntegral, NotPGroup
 from qdp.groups import (
     Subgroup,
     subgroups_of_p_group,
@@ -43,7 +43,13 @@ from fixtures import (
     generalized_quaternion,
     heisenberg,
     modular_p3,
+    object_fixed_dimension,
+    object_frobenius_schur,
+    object_induced_values,
+    object_inner_product_times_order,
+    value_at,
     wreath_3_3,
+    zeta_power,
 )
 
 
@@ -82,10 +88,8 @@ def reference_irreducible_characters(G):
     subs = subgroups_of_p_group(whole_group(G))
     for H in subs:
         for lam in linear_characters(H, subs):
-            vals = induced_values(H, lam, classes, e)
-            norm = CyclotomicInteger.zero(e)
-            for ci, cls in enumerate(classes.classes):
-                norm = norm + len(cls) * (vals[ci] * vals[classes.inv_class[ci]])
+            vals = object_induced_values(H, lam, classes, e)
+            norm = object_inner_product_times_order(vals, vals, classes)
             if norm.as_rational_int() == G.order:
                 degree = vals[classes.identity_class].as_rational_int()
                 table.add((degree, tuple(v.coeffs for v in vals)))
@@ -98,7 +102,7 @@ def reference_orthogonal(tables, classes):
     e = tables[0][0].order
     for i in range(len(tables)):
         for j in range(i + 1, len(tables)):
-            ip = _inner_product_times_order(tables[i], tables[j], classes)
+            ip = object_inner_product_times_order(tables[i], tables[j], classes)
             if ip != CyclotomicInteger.zero(e):
                 return False
     return True
@@ -141,7 +145,7 @@ def test_cyclotomic_polynomial_matches_sympy(e):
 
 
 def test_cyclotomic_arithmetic():
-    z = CyclotomicInteger.zeta_power
+    z = zeta_power
     # 1 + zeta_3 + zeta_3^2 = 0
     s = z(3, 0) + z(3, 1) + z(3, 2)
     assert s == CyclotomicInteger.zero(3)
@@ -220,7 +224,7 @@ def _broken_tables(G):
     # one value of chi times zeta: chi(1) = deg, so <chi', psi> has the
     # nonzero summand (zeta - 1) deg psi(1) for every other psi
     turned = list(chi)
-    turned[0] = turned[0] * CyclotomicInteger.zeta_power(e, 1)
+    turned[0] = turned[0] * zeta_power(e, 1)
     return {"twice": twice, "chi+psi": summed, "zeta*value": chars[:-1] + [tuple(turned)]}
 
 
@@ -270,7 +274,7 @@ def test_check_orthogonal_uses_every_embedding():
         seen[img] = u
     assert any(x) and _image(x, ell, rows)[0] == 0 and any(_image(x, ell, rows))
     big = CyclotomicInteger(e, (a,) + (0,) * 19)
-    trivial = (CyclotomicInteger.zeta_power(e, 0),) * n
+    trivial = (zeta_power(e, 0),) * n
     psi = (CyclotomicInteger(e, x), big, big * -1) + (CyclotomicInteger.zero(e),) * (n - 3)
     with pytest.raises(IncompleteInduction, match="not orthogonal"):
         _check_orthogonal([trivial, psi], ElementClasses.compute(cyclic(e)), e, n)
@@ -311,28 +315,98 @@ def test_ell_times_one_maps_to_zero():
 @pytest.mark.parametrize("G", [elementary_abelian(5, 2), heisenberg(5),
                                elementary_abelian(3, 3)], ids=lambda G: G.name)
 def test_exact_products_grow_linearly_in_the_candidates(G, monkeypatch):
-    counts = {"mul": 0, "induced": 0}
-    real_mul, real_rmul = CyclotomicInteger.__mul__, CyclotomicInteger.__rmul__
+    # an exact product is one class's term of an inner product, convolved
+    # by _add_product; only the norm test of each new induction takes them
+    counts = {"products": 0, "induced": 0}
+    real_add_product = qdp.characters._add_product
     real_induced = qdp.characters.induced_values
 
-    def counted_mul(self, other):
-        counts["mul"] += 1
-        return real_mul(self, other)
-
-    def counted_rmul(self, other):
-        counts["mul"] += 1
-        return real_rmul(self, other)
+    def counted_add_product(*args):
+        counts["products"] += 1
+        return real_add_product(*args)
 
     def counted_induced(*args):
         counts["induced"] += 1
         return real_induced(*args)
 
-    monkeypatch.setattr(CyclotomicInteger, "__mul__", counted_mul)
-    monkeypatch.setattr(CyclotomicInteger, "__rmul__", counted_rmul)
+    monkeypatch.setattr(qdp.characters, "_add_product", counted_add_product)
     monkeypatch.setattr(qdp.characters, "induced_values", counted_induced)
     irreducible_characters(G)
     classes = ElementClasses.compute(G)
-    assert 0 < counts["mul"] <= 2 * counts["induced"] * len(classes.classes)
+    assert 0 < counts["products"] <= 2 * counts["induced"] * len(classes.classes)
+
+
+# the integer-vector kernels against the object-level ones of the fixtures
+KERNEL_GROUPS = [elementary_abelian(5, 2), elementary_abelian(3, 3), heisenberg(3),
+                 modular_p3(3), heisenberg(5), cyclic(9), dihedral(4),
+                 generalized_quaternion(8), dihedral(8), generalized_quaternion(16)]
+
+
+@pytest.mark.parametrize("G", KERNEL_GROUPS, ids=lambda G: G.name)
+def test_kernels_match_the_object_level_oracle(G):
+    classes = ElementClasses.compute(G)
+    e = group_exponent(G)
+    subs = subgroups_of_p_group(whole_group(G))
+    induced = []
+    for H in subs:
+        for lam in linear_characters(H, subs):
+            vals = induced_values(H, lam, classes, e)
+            assert vals == object_induced_values(H, lam, classes, e)
+            induced.append(vals)
+    # inner products of induced, not only irreducible, characters, so the
+    # reduction by Phi_e meets large coefficients
+    for chi in induced[::7]:
+        for psi in induced[::11]:
+            assert _inner_product_times_order(chi, psi, classes) == \
+                object_inner_product_times_order(chi, psi, classes)
+    chars = irreducible_characters(G)
+    for chi in chars:
+        assert frobenius_schur(chi) == object_frobenius_schur(chi)
+        for H in subs:
+            assert fixed_dimension(chi, H) == object_fixed_dimension(chi, H)
+
+
+def _raised(kernel, *args):
+    with pytest.raises(NonIntegral) as info:
+        kernel(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("mutate", ["degree", "zeta", "negative"])
+def test_non_integer_subgroup_average_raises(mutate):
+    # a value table that is no character: its average over a subgroup is
+    # not a nonnegative integer, and both kernels say so alike
+    G = cyclic(9)
+    chi = irreducible_characters(G)[1]
+    values = list(chi.values)
+    H = whole_group(G)
+    if mutate == "degree":  # sum over G of chi, plus one
+        values[chi.classes.identity_class] = CyclotomicInteger(9, (2,) + (0,) * 5)
+    elif mutate == "zeta":  # sum over G is not rational
+        values = [zeta_power(9, 1)] * len(values)
+    else:  # average -1 over the trivial subgroup
+        values[chi.classes.identity_class] = CyclotomicInteger(9, (-1,) + (0,) * 5)
+        H = Subgroup(G, (G.identity,))
+    mutant = qdp.characters.Character(G, chi.classes, tuple(values), chi.degree)
+    message = _raised(fixed_dimension, mutant, H)
+    assert message.startswith("character average over subgroup is ")
+    assert message == _raised(object_fixed_dimension, mutant, H)
+
+
+@pytest.mark.parametrize("scale", [2, 3])
+def test_frobenius_schur_rejects_a_non_character(scale):
+    # twice the trivial character has indicator 2; three times it sums to
+    # 3 |G| over g^2, but an added zeta makes the sum irrational
+    G = cyclic(9)
+    one = zeta_power(9, 0)
+    trivial = next(chi for chi in irreducible_characters(G)
+                   if all(v == one for v in chi.values))
+    values = tuple(v * scale for v in trivial.values)
+    if scale == 3:
+        values = (values[0] + zeta_power(9, 1),) + values[1:]
+    mutant = qdp.characters.Character(G, trivial.classes, values, scale)
+    message = _raised(frobenius_schur, mutant)
+    assert message == _raised(object_frobenius_schur, mutant)
 
 
 def test_non_p_group_rejected():
@@ -347,7 +421,7 @@ def test_linear_characters_of_cyclic_are_roots_of_unity():
     vals = {tuple(v.coeffs for v in c.values) for c in chars}
     assert len(vals) == 3
     for c in chars:
-        cube = c.value_at(1) * c.value_at(1) * c.value_at(1)
+        cube = value_at(c, 1) * value_at(c, 1) * value_at(c, 1)
         assert cube.as_rational_int() == 1
 
 
@@ -404,6 +478,22 @@ def test_realified_faithful_linear_of_z3_matches_rotation():
     triv = Subgroup(G, (0,))
     assert 2 * fixed_dimension(pair.character, triv) == 2
     assert 2 * fixed_dimension(pair.character, whole) == 2 * rotation_fixed_rank_p3()
+
+
+@pytest.mark.parametrize("broken", ["partner missing", "own partner"])
+def test_complex_character_needs_another_partner(monkeypatch, broken):
+    # Z/3 has two complex characters, each the other's conjugate
+    G = cyclic(3)
+    chars = irreducible_characters(G)
+    if broken == "partner missing":
+        one = zeta_power(3, 0)
+        chars = [chi for chi in chars if all(v == one for v in chi.values)] + \
+            [chi for chi in chars if not all(v == one for v in chi.values)][:1]
+    else:  # the trivial character read as complex is its own conjugate
+        monkeypatch.setattr(qdp.characters, "frobenius_schur", lambda chi: 0)
+    monkeypatch.setattr(qdp.characters, "irreducible_characters", lambda P, subgroups: chars)
+    with pytest.raises(IncompleteInduction, match="without conjugate partner"):
+        real_representation_basis(G)
 
 
 def test_frobenius_schur_indicators():

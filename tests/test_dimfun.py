@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -38,6 +39,7 @@ from qdp.groups import (
     conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
+    greedy_generators,
     is_normal_in,
     p_subgroups,
     qdp_generators,
@@ -171,6 +173,129 @@ def test_lattice_checker_agrees_with_quotient_tables(G, p):
         report, reference = check_borel_smith(tau), reference_borel_smith(tau)
         assert report.to_json() == reference.to_json()
         assert report.monotone_witness == reference.monotone_witness
+
+
+def fresh_is_normal_in(H, K):
+    """is_normal_in with both generating sets searched anew."""
+    G = H.group
+    hset = set(H.members)
+    hgens = greedy_generators(G, H.members)[0]
+    return all(G.mul(G.mul(k, h), G.inv(k)) in hset
+               for k in greedy_generators(G, K.members)[0] for h in hgens)
+
+
+def per_pair_borel_smith(tau):
+    """The conditions of `check_borel_smith`, normality decided per pair
+    by a generator search on both subgroups."""
+    lat = tau.lattice
+    p = lat.prime
+    subs = lat.sylow_subgroups
+    sets = [frozenset(S.members) for S in subs]
+    violations = []
+    for K, kset in zip(subs, sets):
+        for H, hset in zip(subs, sets):
+            index = K.order // H.order
+            if (p > 2 and index not in (p, p * p)) or not hset < kset \
+                    or not fresh_is_normal_in(H, K):
+                continue
+            d = tau.value_of(H) - tau.value_of(K)
+            if index == p:
+                if p > 2 and d % 2:
+                    violations.append(Violation("ii", (H, K), d, 0))
+                continue
+            between = [M for M, mset in zip(subs, sets) if hset < mset < kset]
+            lines = [M for M in between if M.order == p * H.order]
+            if index == p * p and len(lines) == p + 1:
+                tk = tau.value_of(K)
+                rhs = sum(tau.value_of(M) - tk for M in lines)
+                if d != rhs:
+                    violations.append(Violation("i", (H, K), d, rhs))
+            elif p == 2 and len(lines) == 1:
+                if index == 4:
+                    modulus = 2
+                elif sum(2 * M.order == K.order for M in between) > 1:
+                    modulus = 4
+                else:
+                    continue
+                L = lines[0]
+                d = tau.value_of(H) - tau.value_of(L)
+                if d % modulus:
+                    violations.append(Violation("iii", (H, L, K), d, modulus))
+    witness = next(((H, K) for K in subs for H in subs
+                    if tau.value_of(H) < tau.value_of(K)
+                    and set(H.members).issubset(K.members)), None)
+    return BorelSmithReport(monotone=witness is None, violations=violations,
+                            monotone_witness=witness)
+
+
+def perturbed_twin(tau, rng):
+    """tau with one class's value moved by +-1."""
+    values = list(tau.values)
+    values[rng.randrange(len(values))] += rng.choice((-1, 1))
+    return SuperClassFunction(tau.lattice, tuple(values))
+
+
+def _same_report(tau):
+    report, reference = check_borel_smith(tau), per_pair_borel_smith(tau)
+    assert report.to_json() == reference.to_json()
+    assert report.monotone_witness == reference.monotone_witness
+    return report
+
+
+@pytest.mark.parametrize("G,p", AGREEMENT_GROUPS, ids=lambda x: getattr(x, "name", ""))
+def test_checker_matches_the_per_pair_reference_on_the_grid(G, p):
+    rng = random.Random(f"twin:{G.name}:{p}")
+    violated = 0
+    for tau in seeded_taus(G, p, count=10):
+        _same_report(tau)
+        violated += bool(_same_report(perturbed_twin(tau, rng)).violations)
+    assert violated >= 5
+
+
+def corpus_inputs():
+    """The benchmark corpus's group tables with each tau and its perturbed
+    twin, as the CLI reads them."""
+    import importlib.util
+    from pathlib import Path
+
+    from qdp.groups import group_from_json
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    files = {name: json.loads(text)
+             for name, text in gen.generate("corpus", 7).files.items()}
+    for name in sorted(files):
+        if "_tau" not in name:
+            continue
+        group_name, tag = name.split("_tau")
+        G = group_from_json(files[f"{group_name}_group.json"])
+        lat = p_subgroups(G, files[name]["p"])
+        yield name, [superclassfunction_from_json(files[f"{group_name}_{kind}{tag}"], lat)
+                     for kind in ("tau", "bad")]
+
+
+def test_checker_matches_the_per_pair_reference_on_the_corpus():
+    names = []
+    for name, (tau, twin) in corpus_inputs():
+        assert _same_report(tau).ok
+        assert _same_report(twin).violations
+        names.append(name)
+    assert len(names) == 8  # six groups, two of them with a second tau
+
+
+def test_borel_smith_searches_each_subgroups_generators_once(monkeypatch):
+    import qdp.groups
+    lat = p_subgroups(heisenberg(5), 5)
+    calls = []
+    real = qdp.groups.greedy_generators
+    monkeypatch.setattr(qdp.groups, "greedy_generators",
+                        lambda G, members: calls.append(1) or real(G, members))
+    tau = SuperClassFunction(lat, tuple(range(lat.n_classes, 0, -1)))
+    for _ in range(2):
+        check_borel_smith(tau)
+    assert 0 < len(calls) <= len(lat.sylow_subgroups)
 
 
 def test_agreement_taus_violate_every_condition():

@@ -233,6 +233,48 @@ def test_json_round_trip():
     assert K.order == 6 and K.mul(1, 5) == H.mul(1, 5)
 
 
+@pytest.mark.parametrize("mul, message", [
+    ([[0, 1], [1, 1.0]], "table entry must be an integer, got 1.0"),
+    ([[0, True], [True, 0]], "table entry must be an integer, got True"),
+    ([[0, 1], [1, "0"]], "table entry must be an integer, got '0'"),
+    ([[0, 1, 2], [1, "x", 2.5], [2, 0, None]], "table entry must be an integer, got 'x'"),
+    ([[0, 1], [1, 2]], "table entries must be indices 0..n-1"),
+    ([[0, 1], [1, -1]], "table entries must be indices 0..n-1"),
+    ([[0, 1], [1]], "multiplication table must be square"),
+    ([], "table has no two-sided identity"),
+    # 1 * 2 = 0 but 2 * 1 = 2: a right inverse only
+    ([[0, 1, 2], [1, 1, 0], [2, 2, 2]], "element 1 has no two-sided inverse"),
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "associativity fails at a = 1, g = 1"),
+], ids=["float", "bool", "string", "first-offending-entry", "too-large", "negative",
+        "not-square", "empty", "one-sided-inverse", "non-associative"])
+def test_table_json_is_rejected_with_its_message(mul, message):
+    with pytest.raises(MalformedInput) as info:
+        group_from_json({"kind": "table", "mul": mul})
+    assert str(info.value) == message
+
+
+def test_table_inverse_is_the_first_two_sided_one():
+    # 1 * 2 = 0 = 1 * 3, but only 3 * 1 = 0: the first right inverse of 1
+    # is one-sided, and the scan finds the two-sided one after it
+    rows = [[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+    G = TableGroup(rows)
+    assert [G.inv(a) for a in range(4)] == [
+        next(b for b in range(4) if rows[a][b] == 0 and rows[b][a] == 0) for a in range(4)]
+    assert G.inv(1) == 3
+    with pytest.raises(MalformedInput, match="associativity"):
+        G.check_axioms()
+
+
+def test_table_axioms_read_the_stored_rows(monkeypatch):
+    # past the generating set, Light's test and the identity and inverse
+    # checks run on the table itself: no product goes through mul
+    G = heisenberg(5)
+    gens = generating_set(G)
+    monkeypatch.setattr("qdp.groups.generating_set", lambda H: gens)
+    monkeypatch.setattr(TableGroup, "mul", lambda self, a, b: pytest.fail("mul called"))
+    G.check_axioms()
+
+
 def test_coset_closure_matches_saturation_on_qdp():
     for p in (3, 5, 7):
         G = construct_qdp(p, max_order=20000)

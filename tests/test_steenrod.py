@@ -669,6 +669,36 @@ def test_lucas_range_is_the_nonzero_binomials():
             assert _lucas_range(k, lo, hi, p) == want, (k, lo, hi, p)
 
 
+def test_lucas_range_reads_large_primes_off_rows():
+    # from p = 64 on the digit binomials come from rows mod p; binom_mod
+    # takes them as exact math.comb values, digit by digit
+    rng = random.Random(6)
+    for p in (67, 101, 4999):
+        for _ in range(40):
+            k = rng.randrange(3 * p * p)
+            lo = rng.randrange(k + 1)
+            hi = min(k, lo + rng.choice((0, 3, 2 * p if p < 1000 else 20)))
+            want = [(j, c) for j in range(lo, hi + 1) if (c := binom_mod(k, j, p))]
+            assert _lucas_range(k, lo, hi, p) == want, (k, lo, hi, p)
+    # C(p - 1, j) = (-1)^j mod p
+    assert _lucas_range(4998, 0, 4998, 4999) == [
+        (j, 1 if j % 2 == 0 else 4998) for j in range(4999)]
+
+
+def test_steenrod_check_takes_no_large_exact_binomial(monkeypatch, capsys):
+    # at p = 4999 zeta^(p-1) expands over C(p - 1, j); an exact C(a, b)
+    # with b and a - b both large has thousands of bits
+    real_comb = math.comb
+
+    def small_comb(a, b):
+        assert min(b, a - b) < 64, (a, b)
+        return real_comb(a, b)
+
+    monkeypatch.setattr(math, "comb", small_comb)
+    assert main(["steenrod-check", "--p", "4999", "--samples", "3"]) == 0
+    assert "verified" in capsys.readouterr().out
+
+
 def test_quotient_finite_dimensional():
     inv = invariants(P)
     for s in (1, 2, 3):
