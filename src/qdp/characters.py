@@ -106,10 +106,6 @@ class CyclotomicInteger:
     def __repr__(self) -> str:
         return f"CyclotomicInteger({self.order}, {self.coeffs})"
 
-    @staticmethod
-    def zero(e: int) -> "CyclotomicInteger":
-        return CyclotomicInteger(e, (0,) * _CycloContext.get(e).phi)
-
     def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
         if self.order != other.order:
             raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
@@ -128,21 +124,9 @@ class CyclotomicInteger:
         if self.order != other.order:
             raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
         ctx = _CycloContext.get(self.order)
-        phi = ctx.phi
-        conv = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:phi])
-        for j in range(phi, 2 * phi - 1):
-            c = conv[j]
-            if c:
-                vec = ctx.powers[j]
-                for k in range(phi):
-                    out[k] += c * vec[k]
-        return CyclotomicInteger(self.order, tuple(out))
+        conv = [0] * (2 * ctx.phi - 1)
+        _add_product(conv, 1, self.coeffs, other.coeffs)
+        return CyclotomicInteger(self.order, _reduced(ctx, conv))
 
     __rmul__ = __mul__
 
@@ -265,18 +249,11 @@ def _inner_product_times_order(chi_vals, psi_vals, classes: ElementClasses) -> C
     of degree below 2 phi(e) - 1 and reduced by Phi_e once."""
     e = chi_vals[0].order
     ctx = _CycloContext.get(e)
-    phi = ctx.phi
-    conv = [0] * (2 * phi - 1)
+    conv = [0] * (2 * ctx.phi - 1)
     for ci, cls in enumerate(classes.classes):
         _add_product(conv, len(cls), chi_vals[ci].coeffs,
                      psi_vals[classes.inv_class[ci]].coeffs)
-    out = conv[:phi]
-    for j in range(phi, 2 * phi - 1):
-        c = conv[j]
-        if c:
-            for k, v in enumerate(ctx.powers[j]):
-                out[k] += c * v
-    return CyclotomicInteger(e, tuple(out))
+    return CyclotomicInteger(e, _reduced(ctx, conv))
 
 
 def _add_product(conv: list[int], weight: int, a: Sequence[int], b: Sequence[int]) -> None:
@@ -288,6 +265,19 @@ def _add_product(conv: list[int], weight: int, a: Sequence[int], b: Sequence[int
             x *= weight
             for j, y in terms:
                 conv[i + j] += x * y
+
+
+def _reduced(ctx: _CycloContext, conv: list[int]) -> tuple[int, ...]:
+    """A polynomial of degree below 2 phi(e) - 1 in the power basis: each
+    x^j with j >= phi(e) is replaced by its power-table row."""
+    phi = ctx.phi
+    out = conv[:phi]
+    for j in range(phi, len(conv)):
+        c = conv[j]
+        if c:
+            for k, v in enumerate(ctx.powers[j]):
+                out[k] += c * v
+    return tuple(out)
 
 
 def _evaluation_rows(e: int, bound: int) -> tuple[int, list[list[int]]]:

@@ -183,6 +183,11 @@ def all_pairs_derived_subgroup(H: Subgroup) -> Subgroup:
 # ---------------------------------------------------------------------------
 # character kernels on CyclotomicInteger objects
 
+def cyclo_zero(e: int) -> CyclotomicInteger:
+    """0 in Z[zeta_e]."""
+    return CyclotomicInteger(e, (0,) * _CycloContext.get(e).phi)
+
+
 def zeta_power(e: int, k: int) -> CyclotomicInteger:
     """zeta_e^k in the power basis."""
     return CyclotomicInteger(e, _CycloContext.get(e).powers[k % e])
@@ -208,7 +213,7 @@ def object_induced_values(H, lam, classes, e: int) -> tuple[CyclotomicInteger, .
     values = []
     for cls in classes.classes:
         g = cls[0]
-        acc = CyclotomicInteger.zero(e)
+        acc = cyclo_zero(e)
         for x in reps:
             y = G.mul(G.mul(G.inv(x), g), x)
             if y in hset:
@@ -220,7 +225,7 @@ def object_induced_values(H, lam, classes, e: int) -> tuple[CyclotomicInteger, .
 def object_inner_product_times_order(chi_vals, psi_vals, classes) -> CyclotomicInteger:
     """|G| * <chi, psi> = sum_g chi(g) psi(g^-1), one reduced product per
     class."""
-    acc = CyclotomicInteger.zero(chi_vals[0].order)
+    acc = cyclo_zero(chi_vals[0].order)
     for ci, cls in enumerate(classes.classes):
         acc = acc + len(cls) * (chi_vals[ci] * psi_vals[classes.inv_class[ci]])
     return acc
@@ -228,7 +233,7 @@ def object_inner_product_times_order(chi_vals, psi_vals, classes) -> CyclotomicI
 
 def object_fixed_dimension(chi, H) -> int:
     """<res_H chi, 1>, adding chi(h) for every member h of H."""
-    acc = CyclotomicInteger.zero(chi.values[0].order)
+    acc = cyclo_zero(chi.values[0].order)
     for h in H.members:
         acc = acc + value_at(chi, h)
     r = acc.as_rational_int()
@@ -240,7 +245,7 @@ def object_fixed_dimension(chi, H) -> int:
 def object_frobenius_schur(chi) -> int:
     """(1/|G|) sum_g chi(g^2), adding chi(g^2) for every g."""
     G = chi.group
-    acc = CyclotomicInteger.zero(chi.values[0].order)
+    acc = cyclo_zero(chi.values[0].order)
     for g in G.elements():
         acc = acc + value_at(chi, G.mul(g, g))
     r = acc.as_rational_int()
