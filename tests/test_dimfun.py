@@ -167,14 +167,6 @@ def seeded_taus(G, p, count=30):
         yield SuperClassFunction(lat, tuple(values))
 
 
-@pytest.mark.parametrize("G,p", AGREEMENT_GROUPS, ids=lambda x: getattr(x, "name", ""))
-def test_lattice_checker_agrees_with_quotient_tables(G, p):
-    for tau in seeded_taus(G, p):
-        report, reference = check_borel_smith(tau), reference_borel_smith(tau)
-        assert report.to_json() == reference.to_json()
-        assert report.monotone_witness == reference.monotone_witness
-
-
 def fresh_is_normal_in(H, K):
     """is_normal_in with both generating sets searched anew."""
     G = H.group
@@ -184,50 +176,6 @@ def fresh_is_normal_in(H, K):
                for k in greedy_generators(G, K.members)[0] for h in hgens)
 
 
-def per_pair_borel_smith(tau):
-    """The conditions of `check_borel_smith`, normality decided per pair
-    by a generator search on both subgroups."""
-    lat = tau.lattice
-    p = lat.prime
-    subs = lat.sylow_subgroups
-    sets = [frozenset(S.members) for S in subs]
-    violations = []
-    for K, kset in zip(subs, sets):
-        for H, hset in zip(subs, sets):
-            index = K.order // H.order
-            if (p > 2 and index not in (p, p * p)) or not hset < kset \
-                    or not fresh_is_normal_in(H, K):
-                continue
-            d = tau.value_of(H) - tau.value_of(K)
-            if index == p:
-                if p > 2 and d % 2:
-                    violations.append(Violation("ii", (H, K), d, 0))
-                continue
-            between = [M for M, mset in zip(subs, sets) if hset < mset < kset]
-            lines = [M for M in between if M.order == p * H.order]
-            if index == p * p and len(lines) == p + 1:
-                tk = tau.value_of(K)
-                rhs = sum(tau.value_of(M) - tk for M in lines)
-                if d != rhs:
-                    violations.append(Violation("i", (H, K), d, rhs))
-            elif p == 2 and len(lines) == 1:
-                if index == 4:
-                    modulus = 2
-                elif sum(2 * M.order == K.order for M in between) > 1:
-                    modulus = 4
-                else:
-                    continue
-                L = lines[0]
-                d = tau.value_of(H) - tau.value_of(L)
-                if d % modulus:
-                    violations.append(Violation("iii", (H, L, K), d, modulus))
-    witness = next(((H, K) for K in subs for H in subs
-                    if tau.value_of(H) < tau.value_of(K)
-                    and set(H.members).issubset(K.members)), None)
-    return BorelSmithReport(monotone=witness is None, violations=violations,
-                            monotone_witness=witness)
-
-
 def perturbed_twin(tau, rng):
     """tau with one class's value moved by +-1."""
     values = list(tau.values)
@@ -235,21 +183,28 @@ def perturbed_twin(tau, rng):
     return SuperClassFunction(tau.lattice, tuple(values))
 
 
-def _same_report(tau):
-    report, reference = check_borel_smith(tau), per_pair_borel_smith(tau)
-    assert report.to_json() == reference.to_json()
-    assert report.monotone_witness == reference.monotone_witness
+def checked_report(tau, monkeypatch):
+    """check_borel_smith(tau), asserted equal to the quotient-table
+    reference and to the checker with normality decided per pair by a
+    fresh generator search on both subgroups."""
+    report = check_borel_smith(tau)
+    with monkeypatch.context() as m:
+        m.setattr(dimfun, "is_normal_in", fresh_is_normal_in)
+        per_pair = check_borel_smith(tau)
+    for reference in (reference_borel_smith(tau), per_pair):
+        assert report.to_json() == reference.to_json()
+        assert report.monotone_witness == reference.monotone_witness
     return report
 
 
 @pytest.mark.parametrize("G,p", AGREEMENT_GROUPS, ids=lambda x: getattr(x, "name", ""))
-def test_checker_matches_the_per_pair_reference_on_the_grid(G, p):
+def test_lattice_checker_agrees_with_quotient_tables(G, p, monkeypatch):
     rng = random.Random(f"twin:{G.name}:{p}")
     violated = 0
-    for tau in seeded_taus(G, p, count=10):
-        _same_report(tau)
-        violated += bool(_same_report(perturbed_twin(tau, rng)).violations)
-    assert violated >= 5
+    for tau in seeded_taus(G, p):
+        checked_report(tau, monkeypatch)
+        violated += bool(checked_report(perturbed_twin(tau, rng), monkeypatch).violations)
+    assert violated >= 15
 
 
 def corpus_inputs():
@@ -276,11 +231,11 @@ def corpus_inputs():
                      for kind in ("tau", "bad")]
 
 
-def test_checker_matches_the_per_pair_reference_on_the_corpus():
+def test_lattice_checker_agrees_with_quotient_tables_on_the_corpus(monkeypatch):
     names = []
     for name, (tau, twin) in corpus_inputs():
-        assert _same_report(tau).ok
-        assert _same_report(twin).violations
+        assert checked_report(tau, monkeypatch).ok
+        assert checked_report(twin, monkeypatch).violations
         names.append(name)
     assert len(names) == 8  # six groups, two of them with a second tau
 

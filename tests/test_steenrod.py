@@ -26,6 +26,7 @@ from qdp.steenrod import (
     GradedElement,
     IdealHandle,
     RankOneElement,
+    _EXACT_DIGIT_BINOMIALS_BELOW,
     _lucas_range,
     binom_mod,
     bockstein,
@@ -625,7 +626,7 @@ def test_zeta_proposition_matches_enumeration(p, k):
 
 def test_binom_mod_matches_falling_factorial():
     # C(k, i) = k (k-1) ... (k-i+1) / i! for every integer k
-    for p in (2, 3, 5, 7, 11):
+    for p in (2, 3, 5, 7, 11, 101, 127):
         for k in range(-60, 140):
             for i in range(-2, 145):
                 want = math.prod(range(k - i + 1, k + 1)) // math.factorial(i) % p \
@@ -669,20 +670,35 @@ def test_lucas_range_is_the_nonzero_binomials():
             assert _lucas_range(k, lo, hi, p) == want, (k, lo, hi, p)
 
 
-def test_lucas_range_reads_large_primes_off_rows():
-    # from p = 64 on the digit binomials come from rows mod p; binom_mod
-    # takes them as exact math.comb values, digit by digit
-    rng = random.Random(6)
-    for p in (67, 101, 4999):
-        for _ in range(40):
-            k = rng.randrange(3 * p * p)
-            lo = rng.randrange(k + 1)
-            hi = min(k, lo + rng.choice((0, 3, 2 * p if p < 1000 else 20)))
-            want = [(j, c) for j in range(lo, hi + 1) if (c := binom_mod(k, j, p))]
-            assert _lucas_range(k, lo, hi, p) == want, (k, lo, hi, p)
+def lucas_exact(k, j, p):
+    """C(k, j) mod p, k >= 0, by Lucas' theorem on exact digit binomials."""
+    out = 1
+    while j:
+        out *= math.comb(k % p, j % p)  # zero once j's digit exceeds k's
+        k //= p
+        j //= p
+    return out % p
+
+
+@pytest.mark.parametrize("p", (83, 97, 101, 139, 4999))
+def test_digit_binomials_agree_on_both_sides_of_the_exact_bound(p):
+    # below _EXACT_DIGIT_BINOMIALS_BELOW the digit binomials are exact, from
+    # it on they are read off factorial tables mod p
+    assert 97 < _EXACT_DIGIT_BINOMIALS_BELOW <= 101
+    rng = random.Random(p)
+    for _ in range(40):
+        k = rng.randrange(3 * p * p)
+        lo = rng.randrange(k + 1)
+        hi = min(k, lo + rng.choice((0, 3, 2 * p if p < 1000 else 20)))
+        want = [lucas_exact(k, j, p) for j in range(lo, hi + 1)]
+        assert _lucas_range(k, lo, hi, p) == [
+            (j, c) for j, c in zip(range(lo, hi + 1), want) if c], (k, lo, hi, p)
+        assert [binom_mod(k, j, p) for j in range(lo, hi + 1)] == want, (k, lo, hi, p)
+        # the reflection rule C(-k - 1, j) = (-1)^j C(k + j, j)
+        assert binom_mod(-k - 1, lo, p) == (-1) ** lo * lucas_exact(k + lo, lo, p) % p
     # C(p - 1, j) = (-1)^j mod p
-    assert _lucas_range(4998, 0, 4998, 4999) == [
-        (j, 1 if j % 2 == 0 else 4998) for j in range(4999)]
+    assert _lucas_range(p - 1, 0, p - 1, p) == [
+        (j, 1 if j % 2 == 0 else p - 1) for j in range(p)]
 
 
 def test_steenrod_check_takes_no_large_exact_binomial(monkeypatch, capsys):
