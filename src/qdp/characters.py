@@ -1,163 +1,60 @@
-"""Irreducible characters of p-groups, exactly, and their real forms.
+"""Irreducible characters of p-groups up to Galois conjugacy, as integer
+class functions, and the real representations they give.
 
-p-groups are monomial: every irreducible complex character is induced from
-a linear character of some subgroup.  We induce the linear characters of
-the subgroups from the largest down, keep the norm-one results (genuine
-characters, so irreducible) until their squared degrees sum to |P|, which
-makes them the whole table, and certify it by sum-of-squares and exact
-pairwise orthogonality.  The linear characters of a subgroup H are the
-faithful characters of its cyclic quotients H/K, K running over the same
-subgroup list (`linear_characters`).  All values live in the ring of
-cyclotomic integers Z[zeta_e], e = exp(P), represented as integer vectors
-in the power basis of Z[x]/(Phi_e); no floating point anywhere.  The
-pairwise check evaluates the table in F_ell^phi(e) for a prime
-ell = 1 (mod e) above a bound on the inner products' coefficients, which
-keeps it exact (`_check_orthogonal`).
+realize reads two things off an irreducible character chi: its fixed
+dimensions dim V^L at the subgroups L and its Frobenius-Schur indicator.
+Both are rational, so they are the same on chi's Galois class O, and the
+class's trace over a cyclotomic field Q(zeta_e) holding chi's values,
+c = (phi(e) / |O|) * (sum of O), carries them: c(1) = phi(e) chi(1),
+dim V^L = <res_L c, 1> / phi(e) and FS(chi) = FS(c) / phi(e).
 
-The kernels add up on those integer vectors and make one
-CyclotomicInteger per result: an induced value sums rows of the power
-table; an inner product convolves the class-weighted products into one
-unreduced coefficient list and reduces it by Phi_e once; a fixed
-dimension and a Frobenius-Schur indicator weight each class value by a
-member count (of H in the class, resp. of the g with g^2 in it) instead
-of adding one value per group element.
+p-groups are monomial: each chi is Ind_H^P lam for a linear lam, that is
+a faithful character of a cyclic H/K of order e (`linear_characters`).
+The faithful characters of H/K sum to e 1_K - (e/p) 1_K', K'/K of order
+p, so the trace of Ind lam is pi_{P/K} - pi_{P/K'} (pi_{P/H} when e = 1),
+and pi_{P/K}(g) = |C_P(g)| |g^P n K| / |K| is read off class counts.  No
+character value and no root of unity is ever formed.
+
+Ind lam is irreducible iff for every x outside H some l in H n xHx^-1 has
+l^-1 x^-1 l x outside K (Mackey's criterion; Serre, Linear Representations
+of Finite Groups, 7.4): a test on K alone, with one x per coset xH.  The
+sections are taken from the largest H down, one trace is kept per Galois
+class (the traces of a class are proportional), and the search stops once
+the sum of c(1)^2 / <c, c> = |O| chi(1)^2 reaches |P|; the kept traces are
+checked pairwise orthogonal, in integers.  Neither check makes Mackey's
+redundant: from the center of Q8 the faithful character induces 2 chi,
+whose trace passes both while it doubles chi's vector.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from operator import mul
+from operator import mul, sub
 
-from .errors import DomainMismatch, IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
+from .errors import IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
 from .groups import (
     FiniteGroup,
     Subgroup,
     _unique_prime,
     element_conjugacy_classes,
     is_normal_in,
-    is_prime,
     subgroups_of_p_group,
     whole_group,
 )
 
 
-# ---------------------------------------------------------------------------
-# cyclotomic integers
-
-def cyclotomic_polynomial(e: int) -> list[int]:
-    """Coefficients of Phi_e, low degree first, for e = 1 or a prime power
-    q^k, the exponents of p-groups: Phi_1 = x - 1 and
-    Phi_{q^k}(x) = Phi_q(x^(q^(k-1))) = sum_{i<q} x^(i q^(k-1))."""
-    if e == 1:
-        return [-1, 1]
-    step = e // _unique_prime(e)
-    return [int(j % step == 0) for j in range(e - step + 1)]
-
-
-class _CycloContext:
-    _cache: dict[int, "_CycloContext"] = {}
-
-    def __init__(self, e: int):
-        phi_poly = cyclotomic_polynomial(e)
-        self.e = e
-        self.phi = len(phi_poly) - 1
-        # x^phi == -(low part of Phi_e); extend the power table far enough
-        # for degree-(2 phi - 2) products and for zeta_e^k, k < e.
-        top = max(e - 1, 2 * self.phi - 2)
-        powers: list[tuple[int, ...]] = []
-        for j in range(self.phi):
-            vec = [0] * self.phi
-            vec[j] = 1
-            powers.append(tuple(vec))
-        for j in range(self.phi, top + 1):
-            prev = powers[j - 1]
-            shifted = [0] + list(prev[:-1])
-            carry = prev[-1]
-            if carry:
-                for k in range(self.phi):
-                    shifted[k] -= carry * phi_poly[k]
-            powers.append(tuple(shifted))
-        self.powers = powers
-
-    @classmethod
-    def get(cls, e: int) -> "_CycloContext":
-        if e not in cls._cache:
-            cls._cache[e] = _CycloContext(e)
-        return cls._cache[e]
-
-
-class CyclotomicInteger:
-    """Element of Z[zeta_e] in the power basis 1, zeta, ..., zeta^(phi(e)-1);
-    equal and hashed by value, never mutated."""
-
-    def __init__(self, order: int, coeffs: tuple[int, ...]):
-        self.order = order
-        self.coeffs = coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicInteger):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicInteger({self.order}, {self.coeffs})"
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        if self.order != other.order:
-            raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
-        return CyclotomicInteger(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        if self.order != other.order:
-            raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
-        return CyclotomicInteger(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other) -> "CyclotomicInteger":
-        if isinstance(other, int):
-            return CyclotomicInteger(self.order, tuple(a * other for a in self.coeffs))
-        if self.order != other.order:
-            raise DomainMismatch(f"cyclotomic orders {self.order} and {other.order}")
-        ctx = _CycloContext.get(self.order)
-        conv = [0] * (2 * ctx.phi - 1)
-        _add_product(conv, 1, self.coeffs, other.coeffs)
-        return CyclotomicInteger(self.order, _reduced(ctx, conv))
-
-    __rmul__ = __mul__
-
-    def as_rational_int(self) -> int | None:
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
-
-
-# ---------------------------------------------------------------------------
-# conjugacy classes of elements
-
 class ElementClasses:
-    def __init__(self, group: FiniteGroup, classes: tuple[tuple[int, ...], ...],
-                 class_of: tuple[int, ...], inv_class: tuple[int, ...]):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.classes = classes
-        self.class_of = class_of
-        self.inv_class = inv_class
-        self._in_subgroup: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._squares: tuple[int, ...] | None = None
-
-    @staticmethod
-    def compute(G: FiniteGroup) -> "ElementClasses":
-        classes = tuple(tuple(c) for c in element_conjugacy_classes(G))
-        class_of = [0] * G.order
-        for ci, cls in enumerate(classes):
+        self.classes = tuple(tuple(c) for c in element_conjugacy_classes(group))
+        class_of = [0] * group.order
+        for ci, cls in enumerate(self.classes):
             for a in cls:
                 class_of[a] = ci
-        inv_class = tuple(class_of[G.inv(cls[0])] for cls in classes)
-        return ElementClasses(G, classes, tuple(class_of), inv_class)
+        self.class_of = tuple(class_of)
+        self._in_subgroup: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._squares: tuple[int, ...] | None = None
 
     @property
     def identity_class(self) -> int:
@@ -188,22 +85,23 @@ class ElementClasses:
 # linear characters from the subgroup lattice
 
 class LinearCharacter:
-    """zeta_modulus^(exponent) valued homomorphism, stored by exponents."""
+    """The Galois class of the linear characters with kernel K: the faithful
+    characters of a cyclic quotient of order `modulus`.  `above` is the K'
+    with K'/K of order p (None when the modulus is 1)."""
 
-    def __init__(self, modulus: int, exponents: dict[int, int]):
+    def __init__(self, K: Subgroup, modulus: int, above: Subgroup | None):
+        self.K = K
         self.modulus = modulus
-        self.exponents = exponents  # parent-group element -> exponent mod modulus
+        self.above = above
 
 
 def linear_characters(H: Subgroup, subgroups: Sequence[Subgroup]) -> list[LinearCharacter]:
-    """Every linear character of H, each once; `subgroups` must hold every
-    normal subgroup of H, as the subgroup list of a p-group containing H does.
-
-    The image of a linear character is a finite subgroup of C^x, so its
-    kernel K is normal in H with H/K cyclic, and it is a faithful character
-    of H/K; conversely every faithful character of a cyclic H/K is linear on
-    H.  So each such K, with gK of order m = |H : K|, contributes
-    g^i k -> zeta_m^(i j) for each j prime to m."""
+    """Every linear character of H up to Galois conjugacy, each class once;
+    `subgroups` must hold every normal subgroup of H, as the subgroup list
+    of a p-group containing H does.  A linear character is a faithful
+    character of H/K, K its kernel, and H/K is cyclic; the faithful
+    characters of a cyclic H/K are one Galois class.  So each such K, with
+    gK of order m = |H : K|, gives a class, and K' is K times <g^(m/p)>."""
     G = H.group
     hset = H.member_set
     out = []
@@ -220,293 +118,193 @@ def linear_characters(H: Subgroup, subgroups: Sequence[Subgroup]) -> list[Linear
                 break
         else:
             continue  # H/K is not cyclic
-        exponents = {G.mul(x, k): i for i, x in enumerate(powers) for k in K.members}
-        out += [LinearCharacter(m, {h: i * j % m for h, i in exponents.items()})
-                for j in range(m) if math.gcd(j, m) == 1]
+        above = None
+        if m > 1:
+            step = m // _unique_prime(m)
+            above = Subgroup(G, tuple(G.mul(powers[i], k) for i in range(0, m, step)
+                                      for k in K.members))
+        out.append(LinearCharacter(K, m, above))
     return out
 
 
 # ---------------------------------------------------------------------------
-# characters of the whole p-group
+# Galois traces of the irreducible characters
 
-class Character:
-    def __init__(self, group: FiniteGroup, classes: ElementClasses,
-                 values: tuple[CyclotomicInteger, ...], degree: int):
-        self.group = group
+class GaloisTrace:
+    """The trace c of a Galois class O of irreducible characters, one
+    integer per class of `classes`: c = (phi / |O|) * (sum of O), phi the
+    degree of the field it was traced over; `orbit` is |O|."""
+
+    def __init__(self, classes: ElementClasses, values: tuple[int, ...], phi: int,
+                 orbit: int):
         self.classes = classes
         self.values = values
-        self.degree = degree
-        # power-basis coordinate k of every class value, for _class_sum
-        self.columns = tuple(zip(*(v.coeffs for v in values)))
-
-    def sort_key(self):
-        return (self.degree, tuple(v.coeffs for v in self.values))
+        self.phi = phi
+        self.orbit = orbit
+        self.degree = values[classes.identity_class] // phi
 
 
-def _inner_product_times_order(chi_vals, psi_vals, classes: ElementClasses) -> CyclotomicInteger:
-    """|G| * <chi, psi> = sum_g chi(g) psi(g^-1): one exact product per
-    class, weighted by the class size, convolved into one coefficient list
-    of degree below 2 phi(e) - 1 and reduced by Phi_e once."""
-    e = chi_vals[0].order
-    ctx = _CycloContext.get(e)
-    conv = [0] * (2 * ctx.phi - 1)
-    for ci, cls in enumerate(classes.classes):
-        _add_product(conv, len(cls), chi_vals[ci].coeffs,
-                     psi_vals[classes.inv_class[ci]].coeffs)
-    return CyclotomicInteger(e, _reduced(ctx, conv))
+def _permutation_character(K: Subgroup, classes: ElementClasses) -> list[int]:
+    """pi_{P/K} at each class C: |C_P(g)| |C n K| / |K| = |P| |C n K| / (|C| |K|)."""
+    n = classes.group.order
+    out = [divmod(n * a, len(cls) * K.order)
+           for cls, a in zip(classes.classes, classes.count_in(K))]
+    if any(rest for _, rest in out):
+        raise NonIntegral(f"a permutation character of |P| = {n} takes a fraction")
+    return [value for value, _ in out]
 
 
-def _add_product(conv: list[int], weight: int, a: Sequence[int], b: Sequence[int]) -> None:
-    """conv += weight * a * b, the product of two power-basis vectors as an
-    unreduced polynomial."""
-    terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            x *= weight
-            for j, y in terms:
-                conv[i + j] += x * y
-
-
-def _reduced(ctx: _CycloContext, conv: list[int]) -> tuple[int, ...]:
-    """A polynomial of degree below 2 phi(e) - 1 in the power basis: each
-    x^j with j >= phi(e) is replaced by its power-table row."""
-    phi = ctx.phi
-    out = conv[:phi]
-    for j in range(phi, len(conv)):
-        c = conv[j]
-        if c:
-            for k, v in enumerate(ctx.powers[j]):
-                out[k] += c * v
-    return tuple(out)
-
-
-def _evaluation_rows(e: int, bound: int) -> tuple[int, list[list[int]]]:
-    """The least prime ell = 1 (mod e) above 2 * bound, and for each k prime
-    to e the row (omega^(k*i) mod ell), i < phi(e), with omega a primitive
-    e-th root of unity mod ell.  Row k dotted with a power-basis vector is
-    the vector's image under zeta -> omega^k.  e is 1 or a prime power."""
-    ell = 2 * bound // e * e + 1
-    while ell <= 2 * bound or not is_prime(ell):
-        ell += e
-    omega = 1
-    if e > 1:
-        # g^((ell-1)/e) is a primitive e-th root unless its (e/q)-th power,
-        # g^((ell-1)/q), is 1
-        q = _unique_prime(e)
-        g = 2
-        while pow(g, (ell - 1) // q, ell) == 1:
-            g += 1
-        omega = pow(g, (ell - 1) // e, ell)
-    powers = [1] * e
-    for j in range(1, e):
-        powers[j] = powers[j - 1] * omega % ell
-    phi = _CycloContext.get(e).phi
-    rows = [[powers[k * i % e] for i in range(phi)]
-            for k in range(e) if math.gcd(k, e) == 1]
-    return ell, rows
-
-
-def _check_orthogonal(chars: Sequence[Sequence[CyclotomicInteger]],
-                      classes: ElementClasses, e: int, n: int) -> None:
-    """Raise IncompleteInduction unless |G| * <chi, psi> = 0 for every pair
-    of distinct entries of `chars`, value tuples (one per class) in
-    Z[zeta_e] of a group of order n.
-
-    The check is exact but computed in F_ell^phi(e).  Let M be the largest
-    |entry| of the power table of Z[zeta_e] (at least 1: the table starts
-    with the unit vectors) and A the largest l1-norm of a power-basis value
-    in the table.  A product of two values has coefficients of size at most
-    M * A^2, so |G| * <chi, psi>, a sum of n of them, has coefficients of
-    size at most B = M * n * A^2.  Take a prime ell = 1 (mod e) above 2B and
-    a primitive e-th root omega mod ell.  Then Phi_e splits mod ell into the
-    distinct factors x - omega^k, k prime to e, so by the Chinese remainder
-    theorem zeta -> (omega^k)_k maps Z[zeta_e] onto F_ell^phi(e) with kernel
-    ell * Z[zeta_e].  An inner product with coefficients inside
-    (-ell/2, ell/2) is in that kernel only if it is zero: it is zero exactly
-    when all of its images are."""
-    m = max(abs(c) for vec in _CycloContext.get(e).powers for c in vec)
-    a = max((sum(map(abs, v.coeffs)) for vals in chars for v in vals), default=0)
-    ell, rows = _evaluation_rows(e, m * n * a * a)
-    sizes = [len(cls) for cls in classes.classes]
-    # per character and per k: class-size-weighted images, and the images
-    # at inverse classes, so a pair costs one dot product per k
-    weighted = []
-    at_inverse = []
-    for vals in chars:
-        images = [[sum(map(mul, v.coeffs, row)) % ell for v in vals] for row in rows]
-        weighted.append([[s * x % ell for s, x in zip(sizes, img)] for img in images])
-        at_inverse.append([[img[c] for c in classes.inv_class] for img in images])
-    for i, chi in enumerate(weighted):
-        for psi in at_inverse[i + 1:]:
-            if any(sum(map(mul, w, c)) % ell for w, c in zip(chi, psi)):
-                raise IncompleteInduction("distinct characters not orthogonal")
-
-
-def group_exponent(G: FiniteGroup) -> int:
-    return max(G.element_order(a) for a in G.elements())
-
-
-def induced_values(H: Subgroup, lam: LinearCharacter, classes: ElementClasses,
-                   e: int) -> tuple[CyclotomicInteger, ...]:
-    """Ind_H^G lam at each class rep g: the sum of lam(x^-1 g x) over the
-    left coset representatives x of H with x^-1 g x in H.  Each term is a
-    root of unity zeta_e^k, the power-table row k; a class's rows are added
-    up as integer vectors and make one CyclotomicInteger."""
-    G = H.group
-    mul = G.mul
-    hset = H.member_set
-    reps = []
-    seen = set()
-    for g in G.elements():
-        if g not in seen:
-            reps.append((G.inv(g), g))
-            seen.update([mul(g, h) for h in H.members])
-    scale = e // lam.modulus
-    exponents = lam.exponents
-    ctx = _CycloContext.get(e)
-    powers = ctx.powers
-    zero = (0,) * ctx.phi  # the sum of no rows
-    values = []
-    for cls in classes.classes:
-        g = cls[0]
-        rows = [powers[scale * exponents[y]] for xi, x in reps
-                if (y := mul(mul(xi, g), x)) in hset]
-        values.append(CyclotomicInteger(e, tuple(map(sum, zip(zero, *rows)))))
+def induced_values(lam: LinearCharacter, classes: ElementClasses) -> tuple[int, ...]:
+    """The trace of Ind_H^P lam over Q(zeta_m), m = lam.modulus, at each
+    class: pi_{P/K} - pi_{P/K'}, or pi_{P/H} when m = 1."""
+    values = _permutation_character(lam.K, classes)
+    if lam.above is not None:
+        values = map(sub, values, _permutation_character(lam.above, classes))
     return tuple(values)
 
 
+def _mackey_commutators(H: Subgroup) -> list[set[int]]:
+    """For each left coset xH other than H, the commutators l^-1 x^-1 l x
+    of the l in H n xHx^-1.  Ind_H^P lam is irreducible iff every set has a
+    member outside ker lam."""
+    G = H.group
+    mul_, hset = G.mul, H.member_set
+    inverses = [(l, G.inv(l)) for l in H.members]
+    out = []
+    seen = set(H.members)
+    for x in G.elements():
+        if x in seen:
+            continue
+        seen.update([mul_(x, h) for h in H.members])
+        xi = G.inv(x)
+        out.append({mul_(li, y) for l, li in inverses
+                    if (y := mul_(mul_(xi, l), x)) in hset})
+    return out
+
+
+def _check_pairwise_orthogonal(traces: Sequence[Sequence[int]],
+                               classes: ElementClasses) -> None:
+    """Raise IncompleteInduction unless |P| <c, d>, the sum of |C| c(C) d(C)
+    over the classes C (d is rational), is 0 for any two entries of `traces`."""
+    sizes = [len(cls) for cls in classes.classes]
+    weighted = [list(map(mul, sizes, c)) for c in traces]
+    for i, c in enumerate(weighted):
+        for d in traces[i + 1:]:
+            if sum(map(mul, c, d)):
+                raise IncompleteInduction("distinct Galois traces not orthogonal")
+
+
 def irreducible_characters(P: FiniteGroup,
-                           subgroups: Sequence[Subgroup] = ()) -> list[Character]:
-    """The full irreducible character list, certified complete.  The
-    subgroups of P, enumerated here unless `subgroups` gives them, are both
-    where characters are induced from and the kernels their linear
-    characters are read off."""
+                           subgroups: Sequence[Subgroup] = ()) -> list[GaloisTrace]:
+    """The Galois trace of every Galois class of irreducible characters,
+    each once, certified complete.  The subgroups of P, enumerated here
+    unless `subgroups` gives them, are both where characters are induced
+    from and the kernels their linear characters are read off."""
     if P.order > 1:  # the trivial group counts as a p-group
         try:
             _unique_prime(P.order)
         except SizeGuard:
             raise NotPGroup(f"|G| = {P.order} is not a prime power")
-    classes = ElementClasses.compute(P)
-    e = group_exponent(P)
+    classes = ElementClasses(P)
     n = P.order
+    sizes = [len(cls) for cls in classes.classes]
+    one = classes.identity_class
 
     subgroups = subgroups or subgroups_of_p_group(whole_group(P))
     inductions = ((H, lam) for H in sorted(subgroups, key=lambda S: -S.order)
                   for lam in linear_characters(H, subgroups))
-    seen: set[tuple] = set()
-    irreducible = []
-    squares = 0
+    commutators: dict[tuple[int, ...], list[set[int]]] = {}
+    kept: dict[tuple[int, ...], GaloisTrace] = {}  # by primitive trace
+    total = 0
     for H, lam in inductions:
-        vals = induced_values(H, lam, classes, e)
-        key = tuple(v.coeffs for v in vals)
-        if key in seen:
+        values = induced_values(lam, classes)
+        g = math.gcd(*values)  # values[one] > 0
+        key = tuple(v // g for v in values)
+        if key in kept:
             continue
-        seen.add(key)
-        norm = _inner_product_times_order(vals, vals, classes).as_rational_int()
-        if norm == n:
-            deg = vals[classes.identity_class].as_rational_int()
-            if deg is None or deg < 1:
-                raise NonIntegral(f"irreducible character of degree {deg}")
-            irreducible.append(Character(P, classes, vals, deg))
-            squares += deg * deg
-            if squares >= n:
-                break
+        if H.members not in commutators:
+            commutators[H.members] = _mackey_commutators(H)
+        if any(lam.K.member_set.issuperset(s) for s in commutators[H.members]):
+            continue  # Ind lam is reducible
+        # chi(1) = |P : H|, c(1) = phi chi(1) and c(1)^2 / <c, c> = |O| chi(1)^2
+        degree = n // H.order
+        norm = sum(s * v * v for s, v in zip(sizes, values))  # |P| <c, c>
+        orbit, rest = divmod(values[one] ** 2 * n, norm * degree ** 2)
+        if rest:
+            raise IncompleteInduction(f"an induced character of degree {degree} has "
+                                      f"|O| = {values[one] ** 2 * n}/{norm * degree ** 2}")
+        kept[key] = GaloisTrace(classes, values, values[one] // degree, orbit)
+        total += orbit * degree ** 2
+        if total >= n:
+            break
 
-    irreducible.sort(key=Character.sort_key)
-    if sum(chi.degree ** 2 for chi in irreducible) != n:
-        raise IncompleteInduction(
-            f"induction found degrees {[c.degree for c in irreducible]} "
-            f"with sum of squares != {n}")
-    _check_orthogonal([chi.values for chi in irreducible], classes, e, n)
-    return irreducible
-
-
-def _class_sum(chi: Character, counts: Sequence[int]) -> CyclotomicInteger:
-    """sum over classes c of counts[c] * chi(c): per power-basis
-    coordinate, one integer dot product over the classes."""
-    return CyclotomicInteger(chi.values[0].order, tuple(
-        sum(map(mul, counts, column)) for column in chi.columns))
+    traces = [kept[key] for key in sorted(kept, key=lambda k: (kept[k].degree, k))]
+    if total != n:
+        raise IncompleteInduction(f"induction found {len(traces)} Galois classes with "
+                                  f"sum of |O| chi(1)^2 = {total} != {n}")
+    _check_pairwise_orthogonal([t.values for t in traces], classes)
+    return traces
 
 
-def fixed_dimension(chi: Character, H: Subgroup) -> int:
-    """dim of the fixed subspace of H, i.e. <res_H chi, 1> exactly: the sum
-    of n_c chi(c) over the classes c, n_c = |H n c|, divided by |H|."""
-    acc = _class_sum(chi, chi.classes.count_in(H))
-    r = acc.as_rational_int()
-    if r is None or r % H.order or r < 0:
-        raise NonIntegral(f"character average over subgroup is {acc}, not an integer")
-    return r // H.order
+def fixed_dimension(chi: GaloisTrace, H: Subgroup) -> int:
+    """dim V^H for each V in chi's class, <res_H c, 1> / phi exactly: the
+    sum of |H n C| c(C) over the classes C, divided by |H| phi."""
+    acc = sum(map(mul, chi.classes.count_in(H), chi.values))
+    dim, rest = divmod(acc, H.order * chi.phi)
+    if rest or dim < 0:
+        raise NonIntegral(f"trace average over subgroup is {acc}/{H.order * chi.phi}, "
+                          f"not a nonnegative integer")
+    return dim
 
 
-def frobenius_schur(chi: Character) -> int:
-    """(1/|G|) sum_g chi(g^2): the sum of n_c chi(c) over the classes c,
-    n_c the number of g with g^2 in c."""
-    G = chi.group
-    acc = _class_sum(chi, chi.classes.count_squares())
-    r = acc.as_rational_int()
-    if r is None or r % G.order:
-        raise NonIntegral("Frobenius-Schur sum is not an integer multiple of |G|")
-    ind = r // G.order
-    if ind not in (-1, 0, 1):
-        raise NonIntegral(f"Frobenius-Schur indicator {ind} is not -1, 0 or 1")
+def frobenius_schur(chi: GaloisTrace) -> int:
+    """FS(c) / phi = (1/|G| phi) sum_g c(g^2): the sum of n_C c(C) over the
+    classes C, n_C = #{g : g^2 in C}, divided by |G| phi."""
+    acc = sum(map(mul, chi.classes.count_squares(), chi.values))
+    ind, rest = divmod(acc, chi.classes.group.order * chi.phi)
+    if rest or ind not in (-1, 0, 1):
+        raise NonIntegral(f"Frobenius-Schur indicator {acc}/"
+                          f"{chi.classes.group.order * chi.phi} is not -1, 0 or 1")
     return ind
 
 
 REAL = "real"
 COMPLEX_PAIR = "complex_pair"
 QUATERNIONIC = "quaternionic"
+_REALNESS = {1: REAL, 0: COMPLEX_PAIR, -1: QUATERNIONIC}
 
 
 class RealBasisEntry:
-    """An irreducible real representation: a complex irreducible plus its
-    realness type; complex pairs and quaternionic types are realified by
-    doubling."""
+    """The real irreducibles from one Galois class, all with one vector: its
+    real characters, or its complex pairs or quaternionic ones realified."""
 
-    def __init__(self, character: Character, realness: str):
-        self.character = character
+    def __init__(self, trace: GaloisTrace, realness: str):
+        self.trace = trace
         self.realness = realness
-
-    @property
-    def real_degree(self) -> int:
-        return self.character.degree * (1 if self.realness == REAL else 2)
 
     @property
     def multiplier(self) -> int:
         return 1 if self.realness == REAL else 2
 
+    @property
+    def real_degree(self) -> int:
+        return self.trace.degree * self.multiplier
+
     def fixed_dimension_vector(self, lattice) -> tuple[int, ...]:
-        """Fixed-space dimensions of the realified representation, one per
+        """Fixed-space dimensions of the real representation, one per
         p-subgroup conjugacy class of the lattice."""
-        return tuple(self.multiplier * fixed_dimension(self.character, cls[0])
+        return tuple(self.multiplier * fixed_dimension(self.trace, cls[0])
                      for cls in lattice.classes)
 
 
 def real_representation_basis(P: FiniteGroup,
                               subgroups: Sequence[Subgroup] = ()) -> list[RealBasisEntry]:
-    chars = irreducible_characters(P, subgroups=subgroups)
-    classes = chars[0].classes if chars else ElementClasses.compute(P)
-    entries: list[RealBasisEntry] = []
-    used = set()
-    # the characters' value tuples are distinct (irreducible_characters
-    # keeps each once), so a dict finds the conjugate's index
-    index = {tuple(v.coeffs for v in chi.values): j for j, chi in enumerate(chars)}
-    for i, chi in enumerate(chars):
-        if i in used:
-            continue
-        nu = frobenius_schur(chi)
-        if nu == 1:
-            entries.append(RealBasisEntry(chi, REAL))
-        elif nu == -1:
-            entries.append(RealBasisEntry(chi, QUATERNIONIC))
-        else:
-            partner = index.get(tuple(chi.values[c].coeffs for c in classes.inv_class))
-            if partner is None or partner == i or partner in used:
-                raise IncompleteInduction("complex character without conjugate partner")
-            used.add(partner)
-            entries.append(RealBasisEntry(chi, COMPLEX_PAIR))
-    total = sum((2 if e.realness == COMPLEX_PAIR else 1) * e.character.degree ** 2
-                for e in entries)
-    if total != P.order:
-        raise IncompleteInduction("realified degrees inconsistent with |G|")
+    """One entry per Galois class.  A complex character's conjugate is a
+    Galois conjugate, so a complex class has even size."""
+    entries = []
+    for chi in irreducible_characters(P, subgroups=subgroups):
+        realness = _REALNESS[frobenius_schur(chi)]
+        if realness == COMPLEX_PAIR and chi.orbit % 2:
+            raise IncompleteInduction("complex character without conjugate partner")
+        entries.append(RealBasisEntry(chi, realness))
     return entries
-

@@ -30,6 +30,7 @@ from . import __version__
 from .errors import (
     DEFAULT_DEGREE_BUDGET,
     BudgetError,
+    DomainMismatch,
     MalformedInput,
     QdpError,
     ascii_int,
@@ -80,6 +81,9 @@ def _load_tau(args):
         prime = json_int(tobj["p"], "tau 'p'")
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"tau file needs a prime: {exc}")
+    # a tau file may name its group; it must be the one it is checked on
+    if "group" in tobj and tobj["group"] != group.to_json():
+        raise DomainMismatch(f"the tau file names another group than {args.group}")
     lattice = p_subgroups(group, prime, max_order=args.max_order)
     return superclassfunction_from_json(tobj, lattice=lattice), group
 

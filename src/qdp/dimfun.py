@@ -226,16 +226,17 @@ def realize_as_representation(tau: SuperClassFunction, basis: Sequence
     characters.real_representation_basis lists, with exact sum tau, or the
     reason there are none: (multiplicities, None) or (None, reason).
 
-    Refuses inputs outside the theorem's hypotheses.  A rational character
-    is determined by its fixed dimensions at the cyclic subgroups (Moebius
-    inversion over the subgroups of each), Galois-conjugate entries share
-    their fixed-dimension vector, and the rational irreducibles are as many
-    as the classes of cyclic subgroups (Artin).  So the lowest-index entry
-    of each distinct vector, restricted to the cyclic classes, gives a
-    square invertible integer system with one rational solution, and tau
-    is realized exactly when that solution is a nonnegative integer vector
-    that also meets tau on the non-cyclic classes.  The solve is checked
-    against its own system, and every other row is checked directly.
+    Refuses inputs outside the theorem's hypotheses.  Each basis entry is
+    one Galois class of irreducibles, so its fixed-dimension vector is that
+    of a rational character, and a rational character is determined by its
+    fixed dimensions at the cyclic subgroups (Moebius inversion over the
+    subgroups of each); the rational irreducibles are as many as the
+    classes of cyclic subgroups (Artin).  So the entries, restricted to the
+    cyclic classes, give a square invertible integer system with one
+    rational solution, and tau is realized exactly when that solution is a
+    nonnegative integer vector that also meets tau on the non-cyclic
+    classes.  The solve is checked against its own system, and every other
+    row is checked directly.
     """
     if tau.scale != 1:
         raise MalformedInput("realization needs an integer-valued function")
@@ -251,18 +252,14 @@ def realize_as_representation(tau: SuperClassFunction, basis: Sequence
         raise NotBorelSmith(f"{len(report.violations)} violations")
 
     vectors = [entry.fixed_dimension_vector(lat) for entry in basis]
-    first: dict[tuple[int, ...], int] = {}
-    for i, vec in enumerate(vectors):
-        first.setdefault(vec, i)
-    columns = list(first.values())  # one entry per Galois class, in index order
     G, p = lat.group, lat.prime
     # a p-group H is cyclic iff some member has order |H|, i.e. x^(|H|/p) != 1
     cyclic = [c for c, (H, *_) in enumerate(lat.classes) if H.order == 1 or any(
         G.power(x, H.order // p) != G.identity for x in H.members)]
-    if len(cyclic) != len(columns):
-        raise QdpError(f"{len(columns)} distinct fixed-dimension vectors for "
+    if len(cyclic) != len(basis):
+        raise QdpError(f"{len(basis)} basis entries for "
                        f"{len(cyclic)} classes of cyclic subgroups")
-    matrix = [[vectors[j][c] for j in columns] for c in cyclic]
+    matrix = [[vec[c] for vec in vectors] for c in cyclic]
     rhs = [tau.values[c] for c in cyclic]
     solved = _solve_exact(matrix, rhs)
     if solved is None:
@@ -270,13 +267,13 @@ def realize_as_representation(tau: SuperClassFunction, basis: Sequence
     det, nums = solved
     if any(sum(a * y for a, y in zip(row, nums)) != det * t for row, t in zip(matrix, rhs)):
         raise QdpError("the exact solve does not satisfy its system")
-    for j, num in zip(columns, nums):
+    for j, num in enumerate(nums):
         if num < 0 or num % det:
             g = gcd(num, det)
             return None, {"reason": "negative coordinate" if num < 0 else
                           "fractional coordinate", "basis_index": j,
                           "numerator": num // g, "denominator": det // g}
-    mult = {j: num // det for j, num in zip(columns, nums) if num}
+    mult = {j: num // det for j, num in enumerate(nums) if num}
     for c in sorted(set(range(lat.n_classes)) - set(cyclic)):
         lhs = sum(m * vectors[j][c] for j, m in mult.items())
         if lhs != tau.values[c]:

@@ -4,18 +4,21 @@ classes, the generic order-p generation check that the Qd(p) route is
 compared against, the cyclic subgroups of a p-group that theorem-b's
 center orbit is compared against, the quotient table that the Borel-Smith
 checker is compared against, the all-pairs commutator subgroup that the
-count of linear characters is checked against, the object-level character
-kernels (one CyclotomicInteger operation per coset term, group element or
-class product) that the integer-vector kernels of qdp.characters are
-compared against, the element-level route of fix_rank and the bounded
-search of realize that the scalar equations and the exact solve are
-compared against, and the SL2(p) substitution action that the invariants
-are checked against."""
+count of linear characters is checked against, the reference route for
+characters (the complex character table over Z[zeta_e]: cyclotomic
+integers, object-level kernels with one operation per coset term, group
+element or class product, Galois traces and the table's real forms) that
+the integer Galois traces of qdp.characters and their real basis are
+compared against, a relabelling of a group table, the benchmark's corpus
+files, the element-level route of fix_rank and the bounded search of
+realize that the scalar equations and the exact solve are compared
+against, and the SL2(p) substitution action that the invariants are
+checked against."""
 
 import itertools
 import math
+import random
 
-from qdp.characters import CyclotomicInteger, _CycloContext
 from qdp.errors import InvalidModel, MalformedInput, NoWitnessFound, NonIntegral, NotUnimodular
 from qdp.fixrank import (
     FixResult,
@@ -181,16 +184,106 @@ def all_pairs_derived_subgroup(H: Subgroup) -> Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# character kernels on CyclotomicInteger objects
+# the reference route: the complex character table over Z[zeta_e]
+
+def cyclotomic_polynomial(e: int) -> list[int]:
+    """Coefficients of Phi_e, low degree first, for e = 1 or a prime power
+    q^k, the exponents of p-groups: Phi_1 = x - 1 and
+    Phi_{q^k}(x) = Phi_q(x^(q^(k-1))) = sum_{i<q} x^(i q^(k-1))."""
+    if e == 1:
+        return [-1, 1]
+    q = next(d for d in range(2, e + 1) if e % d == 0)
+    step = e // q
+    return [int(j % step == 0) for j in range(e - step + 1)]
+
+
+class CycloContext:
+    """The power table of Z[zeta_e]: row j is zeta_e^j in the power basis
+    1, zeta, ..., zeta^(phi(e)-1), for j up to the degree of a product of
+    two power-basis vectors and up to e - 1."""
+
+    _cache: dict[int, "CycloContext"] = {}
+
+    def __init__(self, e: int):
+        phi_poly = cyclotomic_polynomial(e)
+        self.phi = phi = len(phi_poly) - 1
+        powers = [tuple(int(i == j) for i in range(phi)) for j in range(phi)]
+        for _ in range(phi, max(e - 1, 2 * phi - 2) + 1):
+            prev = powers[-1]
+            carry = prev[-1]  # x^phi == -(low part of Phi_e)
+            powers.append(tuple(a - carry * c for a, c in zip((0,) + prev[:-1], phi_poly)))
+        self.powers = powers
+
+    @classmethod
+    def get(cls, e: int) -> "CycloContext":
+        if e not in cls._cache:
+            cls._cache[e] = CycloContext(e)
+        return cls._cache[e]
+
+
+class CyclotomicInteger:
+    """Element of Z[zeta_e] in the power basis; equal and hashed by value."""
+
+    def __init__(self, order: int, coeffs: tuple[int, ...]):
+        self.order = order
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return (self.order, self.coeffs) == (other.order, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"CyclotomicInteger({self.order}, {self.coeffs})"
+
+    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
+        return CyclotomicInteger(self.order, tuple(map(sum, zip(self.coeffs, other.coeffs))))
+
+    def __mul__(self, other) -> "CyclotomicInteger":
+        if isinstance(other, int):
+            return CyclotomicInteger(self.order, tuple(a * other for a in self.coeffs))
+        ctx = CycloContext.get(self.order)
+        conv = [0] * (2 * ctx.phi - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                if a and b:
+                    conv[i + j] += a * b
+        out = conv[:ctx.phi]
+        for j in range(ctx.phi, len(conv)):
+            for k, v in enumerate(ctx.powers[j]):
+                out[k] += conv[j] * v
+        return CyclotomicInteger(self.order, tuple(out))
+
+    __rmul__ = __mul__
+
+    def as_rational_int(self) -> int | None:
+        if all(c == 0 for c in self.coeffs[1:]):
+            return self.coeffs[0]
+        return None
+
 
 def cyclo_zero(e: int) -> CyclotomicInteger:
     """0 in Z[zeta_e]."""
-    return CyclotomicInteger(e, (0,) * _CycloContext.get(e).phi)
+    return CyclotomicInteger(e, (0,) * CycloContext.get(e).phi)
 
 
 def zeta_power(e: int, k: int) -> CyclotomicInteger:
     """zeta_e^k in the power basis."""
-    return CyclotomicInteger(e, _CycloContext.get(e).powers[k % e])
+    return CyclotomicInteger(e, CycloContext.get(e).powers[k % e])
+
+
+class ReferenceCharacter:
+    """An irreducible complex character: one value in Z[zeta_e] per class."""
+
+    def __init__(self, classes, values: tuple[CyclotomicInteger, ...], degree: int):
+        self.group = classes.group
+        self.classes = classes
+        self.values = values
+        self.degree = degree
+
+    def sort_key(self):
+        return (self.degree, tuple(v.coeffs for v in self.values))
 
 
 def value_at(chi, a: int) -> CyclotomicInteger:
@@ -198,9 +291,26 @@ def value_at(chi, a: int) -> CyclotomicInteger:
     return chi.values[chi.classes.class_of[a]]
 
 
-def object_induced_values(H, lam, classes, e: int) -> tuple[CyclotomicInteger, ...]:
-    """Ind_H^G lam at each class rep g, one CyclotomicInteger addition per
-    coset representative x with x^-1 g x in H."""
+def linear_exponents(H, lam) -> dict[int, int]:
+    """h -> i with h in g^i K, for a g whose coset generates H/K: the
+    linear characters of H in lam's Galois class are h -> zeta_m^(i j), j
+    prime to m = lam.modulus."""
+    K = lam.K
+    G = H.group
+    for g in H.members:
+        powers = [G.identity]
+        while (x := G.mul(powers[-1], g)) not in K.member_set:
+            powers.append(x)
+        if len(powers) == lam.modulus:
+            return {G.mul(x, k): i for i, x in enumerate(powers) for k in K.members}
+    raise MalformedInput("H/K is not cyclic")
+
+
+def object_induced_values(H, exponents: dict[int, int], modulus: int, classes,
+                          e: int) -> tuple[CyclotomicInteger, ...]:
+    """Ind_H^G of the linear character h -> zeta_modulus^exponents[h] at
+    each class rep g, one CyclotomicInteger addition per coset
+    representative x with x^-1 g x in H."""
     G = H.group
     hset = set(H.members)
     reps = []
@@ -209,7 +319,7 @@ def object_induced_values(H, lam, classes, e: int) -> tuple[CyclotomicInteger, .
         if g not in seen:
             reps.append(g)
             seen.update(G.mul(g, h) for h in H.members)
-    scale = e // lam.modulus
+    scale = e // modulus
     values = []
     for cls in classes.classes:
         g = cls[0]
@@ -217,7 +327,7 @@ def object_induced_values(H, lam, classes, e: int) -> tuple[CyclotomicInteger, .
         for x in reps:
             y = G.mul(G.mul(G.inv(x), g), x)
             if y in hset:
-                acc = acc + zeta_power(e, scale * lam.exponents[y])
+                acc = acc + zeta_power(e, scale * exponents[y])
         values.append(acc)
     return tuple(values)
 
@@ -225,10 +335,44 @@ def object_induced_values(H, lam, classes, e: int) -> tuple[CyclotomicInteger, .
 def object_inner_product_times_order(chi_vals, psi_vals, classes) -> CyclotomicInteger:
     """|G| * <chi, psi> = sum_g chi(g) psi(g^-1), one reduced product per
     class."""
+    G = classes.group
     acc = cyclo_zero(chi_vals[0].order)
     for ci, cls in enumerate(classes.classes):
-        acc = acc + len(cls) * (chi_vals[ci] * psi_vals[classes.inv_class[ci]])
+        inverse = classes.class_of[G.inv(cls[0])]
+        acc = acc + len(cls) * (chi_vals[ci] * psi_vals[inverse])
     return acc
+
+
+def group_exponent(G: FiniteGroup) -> int:
+    return max(G.element_order(a) for a in G.elements())
+
+
+def reference_characters(G: FiniteGroup, subgroups=None) -> list[ReferenceCharacter]:
+    """The irreducible characters of the p-group G, sorted: the linear
+    characters of the subgroups are induced, from the largest subgroup
+    down, and the results of norm one are kept until their squared degrees
+    sum to |G|."""
+    from qdp.characters import ElementClasses, linear_characters
+    from qdp.groups import subgroups_of_p_group, whole_group
+
+    classes = ElementClasses(G)
+    e = group_exponent(G)
+    subgroups = subgroups or subgroups_of_p_group(whole_group(G))
+    table = {}
+    for H in sorted(subgroups, key=lambda S: -S.order):
+        for lam in linear_characters(H, subgroups):
+            exponents = linear_exponents(H, lam)
+            m = lam.modulus
+            for j in range(m):
+                if math.gcd(j, m) == 1 and sum(c.degree ** 2 for c in table.values()) < G.order:
+                    vals = object_induced_values(
+                        H, {h: i * j % m for h, i in exponents.items()}, m, classes, e)
+                    norm = object_inner_product_times_order(vals, vals, classes)
+                    if norm.as_rational_int() == G.order:
+                        degree = vals[classes.identity_class].as_rational_int()
+                        table[vals] = ReferenceCharacter(classes, vals, degree)
+    assert sum(c.degree ** 2 for c in table.values()) == G.order
+    return sorted(table.values(), key=ReferenceCharacter.sort_key)
 
 
 def object_fixed_dimension(chi, H) -> int:
@@ -255,6 +399,72 @@ def object_frobenius_schur(chi) -> int:
     if ind not in (-1, 0, 1):
         raise NonIntegral(f"Frobenius-Schur indicator {ind} is not -1, 0 or 1")
     return ind
+
+
+def galois_trace(values) -> tuple[int, ...]:
+    """sum over k prime to e of sigma_k(v), zeta -> zeta^k, for each value v
+    in Z[zeta_e]: the power-basis vector dotted with the traces of the
+    powers of zeta."""
+    e = values[0].order
+    ks = [k for k in range(e) if math.gcd(k, e) == 1]
+    traces = [sum((zeta_power(e, i * k) for k in ks), cyclo_zero(e)).as_rational_int()
+              for i in range(len(values[0].coeffs))]
+    return tuple(sum(c * t for c, t in zip(v.coeffs, traces)) for v in values)
+
+
+def reference_real_basis(G: FiniteGroup, lattice) -> dict[tuple[int, ...], tuple[str, int]]:
+    """fixed-dimension vector -> (realness, real degree) of each irreducible
+    real representation of G, from the complex table: a character with
+    Frobenius-Schur indicator 1 is real, -1 quaternionic and 0 one of a
+    complex pair whose partner, its complex conjugate, is in the table; the
+    last two are realified by doubling."""
+    chars = reference_characters(G)
+    by_values = {chi.values: chi for chi in chars}
+    out = {}
+    for chi in chars:
+        ind = object_frobenius_schur(chi)
+        if ind == 0:
+            inverse = [chi.classes.class_of[G.inv(cls[0])] for cls in chi.classes.classes]
+            partner = by_values.get(tuple(chi.values[c] for c in inverse))
+            assert partner is not None and partner is not chi, "no conjugate partner"
+        mult = 1 if ind == 1 else 2
+        vector = tuple(mult * object_fixed_dimension(chi, cls[0]) for cls in lattice.classes)
+        realness = {1: "real", 0: "complex_pair", -1: "quaternionic"}[ind]
+        assert out.setdefault(vector, (realness, mult * chi.degree)) == \
+            (realness, mult * chi.degree), f"two real types for the vector {vector}"
+    return out
+
+
+def relabelled(G: FiniteGroup, seed) -> tuple[TableGroup, list[int]]:
+    """G with its elements renumbered by a seeded permutation, and the
+    permutation: element a of G is element perm[a] of the copy, whose
+    identity is not element 0 unless |G| = 1."""
+    perm = list(G.elements())
+    random.Random(seed).shuffle(perm)
+    if perm[G.identity] == 0 and G.order > 1:
+        other = (G.identity + 1) % G.order
+        perm[G.identity], perm[other] = perm[other], perm[G.identity]
+    table = [[0] * G.order for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            table[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    return TableGroup(table, name=f"{G.name}~"), perm
+
+
+def bench_corpus_files(seed: int) -> dict:
+    """The files of the benchmark's corpus workload at `seed`, parsed: the
+    relabelled group tables, tau files and models."""
+    import importlib.util
+    import json
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look their module up
+    spec.loader.exec_module(gen)
+    return {name: json.loads(text) for name, text in gen.generate("corpus", seed).files.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Character tables: certification, fixed dimensions, real forms."""
+"""Galois traces of irreducible characters: certification, fixed
+dimensions, real forms, against the complex table of the fixtures."""
 
-import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,16 +14,11 @@ from qdp.characters import (
     COMPLEX_PAIR,
     QUATERNIONIC,
     REAL,
-    CyclotomicInteger,
     ElementClasses,
-    _CycloContext,
-    _check_orthogonal,
-    _evaluation_rows,
-    _inner_product_times_order,
-    cyclotomic_polynomial,
+    GaloisTrace,
+    _check_pairwise_orthogonal,
     fixed_dimension,
     frobenius_schur,
-    group_exponent,
     induced_values,
     irreducible_characters,
     linear_characters,
@@ -31,23 +27,32 @@ from qdp.characters import (
 from qdp.errors import IncompleteInduction, NonIntegral, NotPGroup
 from qdp.groups import (
     Subgroup,
+    _unique_prime,
+    p_subgroups,
     subgroups_of_p_group,
     whole_group,
 )
 from fixtures import (
     all_pairs_derived_subgroup,
-    cyclo_zero,
+    bench_corpus_files,
     cyclic,
+    cyclo_zero,
+    cyclotomic_polynomial,
     dihedral,
     direct_product,
     elementary_abelian,
+    galois_trace,
     generalized_quaternion,
     heisenberg,
+    linear_exponents,
     modular_p3,
     object_fixed_dimension,
     object_frobenius_schur,
     object_induced_values,
     object_inner_product_times_order,
+    reference_characters,
+    reference_real_basis,
+    relabelled,
     value_at,
     wreath_3_3,
     zeta_power,
@@ -80,21 +85,11 @@ def rotation_fixed_rank_p3():
     return 0 if det != 0 else (1 if (a, b, c, d) != (0, 0, 0, 0) else 2)
 
 
-def reference_irreducible_characters(G):
-    """Induce every linear character of every subgroup, keep the results of
-    norm one; returned as the sorted (degree, values) table."""
-    classes = ElementClasses.compute(G)
-    e = group_exponent(G)
-    table = set()
-    subs = subgroups_of_p_group(whole_group(G))
-    for H in subs:
-        for lam in linear_characters(H, subs):
-            vals = object_induced_values(H, lam, classes, e)
-            norm = object_inner_product_times_order(vals, vals, classes)
-            if norm.as_rational_int() == G.order:
-                degree = vals[classes.identity_class].as_rational_int()
-                table.add((degree, tuple(v.coeffs for v in vals)))
-    return sorted(table)
+def primitive(values):
+    """The integer vector divided by the gcd of its entries: one key per
+    Galois class, whatever field the trace was taken over."""
+    g = math.gcd(*values)
+    return tuple(v // g for v in values)
 
 
 def reference_orthogonal(tables, classes):
@@ -109,20 +104,25 @@ def reference_orthogonal(tables, classes):
     return True
 
 
-def character_table_json(P):
-    chars = irreducible_characters(P)
-    classes = chars[0].classes
-    return {
-        "cyclotomic_order": group_exponent(P),
-        "classes": [{"rep": cls[0], "size": len(cls)} for cls in classes.classes],
-        "characters": [
-            {"degree": chi.degree, "values": [list(v.coeffs) for v in chi.values]}
-            for chi in chars
-        ],
-    }
+def integer_orthogonal(tables, G):
+    """sum over the elements g of c(g) d(g) is 0 for every two entries of
+    `tables`, integer class functions of G."""
+    classes = ElementClasses(G)
+    return all(sum(c[classes.class_of[g]] * d[classes.class_of[g]] for g in G.elements()) == 0
+               for i, c in enumerate(tables) for d in tables[i + 1:])
+
+
+def basis_classes(basis, lat, subgroup_of=lambda S: S):
+    """fixed-dimension vector -> (realness, real degree) of each entry, the
+    vector taken at subgroup_of(rep) for each lattice class rep."""
+    out = {tuple(e.multiplier * fixed_dimension(e.trace, subgroup_of(cls[0]))
+                 for cls in lat.classes): (e.realness, e.real_degree) for e in basis}
+    assert len(out) == len(basis)
+    return out
 
 
 # ---------------------------------------------------------------------------
+# the reference route's cyclotomic integers
 
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == [-1, 1]
@@ -154,16 +154,26 @@ def test_cyclotomic_arithmetic():
     s9 = z(9, 3) * z(9, 3) * z(9, 3)
     assert s9.as_rational_int() == 1
     assert (z(8, 2) * z(8, 2)).as_rational_int() == -1
+    # traces over Q(zeta_5) and Q(zeta_25)
+    assert galois_trace([z(5, 1), z(5, 0)]) == (-1, 4)
+    assert galois_trace([z(25, 1), z(25, 5)]) == (0, -5)
 
+
+# ---------------------------------------------------------------------------
+# the traces against the complex table
 
 def test_character_counts():
-    assert [c.degree for c in irreducible_characters(cyclic(1))] == [1]
-    assert [c.degree for c in irreducible_characters(cyclic(3))] == [1, 1, 1]
-    assert [c.degree for c in irreducible_characters(elementary_abelian(2, 2))] == [1] * 4
-    degs = [c.degree for c in irreducible_characters(heisenberg(3))]
-    assert degs == [1] * 9 + [3, 3]
-    degs = [c.degree for c in irreducible_characters(generalized_quaternion(8))]
-    assert degs == [1, 1, 1, 1, 2]
+    # one trace per Galois class: Z/3 has the trivial class and the two
+    # faithful characters; H(3) four classes of two linear characters and
+    # one of two characters of degree 3
+    def degrees_and_orbits(G):
+        return [(t.degree, t.orbit) for t in irreducible_characters(G)]
+
+    assert degrees_and_orbits(cyclic(1)) == [(1, 1)]
+    assert degrees_and_orbits(cyclic(3)) == [(1, 1), (1, 2)]
+    assert degrees_and_orbits(elementary_abelian(2, 2)) == [(1, 1)] * 4
+    assert degrees_and_orbits(heisenberg(3)) == [(1, 1)] + [(1, 2)] * 4 + [(3, 2)]
+    assert degrees_and_orbits(generalized_quaternion(8)) == [(1, 1)] * 4 + [(2, 1)]
 
 
 AGREEMENT_GROUPS = [
@@ -177,167 +187,102 @@ AGREEMENT_GROUPS = [
 
 @pytest.mark.parametrize("G", AGREEMENT_GROUPS, ids=lambda G: G.name)
 def test_induction_stops_at_the_reference_table(G):
-    # induction from the largest subgroups down, stopped at sum of squares
-    # |G|, finds the table that inducing from every subgroup finds, also
-    # when it is handed the subgroup list (in any order)
-    reference = reference_irreducible_characters(G)
-    assert [chi.sort_key() for chi in irreducible_characters(G)] == reference
+    # the traces, found from the largest subgroups down and stopped at the
+    # completeness sum, are the Galois traces of the complex table, each
+    # class once and with its size; handed the subgroup list in another
+    # order, the route finds the same classes
+    reference = reference_characters(G)
+    orbits = {}
+    for chi in reference:
+        key = primitive(galois_trace(chi.values))
+        orbits[key] = orbits.get(key, 0) + 1
+    traces = irreducible_characters(G)
+    assert {primitive(t.values): t.orbit for t in traces} == orbits
     subs = subgroups_of_p_group(whole_group(G))[::-1]
-    assert [chi.sort_key() for chi in irreducible_characters(G, subgroups=subs)] == reference
+    assert [primitive(t.values) for t in irreducible_characters(G, subgroups=subs)] == \
+        [primitive(t.values) for t in traces]
 
 
 @pytest.mark.parametrize("G", AGREEMENT_GROUPS, ids=lambda G: G.name)
-def test_orthogonality_in_f_ell_agrees_with_the_exact_reference(G):
-    chars = irreducible_characters(G)
-    tables = [chi.values for chi in chars]
-    assert reference_orthogonal(tables, chars[0].classes)
-    _check_orthogonal(tables, chars[0].classes, group_exponent(G), G.order)
+def test_trace_orthogonality_agrees_with_the_exact_reference(G):
+    # the complex table is orthogonal by exact cyclotomic products, its
+    # Galois traces by the integer check and by element-wise sums
+    reference = reference_characters(G)
+    classes = reference[0].classes
+    assert reference_orthogonal([chi.values for chi in reference], classes)
+    traces = sorted({primitive(galois_trace(chi.values)) for chi in reference})
+    _check_pairwise_orthogonal(traces, classes)
+    assert integer_orthogonal(traces, G)
 
 
 @given(st.sampled_from([1, 2, 3, 4, 9]), st.data())
 def test_check_orthogonal_agrees_with_the_reference_on_any_table(e, data):
-    # tables that are not character tables: the verdict is still exact
-    classes = ElementClasses.compute(cyclic(e))
-    phi = len(cyclotomic_polynomial(e)) - 1
-    value = st.lists(st.integers(-3, 3), min_size=phi, max_size=phi).map(
-        lambda c: CyclotomicInteger(e, tuple(c)))
+    # tables that are not traces of characters: the verdict is still exact
+    G = cyclic(e)
+    classes = ElementClasses(G)
+    value = st.integers(-3, 3)
     tables = data.draw(st.lists(st.tuples(*[value] * e), min_size=2, max_size=3))
     try:
-        _check_orthogonal(tables, classes, e, e)
+        _check_pairwise_orthogonal(tables, classes)
         accepted = True
     except IncompleteInduction:
         accepted = False
-    assert accepted == reference_orthogonal(tables, classes)
+    assert accepted == integer_orthogonal(tables, G)
 
 
 def test_real_basis_of_e5_cubed():
+    # the trivial class and 31 classes of four faithful characters of
+    # E(5^3)/K, K of order 25, each pair of complex conjugates realified
     basis = real_representation_basis(elementary_abelian(5, 3))
-    assert len(basis) == 63
-    assert sum(entry.real_degree for entry in basis) == 125
+    assert len(basis) == 32
+    assert sorted((e.realness, e.real_degree, e.trace.orbit) for e in basis) == \
+        [(COMPLEX_PAIR, 2, 4)] * 31 + [(REAL, 1, 1)]
+    assert sum(e.trace.orbit * e.trace.degree for e in basis) == 125
 
 
 def _broken_tables(G):
-    chars = [chi.values for chi in irreducible_characters(G)]
-    e = group_exponent(G)
-    chi, psi = chars[-1], chars[-2]
-    twice = chars + [chi]
-    summed = chars[:-1] + [tuple(a + b for a, b in zip(chi, psi))]
-    # one value of chi times zeta: chi(1) = deg, so <chi', psi> has the
-    # nonzero summand (zeta - 1) deg psi(1) for every other psi
-    turned = list(chi)
-    turned[0] = turned[0] * zeta_power(e, 1)
-    return {"twice": twice, "chi+psi": summed, "zeta*value": chars[:-1] + [tuple(turned)]}
+    reference = reference_characters(G)
+    classes = reference[0].classes
+    traces = sorted({primitive(galois_trace(chi.values)) for chi in reference})
+    chi, psi = traces[-1], traces[-2]
+    twice = traces + [chi]
+    summed = traces[:-1] + [tuple(a + b for a, b in zip(chi, psi))]
+    # the trace of a character with its degree times zeta: the degree is
+    # the only value that changes, so <chi', psi> gains a nonzero multiple
+    # of deg psi(1) for every other psi
+    top = next(c for c in reference if primitive(galois_trace(c.values)) == chi)
+    turned = list(top.values)
+    one = classes.identity_class
+    turned[one] = turned[one] * zeta_power(turned[one].order, 1)
+    return classes, {"twice": twice, "chi+psi": summed,
+                     "zeta*value": traces[:-1] + [galois_trace(turned)]}
 
 
 @pytest.mark.parametrize("G", [heisenberg(3), elementary_abelian(3, 2),
                                generalized_quaternion(8)], ids=lambda G: G.name)
 @pytest.mark.parametrize("case", ["twice", "chi+psi", "zeta*value"])
 def test_check_orthogonal_rejects_a_broken_table(G, case):
-    classes = ElementClasses.compute(G)
+    classes, tables = _broken_tables(G)
     with pytest.raises(IncompleteInduction, match="not orthogonal"):
-        _check_orthogonal(_broken_tables(G)[case], classes, group_exponent(G), G.order)
+        _check_pairwise_orthogonal(tables[case], classes)
 
 
 def test_check_orthogonal_on_every_small_table_of_c2():
-    # |G| <chi, psi> = 10 b + c takes every value in [-110, 110].  The check
-    # takes ell above 2 * M n A^2 = 400; a prime ell at or below 110 would
-    # pass one nonzero inner product
-    classes = ElementClasses.compute(cyclic(2))
-    chi = (CyclotomicInteger(2, (10,)), CyclotomicInteger(2, (1,)))
+    # |G| <chi, psi> = 10 b + c takes every value in [-110, 110]; in
+    # integers it is zero only when it is
+    classes = ElementClasses(cyclic(2))
+    chi = (10, 1)
     for b in range(-10, 11):
         for c in range(-10, 11):
-            tables = [chi, (CyclotomicInteger(2, (b,)), CyclotomicInteger(2, (c,)))]
-            if reference_orthogonal(tables, classes):
-                _check_orthogonal(tables, classes, 2, 2)
+            tables = [chi, (b, c)]
+            if 10 * b + c == 0:
+                _check_pairwise_orthogonal(tables, classes)
             else:
                 with pytest.raises(IncompleteInduction):
-                    _check_orthogonal(tables, classes, 2, 2)
+                    _check_pairwise_orthogonal(tables, classes)
 
 
-def _image(coeffs, ell, rows):
-    return [sum(c * w for c, w in zip(coeffs, row)) % ell for row in rows]
-
-
-def test_check_orthogonal_uses_every_embedding():
-    # On C_25, |G| <1, psi> is the sum x of psi's values.  Pick x != 0 that
-    # zeta -> omega sends to 0 mod ell, inside the bound the check takes:
-    # only the other phi(25) - 1 embeddings can see it.
-    e = n = 25
-    a = 20  # the l1-norm bound A, reached by the value `big` below
-    m = max(abs(c) for vec in _CycloContext.get(e).powers for c in vec)
-    ell, rows = _evaluation_rows(e, m * n * a * a)
-    seen = {}
-    for u in itertools.product((-1, 0, 1), repeat=10):
-        img = _image(u, ell, rows[:1])[0]
-        if img in seen:
-            x = tuple(s - t for s, t in zip(u, seen[img])) + (0,) * 10
-            break
-        seen[img] = u
-    assert any(x) and _image(x, ell, rows)[0] == 0 and any(_image(x, ell, rows))
-    big = CyclotomicInteger(e, (a,) + (0,) * 19)
-    trivial = (zeta_power(e, 0),) * n
-    psi = (CyclotomicInteger(e, x), big, big * -1) + (cyclo_zero(e),) * (n - 3)
-    with pytest.raises(IncompleteInduction, match="not orthogonal"):
-        _check_orthogonal([trivial, psi], ElementClasses.compute(cyclic(e)), e, n)
-
-
-@st.composite
-def bounded_elements(draw):
-    e = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 25, 27]))
-    ell, rows = _evaluation_rows(e, draw(st.integers(0, 40)))
-    half = (ell - 1) // 2
-    phi = len(cyclotomic_polynomial(e)) - 1
-    coeffs = draw(st.lists(st.integers(-half, half), min_size=phi, max_size=phi))
-    return e, ell, rows, coeffs
-
-
-@given(bounded_elements(), st.data())
-def test_evaluation_is_injective_inside_the_bound(case, data):
-    e, ell, rows, coeffs = case
-    assert len(rows) == len(coeffs)
-    image = _image(coeffs, ell, rows)
-    assert (not any(image)) == (not any(coeffs))
-    # each row is a ring map Z[zeta_e] -> F_ell
-    other = data.draw(st.lists(st.integers(-3, 3), min_size=len(coeffs),
-                               max_size=len(coeffs)))
-    prod = CyclotomicInteger(e, tuple(coeffs)) * CyclotomicInteger(e, tuple(other))
-    assert _image(prod.coeffs, ell, rows) == \
-        [a * b % ell for a, b in zip(image, _image(other, ell, rows))]
-
-
-def test_ell_times_one_maps_to_zero():
-    # why the coefficient bound is needed: ell * Z[zeta_e] is the kernel
-    for e in (1, 5, 9):
-        ell, rows = _evaluation_rows(e, 10)
-        assert ell > 20 and (ell - 1) % e == 0
-        assert not any(_image([ell] + [0] * (len(rows[0]) - 1), ell, rows))
-
-
-@pytest.mark.parametrize("G", [elementary_abelian(5, 2), heisenberg(5),
-                               elementary_abelian(3, 3)], ids=lambda G: G.name)
-def test_exact_products_grow_linearly_in_the_candidates(G, monkeypatch):
-    # an exact product is one class's term of an inner product, convolved
-    # by _add_product; only the norm test of each new induction takes them
-    counts = {"products": 0, "induced": 0}
-    real_add_product = qdp.characters._add_product
-    real_induced = qdp.characters.induced_values
-
-    def counted_add_product(*args):
-        counts["products"] += 1
-        return real_add_product(*args)
-
-    def counted_induced(*args):
-        counts["induced"] += 1
-        return real_induced(*args)
-
-    monkeypatch.setattr(qdp.characters, "_add_product", counted_add_product)
-    monkeypatch.setattr(qdp.characters, "induced_values", counted_induced)
-    irreducible_characters(G)
-    classes = ElementClasses.compute(G)
-    assert 0 < counts["products"] <= 2 * counts["induced"] * len(classes.classes)
-
-
-# the integer-vector kernels against the object-level ones of the fixtures
+# the integer kernels against the object-level ones of the fixtures
 KERNEL_GROUPS = [elementary_abelian(5, 2), elementary_abelian(3, 3), heisenberg(3),
                  modular_p3(3), heisenberg(5), cyclic(9), dihedral(4),
                  generalized_quaternion(8), dihedral(8), generalized_quaternion(16)]
@@ -345,69 +290,66 @@ KERNEL_GROUPS = [elementary_abelian(5, 2), elementary_abelian(3, 3), heisenberg(
 
 @pytest.mark.parametrize("G", KERNEL_GROUPS, ids=lambda G: G.name)
 def test_kernels_match_the_object_level_oracle(G):
-    classes = ElementClasses.compute(G)
-    e = group_exponent(G)
+    # the trace of every section is the Galois trace of one of its induced
+    # characters over Z[zeta_m]; the fixed dimensions and the indicator of
+    # a trace are those of every character of its class
+    classes = ElementClasses(G)
     subs = subgroups_of_p_group(whole_group(G))
-    induced = []
     for H in subs:
         for lam in linear_characters(H, subs):
-            vals = induced_values(H, lam, classes, e)
-            assert vals == object_induced_values(H, lam, classes, e)
-            induced.append(vals)
-    # inner products of induced, not only irreducible, characters, so the
-    # reduction by Phi_e meets large coefficients
-    for chi in induced[::7]:
-        for psi in induced[::11]:
-            assert _inner_product_times_order(chi, psi, classes) == \
-                object_inner_product_times_order(chi, psi, classes)
-    chars = irreducible_characters(G)
-    for chi in chars:
-        assert frobenius_schur(chi) == object_frobenius_schur(chi)
-        for H in subs:
-            assert fixed_dimension(chi, H) == object_fixed_dimension(chi, H)
-
-
-def _raised(kernel, *args):
-    with pytest.raises(NonIntegral) as info:
-        kernel(*args)
-    return str(info.value)
+            m = lam.modulus
+            values = object_induced_values(H, linear_exponents(H, lam), m, classes, m)
+            assert induced_values(lam, classes) == galois_trace(values)
+    reference = reference_characters(G)
+    for t in irreducible_characters(G):
+        members = [chi for chi in reference
+                   if primitive(galois_trace(chi.values)) == primitive(t.values)]
+        assert len(members) == t.orbit
+        for chi in members:
+            assert chi.degree == t.degree
+            assert frobenius_schur(t) == object_frobenius_schur(chi)
+            for H in subs:
+                assert fixed_dimension(t, H) == object_fixed_dimension(chi, H)
 
 
 @pytest.mark.parametrize("mutate", ["degree", "zeta", "negative"])
 def test_non_integer_subgroup_average_raises(mutate):
-    # a value table that is no character: its average over a subgroup is
-    # not a nonnegative integer, and both kernels say so alike
+    # a value table that is no trace of a character: its average over a
+    # subgroup is not a nonnegative integer
     G = cyclic(9)
-    chi = irreducible_characters(G)[1]
-    values = list(chi.values)
+    t = irreducible_characters(G)[-1]
+    one = t.classes.identity_class
+    values = list(t.values)
     H = whole_group(G)
-    if mutate == "degree":  # sum over G of chi, plus one
-        values[chi.classes.identity_class] = CyclotomicInteger(9, (2,) + (0,) * 5)
-    elif mutate == "zeta":  # sum over G is not rational
-        values = [zeta_power(9, 1)] * len(values)
+    if mutate == "degree":  # sum over G of c, plus one
+        values[one] += 1
+    elif mutate == "zeta":  # the trace of chi with its degree times zeta_9
+        chi = next(c for c in reference_characters(G)
+                   if primitive(galois_trace(c.values)) == primitive(t.values))
+        turned = list(chi.values)
+        turned[one] = turned[one] * zeta_power(9, 1)
+        values = galois_trace(turned)
     else:  # average -1 over the trivial subgroup
-        values[chi.classes.identity_class] = CyclotomicInteger(9, (-1,) + (0,) * 5)
+        values[one] = -t.phi
         H = Subgroup(G, (G.identity,))
-    mutant = qdp.characters.Character(G, chi.classes, tuple(values), chi.degree)
-    message = _raised(fixed_dimension, mutant, H)
-    assert message.startswith("character average over subgroup is ")
-    assert message == _raised(object_fixed_dimension, mutant, H)
+    mutant = GaloisTrace(t.classes, tuple(values), t.phi, t.orbit)
+    with pytest.raises(NonIntegral, match="^trace average over subgroup is "):
+        fixed_dimension(mutant, H)
 
 
 @pytest.mark.parametrize("scale", [2, 3])
 def test_frobenius_schur_rejects_a_non_character(scale):
-    # twice the trivial character has indicator 2; three times it sums to
-    # 3 |G| over g^2, but an added zeta makes the sum irrational
+    # twice the trivial trace has indicator 2; three times it sums to
+    # 3 |G| over g^2, but one more at the identity makes the sum fractional
     G = cyclic(9)
-    one = zeta_power(9, 0)
-    trivial = next(chi for chi in irreducible_characters(G)
-                   if all(v == one for v in chi.values))
-    values = tuple(v * scale for v in trivial.values)
+    trivial = irreducible_characters(G)[0]
+    assert set(trivial.values) == {1}
+    values = [v * scale for v in trivial.values]
     if scale == 3:
-        values = (values[0] + zeta_power(9, 1),) + values[1:]
-    mutant = qdp.characters.Character(G, trivial.classes, values, scale)
-    message = _raised(frobenius_schur, mutant)
-    assert message == _raised(object_frobenius_schur, mutant)
+        values[trivial.classes.identity_class] += 1
+    mutant = GaloisTrace(trivial.classes, tuple(values), 1, 1)
+    with pytest.raises(NonIntegral, match="Frobenius-Schur indicator"):
+        frobenius_schur(mutant)
 
 
 def test_non_p_group_rejected():
@@ -417,10 +359,13 @@ def test_non_p_group_rejected():
 
 
 def test_linear_characters_of_cyclic_are_roots_of_unity():
+    # Z/3 has two classes of linear characters, the trivial one and the
+    # faithful pair, and the three characters take cube roots of unity
     G = cyclic(3)
-    chars = irreducible_characters(G)
-    vals = {tuple(v.coeffs for v in c.values) for c in chars}
-    assert len(vals) == 3
+    subs = subgroups_of_p_group(whole_group(G))
+    assert sorted(lam.modulus for lam in linear_characters(whole_group(G), subs)) == [1, 3]
+    chars = reference_characters(G)
+    assert len({c.values for c in chars}) == 3
     for c in chars:
         cube = value_at(c, 1) * value_at(c, 1) * value_at(c, 1)
         assert cube.as_rational_int() == 1
@@ -431,44 +376,50 @@ def test_linear_characters_of_cyclic_are_roots_of_unity():
     generalized_quaternion(16), dihedral(8)],
     ids=["E27", "H27", "M27", "H125", "Z3wrZ3", "Q16", "D16"])
 def test_linear_characters_are_the_homomorphisms_to_roots_of_unity(G):
-    # for every subgroup H: pairwise distinct homomorphisms H -> Z/m, as
-    # many as H has, |H : [H, H]|; in Z3 wr Z3 [H, H] is more than the
+    # for every subgroup H: each class is a homomorphism onto Z/m with
+    # kernel K, its phi(m) members pairwise distinct, and the classes hold
+    # as many as H has, |H : [H, H]|; in Z3 wr Z3 [H, H] is more than the
     # closure of the commutators of two generators
     subs = subgroups_of_p_group(whole_group(G))
     for H in subs:
-        chars = linear_characters(H, subs)
-        for lam in chars:
-            exps, m = lam.exponents, lam.modulus
+        classes = linear_characters(H, subs)
+        values = set()
+        for lam in classes:
+            exps, m = linear_exponents(H, lam), lam.modulus
             assert sorted(exps) == list(H.members)
             assert all((exps[G.mul(a, b)] - exps[a] - exps[b]) % m == 0
                        for a in H.members for b in H.members), H.members
-        values = {tuple(Fraction(lam.exponents[h], lam.modulus) % 1 for h in H.members)
-                  for lam in chars}
-        assert len(values) == len(chars) == H.order // all_pairs_derived_subgroup(H).order
+            assert {h for h, i in exps.items() if i == 0} == set(lam.K.members)
+            if m > 1:
+                assert {h for h, i in exps.items() if i % (m // _unique_prime(m)) == 0} == \
+                    set(lam.above.members)
+            values |= {tuple(Fraction(exps[h] * j, m) % 1 for h in H.members)
+                       for j in range(m) if math.gcd(j, m) == 1}
+        assert len(values) == sum(lam.modulus - lam.modulus // _unique_prime(lam.modulus)
+                                  if lam.modulus > 1 else 1 for lam in classes)
+        assert len(values) == H.order // all_pairs_derived_subgroup(H).order
 
 
 def test_fixed_dimension_regular_character():
-    # regular character of (Z/3)^2 restricted to any order-3 subgroup
+    # the regular character of (Z/3)^2 is the sum of chi(1) chi, so its
+    # fixed dimension at H sums |O| chi(1) dim V_chi^H over the classes
     G = elementary_abelian(3, 2)
-    chars = irreducible_characters(G)
-    reg = None
+    traces = irreducible_characters(G)
     for H in subgroups_of_p_group(whole_group(G)):
         if H.order == 3:
-            total = sum(fixed_dimension(c, H) * c.degree for c in chars)
+            total = sum(t.orbit * t.degree * fixed_dimension(t, H) for t in traces)
             assert total == orbit_count_fixed_dim(G, H.members) == 3
     triv = Subgroup(G, (G.identity,))
-    assert sum(fixed_dimension(c, triv) * c.degree for c in chars) == 9
+    assert sum(t.orbit * t.degree * fixed_dimension(t, triv) for t in traces) == 9
 
 
 def test_fixed_dimension_trivial_and_faithful():
     G = cyclic(5)
-    chars = irreducible_characters(G)
+    trivial, faithful = irreducible_characters(G)
     whole = whole_group(G)
-    trivial = next(c for c in chars
-                   if all(v.as_rational_int() == 1 for v in c.values))
-    assert fixed_dimension(trivial, whole) == 1
-    faithful = [c for c in chars if c is not trivial]
-    assert all(fixed_dimension(c, whole) == 0 for c in faithful)
+    assert set(trivial.values) == {1} and fixed_dimension(trivial, whole) == 1
+    assert faithful.orbit == 4 and fixed_dimension(faithful, whole) == 0
+    assert fixed_dimension(faithful, Subgroup(G, (G.identity,))) == 1
 
 
 def test_realified_faithful_linear_of_z3_matches_rotation():
@@ -477,49 +428,51 @@ def test_realified_faithful_linear_of_z3_matches_rotation():
     pair = next(e for e in basis if e.realness == COMPLEX_PAIR)
     whole = whole_group(G)
     triv = Subgroup(G, (0,))
-    assert 2 * fixed_dimension(pair.character, triv) == 2
-    assert 2 * fixed_dimension(pair.character, whole) == 2 * rotation_fixed_rank_p3()
+    assert 2 * fixed_dimension(pair.trace, triv) == 2
+    assert 2 * fixed_dimension(pair.trace, whole) == 2 * rotation_fixed_rank_p3()
 
 
 @pytest.mark.parametrize("broken", ["partner missing", "own partner"])
 def test_complex_character_needs_another_partner(monkeypatch, broken):
-    # Z/3 has two complex characters, each the other's conjugate
+    # a complex character's conjugate lies in its Galois class, so a
+    # complex class has even size; Z/3 has one, of the two faithful
+    # characters
     G = cyclic(3)
-    chars = irreducible_characters(G)
-    if broken == "partner missing":
-        one = zeta_power(3, 0)
-        chars = [chi for chi in chars if all(v == one for v in chi.values)] + \
-            [chi for chi in chars if not all(v == one for v in chi.values)][:1]
+    traces = irreducible_characters(G)
+    if broken == "partner missing":  # the faithful class counted as one
+        t = traces[-1]
+        traces = traces[:-1] + [GaloisTrace(t.classes, t.values, t.phi, 1)]
+        monkeypatch.setattr(qdp.characters, "irreducible_characters",
+                            lambda P, subgroups: traces)
     else:  # the trivial character read as complex is its own conjugate
         monkeypatch.setattr(qdp.characters, "frobenius_schur", lambda chi: 0)
-    monkeypatch.setattr(qdp.characters, "irreducible_characters", lambda P, subgroups: chars)
     with pytest.raises(IncompleteInduction, match="without conjugate partner"):
         real_representation_basis(G)
 
 
 def test_frobenius_schur_indicators():
     q8 = irreducible_characters(generalized_quaternion(8))
-    two_dim = next(c for c in q8 if c.degree == 2)
+    two_dim = next(t for t in q8 if t.degree == 2)
     assert frobenius_schur(two_dim) == -1
     d8 = irreducible_characters(dihedral(4))
-    two_dim = next(c for c in d8 if c.degree == 2)
+    two_dim = next(t for t in d8 if t.degree == 2)
     assert frobenius_schur(two_dim) == 1
     z3 = irreducible_characters(cyclic(3))
-    nontriv = [c for c in z3 if any(v.as_rational_int() != 1 for v in c.values)]
-    assert all(frobenius_schur(c) == 0 for c in nontriv)
+    nontrivial = [t for t in z3 if set(t.values) != {1}]
+    assert nontrivial and all(frobenius_schur(t) == 0 for t in nontrivial)
 
 
 def test_q16_quaternionic_coverage():
-    # of the three 2-dimensional irreducibles of Q16, the faithful ones are
-    # quaternionic and the one through the dihedral quotient is real
-    chars = irreducible_characters(generalized_quaternion(16))
-    twos = [c for c in chars if c.degree == 2]
-    assert len(twos) == 3
-    inds = sorted(frobenius_schur(c) for c in twos)
-    assert inds == [-1, -1, 1]
+    # of the three 2-dimensional irreducibles of Q16, the two faithful ones
+    # are one Galois class (values +-sqrt 2) and quaternionic, and the one
+    # through the dihedral quotient is real
+    traces = irreducible_characters(generalized_quaternion(16))
+    twos = [t for t in traces if t.degree == 2]
+    assert sorted(t.orbit for t in twos) == [1, 2]
+    assert sorted((frobenius_schur(t), t.orbit) for t in twos) == [(-1, 2), (1, 1)]
     basis = real_representation_basis(generalized_quaternion(16))
-    assert sorted(e.realness for e in basis if e.character.degree == 2) == \
-        [QUATERNIONIC, QUATERNIONIC, REAL]
+    assert sorted(e.realness for e in basis if e.trace.degree == 2) == \
+        [QUATERNIONIC, REAL]
 
 
 def test_real_basis_consistency_across_corpus():
@@ -532,59 +485,163 @@ def test_real_basis_consistency_across_corpus():
               heisenberg(3), modular_p3(3)]
     for G in corpus:
         basis = real_representation_basis(G)
-        total = sum((2 if e.realness == COMPLEX_PAIR else 1) * e.character.degree ** 2
-                    for e in basis)
+        total = sum(e.trace.orbit * e.trace.degree ** 2 for e in basis)
         assert total == G.order, G.name
+        assert sum(e.trace.orbit for e in basis) == len(reference_characters(G)), G.name
 
 
 def test_fixed_dimension_constant_on_conjugate_subgroups():
     G = heisenberg(3)
-    chars = irreducible_characters(G)
+    traces = irreducible_characters(G)
     subs = [S for S in subgroups_of_p_group(whole_group(G)) if S.order == 3]
-    for chi in chars:
+    for t in traces:
         for S in subs:
             for g in (5, 11, 23):
                 gi = G.inv(g)
                 T = Subgroup(G, tuple(sorted(G.mul(G.mul(g, s), gi)
                                              for s in S.members)))
-                assert fixed_dimension(chi, S) == fixed_dimension(chi, T)
+                assert fixed_dimension(t, S) == fixed_dimension(t, T)
 
 
 def test_character_table_export():
-    table = character_table_json(heisenberg(3))
-    assert table["cyclotomic_order"] == 3
+    G = heisenberg(3)
+    traces = irreducible_characters(G)
+    classes = traces[0].classes
+    table = {
+        "classes": [{"rep": cls[0], "size": len(cls)} for cls in classes.classes],
+        "traces": [{"degree": t.degree, "orbit": t.orbit, "values": list(t.values)}
+                   for t in traces],
+    }
     assert len(table["classes"]) == 11
-    assert sorted(c["degree"] for c in table["characters"]) == [1] * 9 + [3, 3]
-    sizes = sum(c["size"] for c in table["classes"])
-    assert sizes == 27
+    assert sum(c["size"] for c in table["classes"]) == 27
+    assert sorted((t["degree"], t["orbit"]) for t in table["traces"]) == \
+        [(1, 1)] + [(1, 2)] * 4 + [(3, 2)]
+    assert sum(t["orbit"] * t["degree"] ** 2 for t in table["traces"]) == 27
 
 
 def test_column_orthogonality():
-    # sum over irreducibles of chi(g) chi(h^-1) is |C_G(g)| when g ~ h, else 0
+    # the traces scaled to norm one are an orthonormal basis of the
+    # rational class functions, so sum over classes of c(g) c(h) / <c, c>
+    # is |G| / |R| when g and h lie in one rational class R (they generate
+    # conjugate cyclic subgroups), else 0
     G = heisenberg(3)
-    chars = irreducible_characters(G)
-    classes = chars[0].classes
+    traces = irreducible_characters(G)
+    classes = traces[0].classes
+    sizes = [len(cls) for cls in classes.classes]
+    norms = [Fraction(sum(s * v * v for s, v in zip(sizes, t.values)), G.order)
+             for t in traces]
+
+    def rational_class(g):
+        order = G.element_order(g)
+        return {classes.class_of[G.power(g, k)] for k in range(1, order + 1)
+                if math.gcd(k, order) == 1}
+
     ncl = len(classes.classes)
     for i in range(ncl):
+        r = rational_class(classes.classes[i][0])
         for j in range(ncl):
-            acc = None
-            for chi in chars:
-                term = chi.values[i] * chi.values[classes.inv_class[j]]
-                acc = term if acc is None else acc + term
-            val = acc.as_rational_int()
-            if i == j:
-                assert val == G.order // len(classes.classes[i])
-            else:
-                assert val == 0
+            val = sum(Fraction(t.values[i] * t.values[j]) / n for t, n in zip(traces, norms))
+            want = Fraction(G.order, sum(sizes[c] for c in r)) if j in r else 0
+            assert val == want
 
 
 def test_trivial_representation_dimension_function():
     from qdp.dimfun import SuperClassFunction
-    from qdp.groups import p_subgroups
     G = cyclic(9)
     lat = p_subgroups(G, 3)
     basis = real_representation_basis(G)
-    trivial = next(e for e in basis
-                   if all(v.as_rational_int() == 1 for v in e.character.values))
+    trivial = next(e for e in basis if set(e.trace.values) == {1})
     tau = SuperClassFunction(lat, trivial.fixed_dimension_vector(lat))
     assert set(tau.values) == {1}
+
+
+# ---------------------------------------------------------------------------
+# the real basis against the reference route
+
+BASIS_GROUPS = [
+    cyclic(2), cyclic(4), cyclic(8), cyclic(16),
+    elementary_abelian(2, 2), elementary_abelian(2, 3), elementary_abelian(2, 4),
+    dihedral(4), dihedral(8), dihedral(16),
+    generalized_quaternion(8), generalized_quaternion(16), generalized_quaternion(32),
+    direct_product(cyclic(4), cyclic(2)), direct_product(cyclic(4), cyclic(4)),
+    direct_product(generalized_quaternion(8), cyclic(2)),
+    direct_product(dihedral(4), cyclic(2)), direct_product(dihedral(4), cyclic(4)),
+    direct_product(generalized_quaternion(8), cyclic(4)),
+    direct_product(dihedral(4), dihedral(4)),
+    direct_product(generalized_quaternion(8), generalized_quaternion(8)),
+    elementary_abelian(3, 2), elementary_abelian(5, 2), elementary_abelian(3, 3),
+    elementary_abelian(5, 3), cyclic(9), cyclic(27), direct_product(cyclic(9), cyclic(3)),
+    heisenberg(3), heisenberg(5), modular_p3(3), modular_p3(5), wreath_3_3(),
+    direct_product(cyclic(25), cyclic(5)), direct_product(heisenberg(3), cyclic(3)),
+    cyclic(7), elementary_abelian(7, 2),
+]
+
+
+@pytest.mark.parametrize("G", BASIS_GROUPS, ids=lambda G: G.name)
+def test_real_basis_matches_the_reference_route(G):
+    # per Galois class, the fixed-dimension vector, realness and real degree
+    # are those of the complex table's real forms, also on a relabelled
+    # copy, where the identity is not element 0 (the vector read at the
+    # images of the original's lattice class reps)
+    p = _unique_prime(G.order)
+    lat = p_subgroups(G, p)
+    want = reference_real_basis(G, lat)
+    assert basis_classes(real_representation_basis(G), lat) == want
+    copy, perm = relabelled(G, G.name)
+    assert copy.identity != 0 or G.order == 1
+    image = lambda S: Subgroup(copy, tuple(perm[x] for x in S.members))
+    assert basis_classes(real_representation_basis(copy), lat, image) == want
+
+
+def test_real_basis_matches_the_reference_route_on_the_corpus():
+    from qdp.groups import group_from_json
+    files = bench_corpus_files(7)
+    names = sorted(name for name in files if name.endswith("_group.json"))
+    assert len(names) == 6
+    for name in names:
+        G = group_from_json(files[name])
+        lat = p_subgroups(G, _unique_prime(G.order))
+        basis = real_representation_basis(G, subgroups=lat.sylow_subgroups)
+        assert basis_classes(basis, lat) == reference_real_basis(G, lat), name
+
+
+# ---------------------------------------------------------------------------
+# Mackey's criterion
+
+def test_mackey_rejects_the_center_of_q8():
+    # induced from the center of Q8, the faithful character is twice the
+    # 2-dimensional irreducible: its trace is orthogonal to the linear
+    # characters and accounts for |O| chi(1)^2 = 4, so only Mackey's
+    # criterion tells it from the irreducible's, whose vector it doubles
+    G = generalized_quaternion(8)
+    classes = ElementClasses(G)
+    subs = subgroups_of_p_group(whole_group(G))
+    (Z,) = [S for S in subs if S.order == 2]
+    (lam,) = [lam for lam in linear_characters(Z, subs) if lam.modulus == 2]
+    values = induced_values(lam, classes)
+    (two,) = [t for t in irreducible_characters(G) if t.degree == 2]
+    assert primitive(values) == primitive(two.values)
+    assert values[classes.identity_class] == 4
+    commutators = qdp.characters._mackey_commutators(Z)
+    assert any(lam.K.member_set.issuperset(s) for s in commutators)
+
+
+def test_without_mackey_h27_is_incomplete(monkeypatch):
+    # with every induced character taken for irreducible, sums of linear
+    # characters of H(3) are kept as Galois classes
+    monkeypatch.setattr(qdp.characters, "_mackey_commutators", lambda H: [])
+    with pytest.raises(IncompleteInduction):
+        irreducible_characters(heisenberg(3))
+
+
+@pytest.mark.parametrize("G", [elementary_abelian(5, 2), heisenberg(5),
+                               elementary_abelian(3, 3)], ids=lambda G: G.name)
+def test_mackey_sets_once_per_subgroup(G, monkeypatch):
+    # the commutator sets of a subgroup are built once, and only for a
+    # subgroup that offers a trace not yet kept
+    calls = []
+    real = qdp.characters._mackey_commutators
+    monkeypatch.setattr(qdp.characters, "_mackey_commutators",
+                        lambda H: calls.append(H.members) or real(H))
+    irreducible_characters(G)
+    assert 0 < len(calls) == len(set(calls)) <= len(subgroups_of_p_group(whole_group(G)))

@@ -160,7 +160,8 @@ def test_realize_cli(capsys):
 
 def test_refuted_realize_names_its_reason(tmp_path, capsys, monkeypatch):
     # the Borel-Smith gate would refuse tau = (1, 3) on Z/3, so it is lifted
-    # to reach the solver's refutation: the faithful pair's coordinate is -1
+    # to reach the solver's refutation: the faithful pair's coordinate is -1,
+    # and the pair follows the trivial entry in the basis
     import qdp.dimfun
     from qdp.dimfun import BorelSmithReport
     monkeypatch.setattr(qdp.dimfun, "check_borel_smith",
@@ -172,7 +173,7 @@ def test_refuted_realize_names_its_reason(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, report = run_json(capsys, "realize", "--group", "z3.json", "--tau", "tau.json")
     assert code == EXIT_REFUTED and report["status"] == "refuted"
-    assert report["witness"] == {"reason": "negative coordinate", "basis_index": 0,
+    assert report["witness"] == {"reason": "negative coordinate", "basis_index": 1,
                                  "numerator": -1, "denominator": 1}
 
 
@@ -346,7 +347,7 @@ SUBCOMMAND_SHA256 = {
     ("borel-smith", "--group", "group_e9.json", "--tau", "tau_violating_e9.json"):
         "d675e41f5e7567fc864662176acdfe8f865d3233430827639f72e2a8079eccfb",
     ("realize", "--group", "group_e9.json", "--tau", "tau_regular_e9.json"):
-        "9739440be94b0ec3346c8fd6ddd7352f36708f0a2249d29d86230f621a2edf3c",
+        "26b6354cea5ff3fdb2386cc4cb250cc6edbf90b1da0696efe3ceb2029140a63b",
     ("fix-rank", "--model", "model_lens_p3.json"):
         "cf9aa26379e8ad3ed0adcf62f63f6a0351cfd6bbdcf7d0f9e0424695252fa740",
     ("fix-rank", "--model", "model_rotation_p3.json"):
@@ -371,8 +372,8 @@ def test_subcommand_reports_are_pinned(capsys, monkeypatch, argv):
 
 
 def test_realize_exponent_nine_is_pinned(tmp_path, capsys, monkeypatch):
-    # M(27) has exponent 9, so its characters take values in Z[zeta_9];
-    # tau is the dimension function of the regular representation
+    # M(27) has exponent 9, so some of its characters are traced over
+    # Q(zeta_9); tau is the dimension function of the regular representation
     G = modular_p3(3)
     lat = p_subgroups(G, 3)
     (tmp_path / "group_m27.json").write_text(json.dumps(G.to_json()))
@@ -384,7 +385,7 @@ def test_realize_exponent_nine_is_pinned(tmp_path, capsys, monkeypatch):
                             "--tau", "tau_regular_m27.json")
     assert code == EXIT_OK
     digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
-    assert digest == "cf649cd5dcfcc9796a9b1bd8be093eeb963efd15ee928d630e79d9a9b9f9c588"
+    assert digest == "80483ecb902396df8c36c699213f68d50f79a73c809a339d9f55bbe7132c61a7"
 
 
 def test_eight_fold_rotation_join_is_pinned(tmp_path, capsys, monkeypatch):
@@ -846,6 +847,36 @@ def test_huge_prime_meets_the_size_guard_first(command):
     assert proc.returncode == EXIT_DOMAIN
     assert proc.stderr.startswith("error: |Qd(999999999999999989)| = ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_prop_zeta_huge_prime_meets_the_budget_first():
+    # 999999999999999989 is prime, and trial division up to its square root
+    # would run for hours; a p above the degree budget is over it at any k
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", "prop-zeta",
+                           "--p", "999999999999999989", "--k", "4"],
+                          capture_output=True, text=True, env=_child_env(), timeout=20)
+    assert time.monotonic() - start < 2
+    assert proc.returncode == EXIT_BUDGET
+    assert proc.stderr.startswith("budget: closure tests reach degree ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["borel-smith", "realize"])
+def test_tau_naming_another_group_is_a_domain_error(tmp_path, capsys, command):
+    # the shipped E(3^2) tau names its group; naming Qd(3) instead, it no
+    # longer states a function on the --group table.  Without the field it
+    # is still read
+    tau = json.loads(Path(data_path("tau_regular_e9.json")).read_text())
+    tau["group"] = {"kind": "qdp", "p": 3}
+    (tmp_path / "tau.json").write_text(json.dumps(tau))
+    argv = [command, "--group", data_path("group_e9.json"), "--tau", str(tmp_path / "tau.json")]
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err == \
+        f"error: the tau file names another group than {data_path('group_e9.json')}\n"
+    del tau["group"]
+    (tmp_path / "tau.json").write_text(json.dumps(tau))
+    assert main(argv) == EXIT_OK
 
 
 def test_tau_prime_is_checked_against_the_group_first(tmp_path):

@@ -5,7 +5,6 @@ import functools
 import json
 import math
 import random
-import sys
 
 import pytest
 
@@ -49,6 +48,7 @@ from qdp.groups import (
     whole_group,
 )
 from fixtures import (
+    bench_corpus_files,
     cyclic,
     cyclic_subgroups,
     dfs_realization,
@@ -210,17 +210,8 @@ def test_lattice_checker_agrees_with_quotient_tables(G, p, monkeypatch):
 def corpus_inputs():
     """The benchmark corpus's group tables with each tau and its perturbed
     twin, as the CLI reads them."""
-    import importlib.util
-    from pathlib import Path
-
     from qdp.groups import group_from_json
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look their module up
-    spec.loader.exec_module(gen)
-    files = {name: json.loads(text)
-             for name, text in gen.generate("corpus", 7).files.items()}
+    files = bench_corpus_files(7)
     for name in sorted(files):
         if "_tau" not in name:
             continue
@@ -710,7 +701,7 @@ def test_refutation_names_a_failing_non_cyclic_class(monkeypatch):
 def test_realize_refuses_a_basis_short_of_a_galois_class():
     lat, basis = lattice_and_basis("E9")
     tau = SuperClassFunction(lat, (1,) * lat.n_classes)
-    with pytest.raises(QdpError, match="4 distinct fixed-dimension vectors for 5 classes"):
+    with pytest.raises(QdpError, match="4 basis entries for 5 classes"):
         realize_as_representation(tau, basis[:-1])
 
 
