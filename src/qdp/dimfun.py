@@ -36,7 +36,6 @@ from .groups import (
     PSubgroupClasses,
     QdpGroup,
     Subgroup,
-    center,
     conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
@@ -44,6 +43,7 @@ from .groups import (
     is_normal_in,
     qdp_generators,
     qdp_order_p_elements,
+    qdp_sylow_center,
     sylow_p_subgroup,
 )
 from .reports import ASSUMED, REFUTED, VERIFIED, Certificate, Leg
@@ -334,8 +334,8 @@ def generation_by_order_p(G: QdpGroup, p: int) -> tuple[bool, list[int]]:
     Returns the verdict and the order-p elements.
 
     The verdict is the structural certificate of `qdp_generators`: e1, u+
-    and u- have order p and generate G.  False then means that certificate
-    failed, not that G is shown not to be generated."""
+    and u- have order p and generate G (by orbit-stabilizer).  False then
+    means that certificate failed, not that G is shown not to be generated."""
     gens, generated = qdp_generators(G)
     return (generated and all(G.element_order(g) == p for g in gens),
             qdp_order_p_elements(G))
@@ -356,7 +356,8 @@ def qdp_obstruction_theorem_B(p: int,
     one confirms it: a fusion witness g, found by a scan of G that does not
     use the generators, conjugates the center onto the first such subgroup
     and is checked.  The facts the chain rests on are `assumed` legs that
-    name their source.
+    name their source.  No subgroup is closed: Z(P) has order p as P is
+    nonabelian of order p^3, and e1, u+, u- generate G by orbit-stabilizer.
     """
     if p == 2:
         raise EvenPrime("the obstruction needs p > 2")
@@ -367,13 +368,10 @@ def qdp_obstruction_theorem_B(p: int,
 
     G = construct_qdp(p, max_order=max_order)
     P = sylow_p_subgroup(G, p)
-    Z = center(P)
-    legs = [Leg("sylow-center", VERIFIED if Z.order == p else REFUTED, {
-        "sylow_order": P.order,
-        "center": list(Z.members),
-        "center_order": Z.order,
-    })]
-    if Z.order != p:
+    Z, central = qdp_sylow_center(G)
+    legs = [Leg("sylow-center", VERIFIED if central else REFUTED, {
+        "sylow_order": P.order, "center": list(Z.members), "center_order": Z.order})]
+    if not central:
         return Certificate(name, claim, legs, {})
 
     # Z is the only subgroup constrained to 0, so its class is the only one

@@ -12,8 +12,8 @@ p-subgroups: every p-subgroup of G is conjugate into a fixed Sylow
 p-subgroup P, so we enumerate the subgroups of P (by index-p normal
 extensions, which reach everything inside a p-group) and close up under
 G-conjugation.  On Qd(p) the Sylow p-subgroup, a generating set and the
-order-p elements are read off the semidirect structure instead of found
-by scanning all of G.
+order-p elements are read off the semidirect structure, with no scan of
+G and no closure of order p^3.
 """
 
 from __future__ import annotations
@@ -378,19 +378,18 @@ def qdp_generators(G: QdpGroup) -> tuple[list[int], bool]:
     """[e1, u+, u-], with e1 = ((1,0), I), u+ = [[1,1],[0,1]] and
     u- = [[1,0],[1,1]], all of order p, and whether they generate G.
 
-    <u+, u-> is closed alone: p^3 - p members with vector part 0 make it
-    the complement SL2(p).  Conjugation by it moves e1 over p^2 - 1
-    elements with matrix part I, which is all of V minus 0.  A subgroup
-    containing V and its complement SL2(p) is G = V x| SL2(p)."""
+    H = <u+, u-> lies in the complement SL2(p), as u+ and u- have vector
+    part 0.  Conjugation by H moves e1 over all p^2 - 1 elements of V minus
+    0, and u+, of order p, fixes e1, so |H| >= p (p^2 - 1) = |SL2(p)| by
+    orbit-stabilizer.  A subgroup containing V and SL2(p) is G."""
     p, n = G.p, G.nmat
     e1 = p * n + G.identity
     up = G.element((0, 0), (1, 1, 0, 1))
     um = G.element((0, 0), (1, 0, 1, 1))
-    sl2 = subgroup_closure(G, [up, um])
     orbit = conjugacy_orbit(G, Subgroup(G, (e1,)), [up, um])
-    generated = (len(sl2) == p ** 3 - p and all(a < n for a in sl2)
-                 and len(orbit) == p * p - 1
-                 and all(T.members[0] % n == G.identity for T in orbit))
+    generated = (max(up, um) < n and len(orbit) == p * p - 1
+                 and all(T.members[0] % n == G.identity for T in orbit)
+                 and G.mul(up, e1) == G.mul(e1, up) and G.element_order(up) == p)
     return [e1, up, um], generated
 
 
@@ -400,7 +399,8 @@ def qdp_order_p_elements(G: QdpGroup) -> list[int]:
     (v, A)^p = (S v, A^p) with S = I + A + ... + A^(p-1), linear in v, so
     (v, A) has order p iff A^p = I, S v = 0 and (v, A) is not the identity.
     Only the matrices are powered; the columns of S are the vector parts
-    of (e1, A)^p and (e2, A)^p."""
+    of (e1, A)^p and (e2, A)^p.  This listing is theorem-c's one step of
+    order p^3 or more; its generation leg reports the count."""
     p, n = G.p, G.nmat
     found = []
     for m in range(n):  # (0, A) has index m
@@ -420,14 +420,6 @@ def conjugate_subgroup(G: FiniteGroup, g: int, H: Subgroup) -> Subgroup:
     return Subgroup(G, tuple(sorted(G.mul(G.mul(g, x), gi) for x in H.members)))
 
 
-def center(H: Subgroup) -> Subgroup:
-    """The members of H that commute with a (greedy) generating set of H."""
-    G = H.group
-    gens = greedy_generators(G, H.members)[0]
-    out = [z for z in H.members if all(G.mul(z, g) == G.mul(g, z) for g in gens)]
-    return Subgroup(G, tuple(out))
-
-
 def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """Grow a p-subgroup by p-elements of its normalizer until full p-part.
 
@@ -444,9 +436,9 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         raise SizeGuard(f"{p} does not divide |G| = {G.order}")
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
-    target = p_part(G.order, p)
     if isinstance(G, QdpGroup) and p == G.p:
-        return _qdp_sylow(G, target)
+        return _qdp_sylow(G)
+    target = p_part(G.order, p)
     # p-elements in index order, found only as far as the growth needs them
     pelems: list[int] = []
     fresh = (a for a in G.elements() if _is_p_power(G.element_order(a), p))
@@ -473,21 +465,42 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     return Subgroup(G, tuple(sorted(members)))
 
 
-def _qdp_sylow(G: QdpGroup, target: int) -> Subgroup:
-    """V x| <m0>, m0 the first unipotent matrix other than I in `mats`
-    order, checked to have order p^3 = target by closure.
+def qdp_sylow_generators(G: QdpGroup) -> list[int]:
+    """[m0, e1, e2], generating V x| <m0>: m0 = (0, [[0, 1], [-1, 2]]), the
+    first unipotent matrix other than I in `mats` order, and e1, e2 in V."""
+    n = G.nmat
+    return [G.element((0, 0), (0, 1, -1, 2)), G.p * n + G.identity, n + G.identity]
+
+
+def _qdp_sylow(G: QdpGroup) -> Subgroup:
+    """V x| <m0> (`qdp_sylow_generators`): the p^2 vectors times the p
+    powers of m0, once m0 != I is checked to have m0^p = I.  V is normal
+    and meets <m0> trivially, so these are its p^3 elements.
 
     It is the subgroup the index-order growth returns: (0, m0) is the first
     p-element of that scan, and the only Sylow subgroup containing it is
     V x| <m0>, because V is a normal p-subgroup and distinct Sylow
     subgroups of SL2(p) meet trivially."""
     p, n = G.p, G.nmat
-    m0 = next(m for m, A in enumerate(G.mats)
-              if m != G.identity and (A[0] + A[3]) % p == 2 % p)
-    members = subgroup_closure(G, [m0, p * n + G.identity, n + G.identity])
-    if len(members) != target:
-        raise QdpError(f"V x| <m0> has {len(members)} members, not {target}")
-    return Subgroup(G, members)
+    m0 = qdp_sylow_generators(G)[0]
+    powers = [G.identity]
+    while len(powers) < p:
+        powers.append(G.mul(powers[-1], m0))
+    if m0 == G.identity or G.mul(powers[-1], m0) != G.identity:
+        raise QdpError(f"{G.describe(m0)} does not have order {p}")
+    powers.sort()
+    return Subgroup(G, tuple(v * n + m for v in range(p * p) for m in powers))
+
+
+def qdp_sylow_center(G: QdpGroup) -> tuple[Subgroup, bool]:
+    """<(z, I)>, z = (1, 1) fixed by m0, and whether it is Z(P), P = V x| <m0>:
+    it is when (z, I) commutes with m0, e1 and e2 but m0 and e1 do not, as
+    P, of order p^3, is then nonabelian and |Z(P)| = p."""
+    m0, e1, e2 = qdp_sylow_generators(G)
+    zg = G.element((1, 1), (1, 0, 0, 1))
+    central = (all(G.mul(zg, g) == G.mul(g, zg) for g in (m0, e1, e2))
+               and G.mul(m0, e1) != G.mul(e1, m0))
+    return Subgroup(G, tuple(G.power(zg, t) for t in range(G.p))), central
 
 
 def _is_p_power(n: int, p: int) -> bool:

@@ -15,7 +15,6 @@ allowed so the localized two-row computations can reuse it.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Sequence
 
 from .errors import (
@@ -214,7 +213,7 @@ def _lucas_range(k: int, lo: int, hi: int, p: int) -> list[tuple[int, int]]:
     whose highest offending digit sits at p^d is skipped, with every j
     after it that keeps its digits from p^(d+1) up, to the next multiple
     of p^(d+1)."""
-    comb = math.comb if p < _EXACT_DIGIT_BINOMIALS_BELOW else _factorial_binomials(p)
+    fact, inv = _factorials(p)
     out = []
     j = lo
     while j <= hi:
@@ -225,7 +224,7 @@ def _lucas_range(k: int, lo: int, hi: int, p: int) -> list[tuple[int, int]]:
             if td > kd:
                 skip = w
             else:
-                coef *= comb(kd, td)
+                coef *= fact[kd] * inv[td] * inv[kd - td]
             kk //= p
             t //= p
         if skip:
@@ -236,21 +235,11 @@ def _lucas_range(k: int, lo: int, hi: int, p: int) -> list[tuple[int, int]]:
     return out
 
 
-# `binom_mod` and `_lucas_range` take the digit binomials C(a, b), 0 <= b <=
-# a < p, exactly from math.comb below this p and from the
-# `_factorial_binomials` tables mod p from it on; an exact C(a, b) has up to
-# about a bits.  Timed in process on random k < 3p^2, the exact ones were
-# about 20% faster at p = 3 ... 67, and the tables were faster from p = 97
-# (`_lucas_range`) and p = 137 (`binom_mod`) on: 2-4 times at p = 307 and
-# about 200 times (`binom_mod`) at p = 4999.
-_EXACT_DIGIT_BINOMIALS_BELOW = 100
-
-
 @functools.lru_cache(maxsize=8)
-def _factorial_binomials(p: int):
-    """A function (a, b) -> C(a, b) up to a multiple of p, p prime, for
-    0 <= b <= a < p: a! / (b! (a - b)!) from tables of n! mod p and its
-    inverse, built once per p."""
+def _factorials(p: int) -> tuple[list[int], list[int]]:
+    """The tables of n! mod p and of its inverse, 0 <= n < p, p prime,
+    built once per p: C(a, b) = a! / (b! (a - b)!) for 0 <= b <= a < p is
+    fact[a] * inv[b] * inv[a - b] up to a multiple of p."""
     fact = [1] * p
     for n in range(2, p):
         fact[n] = fact[n - 1] * n % p
@@ -258,7 +247,7 @@ def _factorial_binomials(p: int):
     inv[-1] = pow(fact[-1], -1, p)
     for n in range(p - 1, 1, -1):
         inv[n - 1] = inv[n] * n % p
-    return lambda a, b: fact[a] * inv[b] * inv[a - b]
+    return fact, inv
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +708,18 @@ def binom_mod(k: int, i: int, p: int) -> int:
     reflection rule C(k, i) = (-1)^i C(i - k - 1, i)), digit by digit in
     base p by Lucas' theorem: C(k, i) = prod C(k_d, i_d) mod p, and zero
     once some digit i_d exceeds k_d (so also whenever i > k >= 0).  The
-    digit binomials are exact or read off tables mod p, by the size of p
-    (`_EXACT_DIGIT_BINOMIALS_BELOW`)."""
+    digit binomials are read off tables mod p (`_factorials`)."""
     if i < 0:
         return 0
     out = 1
     if k < 0:
         k, out = i - k - 1, (-1) ** i
-    comb = math.comb if p < _EXACT_DIGIT_BINOMIALS_BELOW else _factorial_binomials(p)
+    fact, inv = _factorials(p)
     while i:
         kd, id_ = k % p, i % p
         if id_ > kd:
             return 0
-        out *= comb(kd, id_)
+        out *= fact[kd] * inv[id_] * inv[kd - id_]
         k //= p
         i //= p
     return out % p

@@ -2,18 +2,19 @@
 Cayley tables, the paper's m-fold fiber-join models and their Euler
 classes, the generic order-p generation check that the Qd(p) route is
 compared against, the cyclic subgroups of a p-group that theorem-b's
-center orbit is compared against, the quotient table that the Borel-Smith
-checker is compared against, the all-pairs commutator subgroup that the
-count of linear characters is checked against, the reference route for
-characters (the complex character table over Z[zeta_e]: cyclotomic
-integers, object-level kernels with one operation per coset term, group
-element or class product, Galois traces and the table's real forms) that
-the integer Galois traces of qdp.characters and their real basis are
-compared against, a relabelling of a group table, the benchmark's corpus
-files, the element-level route of fix_rank and the bounded search of
-realize that the scalar equations and the exact solve are compared
-against, and the SL2(p) substitution action that the invariants are
-checked against."""
+center orbit is compared against, the center by a scan of the members
+that theorem-b's structural center is compared against, the quotient
+table that the Borel-Smith checker is compared against, the all-pairs
+commutator subgroup that the count of linear characters is checked
+against, the reference route for characters (the complex character table
+over Z[zeta_e]: cyclotomic integers, object-level kernels with one
+operation per coset term, group element or class product, Galois traces
+and the table's real forms) that the integer Galois traces of
+qdp.characters and their real basis are compared against, a relabelling
+of a group table, the benchmark's corpus files, the element-level route
+of fix_rank and the bounded search of realize that the scalar equations
+and the exact solve are compared against, and the SL2(p) substitution
+action that the invariants are checked against."""
 
 import itertools
 import math
@@ -132,6 +133,14 @@ def generic_generation_by_order_p(G: FiniteGroup, p: int) -> tuple[bool, list[in
     witnesses = [a for a in G.elements() if G.element_order(a) == p]
     _, closure = greedy_generators(G, witnesses)
     return len(closure) == G.order, witnesses
+
+
+def center(H: Subgroup) -> Subgroup:
+    """The members of H that commute with a (greedy) generating set of H."""
+    G = H.group
+    gens = greedy_generators(G, H.members)[0]
+    out = [z for z in H.members if all(G.mul(z, g) == G.mul(g, z) for g in gens)]
+    return Subgroup(G, tuple(out))
 
 
 def cyclic_subgroups(P: Subgroup) -> list[Subgroup]:

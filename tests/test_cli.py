@@ -293,6 +293,10 @@ CANONICAL_SHA256 = {
         "d0c87a9f1b0dc9439c64792ee5d561ffba934e310c865c316da27495a5e14faf",
     ("theorem-b", "--p", "31", "--max-order", "28599360"):
         "9d00e6fbbc2e232a09076ee52a2711f1e9b1d67a8757dda23566fb2542380a49",
+    ("theorem-b", "--p", "43", "--max-order", "146928936"):
+        "7e0068610a5a331a98e6c4526c3322af941794a95c83ba011c31bf8fde967561",
+    ("theorem-b", "--p", "61", "--max-order", "844369320"):
+        "8c6dc5fec1071ebc37a1996e1fe0bff615d65338419d63763b657adc4c219358",
     ("theorem-c", "--p", "3"):
         "4f5d95d4c0b79ce2eaea9f21d8ad836a0ae9d3d679524471e1bf45dcc2588fae",
     ("theorem-c", "--p", "5", "--k-list", "6,12"):
@@ -404,37 +408,71 @@ def test_eight_fold_rotation_join_is_pinned(tmp_path, capsys, monkeypatch):
     assert digest == "e4362478f221699b03433cb29ef1ceca7d1549111639f138185c85af7e74a78c"
 
 
-# runs the CLI with the closure of <u+, u-> one member short
-SHORT_SL2 = """
+# each mutant patches qdp.groups, then runs the CLI on its arguments
+MUTANT = """
 import sys
 import qdp.groups as groups
-closure = groups.subgroup_closure
-def short(G, gens):
-    members = closure(G, gens)
-    return members[1:] if len(members) == G.p ** 3 - G.p else members
-groups.subgroup_closure = short
+{}
 from qdp.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+# the orbit of e1 under <u+, u-> one member short
+SHORT_ORBIT = MUTANT.format("""
+orbit = groups.conjugacy_orbit
+def short(G, S, gens):
+    members = orbit(G, S, gens)
+    return members[1:] if len(members) == G.p ** 2 - 1 else members
+groups.conjugacy_orbit = short
+""")
+
+# u+ = [[1,1],[0,1]] replaced by [[0,1],[-1,2]]: still of order p, and with
+# u- still generating SL2(p), so the orbit of e1 is whole, but it moves e1
+MOVED_E1 = MUTANT.format("""
+element = groups.QdpGroup.element
+def moved(G, v, mat):
+    return element(G, v, (0, 1, -1, 2) if tuple(mat) == (1, 1, 0, 1) else mat)
+groups.QdpGroup.element = moved
+""")
+
+# the Sylow generators that (z, I) is checked to commute with, e2 replaced
+# by u-, which moves z
+NONCENTRAL = MUTANT.format("""
+generators = groups.qdp_sylow_generators
+def swapped(G):
+    m0, e1, _ = generators(G)
+    return [m0, e1, G.element((0, 0), (1, 0, 1, 1))]
+groups.qdp_sylow_generators = swapped
+""")
+
+
+def run_mutant(flags, mutant, *argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", mutant, *argv, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_REFUTED, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "refuted"
+    return {l["name"]: l["status"] for l in report["legs"]}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 @pytest.mark.parametrize("command, leg", [("theorem-b", "effectiveness-constraints"),
                                           ("theorem-c", "order-p-generation")])
 def test_failed_generation_is_refuted(flags, command, leg):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", SHORT_SL2, command, "--p", "3",
-         "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == EXIT_REFUTED, proc.stderr
-    assert "Traceback" not in proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["status"] == "refuted"
-    legs = {l["name"]: l["status"] for l in report["legs"]}
-    assert legs[leg] == "refuted"
-    assert all(status != "refuted" for name, status in legs.items() if name != leg)
+    for mutant in (SHORT_ORBIT, MOVED_E1):
+        legs = run_mutant(flags, mutant, command, "--p", "3")
+        assert legs[leg] == "refuted"
+        assert all(status != "refuted" for name, status in legs.items() if name != leg)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_center_is_refuted(flags):
+    legs = run_mutant(flags, NONCENTRAL, "theorem-b", "--p", "3")
+    assert legs == {"sylow-center": "refuted"}
 
 
 def test_theorem_c_failed_leg_is_refuted(capsys, monkeypatch):

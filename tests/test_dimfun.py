@@ -34,7 +34,6 @@ from qdp.errors import (
 from qdp.groups import (
     QdpGroup,
     Subgroup,
-    center,
     conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
@@ -49,6 +48,7 @@ from qdp.groups import (
 )
 from fixtures import (
     bench_corpus_files,
+    center,
     cyclic,
     cyclic_subgroups,
     dfs_realization,
@@ -953,10 +953,22 @@ def test_theorem_b_failed_generation_is_refuted(monkeypatch, p):
     assert "not shown to generate" in legs["effectiveness-constraints"].details["reason"]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_theorem_b_unchecked_center_is_refuted(monkeypatch, p):
+    # a subgroup not shown to be the Sylow center carries no constraint
+    import qdp.dimfun
+    real = qdp.dimfun.qdp_sylow_center
+    monkeypatch.setattr(qdp.dimfun, "qdp_sylow_center", lambda G: (real(G)[0], False))
+    cert = qdp_obstruction_theorem_B(p, max_order=p ** 3 * (p * p - 1))
+    assert cert.status == "refuted"
+    assert [(leg.name, leg.status) for leg in cert.legs] == [("sylow-center", "refuted")]
+
+
 def test_theorem_b_mul_guard(monkeypatch):
-    # route one tries only the center's orbit members inside P; listing the
-    # cyclic subgroups of P or testing commutators over witness x P would
-    # exceed the bound
+    # the Sylow subgroup is listed, its center checked on three generators
+    # and generation decided by orbit-stabilizer, so no step closes or scans
+    # p^3 elements; route one tries only the center's orbit members inside
+    # P.  Any closure of order p^3 would exceed the bound
     real = QdpGroup.mul
     calls = [0]
 
@@ -965,9 +977,23 @@ def test_theorem_b_mul_guard(monkeypatch):
         return real(self, a, b)
 
     monkeypatch.setattr(QdpGroup, "mul", counted)
-    cert = qdp_obstruction_theorem_B(19, max_order=19 ** 3 * 360)
-    assert cert.status == "unsat-certificate"
-    assert calls[0] < 50_000
+    for p, bound in ((19, 10_000), (43, 40_000)):
+        calls[0] = 0
+        cert = qdp_obstruction_theorem_B(p, max_order=p ** 3 * (p * p - 1))
+        assert cert.status == "unsat-certificate"
+        assert calls[0] < bound, (p, calls[0])
+
+
+def test_qdp_certificates_take_no_greedy_generators(monkeypatch):
+    import qdp.groups
+    from qdp.steenrod import theorem_C_driver
+
+    def refused(G, candidates):
+        raise AssertionError("greedy_generators called")
+
+    monkeypatch.setattr(qdp.groups, "greedy_generators", refused)
+    assert qdp_obstruction_theorem_B(5).status == "unsat-certificate"
+    assert theorem_C_driver(3).status == "unsat-certificate"
 
 
 def test_theorem_b_rejects_two():

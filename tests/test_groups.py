@@ -6,12 +6,11 @@ import random
 import pytest
 
 from qdp.dimfun import generation_by_order_p
-from qdp.errors import CompositeP, MalformedInput, NotUnimodular, SizeGuard
+from qdp.errors import CompositeP, MalformedInput, NotUnimodular, QdpError, SizeGuard
 from qdp.groups import (
     FiniteGroup,
     Subgroup,
     TableGroup,
-    center,
     conjugate_subgroup,
     construct_qdp,
     generating_set,
@@ -21,12 +20,14 @@ from qdp.groups import (
     is_normal_in,
     p_subgroups,
     qdp_generators,
+    qdp_sylow_center,
     subgroup_closure,
     subgroups_of_p_group,
     sylow_p_subgroup,
     whole_group,
 )
 from fixtures import (
+    center,
     cyclic,
     cyclic_subgroups,
     dihedral,
@@ -334,6 +335,35 @@ def test_sylow_is_a_subgroup():
         assert is_subgroup(G, P.members)
 
 
+@pytest.mark.parametrize("swap", ["noncentral", "abelian"])
+def test_qdp_sylow_center_checks_both_facts(monkeypatch, swap):
+    # with u- among P's generators (z, I) does not commute with all three;
+    # with e2 for m0 they all commute, and P is not shown to be nonabelian
+    import qdp.groups
+    real = qdp.groups.qdp_sylow_generators
+
+    def swapped(G):
+        m0, e1, e2 = real(G)
+        um = G.element((0, 0), (1, 0, 1, 1))
+        return [m0, e1, um] if swap == "noncentral" else [e2, e1, e2]
+
+    monkeypatch.setattr(qdp.groups, "qdp_sylow_generators", swapped)
+    for p in (3, 5, 7):
+        G = construct_qdp(p, max_order=p ** 3 * (p * p - 1))
+        assert qdp_sylow_center(G)[1] is False
+
+
+@pytest.mark.parametrize("mat", [(1, 0, 0, 1), (0, 1, -1, 0)], ids=["identity", "order-4"])
+def test_qdp_sylow_refuses_m0_not_of_order_p(monkeypatch, mat):
+    # P is listed as vectors times powers of m0, which needs m0 of order p
+    import qdp.groups
+    real = qdp.groups.qdp_sylow_generators
+    monkeypatch.setattr(qdp.groups, "qdp_sylow_generators",
+                        lambda G: [G.element((0, 0), mat)] + real(G)[1:])
+    with pytest.raises(QdpError, match="does not have order 3"):
+        sylow_p_subgroup(construct_qdp(3), 3)
+
+
 def test_center_of_sylow():
     for p in (3, 5):
         G = construct_qdp(p)
@@ -358,6 +388,7 @@ def test_structural_route_agrees_with_generic():
         Z = center(P)
         assert Z.members == tuple(z for z in P.members
                                   if all(G.mul(z, x) == G.mul(x, z) for x in P.members))
+        assert qdp_sylow_center(G) == (Z, True)
         gens, generated = qdp_generators(G)
         assert generated and [G.element_order(g) for g in gens] == [p] * 3
         assert generating_set(G) == gens
