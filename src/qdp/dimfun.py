@@ -7,8 +7,8 @@ pair of p-subgroups up to conjugacy, and the values are class functions).
 The realization solver writes a monotone Borel-Smith function as a
 nonnegative integer combination of fixed-point dimension functions of
 real irreducible representations, by one exact integer solve on the
-classes of cyclic subgroups, or names the coordinate or the class that
-rules every such combination out.
+classes of cyclic subgroups, or names every coordinate, or the class,
+that rules every such combination out.
 
 This module also holds the group-theoretic non-existence driver for
 Qd(p): p-effectiveness forces the dimension function to vanish exactly at
@@ -42,9 +42,8 @@ from .groups import (
     is_conjugate,
     is_normal_in,
     qdp_generators,
-    qdp_order_p_elements,
     qdp_sylow_center,
-    sylow_p_subgroup,
+    qdp_sylow_matrices,
 )
 from .reports import ASSUMED, REFUTED, VERIFIED, Certificate, Leg
 
@@ -224,7 +223,9 @@ def realize_as_representation(tau: SuperClassFunction, basis: Sequence
                               ) -> tuple[dict[int, int] | None, dict | None]:
     """Nonnegative multiplicities over `basis`, the entries that
     characters.real_representation_basis lists, with exact sum tau, or the
-    reason there are none: (multiplicities, None) or (None, reason).
+    reason there are none: (multiplicities, None) or (None, reason).  The
+    reason lists every coordinate of the solution that is negative or
+    fractional, in basis order, or else names a non-cyclic class it misses.
 
     Refuses inputs outside the theorem's hypotheses.  Each basis entry is
     one Galois class of irreducibles, so its fixed-dimension vector is that
@@ -267,12 +268,11 @@ def realize_as_representation(tau: SuperClassFunction, basis: Sequence
     det, nums = solved
     if any(sum(a * y for a, y in zip(row, nums)) != det * t for row, t in zip(matrix, rhs)):
         raise QdpError("the exact solve does not satisfy its system")
-    for j, num in enumerate(nums):
-        if num < 0 or num % det:
-            g = gcd(num, det)
-            return None, {"reason": "negative coordinate" if num < 0 else
-                          "fractional coordinate", "basis_index": j,
-                          "numerator": num // g, "denominator": det // g}
+    failing = [{"basis_index": j, "negative": num < 0, "fractional": num % det != 0,
+                "numerator": num // gcd(num, det), "denominator": det // gcd(num, det)}
+               for j, num in enumerate(nums) if num < 0 or num % det]
+    if failing:
+        return None, {"reason": "failing coordinates", "coordinates": failing}
     mult = {j: num // det for j, num in enumerate(nums) if num}
     for c in sorted(set(range(lat.n_classes)) - set(cyclic)):
         lhs = sum(m * vectors[j][c] for j, m in mult.items())
@@ -329,16 +329,13 @@ def lefschetz_number(h0: list[list[int]], hn: list[list[int]],
     return tr(h0) + sign * tr(hn) + tr(h2n)
 
 
-def generation_by_order_p(G: QdpGroup, p: int) -> tuple[bool, list[int]]:
-    """Does the closure of the order-p elements give all of G = Qd(p)?
-    Returns the verdict and the order-p elements.
-
-    The verdict is the structural certificate of `qdp_generators`: e1, u+
-    and u- have order p and generate G (by orbit-stabilizer).  False then
-    means that certificate failed, not that G is shown not to be generated."""
-    gens, generated = qdp_generators(G)
-    return (generated and all(G.element_order(g) == p for g in gens),
-            qdp_order_p_elements(G))
+def generation_by_order_p(G: QdpGroup) -> tuple[list[int], bool]:
+    """Is G = Qd(p) generated by elements of order p?  `qdp_generators`
+    unchanged: [e1, u+, u-] and whether each has order p and they generate
+    G, which the orbit of e1 under <u+, u-> shows by orbit-stabilizer.
+    False means that check failed, not that G is shown not to be
+    generated."""
+    return qdp_generators(G)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +364,11 @@ def qdp_obstruction_theorem_B(p: int,
              f"Qd({p}) has a p-effective Euler class")
 
     G = construct_qdp(p, max_order=max_order)
-    P = sylow_p_subgroup(G, p)
+    sylow_mats = set(qdp_sylow_matrices(G))  # the matrix parts of P's members
     Z, central = qdp_sylow_center(G)
     legs = [Leg("sylow-center", VERIFIED if central else REFUTED, {
-        "sylow_order": P.order, "center": list(Z.members), "center_order": Z.order})]
+        "sylow_order": p * p * len(sylow_mats), "center": list(Z.members),
+        "center_order": Z.order})]
     if not central:
         return Certificate(name, claim, legs, {})
 
@@ -382,8 +380,8 @@ def qdp_obstruction_theorem_B(p: int,
     gens, generated = qdp_generators(G)
     orbit = conjugacy_orbit(G, Z, gens)
     zkey = orbit[0].members
-    pset = set(P.members)
-    mates = [T for T in orbit if T.members != Z.members and pset.issuperset(T.members)]
+    mates = [T for T in orbit if T.members != Z.members
+             and all(x % G.nmat in sylow_mats for x in T.members)]
     unsat = bool(mates)
     classes = {
         "variables": [list(zkey)],

@@ -2,18 +2,19 @@
 
 A group is a set of indexed elements 0..n-1 with a total multiplication.
 Groups read from JSON tables are stored as Cayley tables (the named small
-groups live with the tests); Qd(p) = (Z/p)^2 x| SL2(Z/p) is stored
-structurally (vector part + matrix part): a product is computed from two
-2x2 matrices, and no table is larger than SL2(p), so set-up is O(p^3) and
-Qd(31), of order 28.6 million, costs a few MB.
+groups live with the tests); Qd(p) = (Z/p)^2 x| SL2(Z/p) is index
+arithmetic: an element's index encodes its vector and its matrix, a
+product decodes both matrices, multiplies them and encodes the result, and
+the one table is the p inverses mod p, so set-up is O(p) and Qd(1009), of
+order 10^15, costs some 40 KB.
 
 Subgroups are sorted index tuples.  Enumeration is restricted to
 p-subgroups: every p-subgroup of G is conjugate into a fixed Sylow
 p-subgroup P, so we enumerate the subgroups of P (by index-p normal
 extensions, which reach everything inside a p-group) and close up under
-G-conjugation.  On Qd(p) the Sylow p-subgroup, a generating set and the
-order-p elements are read off the semidirect structure, with no scan of
-G and no closure of order p^3.
+G-conjugation.  On Qd(p) the Sylow p-subgroup, a test of membership in
+it (on the matrix part) and a generating set are read off the
+semidirect structure, with no scan of G and no closure of order p^3.
 """
 
 from __future__ import annotations
@@ -163,11 +164,11 @@ class TableGroup(FiniteGroup):
 class QdpGroup(FiniteGroup):
     """(Z/p)^2 x| SL2(Z/p), elements (v, A), (v,A)(w,B) = (v + Aw, AB).
 
-    Element v*n + m, with n = p^3 - p and v = x*p + y, is ((x, y), mats[m]),
-    `mats` being SL2(p) in lexicographic order of (a, b, c, d).  Products
-    and inverses are computed from the two 2x2 matrices, and a matrix's
-    index is read off its entries (`_mat_index`), so the only table is
-    `mats` itself, of size |SL2(p)|."""
+    Element v*n + m, with n = p^3 - p and v = x*p + y, is ((x, y), A), A
+    the m-th matrix of SL2(p) in lexicographic order of (a, b, c, d).
+    That order is arithmetic: `_mat_index` reads m off the entries and
+    `_matrix` the entries off m, so no matrix is stored; the only table
+    holds the p inverses mod p."""
 
     def __init__(self, p: int, max_order: int = DEFAULT_MAX_ORDER):
         order = p ** 3 * (p * p - 1)
@@ -182,32 +183,34 @@ class QdpGroup(FiniteGroup):
         self.p = p
         self.order = order
         self.name = f"Qd({p})"
-        # ad - bc = 1 in lexicographic order: a = 0 forces c = -1/b with d
-        # free; a != 0 leaves b and c free and forces d = (1 + bc)/a
-        mats = []
-        for b in range(1, p):
-            c = -pow(b, -1, p) % p
-            mats += [(0, b, c, d) for d in range(p)]
-        for a in range(1, p):
-            ai = pow(a, -1, p)
-            mats += [(a, b, c, (1 + b * c) * ai % p) for b in range(p) for c in range(p)]
-        self.mats = mats
-        self.nmat = len(mats)
+        self._inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+        self.nmat = p ** 3 - p
         self._base = p * (p - 1)  # index of the first matrix with a != 0
         self.identity = self._mat_index(1, 0, 0, 1)  # v = 0 packs to 0
 
     def _mat_index(self, a: int, b: int, c: int, d: int) -> int:
-        """Index in `mats` of [[a, b], [c, d]] in SL2(p), entries in 0..p-1:
-        b and d fix it when a = 0, and a, b and c fix it otherwise."""
+        """Index of [[a, b], [c, d]] in SL2(p), entries in 0..p-1: b and d
+        fix it when a = 0, and a, b and c fix it otherwise."""
         p = self.p
         if a:
             return self._base + ((a - 1) * p + b) * p + c
         return (b - 1) * p + d
 
+    def _matrix(self, m: int) -> tuple[int, int, int, int]:
+        """The matrix of index m, the inverse of `_mat_index`: ad - bc = 1
+        forces c = -1/b when a = 0, and d = (1 + bc)/a otherwise."""
+        p = self.p
+        if m < self._base:
+            b, d = divmod(m, p)
+            return 0, b + 1, -self._inverse[b + 1] % p, d
+        ab, c = divmod(m - self._base, p)
+        a, b = divmod(ab, p)
+        return a + 1, b, c, (1 + b * c) * self._inverse[a + 1] % p
+
     def mul(self, a: int, b: int) -> int:
-        p, n, mats = self.p, self.nmat, self.mats
-        a0, a1, a2, a3 = mats[a % n]
-        b0, b1, b2, b3 = mats[b % n]
+        p, n = self.p, self.nmat
+        a0, a1, a2, a3 = self._matrix(a % n)
+        b0, b1, b2, b3 = self._matrix(b % n)
         v = a // n
         w = b // n
         w0 = w // p
@@ -223,7 +226,7 @@ class QdpGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         p, n = self.p, self.nmat
         va, ma = divmod(a, n)
-        a0, a1, a2, a3 = self.mats[ma]
+        a0, a1, a2, a3 = self._matrix(ma)
         x, y = divmod(va, p)
         # (v, A)^-1 = (-A^-1 v, A^-1), A^-1 = [[d, -b], [-c, a]]
         v = (a1 * y - a3 * x) % p * p + (a2 * x - a0 * y) % p
@@ -238,7 +241,7 @@ class QdpGroup(FiniteGroup):
 
     def parts(self, a: int) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
         v, m = divmod(a, self.nmat)
-        return (v // self.p, v % self.p), self.mats[m]
+        return (v // self.p, v % self.p), self._matrix(m)
 
     def describe(self, a: int) -> str:
         v, m = self.parts(a)
@@ -376,7 +379,7 @@ def generating_set(G: FiniteGroup) -> list[int]:
 
 def qdp_generators(G: QdpGroup) -> tuple[list[int], bool]:
     """[e1, u+, u-], with e1 = ((1,0), I), u+ = [[1,1],[0,1]] and
-    u- = [[1,0],[1,1]], all of order p, and whether they generate G.
+    u- = [[1,0],[1,1]], and whether they have order p and generate G.
 
     H = <u+, u-> lies in the complement SL2(p), as u+ and u- have vector
     part 0.  Conjugation by H moves e1 over all p^2 - 1 elements of V minus
@@ -389,30 +392,9 @@ def qdp_generators(G: QdpGroup) -> tuple[list[int], bool]:
     orbit = conjugacy_orbit(G, Subgroup(G, (e1,)), [up, um])
     generated = (max(up, um) < n and len(orbit) == p * p - 1
                  and all(T.members[0] % n == G.identity for T in orbit)
-                 and G.mul(up, e1) == G.mul(e1, up) and G.element_order(up) == p)
+                 and G.mul(up, e1) == G.mul(e1, up)
+                 and all(G.element_order(g) == p for g in (e1, up, um)))
     return [e1, up, um], generated
-
-
-def qdp_order_p_elements(G: QdpGroup) -> list[int]:
-    """The elements of order p of Qd(p), in index order.
-
-    (v, A)^p = (S v, A^p) with S = I + A + ... + A^(p-1), linear in v, so
-    (v, A) has order p iff A^p = I, S v = 0 and (v, A) is not the identity.
-    Only the matrices are powered; the columns of S are the vector parts
-    of (e1, A)^p and (e2, A)^p.  This listing is theorem-c's one step of
-    order p^3 or more; its generation leg reports the count."""
-    p, n = G.p, G.nmat
-    found = []
-    for m in range(n):  # (0, A) has index m
-        if G.power(m, p) != G.identity:
-            continue
-        (a, c), _ = G.parts(G.power(p * n + m, p))
-        (b, d), _ = G.parts(G.power(n + m, p))
-        found += [v * n + m for v in range(p * p)
-                  if (a * (v // p) + b * (v % p)) % p == 0
-                  and (c * (v // p) + d * (v % p)) % p == 0]
-    found.remove(G.identity)
-    return sorted(found)
 
 
 def conjugate_subgroup(G: FiniteGroup, g: int, H: Subgroup) -> Subgroup:
@@ -467,29 +449,35 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
 def qdp_sylow_generators(G: QdpGroup) -> list[int]:
     """[m0, e1, e2], generating V x| <m0>: m0 = (0, [[0, 1], [-1, 2]]), the
-    first unipotent matrix other than I in `mats` order, and e1, e2 in V."""
+    first unipotent matrix other than I in index order, and e1, e2 in V."""
     n = G.nmat
     return [G.element((0, 0), (0, 1, -1, 2)), G.p * n + G.identity, n + G.identity]
 
 
+def qdp_sylow_matrices(G: QdpGroup) -> list[int]:
+    """The p powers of m0 (`qdp_sylow_generators`), once m0 != I is checked
+    to have m0^p = I.  They are the matrix parts of P = V x| <m0>: as V is
+    normal and meets <m0> trivially, x lies in P exactly when its matrix
+    part x % |SL2(p)| is one of them."""
+    m0 = qdp_sylow_generators(G)[0]
+    powers = [G.identity]
+    while len(powers) < G.p:
+        powers.append(G.mul(powers[-1], m0))
+    if m0 == G.identity or G.mul(powers[-1], m0) != G.identity:
+        raise QdpError(f"{G.describe(m0)} does not have order {G.p}")
+    return powers
+
+
 def _qdp_sylow(G: QdpGroup) -> Subgroup:
-    """V x| <m0> (`qdp_sylow_generators`): the p^2 vectors times the p
-    powers of m0, once m0 != I is checked to have m0^p = I.  V is normal
-    and meets <m0> trivially, so these are its p^3 elements.
+    """V x| <m0>, listed as the p^2 vectors times `qdp_sylow_matrices`.
 
     It is the subgroup the index-order growth returns: (0, m0) is the first
     p-element of that scan, and the only Sylow subgroup containing it is
     V x| <m0>, because V is a normal p-subgroup and distinct Sylow
     subgroups of SL2(p) meet trivially."""
-    p, n = G.p, G.nmat
-    m0 = qdp_sylow_generators(G)[0]
-    powers = [G.identity]
-    while len(powers) < p:
-        powers.append(G.mul(powers[-1], m0))
-    if m0 == G.identity or G.mul(powers[-1], m0) != G.identity:
-        raise QdpError(f"{G.describe(m0)} does not have order {p}")
-    powers.sort()
-    return Subgroup(G, tuple(v * n + m for v in range(p * p) for m in powers))
+    n = G.nmat
+    powers = sorted(qdp_sylow_matrices(G))
+    return Subgroup(G, tuple(v * n + m for v in range(G.p ** 2) for m in powers))
 
 
 def qdp_sylow_center(G: QdpGroup) -> tuple[Subgroup, bool]:
@@ -568,9 +556,10 @@ def is_conjugate(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int | None:
     if H.members == K.members:
         return G.identity
     kset = set(K.members)
+    moved = [x for x in H.members if x != G.identity]  # g 1 g^-1 = 1 is in K
     for g in G.elements():
         gi = G.inv(g)
-        if all(G.mul(G.mul(g, x), gi) in kset for x in H.members):
+        if all(G.mul(G.mul(g, x), gi) in kset for x in moved):
             return g
     return None
 

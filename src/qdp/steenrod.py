@@ -634,9 +634,9 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
         raise MalformedInput(f"k_list must name distinct k, got {list(k_list)}")
 
     legs = []
-    generated, wit = generation_by_order_p(G, p)
+    gens, generated = generation_by_order_p(G)
     legs.append(Leg("order-p-generation", VERIFIED if generated else REFUTED, {
-        "group_order": G.order, "order_p_elements": len(wit)}))
+        "group_order": G.order, "generators": [G.describe(g) for g in gens]}))
 
     ident = [[1]]
     rot = [[0, -1], [1, -1]]  # the only rank-two integral action of order 3

@@ -173,8 +173,9 @@ def test_refuted_realize_names_its_reason(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, report = run_json(capsys, "realize", "--group", "z3.json", "--tau", "tau.json")
     assert code == EXIT_REFUTED and report["status"] == "refuted"
-    assert report["witness"] == {"reason": "negative coordinate", "basis_index": 1,
-                                 "numerator": -1, "denominator": 1}
+    assert report["witness"] == {"reason": "failing coordinates", "coordinates": [{
+        "basis_index": 1, "negative": True, "fractional": False,
+        "numerator": -1, "denominator": 1}]}
 
 
 def test_fix_rank_cli(capsys):
@@ -275,7 +276,9 @@ def test_theorem_c_without_asserts():
 
 # sha256 of the canonical JSON of the Qd(p) certificates, retaken when the
 # theorem-b join leg became an assumed input, the theorem-c Bockstein leg
-# became one computed product and every assumed leg gained a reference;
+# became one computed product and every assumed leg gained a reference,
+# and for theorem-c again when its generation leg named the generators it
+# checked in place of a count of order-p elements;
 # THEOREM_B_OTHER_LEGS_SHA256 holds the rest of the theorem-b certificates
 # to what they were before
 CANONICAL_SHA256 = {
@@ -297,10 +300,12 @@ CANONICAL_SHA256 = {
         "7e0068610a5a331a98e6c4526c3322af941794a95c83ba011c31bf8fde967561",
     ("theorem-b", "--p", "61", "--max-order", "844369320"):
         "8c6dc5fec1071ebc37a1996e1fe0bff615d65338419d63763b657adc4c219358",
+    ("theorem-b", "--p", "101", "--max-order", "10509070200"):
+        "bf85a7940050fe137bc9de1e2b5a5ece61083ee5b76511c32a054e53c52fcb79",
     ("theorem-c", "--p", "3"):
-        "4f5d95d4c0b79ce2eaea9f21d8ad836a0ae9d3d679524471e1bf45dcc2588fae",
+        "94c50d36b583bc92f893bf9b53409ee1c88410e2f61583e7e1cfcad2afb62d25",
     ("theorem-c", "--p", "5", "--k-list", "6,12"):
-        "c754291c3fca66e6961718a82294a6396d7135c77797f1000be2e9a22cd3376b",
+        "97b8b214ae2d9734fe7edad82760e1b938a18a4b33bf228e8d70f853869c2995",
 }
 
 

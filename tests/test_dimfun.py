@@ -671,8 +671,9 @@ def test_refutation_names_a_negative_coordinate(monkeypatch):
     basis = real_representation_basis(G)
     pair = next(i for i, e in enumerate(basis) if e.realness == "complex_pair")
     assert realize_as_representation(SuperClassFunction(lat, (1, 3)), basis) == (None, {
-        "reason": "negative coordinate", "basis_index": pair,
-        "numerator": -1, "denominator": 1})
+        "reason": "failing coordinates", "coordinates": [{
+            "basis_index": pair, "negative": True, "fractional": False,
+            "numerator": -1, "denominator": 1}]})
 
 
 def test_refutation_names_a_fractional_coordinate(monkeypatch):
@@ -682,8 +683,27 @@ def test_refutation_names_a_fractional_coordinate(monkeypatch):
     basis = real_representation_basis(G)
     pair = next(i for i, e in enumerate(basis) if e.realness == "complex_pair")
     assert realize_as_representation(SuperClassFunction(lat, (2, 1)), basis) == (None, {
-        "reason": "fractional coordinate", "basis_index": pair,
-        "numerator": 1, "denominator": 2})
+        "reason": "failing coordinates", "coordinates": [{
+            "basis_index": pair, "negative": False, "fractional": True,
+            "numerator": 1, "denominator": 2}]})
+
+
+def test_refutation_names_every_failing_coordinate(monkeypatch):
+    # on Z/9, tau = (tau(1), tau(Z/3), tau(Z/9)) = (1, 0, 2) puts 2 on the
+    # trivial entry, (0 - 2) / 2 = -1 on the pair with kernel Z/3 and
+    # (1 - 0) / 2 on the faithful pair: both pairs fail, for different reasons
+    lift_the_gate(monkeypatch)
+    G = cyclic(9)
+    lat = p_subgroups(G, 3)
+    basis = real_representation_basis(G)
+    vectors = [entry.fixed_dimension_vector(lat) for entry in basis]
+    assert vectors == [(1, 1, 1), (2, 2, 0), (2, 0, 0)]
+    assert realize_as_representation(SuperClassFunction(lat, (1, 0, 2)), basis) == (None, {
+        "reason": "failing coordinates", "coordinates": [
+            {"basis_index": 1, "negative": True, "fractional": False,
+             "numerator": -1, "denominator": 1},
+            {"basis_index": 2, "negative": False, "fractional": True,
+             "numerator": 1, "denominator": 2}]})
 
 
 def test_refutation_names_a_failing_non_cyclic_class(monkeypatch):
@@ -821,12 +841,11 @@ def test_lefschetz_values():
 
 
 def test_generation_by_order_p():
-    G = construct_qdp(3)
-    ok, wits = generation_by_order_p(G, 3)
-    assert ok and len(wits) == 80
-    assert (ok, wits) == generic_generation_by_order_p(G, 3)
-    ok, wits = generation_by_order_p(construct_qdp(5), 5)
-    assert ok and len(wits) == 624
+    for p in (3, 5):
+        G = construct_qdp(p)
+        gens, ok = generation_by_order_p(G)
+        assert ok and ok == generic_generation_by_order_p(G, p)[0]
+        assert [G.element_order(g) for g in gens] == [p] * 3
     # the generic reference, on the groups the Qd(p) route does not take
     ok, _ = generic_generation_by_order_p(cyclic(4), 2)
     assert not ok
@@ -964,11 +983,8 @@ def test_theorem_b_unchecked_center_is_refuted(monkeypatch, p):
     assert [(leg.name, leg.status) for leg in cert.legs] == [("sylow-center", "refuted")]
 
 
-def test_theorem_b_mul_guard(monkeypatch):
-    # the Sylow subgroup is listed, its center checked on three generators
-    # and generation decided by orbit-stabilizer, so no step closes or scans
-    # p^3 elements; route one tries only the center's orbit members inside
-    # P.  Any closure of order p^3 would exceed the bound
+def count_mul(monkeypatch) -> list[int]:
+    """A one-item counter of the QdpGroup.mul calls from here on."""
     real = QdpGroup.mul
     calls = [0]
 
@@ -977,11 +993,31 @@ def test_theorem_b_mul_guard(monkeypatch):
         return real(self, a, b)
 
     monkeypatch.setattr(QdpGroup, "mul", counted)
-    for p, bound in ((19, 10_000), (43, 40_000)):
+    return calls
+
+
+def test_theorem_b_mul_guard(monkeypatch):
+    # membership in the Sylow subgroup is read off the matrix part, its
+    # center checked on three generators and generation decided by
+    # orbit-stabilizer, so no step closes or scans p^3 elements; route one
+    # tries only the center's orbit members inside P.  Any closure of order
+    # p^3 would exceed the bound
+    calls = count_mul(monkeypatch)
+    for p, bound in ((19, 10_000), (43, 40_000), (101, 200_000)):
         calls[0] = 0
         cert = qdp_obstruction_theorem_B(p, max_order=p ** 3 * (p * p - 1))
         assert cert.status == "unsat-certificate"
         assert calls[0] < bound, (p, calls[0])
+
+
+def test_theorem_c_mul_guard(monkeypatch):
+    # generation is one orbit of p^2 - 1 elements and three element orders;
+    # a listing of the order-p elements powers all p^3 - p matrices
+    from qdp.steenrod import theorem_C_driver
+    calls = count_mul(monkeypatch)
+    cert = theorem_C_driver(7, k_list=[8], max_order=7 ** 3 * 48)
+    assert cert.status == "unsat-certificate"
+    assert calls[0] < 500, calls[0]
 
 
 def test_qdp_certificates_take_no_greedy_generators(monkeypatch):

@@ -208,12 +208,12 @@ def test_qdp_product_matches_explicit_formula():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_qdp_numbering_matches_sorted_filter(p):
-    # the construction that built `mats` before they were listed directly:
-    # every 4-tuple over Z/p with determinant 1, in lexicographic order
+    # the matrix numbering is every 4-tuple over Z/p with determinant 1, in
+    # lexicographic order; `parts` decodes the index arithmetically
     mats = sorted(m for m in itertools.product(range(p), repeat=4)
                   if (m[0] * m[3] - m[1] * m[2]) % p == 1)
     G = construct_qdp(p, max_order=400000)
-    assert G.mats == mats and G.nmat == p ** 3 - p
+    assert [G.parts(m)[1] for m in range(G.nmat)] == mats and G.nmat == p ** 3 - p
     assert G.identity == mats.index((1, 0, 0, 1))
     rng = random.Random(p)
     for m, A in enumerate(mats):
@@ -393,9 +393,23 @@ def test_structural_route_agrees_with_generic():
         assert generated and [G.element_order(g) for g in gens] == [p] * 3
         assert generating_set(G) == gens
         assert len(subgroup_closure(H, gens)) == G.order
-        verdict = generation_by_order_p(G, p)
-        assert verdict == generic_generation_by_order_p(H, p)
-        assert verdict[0] and len(verdict[1]) == p ** 4 - 1
+        assert generation_by_order_p(G) == (gens, True)
+        assert generic_generation_by_order_p(H, p)[0]
+
+
+def test_qdp_generators_check_every_order(monkeypatch):
+    # -u- has order 2p, and with u+ it still moves e1 over all of V minus 0
+    import qdp.groups
+    element = qdp.groups.QdpGroup.element
+
+    def negated(G, v, mat):
+        return element(G, v, (-1, 0, -1, -1) if tuple(mat) == (1, 0, 1, 1) else mat)
+
+    monkeypatch.setattr(qdp.groups.QdpGroup, "element", negated)
+    for p in (3, 5, 7):
+        G = construct_qdp(p, max_order=p ** 3 * (p * p - 1))
+        gens, generated = qdp_generators(G)
+        assert G.element_order(gens[2]) == 2 * p and not generated
 
 
 def test_center_of_abelian_group_is_itself():

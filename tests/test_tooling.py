@@ -9,8 +9,9 @@ loads no argparse, and a subcommand no module it does not run.  The
 runtime defines nothing that it does not reach itself, apart from the one
 function the benchmark imports: code that only the tests use lives under
 tests/.  The names the benchmark traces resolve in the runtime.  The
-runtime reads no environment variable, and Qd(p) keeps no table with one
-entry per group element."""
+runtime reads no environment variable, and Qd(p) keeps no table with more
+than p entries.  The runtime parses as Python 3.10, the least version that
+pyproject.toml admits."""
 
 import ast
 import importlib
@@ -24,6 +25,7 @@ import pytest
 
 import qdp
 from qdp import cli
+from qdp.dimfun import qdp_obstruction_theorem_B
 from qdp.groups import construct_qdp
 
 SRC = Path(qdp.__file__).resolve().parent
@@ -271,16 +273,41 @@ def test_bench_traced_names_resolve():
     assert unresolved == [], f"traced by the benchmark but not in qdp: {unresolved}"
 
 
-def test_qdp_set_up_allocates_less_than_the_group():
-    # |Qd(31)| = 28,599,360: a table with an entry per element takes ~900 MB
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()
     try:
-        G = construct_qdp(31, max_order=10 ** 8)
-        peak = tracemalloc.get_traced_memory()[1]
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert G.order == 28599360
-    assert peak < 32 * 2 ** 20, f"construct_qdp(31) peaked at {peak / 2 ** 20:.1f} MB"
+
+
+def test_qdp_set_up_allocates_less_than_the_group():
+    # |Qd(1009)| is about 10^15, and |SL2(1009)| about 10^9: a table of
+    # matrices alone would take tens of GB
+    G, peak = traced_peak(construct_qdp, 1009, max_order=10 ** 16)
+    assert G.order == 1009 ** 3 * (1009 ** 2 - 1)
+    assert peak < 2 ** 20, f"construct_qdp(1009) peaked at {peak / 2 ** 20:.2f} MB"
+
+
+def test_theorem_b_allocates_less_than_the_sylow_subgroup():
+    # at p = 61 a listing of P, or a set of its 226,981 members, alone
+    # takes more than 4 MB
+    cert, peak = traced_peak(qdp_obstruction_theorem_B, 61, max_order=61 ** 3 * (61 ** 2 - 1))
+    assert cert.status == "unsat-certificate"
+    assert peak < 4 * 2 ** 20, f"theorem-b at p = 61 peaked at {peak / 2 ** 20:.1f} MB"
+
+
+def test_runtime_parses_as_the_least_python():
+    # requires-python = ">=3.10": no module may use later syntax
+    assert 'requires-python = ">=3.10"' in (SRC.parents[1] / "pyproject.toml").read_text()
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    later = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    if sys.version_info >= (3, 11):
+        ast.parse(later)
+    with pytest.raises(SyntaxError):
+        ast.parse(later, feature_version=(3, 10))
 
 
 def _bench_record():
