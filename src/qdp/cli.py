@@ -68,8 +68,7 @@ def _cmd_theorem_c(args) -> VerificationReport:
     k_list = None
     if args.k_list is not None:
         k_list = [ascii_int(x, "a --k-list item") for x in args.k_list.split(",")]
-    return theorem_C_driver(args.p, k_list=k_list, degree_budget=args.budget,
-                            max_order=args.max_order)
+    return theorem_C_driver(args.p, k_list=k_list, degree_budget=args.budget)
 
 
 def _load_tau(args):
@@ -193,7 +192,7 @@ COMMANDS = {
     "theorem-b": (_cmd_theorem_b, "no p-effective spherical fibration over the "
                   "classifying space of Qd(p)", [_P, _MAX_ORDER, _FORMAT]),
     "theorem-c": (_cmd_theorem_c, "no free Qd(p) action on a product of two "
-                  "equal-dimensional spheres", [_P, _K_LIST, _MAX_ORDER, _FORMAT, _BUDGET]),
+                  "equal-dimensional spheres", [_P, _K_LIST, _FORMAT, _BUDGET]),
     "borel-smith": (_cmd_borel_smith, "check the Borel-Smith conditions for a super "
                     "class function", [_GROUP, _TAU, _MAX_ORDER, _FORMAT]),
     "realize": (_cmd_realize, "write a monotone Borel-Smith function as a real "

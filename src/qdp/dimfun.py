@@ -49,44 +49,27 @@ from .reports import ASSUMED, REFUTED, VERIFIED, Certificate, Leg
 
 
 class SuperClassFunction:
-    """Integer values per p-subgroup class; `scale` makes rationals exact.
+    """Integer values per p-subgroup class."""
 
-    The function of record is values[i] / scale; all arithmetic stays in
-    integers.  scale == 1 for ordinary integer-valued functions.
-    """
-
-    def __init__(self, lattice: PSubgroupClasses, values: tuple[int, ...],
-                 scale: int = 1):
+    def __init__(self, lattice: PSubgroupClasses, values: tuple[int, ...]):
         if len(values) != lattice.n_classes:
             raise DomainMismatch(
                 f"{len(values)} values for {lattice.n_classes} classes")
-        if json_int(scale, "super class function scale") < 1:
-            raise MalformedInput("scale must be a positive integer")
         self.lattice = lattice
         self.values = tuple(json_int(v, "super class function value") for v in values)
-        self.scale = scale
 
     def value_of(self, H: Subgroup) -> int:
         return self.values[self.lattice.class_of(H)]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "1",
-            "group": self.lattice.group.to_json(),
-            "p": self.lattice.prime,
-            "scale": self.scale,
-            "values": [
-                {"class_rep": list(cls[0].members), "value": v}
-                for cls, v in zip(self.lattice.classes, self.values)
-            ],
-        }
 
 
 def superclassfunction_from_json(obj: dict,
                                  lattice: PSubgroupClasses) -> SuperClassFunction:
     try:
         p = json_int(obj["p"], "super class function 'p'")
-        scale = json_int(obj.get("scale", 1), "super class function 'scale'")
+        # the values are the function itself: a scale, if given, is 1
+        if json_int(obj.get("scale", 1), "super class function 'scale'") != 1:
+            raise MalformedInput(f"super class function 'scale' must be 1, "
+                                 f"got {obj['scale']}")
         entries = obj["values"]
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad super class function JSON: {exc}")
@@ -113,7 +96,7 @@ def superclassfunction_from_json(obj: dict,
         values[i], reps[i] = value, rep
     if any(v is None for v in values):
         raise DomainMismatch("input does not cover every p-subgroup class")
-    return SuperClassFunction(lattice, tuple(values), scale)
+    return SuperClassFunction(lattice, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +222,6 @@ def realize_as_representation(tau: SuperClassFunction, basis: Sequence
     classes.  The solve is checked against its own system, and every other
     row is checked directly.
     """
-    if tau.scale != 1:
-        raise MalformedInput("realization needs an integer-valued function")
     lat = tau.lattice
     report = check_borel_smith(tau)
     if not report.monotone:

@@ -23,7 +23,6 @@ The models of m-fold joins are test fixtures.
 from __future__ import annotations
 
 from .errors import (
-    Inhomogeneous,
     InvalidModel,
     MalformedInput,
     NoWitnessFound,
@@ -206,16 +205,6 @@ class TwoRowLocalElement:
 
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.cn.is_zero()
-
-    def degree(self) -> int:
-        degs = set()
-        if not self.c0.is_zero():
-            degs.add(self.c0.degree())
-        if not self.cn.is_zero():
-            degs.add(self.cn.degree() + self.module.n)
-        if len(degs) > 1:
-            raise Inhomogeneous(f"degrees {sorted(degs)} present")
-        return degs.pop() if degs else 0
 
     def to_terms(self) -> list[list]:
         return [[rank_one_monomial_to_string(m), gen, c]

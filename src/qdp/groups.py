@@ -12,9 +12,12 @@ Subgroups are sorted index tuples.  Enumeration is restricted to
 p-subgroups: every p-subgroup of G is conjugate into a fixed Sylow
 p-subgroup P, so we enumerate the subgroups of P (by index-p normal
 extensions, which reach everything inside a p-group) and close up under
-G-conjugation.  On Qd(p) the Sylow p-subgroup, a test of membership in
-it (on the matrix part) and a generating set are read off the
-semidirect structure, with no scan of G and no closure of order p^3.
+G-conjugation.  The Sylow subgroup is grown by p-elements and the
+generating set is greedy on every group, Qd(p) included; the Qd(p)
+certificates instead read the Sylow subgroup's matrix parts, its center
+and a generating set of G off the semidirect structure
+(`qdp_sylow_matrices`, `qdp_sylow_center`, `qdp_generators`), with no scan
+of G and no closure of order p^3.
 """
 
 from __future__ import annotations
@@ -315,9 +318,6 @@ class Subgroup:
     def __hash__(self) -> int:
         return hash(self.members)
 
-    def to_json(self) -> list[int]:
-        return list(self.members)
-
 
 def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
     """Members of <gens>, sorted."""
@@ -367,13 +367,8 @@ def greedy_generators(G: FiniteGroup,
 
 
 def generating_set(G: FiniteGroup) -> list[int]:
-    """Small deterministic generating set: e1, u+ and u- on Qd(p) (see
-    `qdp_generators`), greedy over the elements in index order otherwise."""
-    if isinstance(G, QdpGroup):
-        gens, generated = qdp_generators(G)
-        if not generated:
-            raise QdpError(f"e1, u+ and u- do not generate {G.name}")
-        return gens
+    """Small deterministic generating set: greedy over the elements in
+    index order."""
     return greedy_generators(G, G.elements())[0]
 
 
@@ -418,8 +413,6 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         raise SizeGuard(f"{p} does not divide |G| = {G.order}")
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
-    if isinstance(G, QdpGroup) and p == G.p:
-        return _qdp_sylow(G)
     target = p_part(G.order, p)
     # p-elements in index order, found only as far as the growth needs them
     pelems: list[int] = []
@@ -466,18 +459,6 @@ def qdp_sylow_matrices(G: QdpGroup) -> list[int]:
     if m0 == G.identity or G.mul(powers[-1], m0) != G.identity:
         raise QdpError(f"{G.describe(m0)} does not have order {G.p}")
     return powers
-
-
-def _qdp_sylow(G: QdpGroup) -> Subgroup:
-    """V x| <m0>, listed as the p^2 vectors times `qdp_sylow_matrices`.
-
-    It is the subgroup the index-order growth returns: (0, m0) is the first
-    p-element of that scan, and the only Sylow subgroup containing it is
-    V x| <m0>, because V is a normal p-subgroup and distinct Sylow
-    subgroups of SL2(p) meet trivially."""
-    n = G.nmat
-    powers = sorted(qdp_sylow_matrices(G))
-    return Subgroup(G, tuple(v * n + m for v in range(G.p ** 2) for m in powers))
 
 
 def qdp_sylow_center(G: QdpGroup) -> tuple[Subgroup, bool]:

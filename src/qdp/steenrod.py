@@ -28,7 +28,7 @@ from .errors import (
     QdpError,
     ascii_int,
 )
-from .groups import DEFAULT_MAX_ORDER, is_prime
+from .groups import is_prime
 
 Mono = tuple[int, int, int, int]  # (a, b, eu, ev): x^a y^b u^eu v^ev
 
@@ -603,8 +603,7 @@ def uv_bockstein_identity(p: int, samples: Sequence[GradedElement]) -> tuple[boo
 
 
 def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
-                     degree_budget: int = DEFAULT_DEGREE_BUDGET,
-                     max_order: int = DEFAULT_MAX_ORDER):
+                     degree_budget: int = DEFAULT_DEGREE_BUDGET):
     """Certificate that Qd(p), p odd, admits no finite free CW-complex with
     the homotopy type of S^n x S^n, for the sphere dimensions n = 2k - 1
     with k in k_list; the claim names exactly those n.
@@ -616,6 +615,13 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
     the line of a zeta power (one zeta-line leg per k, decided by the
     greatest closed subspace); and the quotient by a principal such ideal
     is never finite-dimensional (final contradiction).
+
+    The degree budget alone bounds the run: the zeta legs need
+    2kp <= degree_budget, so p <= degree_budget / 2, and the group work
+    is one orbit of p^2 - 1 elements.  Both are checked before Qd(p) is
+    built; as in `brute_force_zeta_proposition`, p is tested prime only
+    when p <= degree_budget, and a k below 1, which would leave a huge p
+    within the budget, is malformed.
     """
     from .reports import ASSUMED, REFUTED, VERIFIED, Certificate, Leg
 
@@ -624,14 +630,19 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
             "not covered here: the p = 2 case reduces to the known "
             "non-existence of free A4-actions on products of two equal "
             "dimensional spheres")
+    if p <= degree_budget:  # a larger p is over budget at any k: no O(sqrt p) test
+        _check_odd_prime(p)
+    if k_list is None:
+        k_list = [p + 1, 2 * (p + 1), 3 * (p + 1)]
+    if not k_list or len(set(k_list)) < len(k_list) or min(k_list) < 1:
+        raise MalformedInput(f"k_list must name distinct k >= 1, got {list(k_list)}")
+    if 2 * max(k_list) * p > degree_budget:
+        raise DegreeBudget(
+            f"closure tests reach degree {2 * max(k_list) * p} > budget {degree_budget}")
     from .dimfun import generation_by_order_p, lefschetz_number
     from .groups import construct_qdp
 
-    G = construct_qdp(p, max_order=max_order)  # tests p prime within the guard
-    if k_list is None:
-        k_list = [p + 1, 2 * (p + 1), 3 * (p + 1)]
-    if not k_list or len(set(k_list)) < len(k_list):
-        raise MalformedInput(f"k_list must name distinct k, got {list(k_list)}")
+    G = construct_qdp(p, max_order=p ** 3 * (p * p - 1))
 
     legs = []
     gens, generated = generation_by_order_p(G)

@@ -11,7 +11,8 @@ over Z[zeta_e]: cyclotomic integers, object-level kernels with one
 operation per coset term, group element or class product, Galois traces
 and the table's real forms) that the integer Galois traces of
 qdp.characters and their real basis are compared against, a relabelling
-of a group table, the benchmark's corpus files, the element-level route
+of a group table, the JSON form of a super class function, the
+benchmark's corpus files, the element-level route
 of fix_rank and the bounded search of realize that the scalar equations
 and the exact solve are compared against, and the SL2(p) substitution
 action that the invariants are checked against."""
@@ -458,6 +459,18 @@ def relabelled(G: FiniteGroup, seed) -> tuple[TableGroup, list[int]]:
         for b in G.elements():
             table[perm[a]][perm[b]] = perm[G.mul(a, b)]
     return TableGroup(table, name=f"{G.name}~"), perm
+
+
+def superclassfunction_to_json(tau) -> dict:
+    """The tau file of a super class function: its group, its prime and
+    one value per class, named by the class's least member tuple."""
+    return {
+        "schema": "1",
+        "group": tau.lattice.group.to_json(),
+        "p": tau.lattice.prime,
+        "values": [{"class_rep": list(cls[0].members), "value": v}
+                   for cls, v in zip(tau.lattice.classes, tau.values)],
+    }
 
 
 def bench_corpus_files(seed: int) -> dict:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ from qdp.cli import (
     EXIT_REFUTED,
     main,
 )
-from qdp.groups import p_subgroups
+from qdp.groups import construct_qdp, p_subgroups
 from qdp.reports import canonical_json
 from qdp.steenrod import GradedElement
 from fixtures import modular_p3
@@ -109,11 +110,17 @@ def test_theorem_c_cli(capsys):
 
 
 def test_theorem_c_max_order(capsys):
-    code, report = run_json(capsys, "theorem-c", "--p", "7",
-                            "--max-order", "20000", "--k-list", "8")
+    # the degree budget alone bounds theorem-c: p = 7 runs with the default
+    # flags, its default k up to 24 are over the default budget, and
+    # --max-order is not one of its flags
+    code, report = run_json(capsys, "theorem-c", "--p", "7", "--k-list", "8")
     assert code == EXIT_OK
     assert report["status"] == "unsat-certificate"
-    assert main(["theorem-c", "--p", "7", "--k-list", "8"]) == EXIT_DOMAIN
+    assert main(["theorem-c", "--p", "7"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget: closure tests reach degree 336 > budget 200\n"
+    assert main(["theorem-c", "--p", "7", "--k-list", "8", "--max-order", "20000"]) \
+        == EXIT_MALFORMED
+    assert capsys.readouterr().err == "error: unrecognized arguments: --max-order\n"
 
 
 def test_theorem_b_failed_check_is_refuted(capsys, monkeypatch):
@@ -397,6 +404,30 @@ def test_realize_exponent_nine_is_pinned(tmp_path, capsys, monkeypatch):
     assert digest == "80483ecb902396df8c36c699213f68d50f79a73c809a339d9f55bbe7132c61a7"
 
 
+@pytest.mark.parametrize("kind, digest", [
+    ("regular", "f2b631411675fe37244001781a329e74f6a2c1baaf4947a66904aa2ea231e5c2"),
+    ("seeded", "d150b9ff0568200600b27fdaa26071641e2a560a757f085bcc02b98e1775d245"),
+], ids=["regular", "seeded"])
+def test_borel_smith_on_qd3_is_pinned(tmp_path, capsys, monkeypatch, kind, digest):
+    # borel-smith on the shipped Qd(3) file: tau is the dimension function
+    # of the regular representation (verified) or seeded values (refuted).
+    # The digests were taken while Qd(p) read its Sylow subgroup and
+    # generating set off its structure; the generic lattice gives the same
+    G = construct_qdp(3)
+    lat = p_subgroups(G, 3)
+    rng = random.Random(7)
+    values = [G.order // cls[0].order if kind == "regular" else rng.randrange(8)
+              for cls in lat.classes]
+    (tmp_path / "group_qd3.json").write_bytes(Path(data_path("group_qd3.json")).read_bytes())
+    (tmp_path / "tau_qd3.json").write_text(json.dumps({"p": 3, "values": [
+        {"class_rep": list(cls[0].members), "value": v} for cls, v in zip(lat.classes, values)]}))
+    monkeypatch.chdir(tmp_path)
+    _, report = run_json(capsys, "borel-smith", "--group", "group_qd3.json",
+                         "--tau", "tau_qd3.json")
+    assert report["status"] == ("verified" if kind == "regular" else "refuted")
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
+
+
 def test_eight_fold_rotation_join_is_pinned(tmp_path, capsys, monkeypatch):
     # the 8-fold fiber join of the p = 3 rotation model (n = 2, P^1 g_n =
     # t^2 g_n): P^i acts on g_n by C(8, i) t^(2i), and n = 23.  Checking
@@ -545,12 +576,11 @@ def test_fix_rank_takes_no_bound_flags(capsys, flag, value):
 
 @pytest.mark.parametrize("argv,value", [
     (["theorem-b", "--p", "3"], "-1"),
-    (["theorem-c", "--p", "3"], "0"),
     (["borel-smith", "--group", data_path("group_e9.json"),
       "--tau", data_path("tau_regular_e9.json")], "0"),
     (["realize", "--group", data_path("group_e9.json"),
       "--tau", data_path("tau_regular_e9.json")], "-5"),
-], ids=["theorem-b", "theorem-c", "borel-smith", "realize"])
+], ids=["theorem-b", "borel-smith", "realize"])
 def test_max_order_below_one_is_malformed(capsys, argv, value):
     assert main([*argv, "--max-order", value]) == EXIT_MALFORMED
     err = capsys.readouterr().err
@@ -730,6 +760,25 @@ def test_malformed_tau_is_malformed(tmp_path, capsys, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", [2, 0, -1])
+@pytest.mark.parametrize("command", ["borel-smith", "realize"])
+def test_tau_scale_other_than_one_is_malformed(tmp_path, capsys, command, scale):
+    # the values are the function: tau = (6, 4) on Z/3 is Borel-Smith and
+    # realized, with or without a scale of 1.  A scale of 2 would state
+    # (3, 2), which condition (ii) refutes, so no other scale is read
+    table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    group, tau = tmp_path / "z3.json", tmp_path / "tau.json"
+    group.write_text(json.dumps({"kind": "table", "n": 3, "mul": table}))
+    values = [{"class_rep": [0], "value": 6}, {"class_rep": [0, 1, 2], "value": 4}]
+    argv = [command, "--group", str(group), "--tau", str(tau)]
+    for extra, code in (({}, EXIT_OK), ({"scale": 1}, EXIT_OK),
+                        ({"scale": scale}, EXIT_MALFORMED)):
+        tau.write_text(json.dumps({"p": 3, "values": values, **extra}))
+        assert main(argv) == code
+    assert capsys.readouterr().err == \
+        f"error: super class function 'scale' must be 1, got {scale}\n"
+
+
 def test_tau_may_list_a_class_twice_with_one_value(tmp_path, capsys):
     # a class may be given through each of its members, as long as every
     # entry states the same value; a second value names both entries
@@ -881,7 +930,7 @@ def test_non_prime_p_is_one_domain_error(capsys, argv, p):
     assert capsys.readouterr().err == f"error: {p} is not prime\n"
 
 
-@pytest.mark.parametrize("command", ["theorem-b", "theorem-c"])
+@pytest.mark.parametrize("command", ["theorem-b"])
 def test_huge_prime_meets_the_size_guard_first(command):
     # 999999999999999989 is prime, and trial division up to its square root
     # would run for hours: |Qd(p)| > p^2 > the guard settles it first
@@ -892,12 +941,14 @@ def test_huge_prime_meets_the_size_guard_first(command):
     assert proc.stderr.count("\n") == 1
 
 
-def test_prop_zeta_huge_prime_meets_the_budget_first():
+@pytest.mark.parametrize("argv", [["prop-zeta", "--k", "4"], ["theorem-c"]],
+                         ids=lambda argv: argv[0])
+def test_huge_prime_meets_the_budget_first(argv):
     # 999999999999999989 is prime, and trial division up to its square root
     # would run for hours; a p above the degree budget is over it at any k
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "qdp.cli", "prop-zeta",
-                           "--p", "999999999999999989", "--k", "4"],
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", *argv,
+                           "--p", "999999999999999989"],
                           capture_output=True, text=True, env=_child_env(), timeout=20)
     assert time.monotonic() - start < 2
     assert proc.returncode == EXIT_BUDGET

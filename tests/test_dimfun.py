@@ -60,6 +60,7 @@ from fixtures import (
     heisenberg,
     modular_p3,
     quotient_group,
+    superclassfunction_to_json,
 )
 
 
@@ -368,7 +369,8 @@ def h5_constant_files(tmp_path):
     lat = p_subgroups(G, 5)
     group_path, tau_path = tmp_path / "group.json", tmp_path / "tau.json"
     group_path.write_text(json.dumps(G.to_json()))
-    tau_path.write_text(json.dumps(SuperClassFunction(lat, (2,) * lat.n_classes).to_json()))
+    tau = SuperClassFunction(lat, (2,) * lat.n_classes)
+    tau_path.write_text(json.dumps(superclassfunction_to_json(tau)))
     return ["--group", str(group_path), "--tau", str(tau_path)]
 
 
@@ -410,12 +412,11 @@ def test_one_monotonicity_run_per_realize(tmp_path, monkeypatch, capsys):
 # joins and the codimension-one sum rule, kept here as references
 
 def join_dimension_function(tau, m):
-    """Dimension function of the m-fold fiber join: values and scale both
-    multiply by m (sphere ranks compose as r -> m(r+1) - 1)."""
+    """Dimension function of the m-fold fiber join: the values multiply by
+    m (sphere ranks compose as r -> m(r+1) - 1)."""
     if m < 1:
         raise MalformedInput("join multiplicity must be >= 1")
-    return SuperClassFunction(tau.lattice, tuple(m * v for v in tau.values),
-                              tau.scale * m)
+    return SuperClassFunction(tau.lattice, tuple(m * v for v in tau.values))
 
 
 def smallest_join_multiplier(tau, limit=None):
@@ -477,7 +478,7 @@ def test_join_dimension_function():
     lat = p_subgroups(cyclic(3), 3)
     tau = SuperClassFunction(lat, (2, 1))
     j = join_dimension_function(tau, 3)
-    assert j.values == (6, 3) and j.scale == 3
+    assert j.values == (6, 3)
     assert join_dimension_function(tau, 1).values == tau.values
     # rank bookkeeping: r = 1 means value 2; the double join gives value 4,
     # i.e. a rank-3 sphere
@@ -491,7 +492,7 @@ def test_join_is_multiplicative():
     tau = SuperClassFunction(lat, tuple(range(1, lat.n_classes + 1))[::-1])
     a = join_dimension_function(tau, 6)
     b = join_dimension_function(join_dimension_function(tau, 2), 3)
-    assert a.values == b.values and a.scale == b.scale
+    assert a.values == b.values
 
 
 def test_codim_one_sum_regular():
@@ -767,24 +768,23 @@ def test_realize_on_h5_at_degree_25():
 def test_superclassfunction_json_round_trip():
     G = elementary_abelian(3, 2)
     lat, tau = regular_tau(G, 3)
-    blob = tau.to_json()
+    blob = superclassfunction_to_json(tau)
     tau2 = superclassfunction_from_json(blob, lattice=lat)
-    assert tau2.values == tau.values and tau2.scale == tau.scale
+    assert tau2.values == tau.values
     blob["values"] = blob["values"][:-1]
     with pytest.raises(DomainMismatch):
         superclassfunction_from_json(blob, lattice=lat)
 
 
-@pytest.mark.parametrize("values, scale", [
-    ((2.9,) * 6, 1), ((True,) + (2,) * 5, 1), ((2,) * 6, 1.5),
-], ids=["value-float", "value-bool", "scale-float"])
-def test_superclassfunction_rejects_non_integers(values, scale):
-    # int(2.9) would store 2 and a scale of 1.5 would be kept: both state a
+@pytest.mark.parametrize("values", [(2.9,) * 6, (True,) + (2,) * 5],
+                         ids=["value-float", "value-bool"])
+def test_superclassfunction_rejects_non_integers(values):
+    # int(2.9) would store 2 and True would be read as 1: both state a
     # function the caller never gave
     lat = p_subgroups(elementary_abelian(3, 2), 3)
     assert lat.n_classes == len(values)
     with pytest.raises(MalformedInput):
-        SuperClassFunction(lat, values, scale)
+        SuperClassFunction(lat, values)
 
 
 def test_smallest_join_multiplier():
@@ -1015,7 +1015,7 @@ def test_theorem_c_mul_guard(monkeypatch):
     # a listing of the order-p elements powers all p^3 - p matrices
     from qdp.steenrod import theorem_C_driver
     calls = count_mul(monkeypatch)
-    cert = theorem_C_driver(7, k_list=[8], max_order=7 ** 3 * 48)
+    cert = theorem_C_driver(7, k_list=[8])
     assert cert.status == "unsat-certificate"
     assert calls[0] < 500, calls[0]
 

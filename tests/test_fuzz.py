@@ -82,13 +82,12 @@ def invocation(draw, command):
     return docs
 
 
-# caps: |Qd(p)| <= 20000 reaches p = 7 at most, and a degree budget of at
-# most 200 keeps every zeta leg small
+# caps: theorem-b's |Qd(p)| <= 20000 reaches p = 7 at most, and a degree
+# budget of at most 200 keeps every zeta leg, and theorem-c's group, small
 PRIME = st.integers(-3, 13)
 INTEGER_ARGS = {
     "theorem-b": {"--p": PRIME, "--max-order": st.integers(-3, 20000)},
-    "theorem-c": {"--p": PRIME, "--max-order": st.integers(-3, 20000),
-                  "--k-list": st.text("0123456789,-", max_size=6),
+    "theorem-c": {"--p": PRIME, "--k-list": st.text("0123456789,-", max_size=6),
                   "--budget": st.integers(-3, 200)},
     "prop-zeta": {"--p": PRIME, "--k": st.integers(-3, 40),
                   "--budget": st.integers(-3, 200)},

@@ -8,7 +8,6 @@ import pytest
 from qdp.dimfun import generation_by_order_p
 from qdp.errors import CompositeP, MalformedInput, NotUnimodular, QdpError, SizeGuard
 from qdp.groups import (
-    FiniteGroup,
     Subgroup,
     TableGroup,
     conjugate_subgroup,
@@ -21,6 +20,7 @@ from qdp.groups import (
     p_subgroups,
     qdp_generators,
     qdp_sylow_center,
+    qdp_sylow_matrices,
     subgroup_closure,
     subgroups_of_p_group,
     sylow_p_subgroup,
@@ -94,15 +94,6 @@ def is_subgroup(G, members):
     if G.identity not in s:
         return False
     return all(G.mul(a, b) in s for a in s for b in s)
-
-
-class GenericView(FiniteGroup):
-    """A group seen only through its multiplication, so every routine of
-    qdp.groups takes its generic route on it."""
-
-    def __init__(self, G):
-        self.order, self.identity, self.name = G.order, G.identity, G.name
-        self.mul, self.inv = G.mul, G.inv
 
 
 def _is_ppower(n, p):
@@ -361,7 +352,7 @@ def test_qdp_sylow_refuses_m0_not_of_order_p(monkeypatch, mat):
     monkeypatch.setattr(qdp.groups, "qdp_sylow_generators",
                         lambda G: [G.element((0, 0), mat)] + real(G)[1:])
     with pytest.raises(QdpError, match="does not have order 3"):
-        sylow_p_subgroup(construct_qdp(3), 3)
+        qdp_sylow_matrices(construct_qdp(3))
 
 
 def test_center_of_sylow():
@@ -377,24 +368,25 @@ def test_center_of_sylow():
 
 
 def test_structural_route_agrees_with_generic():
-    # the Qd(p) route against the generic code on the same multiplication:
-    # the index-order Sylow scan, the center over all members, the greedy
-    # closure of G and the element_order listing of the order-p elements
+    # the structural Qd(p) facts against the generic code: V x| <m0>
+    # against the index-order Sylow scan, the center over all members, the
+    # greedy closure of the generators and the element_order listing of the
+    # order-p elements
     for p in (3, 5, 7, 11):
         G = construct_qdp(p, max_order=p ** 3 * (p * p - 1))
-        H = GenericView(G)
         P = sylow_p_subgroup(G, p)
-        assert P.members == sylow_p_subgroup(H, p).members
+        n = G.nmat
+        assert P.members == tuple(sorted(v * n + m for v in range(p * p)
+                                         for m in qdp_sylow_matrices(G)))
         Z = center(P)
         assert Z.members == tuple(z for z in P.members
                                   if all(G.mul(z, x) == G.mul(x, z) for x in P.members))
         assert qdp_sylow_center(G) == (Z, True)
         gens, generated = qdp_generators(G)
         assert generated and [G.element_order(g) for g in gens] == [p] * 3
-        assert generating_set(G) == gens
-        assert len(subgroup_closure(H, gens)) == G.order
+        assert len(subgroup_closure(G, gens)) == G.order
         assert generation_by_order_p(G) == (gens, True)
-        assert generic_generation_by_order_p(H, p)[0]
+        assert generic_generation_by_order_p(G, p)[0]
 
 
 def test_qdp_generators_check_every_order(monkeypatch):
