@@ -9,6 +9,9 @@ that cut the answer short (exit 3) print one line to stderr and no report.
 Every certificate starts a fresh interpreter, so one table (COMMANDS) and a
 short parser read the flags instead of argparse, whose import and parsers
 cost more than many certificates, and a subcommand imports what it runs.
+For the same reason the report is printed by `reports.json_dumps`, whose
+text is json.dumps's with sorted keys, and `json` itself is imported only
+by `_load_json`, for the commands that read an input file.
 
 The process entry `run` (the `qdp` script and `python -m qdp.cli`) calls
 `gc.freeze()` before `main`: what start-up, `site` and this module's
@@ -21,7 +24,6 @@ caller's heap stays collectable.
 from __future__ import annotations
 
 import gc
-import json
 import sys
 import time
 from types import SimpleNamespace
@@ -37,7 +39,7 @@ from .errors import (
     json_int,
 )
 from .groups import DEFAULT_MAX_ORDER, group_from_json, p_subgroups
-from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport
+from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport, json_dumps
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -49,6 +51,7 @@ _STATUS_EXIT = {VERIFIED: EXIT_OK, UNSAT: EXIT_OK, REFUTED: EXIT_REFUTED}
 
 
 def _load_json(path: str) -> dict:
+    import json  # only the commands that read a file pay for the import
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -292,7 +295,7 @@ def main(argv=None) -> int:
     report.command = argv
     report.timing_ms = (time.monotonic() - t0) * 1000.0
     if args.format == "json":
-        print(json.dumps(report.to_json(), sort_keys=True))
+        print(json_dumps(report.to_json()))
     else:
         print(report.to_text())
     return _STATUS_EXIT.get(report.status, EXIT_DOMAIN)

@@ -49,7 +49,8 @@ class TwoRowModule:
     """Model datum; `powers[i] = (c0, cn)` means
     P^i(g_n) = c0 * m(n + 2i(p-1)) * g_0 + cn * t^(i(p-1)) * g_n
     (at p = 2 read Sq^i and t-degree shifts i), and `bockstein_g0` is the
-    coefficient of the canonical degree-(n+1) monomial in beta(g_n)."""
+    coefficient of the canonical degree-(n+1) monomial in beta(g_n).
+    A model is not changed once built."""
 
     def __init__(self, p: int, n: int,
                  differential: tuple[int, int] | None = None,
@@ -60,6 +61,26 @@ class TwoRowModule:
         self.differential = differential  # (lambda, a)
         self.bockstein_g0 = bockstein_g0
         self.powers = {} if powers is None else powers
+        self._power_constants: list | None = None
+
+    def power_constants(self) -> list[tuple[int, RankOneElement | None,
+                                            RankOneElement | None]]:
+        """(l, c0 m(n + 2l(p-1)), cn t^(l(p-1))) for each P^l(g_n) with
+        l >= 1 and a constant nonzero mod p, by increasing l, a zero
+        component as None (at p = 2 the shifts are l).  module_power reads
+        them at every index, so they are built once, on first use."""
+        if self._power_constants is None:
+            p, n = self.p, self.n
+            out = []
+            for l, (d0, dn) in sorted(self.powers.items()):
+                d0, dn = d0 % p, dn % p
+                if l < 1 or not (d0 or dn):
+                    continue
+                k0 = RankOneElement.canonical(p, _component_degree(p, n, l, G0)) * d0
+                kn = RankOneElement.canonical(p, _component_degree(p, n, l, GN)) * dn
+                out.append((l, k0 if d0 else None, kn if dn else None))
+            self._power_constants = out
+        return self._power_constants
 
     def validate(self) -> None:
         p, n = self.p, self.n
@@ -232,24 +253,20 @@ def module_power(i: int, x: TwoRowLocalElement) -> TwoRowLocalElement:
     x.cn_power, so checking one witness against P^1 .. P^N powers its g_n
     coefficient once per index h <= N, not once per (i, l)."""
     M = x.module
-    p = M.p
     c0 = rank_one_power(i, x.c0)
     cn = x.cn_power(i)
     if x.cn.is_zero():
         return TwoRowLocalElement(M, c0, cn)
-    for l, (d0, dn) in M.powers.items():  # P^l falls on g_n, P^(i-l) on x.cn
-        d0, dn = d0 % p, dn % p
-        if not 1 <= l <= i or not (d0 or dn):
-            continue
+    for l, k0, kn in M.power_constants():  # P^l falls on g_n, P^(i-l) on x.cn
+        if l > i:
+            break
         hj = x.cn_power(i - l)
         if hj.is_zero():
             continue
-        if d0:
-            mono = RankOneElement.canonical(p, _component_degree(p, M.n, l, G0))
-            c0 = c0 + hj * mono * d0
-        if dn:
-            mono = RankOneElement.canonical(p, _component_degree(p, M.n, l, GN))
-            cn = cn + hj * mono * dn
+        if k0 is not None:
+            c0 = c0 + hj * k0
+        if kn is not None:
+            cn = cn + hj * kn
     return TwoRowLocalElement(M, c0, cn)
 
 
@@ -360,7 +377,9 @@ def fix_rank(M: TwoRowModule) -> FixResult:
     through module_bockstein and module_power.  The P^i calls share one
     witness, which keeps each P^h of its g_n coefficient once
     (TwoRowLocalElement.cn_power), so the check powers that coefficient
-    op_bound times rather than once per structure constant and index."""
+    op_bound times rather than once per structure constant and index; the
+    constants times their monomials are the model's, built once
+    (TwoRowModule.power_constants)."""
     M.validate()
     p, n = M.p, M.n
     if M.differential is not None:

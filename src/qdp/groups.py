@@ -269,6 +269,10 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
         mul = obj.get("mul")
         if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
             raise MalformedInput("table group JSON needs 'mul', a list of integer rows")
+        # the guard reads the row count, before any check that costs |G|^2
+        # or more; p_subgroups would refuse the group with the same line
+        if len(mul) > max_order:
+            raise SizeGuard(f"|G| = {len(mul)} exceeds the guard {max_order}")
         for row in mul:
             # one pass over the entry types per row; a row with another
             # type than int names its first offending entry

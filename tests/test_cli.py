@@ -11,6 +11,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdp
 from qdp.cli import (
@@ -22,8 +24,8 @@ from qdp.cli import (
     EXIT_REFUTED,
     main,
 )
-from qdp.groups import construct_qdp, p_subgroups
-from qdp.reports import canonical_json
+from qdp.groups import TableGroup, construct_qdp, p_subgroups
+from qdp.reports import canonical_json, json_dumps
 from qdp.steenrod import GradedElement
 from fixtures import modular_p3
 
@@ -385,6 +387,41 @@ def test_subcommand_reports_are_pinned(capsys, monkeypatch, argv):
     _, report = run_json(capsys, *argv)  # the status is part of the digest
     digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
     assert digest == SUBCOMMAND_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(CANONICAL_SHA256) + sorted(SUBCOMMAND_SHA256),
+                         ids=" ".join)
+def test_stdout_is_the_json_module_text(capsys, monkeypatch, argv):
+    # the pins hash canonical_json, which is the report writer itself; the
+    # bytes printed must be what json.dumps writes for the same report
+    monkeypatch.chdir(data_path(""))
+    _, out = run(capsys, *argv, "--format", "json")
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+# every value a report can hold: dicts with str keys, lists and tuples over
+# str of any code point (lone surrogates included), ints past 64 bits,
+# bools, None and floats, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+    | st.floats() | st.text(st.characters(exclude_categories=()))
+    | st.lists(st.integers()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(st.characters(exclude_categories=())), inner),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_writer_is_json_dumps_with_sorted_keys(value):
+    assert json_dumps(value) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {None: 0}, {"a": {2, 3}}, [b"x"], object()],
+                         ids=["int-key", "none-key", "set", "bytes", "object"])
+def test_writer_refuses_what_a_report_cannot_hold(value):
+    with pytest.raises(TypeError):
+        json_dumps(value)
 
 
 def test_realize_exponent_nine_is_pinned(tmp_path, capsys, monkeypatch):
@@ -812,6 +849,23 @@ def test_malformed_group_is_malformed(tmp_path, capsys, group):
     assert code == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mul", [modular_p3(3).to_json()["mul"], [[0]] * 27],
+                         ids=["group", "not-square"])
+def test_table_over_the_guard_is_refused_on_its_row_count(tmp_path, capsys,
+                                                          monkeypatch, mul):
+    # the guard reads the 27 rows before the table is built or checked, so a
+    # malformed table over it is refused by the guard as well
+    checked = []
+    monkeypatch.setattr(TableGroup, "check_axioms", lambda self: checked.append(self))
+    (tmp_path / "group.json").write_text(json.dumps({"kind": "table", "mul": mul}))
+    (tmp_path / "tau.json").write_text(json.dumps({"p": 3, "values": []}))
+    code = main(["borel-smith", "--group", str(tmp_path / "group.json"),
+                 "--tau", str(tmp_path / "tau.json"), "--max-order", "10"])
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: |G| = 27 exceeds the guard 10\n"
+    assert checked == []
 
 
 @pytest.mark.parametrize("argv", [

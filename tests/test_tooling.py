@@ -4,8 +4,9 @@ cannot map to an exit code.  Every certificate runs in a fresh interpreter,
 so the runtime keeps clear of `dataclasses`, the modules it pulls in, and
 `typing`: their import, and the methods `dataclass` generates and compiles
 at every start, would be paid on every run.  Certificates leave out
-`fractions` and `decimal` for the same reason.  For the same reason the CLI
-loads no argparse, and a subcommand no module it does not run.  The
+`fractions` and `decimal` for the same reason, and the certificates that
+read no input file leave out `json`.  For the same reason the CLI loads no
+argparse, and a subcommand no module it does not run.  The
 runtime defines nothing that it does not reach itself, apart from the one
 function the benchmark imports: code that only the tests use lives under
 tests/.  The names the benchmark traces resolve in the runtime.  The
@@ -139,6 +140,34 @@ def test_certificates_leave_out_fractions_and_decimal(argv):
     assert proc.stderr.strip().splitlines()[-1] == "0 []", proc.stderr
 
 
+RUNTIME = "qdp.cli, qdp.characters, qdp.dimfun, qdp.fixrank, qdp.steenrod"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [["theorem-b", "--p", "3"], ["theorem-c", "--p", "3"],
+                                  ["prop-zeta", "--p", "3", "--k", "4"],
+                                  ["steenrod-check", "--p", "3"]], ids=lambda argv: argv[0])
+def test_certificates_leave_out_json(argv, fmt):
+    # the json package costs a certificate about 1.7 ms of start-up; the
+    # reports are written without it, and no runtime module imports it
+    # at its top
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (f"import sys, {RUNTIME}; code = qdp.cli.main({[*argv, '--format', fmt]!r}); "
+            "print(code, 'json' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr.strip().splitlines()[-1] == "0 False", proc.stderr
+
+
+def test_reading_an_input_file_loads_json():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (f"import sys, qdp.cli; code = qdp.cli.main({['borel-smith', *TAU_FILES]!r}); "
+            "print(code, 'json' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr.strip().splitlines()[-1] == "0 True", proc.stderr
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_help_loads_no_subcommand_module(command):
     # help reads the flag table alone; a default that needs a subcommand
@@ -256,14 +285,11 @@ def bench_traced_names() -> list[str]:
 
 
 def test_bench_traced_names_resolve():
-    # a name that no longer resolves would silently empty its metric;
-    # reports.json_dumps is the tracer's proxy for json.dumps, not a qdp name
+    # a name that no longer resolves would silently empty its metric
     names = bench_traced_names()
     assert "dimfun.generation_by_order_p" in names and "groups.p_part" in names
     unresolved = []
     for name in names:
-        if name == "reports.json_dumps":
-            continue
         layer, *attrs = name.split(".")
         obj = importlib.import_module(f"qdp.{layer}")
         for attr in attrs:
