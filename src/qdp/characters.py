@@ -32,10 +32,11 @@ import math
 from collections.abc import Sequence
 from operator import mul, sub
 
-from .errors import IncompleteInduction, NonIntegral, NotPGroup, SizeGuard
+from .errors import QdpError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _is_p_power,
     _unique_prime,
     element_conjugacy_classes,
     is_normal_in,
@@ -150,7 +151,7 @@ def _permutation_character(K: Subgroup, classes: ElementClasses) -> list[int]:
     out = [divmod(n * a, len(cls) * K.order)
            for cls, a in zip(classes.classes, classes.count_in(K))]
     if any(rest for _, rest in out):
-        raise NonIntegral(f"a permutation character of |P| = {n} takes a fraction")
+        raise QdpError(f"a permutation character of |P| = {n} takes a fraction")
     return [value for value, _ in out]
 
 
@@ -184,14 +185,14 @@ def _mackey_commutators(H: Subgroup) -> list[set[int]]:
 
 def _check_pairwise_orthogonal(traces: Sequence[Sequence[int]],
                                classes: ElementClasses) -> None:
-    """Raise IncompleteInduction unless |P| <c, d>, the sum of |C| c(C) d(C)
+    """Raise QdpError unless |P| <c, d>, the sum of |C| c(C) d(C)
     over the classes C (d is rational), is 0 for any two entries of `traces`."""
     sizes = [len(cls) for cls in classes.classes]
     weighted = [list(map(mul, sizes, c)) for c in traces]
     for i, c in enumerate(weighted):
         for d in traces[i + 1:]:
             if sum(map(mul, c, d)):
-                raise IncompleteInduction("distinct Galois traces not orthogonal")
+                raise QdpError("distinct Galois traces not orthogonal")
 
 
 def irreducible_characters(P: FiniteGroup,
@@ -200,13 +201,11 @@ def irreducible_characters(P: FiniteGroup,
     each once, certified complete.  The subgroups of P, enumerated here
     unless `subgroups` gives them, are both where characters are induced
     from and the kernels their linear characters are read off."""
-    if P.order > 1:  # the trivial group counts as a p-group
-        try:
-            _unique_prime(P.order)
-        except SizeGuard:
-            raise NotPGroup(f"|G| = {P.order} is not a prime power")
-    classes = ElementClasses(P)
     n = P.order
+    # the trivial group counts as a p-group; the least divisor q > 1 of n is prime
+    if n > 1 and not _is_p_power(n, next(q for q in range(2, n + 1) if n % q == 0)):
+        raise QdpError(f"|G| = {n} is not a prime power")
+    classes = ElementClasses(P)
     sizes = [len(cls) for cls in classes.classes]
     one = classes.identity_class
 
@@ -231,8 +230,8 @@ def irreducible_characters(P: FiniteGroup,
         norm = sum(s * v * v for s, v in zip(sizes, values))  # |P| <c, c>
         orbit, rest = divmod(values[one] ** 2 * n, norm * degree ** 2)
         if rest:
-            raise IncompleteInduction(f"an induced character of degree {degree} has "
-                                      f"|O| = {values[one] ** 2 * n}/{norm * degree ** 2}")
+            raise QdpError(f"an induced character of degree {degree} has "
+                           f"|O| = {values[one] ** 2 * n}/{norm * degree ** 2}")
         kept[key] = GaloisTrace(classes, values, values[one] // degree, orbit)
         total += orbit * degree ** 2
         if total >= n:
@@ -240,8 +239,8 @@ def irreducible_characters(P: FiniteGroup,
 
     traces = [kept[key] for key in sorted(kept, key=lambda k: (kept[k].degree, k))]
     if total != n:
-        raise IncompleteInduction(f"induction found {len(traces)} Galois classes with "
-                                  f"sum of |O| chi(1)^2 = {total} != {n}")
+        raise QdpError(f"induction found {len(traces)} Galois classes with "
+                       f"sum of |O| chi(1)^2 = {total} != {n}")
     _check_pairwise_orthogonal([t.values for t in traces], classes)
     return traces
 
@@ -252,8 +251,8 @@ def fixed_dimension(chi: GaloisTrace, H: Subgroup) -> int:
     acc = sum(map(mul, chi.classes.count_in(H), chi.values))
     dim, rest = divmod(acc, H.order * chi.phi)
     if rest or dim < 0:
-        raise NonIntegral(f"trace average over subgroup is {acc}/{H.order * chi.phi}, "
-                          f"not a nonnegative integer")
+        raise QdpError(f"trace average over subgroup is {acc}/{H.order * chi.phi}, "
+                       f"not a nonnegative integer")
     return dim
 
 
@@ -263,8 +262,8 @@ def frobenius_schur(chi: GaloisTrace) -> int:
     acc = sum(map(mul, chi.classes.count_squares(), chi.values))
     ind, rest = divmod(acc, chi.classes.group.order * chi.phi)
     if rest or ind not in (-1, 0, 1):
-        raise NonIntegral(f"Frobenius-Schur indicator {acc}/"
-                          f"{chi.classes.group.order * chi.phi} is not -1, 0 or 1")
+        raise QdpError(f"Frobenius-Schur indicator {acc}/"
+                       f"{chi.classes.group.order * chi.phi} is not -1, 0 or 1")
     return ind
 
 
@@ -305,6 +304,6 @@ def real_representation_basis(P: FiniteGroup,
     for chi in irreducible_characters(P, subgroups=subgroups):
         realness = _REALNESS[frobenius_schur(chi)]
         if realness == COMPLEX_PAIR and chi.orbit % 2:
-            raise IncompleteInduction("complex character without conjugate partner")
+            raise QdpError("complex character without conjugate partner")
         entries.append(RealBasisEntry(chi, realness))
     return entries

@@ -32,7 +32,6 @@ from . import __version__
 from .errors import (
     DEFAULT_DEGREE_BUDGET,
     BudgetError,
-    DomainMismatch,
     MalformedInput,
     QdpError,
     ascii_int,
@@ -51,11 +50,14 @@ _STATUS_EXIT = {VERIFIED: EXIT_OK, UNSAT: EXIT_OK, REFUTED: EXIT_REFUTED}
 
 
 def _load_json(path: str) -> dict:
+    """A JSON input file read as UTF-8.  A file that cannot be opened or
+    decoded (ValueError covers UnicodeDecodeError and JSONDecodeError) or
+    that nests past the recursion limit is malformed input."""
     import json  # only the commands that read a file pay for the import
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
 
 
@@ -85,7 +87,7 @@ def _load_tau(args):
         raise MalformedInput(f"tau file needs a prime: {exc}")
     # a tau file may name its group; it must be the one it is checked on
     if "group" in tobj and tobj["group"] != group.to_json():
-        raise DomainMismatch(f"the tau file names another group than {args.group}")
+        raise QdpError(f"the tau file names another group than {args.group}")
     lattice = p_subgroups(group, prime, max_order=args.max_order)
     return superclassfunction_from_json(tobj, lattice=lattice), group
 

@@ -21,16 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd
 
-from .errors import (
-    DomainMismatch,
-    EvenPrime,
-    MalformedInput,
-    NotBorelSmith,
-    NotMonotone,
-    QdpError,
-    ShapeMismatch,
-    json_int,
-)
+from .errors import MalformedInput, QdpError, json_int
 from .groups import (
     DEFAULT_MAX_ORDER,
     PSubgroupClasses,
@@ -53,8 +44,7 @@ class SuperClassFunction:
 
     def __init__(self, lattice: PSubgroupClasses, values: tuple[int, ...]):
         if len(values) != lattice.n_classes:
-            raise DomainMismatch(
-                f"{len(values)} values for {lattice.n_classes} classes")
+            raise QdpError(f"{len(values)} values for {lattice.n_classes} classes")
         self.lattice = lattice
         self.values = tuple(json_int(v, "super class function value") for v in values)
 
@@ -95,7 +85,7 @@ def superclassfunction_from_json(obj: dict,
                 f"value {values[i]}, class_rep {rep} has value {value}")
         values[i], reps[i] = value, rep
     if any(v is None for v in values):
-        raise DomainMismatch("input does not cover every p-subgroup class")
+        raise QdpError("input does not cover every p-subgroup class")
     return SuperClassFunction(lattice, tuple(values))
 
 
@@ -226,12 +216,12 @@ def realize_as_representation(tau: SuperClassFunction, basis: Sequence
     report = check_borel_smith(tau)
     if not report.monotone:
         H, K = report.monotone_witness
-        raise NotMonotone(f"not monotone: {list(H.members)} lies in {list(K.members)} "
-                          f"but tau = {tau.value_of(H)} < {tau.value_of(K)}")
+        raise QdpError(f"not monotone: {list(H.members)} lies in {list(K.members)} "
+                       f"but tau = {tau.value_of(H)} < {tau.value_of(K)}")
     if any(v < 0 for v in tau.values):
-        raise NotMonotone("dimension functions of representations are nonnegative")
+        raise QdpError("dimension functions of representations are nonnegative")
     if not report.ok:
-        raise NotBorelSmith(f"{len(report.violations)} violations")
+        raise QdpError(f"{len(report.violations)} violations")
 
     vectors = [entry.fixed_dimension_vector(lat) for entry in basis]
     G, p = lat.group, lat.prime
@@ -304,7 +294,7 @@ def lefschetz_number(h0: list[list[int]], hn: list[list[int]],
     degrees 0, n, 2n of ranks 1, 2, 1."""
     shapes = (len(h0), len(hn), len(h2n))
     if shapes != (1, 2, 1) or any(len(r) != len(m) for m in (h0, hn, h2n) for r in m):
-        raise ShapeMismatch(f"expected square blocks of sizes (1, 2, 1), got {shapes}")
+        raise QdpError(f"expected square blocks of sizes (1, 2, 1), got {shapes}")
     tr = lambda m: sum(m[i][i] for i in range(len(m)))
     sign = -1 if n % 2 else 1
     return tr(h0) + sign * tr(hn) + tr(h2n)
@@ -338,7 +328,7 @@ def qdp_obstruction_theorem_B(p: int,
     nonabelian of order p^3, and e1, u+, u- generate G by orbit-stabilizer.
     """
     if p == 2:
-        raise EvenPrime("the obstruction needs p > 2")
+        raise QdpError("the obstruction needs p > 2")
 
     name = "qdp-spherical-fibration-obstruction"
     claim = (f"no mod-{p} spherical fibration over the classifying space of "

@@ -1,24 +1,32 @@
-"""Exception hierarchy shared by all modules, and the integer checks every
-JSON and string reader applies.
+"""The three exception classes of the library, one per failing exit code
+of the CLI, and the integer checks every JSON and string reader applies.
 
-Every domain error raised by the library derives from QdpError so the CLI
-can map failures to exit codes uniformly.  BudgetError subclasses mark
-answers that were cut off by a configured search bound rather than decided.
+  MalformedInput  exit 1: unparseable or schema-violating input, usage
+                  errors included;
+  BudgetError     exit 3: the answer was cut off by the degree budget
+                  rather than decided;
+  QdpError        exit 2: any other error, a domain error such as a
+                  composite p, a group over the size guard or an input that
+                  is well formed but not what the check needs.
+
+MalformedInput and BudgetError derive from QdpError, so a caller can catch
+every library error at once.  The message, which the CLI prints as its one
+stderr line, says what went wrong; no code branches on a finer class.
 """
 
 from __future__ import annotations
 
 
 class QdpError(Exception):
-    """Base class for all library errors."""
+    """A domain error (exit 2), and the base class of every library error."""
 
 
 class MalformedInput(QdpError):
-    """Unparseable or schema-violating JSON input."""
+    """Unparseable or schema-violating input (exit 1)."""
 
 
 class BudgetError(QdpError):
-    """A configured degree budget was exhausted."""
+    """An answer cut off by the degree budget (exit 3)."""
 
 
 # the degree budget when none is configured (the CLI's --budget default)
@@ -42,78 +50,4 @@ def ascii_int(text: str, field: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise MalformedInput(f"{field} must be an integer, got {text!r}")
     return int(text)
-
-
-# group construction and lattice errors
-
-class CompositeP(QdpError):
-    pass
-
-
-class SizeGuard(QdpError):
-    pass
-
-
-# character-theory errors
-
-class NotPGroup(QdpError):
-    pass
-
-
-class IncompleteInduction(QdpError):
-    pass
-
-
-class NonIntegral(QdpError):
-    pass
-
-
-# dimension-function errors
-
-class DomainMismatch(QdpError):
-    pass
-
-
-class NotMonotone(QdpError):
-    pass
-
-
-class NotBorelSmith(QdpError):
-    pass
-
-
-class EvenPrime(QdpError):
-    pass
-
-
-class ShapeMismatch(QdpError):
-    pass
-
-
-# graded-algebra errors
-
-class PrimeMismatch(QdpError):
-    pass
-
-
-class NotUnimodular(QdpError):
-    pass
-
-
-class Inhomogeneous(QdpError):
-    pass
-
-
-class DegreeBudget(BudgetError):
-    pass
-
-
-# two-row module errors
-
-class InvalidModel(QdpError):
-    pass
-
-
-class NoWitnessFound(QdpError):
-    pass
 

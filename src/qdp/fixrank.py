@@ -22,14 +22,7 @@ The models of m-fold joins are test fixtures.
 
 from __future__ import annotations
 
-from .errors import (
-    InvalidModel,
-    MalformedInput,
-    NoWitnessFound,
-    QdpError,
-    ascii_int,
-    json_int,
-)
+from .errors import MalformedInput, QdpError, ascii_int, json_int
 from .groups import is_prime
 from .steenrod import (
     RankOneElement,
@@ -85,30 +78,30 @@ class TwoRowModule:
     def validate(self) -> None:
         p, n = self.p, self.n
         if not is_prime(p):
-            raise InvalidModel(f"{p} is not prime")
+            raise QdpError(f"{p} is not prime")
         if n < 0:
-            raise InvalidModel("fiber degree must be >= 0")
+            raise QdpError("fiber degree must be >= 0")
         if self.differential is not None:
             lam, a = self.differential
             if lam % p == 0:
-                raise InvalidModel("differential coefficient must be a unit")
+                raise QdpError("differential coefficient must be a unit")
             want = n + 1 if p == 2 else (n + 1) // 2
             if p != 2 and (n + 1) % 2:
-                raise InvalidModel(
+                raise QdpError(
                     "no polynomial-part target in odd degree: for odd p a "
                     "nonzero differential needs odd fiber degree")
             if a != want:
-                raise InvalidModel(f"differential exponent must be {want}")
+                raise QdpError(f"differential exponent must be {want}")
         top = self.n if p == 2 else n // 2
         for i, (c0, cn) in self.powers.items():
             if i < 1 or i > top:
                 if (c0 % p) or (cn % p):
-                    raise InvalidModel(f"operation index {i} violates instability")
+                    raise QdpError(f"operation index {i} violates instability")
         if p == 2 and self.bockstein_g0 % 2:
-            raise InvalidModel("at p = 2 the Bockstein is Sq^1; use powers[1]")
+            raise QdpError("at p = 2 the Bockstein is Sq^1; use powers[1]")
         if p != 2 and n % 2 == 0 and self.bockstein_g0 % p:
             # beta^2(g_n) = bockstein_g0 * beta(s t^(n/2)) g_0 must vanish
-            raise InvalidModel("beta(g_n) must vanish for even fiber degree")
+            raise QdpError("beta(g_n) must vanish for even fiber degree")
 
     # -- serialization (schema: {"p":3,"n":5,"differential":{...}|"zero",
     #    "steenrod":[{"op":"P1","g_n":[["t^2*s","g0",c],["t","g_n",c]]}]})
@@ -140,7 +133,7 @@ class TwoRowModule:
         except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad model JSON: {exc}")
         if not is_prime(p):  # the entries below are reduced mod p
-            raise InvalidModel(f"{p} is not prime")
+            raise QdpError(f"{p} is not prime")
         diff = None
         if diff_obj != "zero":
             try:
@@ -176,14 +169,14 @@ class TwoRowModule:
                     # degree consistency of the stated monomial
                     want = _component_degree(p, n, key, gen)
                     if mono.degree() != want:
-                        raise InvalidModel(
+                        raise QdpError(
                             f"{op} component on {gen} must be in degree {want}, "
                             f"got {mono.degree()}")
                 if key == "b":
                     bock = comps[G0]
                     if comps[GN]:
-                        raise InvalidModel("beta(g_n) cannot have a g_n component "
-                                           "(beta squared would not vanish)")
+                        raise QdpError("beta(g_n) cannot have a g_n component "
+                                       "(beta squared would not vanish)")
                 else:
                     powers[key] = (comps[G0], comps[GN])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -402,6 +395,6 @@ def fix_rank(M: TwoRowModule) -> FixResult:
         # (r = 0: adding the unit keeps all operations zero)
         unique = alpha is not None or r == 0
         return FixResult(r, witness, unique, checked_ops)
-    raise NoWitnessFound(
+    raise QdpError(
         "no annihilated line with g_n-component found above degree 0; "
         "the model is inconsistent")

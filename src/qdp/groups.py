@@ -25,15 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
-from .errors import (
-    CompositeP,
-    DomainMismatch,
-    MalformedInput,
-    NotUnimodular,
-    QdpError,
-    SizeGuard,
-    json_int,
-)
+from .errors import MalformedInput, QdpError, json_int
 
 DEFAULT_MAX_ORDER = 5000
 
@@ -178,9 +170,9 @@ class QdpGroup(FiniteGroup):
         # `is_prime` divides up to sqrt(p); a p >= 2 with p^2 above the
         # guard is refused by the guard without it, as |Qd(p)| > p^2
         if (p < 2 or p * p <= max_order) and not is_prime(p):
-            raise CompositeP(f"{p} is not prime")
+            raise QdpError(f"{p} is not prime")
         if order > max_order:
-            raise SizeGuard(
+            raise QdpError(
                 f"|Qd({p})| = {order} exceeds the guard {max_order}; "
                 "pass a larger max_order to opt in")
         self.p = p
@@ -239,7 +231,7 @@ class QdpGroup(FiniteGroup):
         p = self.p
         a, b, c, d = (x % p for x in mat)
         if (a * d - b * c) % p != 1:
-            raise NotUnimodular(f"det {tuple(mat)} != 1 mod {p}")
+            raise QdpError(f"det {tuple(mat)} != 1 mod {p}")
         return ((v[0] % p) * p + v[1] % p) * self.nmat + self._mat_index(a, b, c, d)
 
     def parts(self, a: int) -> tuple[tuple[int, int], tuple[int, int, int, int]]:
@@ -272,7 +264,7 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
         # the guard reads the row count, before any check that costs |G|^2
         # or more; p_subgroups would refuse the group with the same line
         if len(mul) > max_order:
-            raise SizeGuard(f"|G| = {len(mul)} exceeds the guard {max_order}")
+            raise QdpError(f"|G| = {len(mul)} exceeds the guard {max_order}")
         for row in mul:
             # one pass over the entry types per row; a row with another
             # type than int names its first offending entry
@@ -412,11 +404,11 @@ def sylow_p_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     # the trial division of is_prime, which a huge p would make endless;
     # after it p <= |G|
     if p < 2:
-        raise CompositeP(f"{p} is not prime")
+        raise QdpError(f"{p} is not prime")
     if G.order % p:
-        raise SizeGuard(f"{p} does not divide |G| = {G.order}")
+        raise QdpError(f"{p} does not divide |G| = {G.order}")
     if not is_prime(p):
-        raise CompositeP(f"{p} is not prime")
+        raise QdpError(f"{p} is not prime")
     target = p_part(G.order, p)
     # p-elements in index order, found only as far as the growth needs them
     pelems: list[int] = []
@@ -529,9 +521,9 @@ def _unique_prime(n: int) -> int:
     for p in range(2, n + 1):
         if n % p == 0:
             if not _is_p_power(n, p):
-                raise SizeGuard(f"order {n} is not a prime power")
+                raise QdpError(f"order {n} is not a prime power")
             return p
-    raise SizeGuard("trivial group has no prime")
+    raise QdpError("trivial group has no prime")
 
 
 def is_conjugate(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int | None:
@@ -575,7 +567,7 @@ class PSubgroupClasses:
         try:
             return self.index[H.members]
         except KeyError:
-            raise DomainMismatch(
+            raise QdpError(
                 f"subgroup {H.members} is not in the computed lattice")
 
     @property
@@ -601,7 +593,7 @@ def conjugacy_orbit(G: FiniteGroup, S: Subgroup, gens: list[int]) -> list[Subgro
 def p_subgroups(G: FiniteGroup, p: int,
                 max_order: int = DEFAULT_MAX_ORDER) -> PSubgroupClasses:
     if G.order > max_order:
-        raise SizeGuard(f"|G| = {G.order} exceeds the guard {max_order}")
+        raise QdpError(f"|G| = {G.order} exceeds the guard {max_order}")
     P = sylow_p_subgroup(G, p)
     subs = tuple(subgroups_of_p_group(P))
     gens = generating_set(G)

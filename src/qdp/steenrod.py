@@ -17,17 +17,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
-from .errors import (
-    DEFAULT_DEGREE_BUDGET,
-    CompositeP,
-    DegreeBudget,
-    EvenPrime,
-    Inhomogeneous,
-    MalformedInput,
-    PrimeMismatch,
-    QdpError,
-    ascii_int,
-)
+from .errors import DEFAULT_DEGREE_BUDGET, BudgetError, MalformedInput, QdpError, ascii_int
 from .groups import is_prime
 
 Mono = tuple[int, int, int, int]  # (a, b, eu, ev): x^a y^b u^eu v^ev
@@ -65,7 +55,7 @@ class _SparseElement:
 
     def _check(self, other) -> None:
         if self.p != other.p:
-            raise PrimeMismatch(f"mixed primes {self.p} and {other.p}")
+            raise QdpError(f"mixed primes {self.p} and {other.p}")
 
     def __add__(self, other):
         self._check(other)
@@ -131,7 +121,7 @@ class _SparseElement:
             return 0
         degs = {self._degree_of(m) for m in self.terms}
         if len(degs) > 1:
-            raise Inhomogeneous(f"degrees {sorted(degs)} present")
+            raise QdpError(f"degrees {sorted(degs)} present")
         return degs.pop()
 
 
@@ -189,8 +179,8 @@ def bockstein(a: GradedElement) -> GradedElement:
 def steenrod_power(i: int, a: GradedElement) -> GradedElement:
     """P^i, extended from the generators by the Cartan formula."""
     if a.p == 2:
-        raise EvenPrime("power operations here are odd-primary; "
-                        "the rank-two p = 2 theory is out of scope")
+        raise QdpError("power operations here are odd-primary; "
+                       "the rank-two p = 2 theory is out of scope")
     if i < 0:
         raise MalformedInput("P^i needs i >= 0")
     p = a.p
@@ -265,9 +255,9 @@ class InvariantPair:
 
 def _check_odd_prime(p: int) -> None:
     if p == 2:
-        raise EvenPrime("invariant pair needs an odd prime, got 2")
+        raise QdpError("invariant pair needs an odd prime, got 2")
     if not is_prime(p):
-        raise CompositeP(f"{p} is not prime")
+        raise QdpError(f"{p} is not prime")
 
 
 def _invariant_forms(p: int) -> tuple[GradedElement, GradedElement]:
@@ -374,21 +364,19 @@ class IdealHandle:
     Generators and elements with an exterior part are rejected.
     """
 
-    def __init__(self, generators: Sequence[GradedElement],
-                 degree_budget: int = DEFAULT_DEGREE_BUDGET):
+    def __init__(self, generators: Sequence[GradedElement]):
         gens = [g for g in generators if not g.is_zero()]
         if not gens:
             raise MalformedInput("ideal needs at least one nonzero generator")
         p = gens[0].p
         for g in gens:
             if g.p != p:
-                raise PrimeMismatch("generators over different primes")
+                raise QdpError("generators over different primes")
             if not g.is_polynomial():
                 raise MalformedInput("ideal generators must lie in F_p[x, y]")
-            g.degree()  # raises Inhomogeneous if needed
+            g.degree()  # raises QdpError if g is not homogeneous
         self.p = p
         self.generators = list(gens)
-        self.degree_budget = degree_budget
         # (t, l, window) per generator: its half-degree, its lowest
         # x-exponent l and its monic coefficients of x^a y^(t-a) for a >= l
         self._windows: list[tuple[int, int, list[int]]] = []
@@ -435,14 +423,10 @@ class IdealHandle:
         if elem.is_zero():
             return True
         if elem.p != self.p:
-            raise PrimeMismatch("element over a different prime")
+            raise QdpError("element over a different prime")
         if not elem.is_polynomial():
             raise MalformedInput("ideal membership is tested only in F_p[x, y]")
-        d = elem.degree()
-        if d > self.degree_budget:
-            raise DegreeBudget(
-                f"membership test at degree {d} exceeds budget {self.degree_budget}")
-        return not any(self.residue(elem, d // 2))
+        return not any(self.residue(elem, elem.degree() // 2))
 
 
 def is_steenrod_closed(ideal: IdealHandle) -> tuple[bool, tuple[int, str] | None]:
@@ -519,8 +503,10 @@ def brute_force_zeta_proposition(p: int, k: int,
         raise MalformedInput(f"k must be at least 1, got {k}")
     if p <= degree_budget:  # a larger p is over budget at any k: no O(sqrt p) test
         _check_odd_prime(p)
+    # every membership test is at degree 2(k + i(p - 1)) <= 2kp, so this one
+    # check bounds them all
     if 2 * k * p > degree_budget:
-        raise DegreeBudget(
+        raise BudgetError(
             f"closure tests reach degree {2 * k * p} > budget {degree_budget}")
     inv = invariants(p)
     dxi = p * (p - 1)  # polynomial half-degrees
@@ -536,7 +522,7 @@ def brute_force_zeta_proposition(p: int, k: int,
     while basis:
         gens = [sum((c * e for c, e in zip(row, elems) if c), GradedElement.zero(p))
                 for row in basis]
-        ideal = IdealHandle(gens, degree_budget)
+        ideal = IdealHandle(gens)
         closed, witness = is_steenrod_closed(ideal)
         if closed:
             break
@@ -626,7 +612,7 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
     from .reports import ASSUMED, REFUTED, VERIFIED, Certificate, Leg
 
     if p == 2:
-        raise EvenPrime(
+        raise QdpError(
             "not covered here: the p = 2 case reduces to the known "
             "non-existence of free A4-actions on products of two equal "
             "dimensional spheres")
@@ -637,7 +623,7 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
     if not k_list or len(set(k_list)) < len(k_list) or min(k_list) < 1:
         raise MalformedInput(f"k_list must name distinct k >= 1, got {list(k_list)}")
     if 2 * max(k_list) * p > degree_budget:
-        raise DegreeBudget(
+        raise BudgetError(
             f"closure tests reach degree {2 * max(k_list) * p} > budget {degree_budget}")
     from .dimfun import generation_by_order_p, lefschetz_number
     from .groups import construct_qdp

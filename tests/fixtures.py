@@ -21,7 +21,7 @@ import itertools
 import math
 import random
 
-from qdp.errors import InvalidModel, MalformedInput, NoWitnessFound, NonIntegral, NotUnimodular
+from qdp.errors import MalformedInput, QdpError
 from qdp.fixrank import (
     FixResult,
     TwoRowLocalElement,
@@ -392,7 +392,7 @@ def object_fixed_dimension(chi, H) -> int:
         acc = acc + value_at(chi, h)
     r = acc.as_rational_int()
     if r is None or r % H.order or r < 0:
-        raise NonIntegral(f"character average over subgroup is {acc}, not an integer")
+        raise QdpError(f"character average over subgroup is {acc}, not an integer")
     return r // H.order
 
 
@@ -404,10 +404,10 @@ def object_frobenius_schur(chi) -> int:
         acc = acc + value_at(chi, G.mul(g, g))
     r = acc.as_rational_int()
     if r is None or r % G.order:
-        raise NonIntegral("Frobenius-Schur sum is not an integer multiple of |G|")
+        raise QdpError("Frobenius-Schur sum is not an integer multiple of |G|")
     ind = r // G.order
     if ind not in (-1, 0, 1):
-        raise NonIntegral(f"Frobenius-Schur indicator {ind} is not -1, 0 or 1")
+        raise QdpError(f"Frobenius-Schur indicator {ind} is not -1, 0 or 1")
     return ind
 
 
@@ -547,14 +547,14 @@ def join_model(M1: TwoRowModule, M2: TwoRowModule) -> TwoRowModule:
     split/nonsplit joins are not modeled.
     """
     if M1.p != M2.p:
-        raise InvalidModel("join needs a common prime")
+        raise QdpError("join needs a common prime")
     M1.validate()
     M2.validate()
     p = M1.p
     n = M1.n + M2.n + 1
     if (M1.differential is None) != (M2.differential is None):
-        raise InvalidModel("mixed split/nonsplit joins are not modeled; "
-                           "use fix_join_rule on the ranks instead")
+        raise QdpError("mixed split/nonsplit joins are not modeled; "
+                       "use fix_join_rule on the ranks instead")
     if M1.differential is not None:
         lam = (M1.differential[0] * M2.differential[0]) % p
         a = M1.differential[1] + M2.differential[1]
@@ -641,7 +641,7 @@ def image_fix_rank(M: TwoRowModule) -> FixResult:
         witness = TwoRowLocalElement(
             M, RankOneElement.canonical(p, r) * (alpha or 0), mono_gn)
         return FixResult(r, witness, alpha is not None or r == 0, checked_ops)
-    raise NoWitnessFound("no annihilated line with g_n-component")
+    raise QdpError("no annihilated line with g_n-component")
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +655,7 @@ def euler_join(classes: list) -> GradedElement:
     if not all(isinstance(c, GradedElement) for c in classes):
         raise MalformedInput("Euler classes must be graded elements")
     out = classes[0]
-    out.degree()  # homogeneity check, raises Inhomogeneous
+    out.degree()  # homogeneity check, raises QdpError
     for c in classes[1:]:
         c.degree()
         out = out * c
@@ -684,7 +684,7 @@ def sl2_act(A, a: GradedElement) -> GradedElement:
         raise MalformedInput("need a 2x2 matrix")
     a00, a01, a10, a11 = flat
     if (a00 * a11 - a01 * a10) % p != 1:
-        raise NotUnimodular(f"det {A} != 1 mod {p}")
+        raise QdpError(f"det {A} != 1 mod {p}")
 
     x_img = GradedElement(p, {(1, 0, 0, 0): a00, (0, 1, 0, 0): a10})
     y_img = GradedElement(p, {(1, 0, 0, 0): a01, (0, 1, 0, 0): a11})

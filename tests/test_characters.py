@@ -24,7 +24,7 @@ from qdp.characters import (
     linear_characters,
     real_representation_basis,
 )
-from qdp.errors import IncompleteInduction, NonIntegral, NotPGroup
+from qdp.errors import QdpError
 from qdp.groups import (
     Subgroup,
     _unique_prime,
@@ -225,7 +225,8 @@ def test_check_orthogonal_agrees_with_the_reference_on_any_table(e, data):
     try:
         _check_pairwise_orthogonal(tables, classes)
         accepted = True
-    except IncompleteInduction:
+    except QdpError as exc:
+        assert str(exc) == "distinct Galois traces not orthogonal"
         accepted = False
     assert accepted == integer_orthogonal(tables, G)
 
@@ -263,7 +264,7 @@ def _broken_tables(G):
 @pytest.mark.parametrize("case", ["twice", "chi+psi", "zeta*value"])
 def test_check_orthogonal_rejects_a_broken_table(G, case):
     classes, tables = _broken_tables(G)
-    with pytest.raises(IncompleteInduction, match="not orthogonal"):
+    with pytest.raises(QdpError, match="^distinct Galois traces not orthogonal$"):
         _check_pairwise_orthogonal(tables[case], classes)
 
 
@@ -278,7 +279,7 @@ def test_check_orthogonal_on_every_small_table_of_c2():
             if 10 * b + c == 0:
                 _check_pairwise_orthogonal(tables, classes)
             else:
-                with pytest.raises(IncompleteInduction):
+                with pytest.raises(QdpError, match="^distinct Galois traces not orthogonal$"):
                     _check_pairwise_orthogonal(tables, classes)
 
 
@@ -333,7 +334,7 @@ def test_non_integer_subgroup_average_raises(mutate):
         values[one] = -t.phi
         H = Subgroup(G, (G.identity,))
     mutant = GaloisTrace(t.classes, tuple(values), t.phi, t.orbit)
-    with pytest.raises(NonIntegral, match="^trace average over subgroup is "):
+    with pytest.raises(QdpError, match="^trace average over subgroup is "):
         fixed_dimension(mutant, H)
 
 
@@ -348,13 +349,13 @@ def test_frobenius_schur_rejects_a_non_character(scale):
     if scale == 3:
         values[trivial.classes.identity_class] += 1
     mutant = GaloisTrace(trivial.classes, tuple(values), 1, 1)
-    with pytest.raises(NonIntegral, match="Frobenius-Schur indicator"):
+    with pytest.raises(QdpError, match="^Frobenius-Schur indicator "):
         frobenius_schur(mutant)
 
 
 def test_non_p_group_rejected():
     for n in (6, 12):
-        with pytest.raises(NotPGroup):
+        with pytest.raises(QdpError, match=rf"^\|G\| = {n} is not a prime power$"):
             irreducible_characters(cyclic(n))
 
 
@@ -446,7 +447,7 @@ def test_complex_character_needs_another_partner(monkeypatch, broken):
                             lambda P, subgroups: traces)
     else:  # the trivial character read as complex is its own conjugate
         monkeypatch.setattr(qdp.characters, "frobenius_schur", lambda chi: 0)
-    with pytest.raises(IncompleteInduction, match="without conjugate partner"):
+    with pytest.raises(QdpError, match="^complex character without conjugate partner$"):
         real_representation_basis(G)
 
 
@@ -630,7 +631,7 @@ def test_without_mackey_h27_is_incomplete(monkeypatch):
     # with every induced character taken for irreducible, sums of linear
     # characters of H(3) are kept as Galois classes
     monkeypatch.setattr(qdp.characters, "_mackey_commutators", lambda H: [])
-    with pytest.raises(IncompleteInduction):
+    with pytest.raises(QdpError, match=r"^an induced character of degree 3 has \|O\| = 972/1458$"):
         irreducible_characters(heisenberg(3))
 
 

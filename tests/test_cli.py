@@ -950,6 +950,28 @@ def test_malformed_input_exit(tmp_path, capsys):
     assert main(["fix-rank", "--model", str(missing)]) == EXIT_MALFORMED
 
 
+UNREADABLE = {"not-utf-8": b"\xff\xfe{}", "deep": b"[" * 100000 + b"]" * 100000}
+
+
+@pytest.mark.parametrize("contents", UNREADABLE.values(), ids=UNREADABLE.keys())
+@pytest.mark.parametrize("command", ["fix-rank", "borel-smith"])
+def test_undecodable_input_file_is_one_error_line(tmp_path, command, contents):
+    # bytes that are not UTF-8, or nesting past the recursion limit, are
+    # malformed input: exit 1 and one line, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(contents)
+    argv = (["fix-rank", "--model", str(bad)] if command == "fix-rank" else
+            ["borel-smith", "--group", str(bad), "--tau", data_path("tau_regular_e9.json")])
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_MALFORMED, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot read {bad}: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
 def test_reports_reproducible(capsys):
     _, r1 = run_json(capsys, "steenrod-check", "--p", "3", "--seed", "7")
     _, r2 = run_json(capsys, "steenrod-check", "--p", "3", "--seed", "7")

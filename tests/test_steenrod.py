@@ -13,15 +13,7 @@ from hypothesis import strategies as st
 
 import qdp.steenrod as steenrod
 from qdp.cli import EXIT_DOMAIN, main
-from qdp.errors import (
-    DegreeBudget,
-    EvenPrime,
-    Inhomogeneous,
-    MalformedInput,
-    NotUnimodular,
-    PrimeMismatch,
-    QdpError,
-)
+from qdp.errors import BudgetError, MalformedInput, QdpError
 from qdp.steenrod import (
     GradedElement,
     IdealHandle,
@@ -104,7 +96,7 @@ def test_koszul_signs():
 def test_degrees():
     assert (x * y * u).degree() == 5
     assert GradedElement.one(P).degree() == 0
-    with pytest.raises(Inhomogeneous):
+    with pytest.raises(QdpError, match=r"^degrees \[1, 2\] present$"):
         (x + u).degree()
 
 
@@ -184,7 +176,7 @@ def test_power_on_generators():
 
 
 def test_power_rejects_p2():
-    with pytest.raises(EvenPrime):
+    with pytest.raises(QdpError, match="^power operations here are odd-primary; "):
         steenrod_power(1, GradedElement.monomial(2, 1, 0))
 
 
@@ -210,7 +202,7 @@ def test_instability(m):
 # SL2 action
 
 def test_sl2_rejects_non_unimodular():
-    with pytest.raises(NotUnimodular):
+    with pytest.raises(QdpError, match=r"^det \(\(1, 0\), \(0, 2\)\) != 1 mod 3$"):
         sl2_act(((1, 0), (0, 2)), x)  # det = 2 != 1 mod 3
 
 
@@ -295,7 +287,7 @@ def test_ideal_membership_basics():
     unit = IdealHandle([GradedElement.one(P)])
     assert unit.contains(GradedElement.one(P))
     assert not ideal.contains(GradedElement.one(P))
-    with pytest.raises(Inhomogeneous):
+    with pytest.raises(QdpError, match=r"^degrees \[0, 2\] present$"):
         ideal.contains(x + GradedElement.one(P))
 
 
@@ -535,7 +527,7 @@ def test_zeta_proposition_pinned_survivors(p, k, ambient, survivor):
 
 
 def test_zeta_proposition_budget():
-    with pytest.raises(DegreeBudget):
+    with pytest.raises(BudgetError, match="^closure tests reach degree 72 > budget 20$"):
         brute_force_zeta_proposition(3, 12, degree_budget=20)
 
 
@@ -599,7 +591,7 @@ def reference_zeta_proposition(p, k, dense=False):
                 g = g + c * e
             gens.append(g)
         if (dense_is_closed(gens) if dense
-                else is_steenrod_closed(IdealHandle(gens, 2 * k * p))[0]):
+                else is_steenrod_closed(IdealHandle(gens))[0]):
             survivors.append(rows)
     predicted = []
     if k % (p + 1) == 0:
@@ -751,7 +743,7 @@ def test_theorem_c_driver_k6_no_survivor():
 
 
 def test_theorem_c_rejects_two():
-    with pytest.raises(EvenPrime):
+    with pytest.raises(QdpError, match="^not covered here: the p = 2 case reduces "):
         theorem_C_driver(2)
 
 
@@ -836,7 +828,7 @@ def test_rank_one_ring_structure():
     assert (s + t) ** 3 == t ** 3 + 3 * s * t ** 2  # 3 = 0 mod 3
     assert (s * t - s * t).is_zero() and (-s).terms == {(1, 0): 2}
     assert (s * t ** 2).degree() == 5
-    with pytest.raises(Inhomogeneous):
+    with pytest.raises(QdpError, match=r"^degrees \[1, 2\] present$"):
         (s + t).degree()
     with pytest.raises(MalformedInput):
         RankOneElement.monomial(2, 1, 0)  # no exterior generator at p = 2
@@ -846,7 +838,7 @@ def test_rank_one_ring_structure():
     lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
 ], ids=["add", "sub", "mul"])
 def test_mixed_primes_raise(op):
-    with pytest.raises(PrimeMismatch):
+    with pytest.raises(QdpError, match="^mixed primes 3 and 5$"):
         op(RankOneElement.monomial(3, 0, 1), RankOneElement.monomial(5, 0, 1))
-    with pytest.raises(PrimeMismatch):
+    with pytest.raises(QdpError, match="^mixed primes 3 and 5$"):
         op(GradedElement.monomial(3, 1, 0), GradedElement.monomial(5, 1, 0))

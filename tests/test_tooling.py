@@ -1,7 +1,8 @@
 """Source guards: certificates must not depend on `assert` statements,
 which `python -O` strips, nor on `raise AssertionError`, which the CLI
-cannot map to an exit code.  Every certificate runs in a fresh interpreter,
-so the runtime keeps clear of `dataclasses`, the modules it pulls in, and
+cannot map to an exit code; every raise names one of the three classes
+that it maps.  Every certificate runs in a fresh interpreter, so the
+runtime keeps clear of `dataclasses`, the modules it pulls in, and
 `typing`: their import, and the methods `dataclass` generates and compiles
 at every start, would be paid on every run.  Certificates leave out
 `fractions` and `decimal` for the same reason, and the certificates that
@@ -35,9 +36,11 @@ COVERED = ["steenrod.py", "fixrank.py", "groups.py", "reports.py", "cli.py", "er
            "characters.py", "dimfun.py"]
 
 
-def _raises_assertion_error(node) -> bool:
+def _raised_name(node) -> str | None:
+    """The class a raise statement names, or None for a bare re-raise or
+    an expression that is not a plain name."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return exc.id if isinstance(exc, ast.Name) else None
 
 
 @pytest.mark.parametrize("name", COVERED)
@@ -51,8 +54,28 @@ def test_no_assert_statements(name):
 def test_no_raise_assertion_error(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Raise) and _raises_assertion_error(node)]
+             if isinstance(node, ast.Raise) and _raised_name(node) == "AssertionError"]
     assert lines == [], f"{name} raises AssertionError at lines {lines}"
+
+
+# cli.main maps MalformedInput to exit 1, BudgetError to exit 3 and any other
+# QdpError to exit 2; errors.py defines these three exception classes only
+EXIT_CODE_CLASSES = ["QdpError", "MalformedInput", "BudgetError"]
+
+
+@pytest.mark.parametrize("name", COVERED)
+def test_raises_name_an_exit_code_class(name):
+    # besides those, only the JSON writer's TypeError and FiniteGroup's
+    # abstract methods raise
+    allowed = {*EXIT_CODE_CLASSES, "TypeError", "NotImplementedError"}
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and _raised_name(node) not in allowed]
+    assert lines == [], f"{name} raises another class at lines {lines}"
+    bases = {"Exception", "BaseException", *EXIT_CODE_CLASSES}
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(isinstance(b, ast.Name) and b.id in bases for b in node.bases)]
+    assert classes == (EXIT_CODE_CLASSES if name == "errors.py" else [])
 
 
 def test_every_module_is_listed():
