@@ -430,26 +430,49 @@ class IdealHandle:
 
 
 def is_steenrod_closed(ideal: IdealHandle) -> tuple[bool, tuple[int, str] | None]:
-    """Closure under all P^i on the generators (which suffices by the
-    Cartan formula).  Returns a (generator index, operation) witness on
-    failure.
+    """Closure under every P^i, tested by the algebra generators P^(p^j)
+    on the generators of the ideal I; returns a (generator index,
+    operation) witness on failure.
+
+    The P^(p^j) suffice (Steenrod and Epstein, Cohomology Operations,
+    1962; Milnor, "The Steenrod algebra and its dual", Ann. Math. 67,
+    1958).  Suppose P^c g lies in I for every generator g and every c < i.
+    By the Cartan formula P^c(I) lies in I for every c < i.  Unless i is a
+    power of p, the Adem relations write P^i as a sum of P^a P^b with
+    0 < a, b < i, so P^i g lies in I too.  So by induction on i the lowest
+    failing P^i, if any, is a P^(p^j), and so is the witness.
 
     Closure under beta needs no test: the generators lie in F_p[x, y]
     (IdealHandle rejects any other), and beta is zero there.  The tests
-    run in degree order: P^1 on every generator, then P^2, and so on.  A
-    non-closed ideal thus fails at its lowest failing degree, where the
-    degreewise bases are smallest.  P^i vanishes on a generator of degree
-    below 2i (instability)."""
+    run in degree order, P^1, P^p, P^(p^2), ... on every generator, so a
+    non-closed ideal fails where the degreewise bases are smallest.  P^i
+    vanishes on a generator of degree below 2i (instability)."""
     gens = ideal.generators
     top = max(g.degree() // 2 for g in gens)
-    for i in range(1, top + 1):
+    i = 1
+    while i <= top:
         for gi, g in enumerate(gens):
             if i > g.degree() // 2:
                 continue
             img = steenrod_power(i, g)
             if not img.is_zero() and not ideal.contains(img):
                 return False, (gi, f"P{i}")
+        i *= ideal.p
     return True, None
+
+
+def _check_degree_budget(p: int, k: int, degree_budget: int) -> None:
+    """Refuse closure tests on generators of degree 2k past the budget:
+    they apply P^(p^j) with p^j <= k, so the highest reaches degree
+    2(k + q(p - 1)), q the largest power of p at most k."""
+    if p <= degree_budget:  # a larger p is over budget (>= 2p) at any k: no O(sqrt p) test
+        _check_odd_prime(p)
+    q = 1
+    while 1 < p and q * p <= k:
+        q *= p
+    degree = 2 * (k + q * (p - 1))
+    if degree > degree_budget:
+        raise BudgetError(f"closure tests reach degree {degree} > budget {degree_budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +515,18 @@ def brute_force_zeta_proposition(p: int, k: int,
 
     Operations are linear, so the degree-2k invariants W have a greatest
     closed subspace V*, the sum of all closed ones.  Start from V = W;
-    while some P^i fails on the ideal (V), cut V to the kernel of
-    v -> P^i v mod (V), which keeps every closed U inside V, as P^i U lies
-    in (U).  If dim V* <= 1 the closed subspaces are V* or none; a larger
-    V* is a closed subspace that is not a line and refutes the claim.
+    while some P^i, i = p^j, fails on the ideal (V), cut V to the kernel
+    of v -> P^i v mod (V), which keeps every closed U inside V, as P^i U
+    lies in (U); the V left is closed under every P^i, so it is V*.  If
+    dim V* <= 1 the closed subspaces are V* or none; a larger V* is a
+    closed subspace that is not a line and refutes the claim.
 
     The name predates the fixpoint; the CLI, theorem_C_driver and the
     benchmark's steenrod.zeta_prop_s span look the function up by it."""
     if k < 1:
         raise MalformedInput(f"k must be at least 1, got {k}")
-    if p <= degree_budget:  # a larger p is over budget at any k: no O(sqrt p) test
-        _check_odd_prime(p)
-    # every membership test is at degree 2(k + i(p - 1)) <= 2kp, so this one
-    # check bounds them all
-    if 2 * k * p > degree_budget:
-        raise BudgetError(
-            f"closure tests reach degree {2 * k * p} > budget {degree_budget}")
+    # membership tests are at degree 2(k + p^j (p - 1)), p^j <= k: one check
+    _check_degree_budget(p, k, degree_budget)
     inv = invariants(p)
     dxi = p * (p - 1)  # polynomial half-degrees
     dzeta = p + 1
@@ -526,8 +545,8 @@ def brute_force_zeta_proposition(p: int, k: int,
         closed, witness = is_steenrod_closed(ideal)
         if closed:
             break
-        # beta vanishes on polynomials, so a power P^i failed; the kernel
-        # of v -> P^i v mod (V) is read off the echelon rows [residue | v]
+        # beta vanishes on polynomials, so a power P^i, i = p^j, failed; the
+        # kernel of v -> P^i v mod (V) is read off the echelon rows [residue | v]
         # whose lead lies in the v part, rebuilt from their windows
         i = int(witness[1][1:])
         m = k + i * (p - 1)  # polynomial half-degree of P^i v
@@ -603,11 +622,11 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
     is never finite-dimensional (final contradiction).
 
     The degree budget alone bounds the run: the zeta legs need
-    2kp <= degree_budget, so p <= degree_budget / 2, and the group work
-    is one orbit of p^2 - 1 elements.  Both are checked before Qd(p) is
-    built; as in `brute_force_zeta_proposition`, p is tested prime only
-    when p <= degree_budget, and a k below 1, which would leave a huge p
-    within the budget, is malformed.
+    2(k + q(p - 1)) <= degree_budget, q the largest power of p at most k,
+    which is at least 2p, so p <= degree_budget / 2, and the group work is
+    one orbit of p^2 - 1 elements.  Both are checked, at the largest k,
+    before Qd(p) is built; as in `brute_force_zeta_proposition`, p is
+    tested prime only when p <= degree_budget, after the k are read.
     """
     from .reports import ASSUMED, REFUTED, VERIFIED, Certificate, Leg
 
@@ -616,15 +635,11 @@ def theorem_C_driver(p: int, k_list: Sequence[int] | None = None,
             "not covered here: the p = 2 case reduces to the known "
             "non-existence of free A4-actions on products of two equal "
             "dimensional spheres")
-    if p <= degree_budget:  # a larger p is over budget at any k: no O(sqrt p) test
-        _check_odd_prime(p)
     if k_list is None:
         k_list = [p + 1, 2 * (p + 1), 3 * (p + 1)]
     if not k_list or len(set(k_list)) < len(k_list) or min(k_list) < 1:
         raise MalformedInput(f"k_list must name distinct k >= 1, got {list(k_list)}")
-    if 2 * max(k_list) * p > degree_budget:
-        raise BudgetError(
-            f"closure tests reach degree {2 * max(k_list) * p} > budget {degree_budget}")
+    _check_degree_budget(p, max(k_list), degree_budget)
     from .dimfun import generation_by_order_p, lefschetz_number
     from .groups import construct_qdp
 

@@ -113,13 +113,15 @@ def test_theorem_c_cli(capsys):
 
 def test_theorem_c_max_order(capsys):
     # the degree budget alone bounds theorem-c: p = 7 runs with the default
-    # flags, its default k up to 24 are over the default budget, and
-    # --max-order is not one of its flags
-    code, report = run_json(capsys, "theorem-c", "--p", "7", "--k-list", "8")
+    # flags, as its default k up to 24 reach degree 2(24 + 7 * 6) = 132;
+    # p = 11's default k up to 36 reach 2(36 + 11 * 10) = 292, over the
+    # default budget; and --max-order is not one of its flags
+    code, report = run_json(capsys, "theorem-c", "--p", "7")
     assert code == EXIT_OK
     assert report["status"] == "unsat-certificate"
-    assert main(["theorem-c", "--p", "7"]) == EXIT_BUDGET
-    assert capsys.readouterr().err == "budget: closure tests reach degree 336 > budget 200\n"
+    assert report["witness"]["k_values"] == [8, 16, 24]
+    assert main(["theorem-c", "--p", "11"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == "budget: closure tests reach degree 292 > budget 200\n"
     assert main(["theorem-c", "--p", "7", "--k-list", "8", "--max-order", "20000"]) \
         == EXIT_MALFORMED
     assert capsys.readouterr().err == "error: unrecognized arguments: --max-order\n"
@@ -233,6 +235,20 @@ def test_prop_zeta_exhaustive_beyond_dimension_three(capsys):
     assert code == EXIT_OK and report["status"] == "verified"
     assert report["witness"]["ambient"][0] == [0, 30]
     assert report["witness"]["survivors"] == [[[1] + [0] * 10]]
+
+
+def test_prop_zeta_at_scale_on_the_least_budget():
+    # closure is tested on P^1, P^13 and P^169 only, so the highest test is
+    # at degree 2(1400 + 169 * 12) = 6856; testing every P^i up to P^1400
+    # took about 40 s and 700 MB
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", "prop-zeta", "--p", "13",
+                           "--k", "1400", "--budget", "6856", "--format", "json"],
+                          capture_output=True, text=True, env=_child_env(), timeout=20)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "verified"
+    assert report["witness"]["ambient"] == [[0, 100], [7, 22]]
+    assert report["witness"]["survivors"] == [[[1, 0]]] == report["witness"]["predicted"]
 
 
 def test_prop_zeta_closed_space_is_refuted(capsys, monkeypatch):
@@ -997,13 +1013,22 @@ def test_theorem_c_even_prime_exit(capsys):
 
 @pytest.mark.parametrize("p", ["9", "1"])
 @pytest.mark.parametrize("argv", [
-    ["theorem-b"], ["theorem-c"], ["prop-zeta", "--k", "12"], ["steenrod-check"],
+    ["theorem-b"], ["theorem-c"], ["prop-zeta", "--k", "40"], ["steenrod-check"],
 ], ids=lambda argv: argv[0])
 def test_non_prime_p_is_one_domain_error(capsys, argv, p):
-    # at p = 9, prop-zeta's k = 12 is beyond the default budget: the prime
-    # is checked first
+    # at p = 9, prop-zeta's k = 40 reaches degree 2(40 + 9 * 8) = 224,
+    # beyond the default budget: the prime is checked first
     assert main(argv + ["--p", p]) == EXIT_DOMAIN
     assert capsys.readouterr().err == f"error: {p} is not prime\n"
+
+
+@pytest.mark.parametrize("argv, degree", [(["prop-zeta", "--k", "5"], 10), (["theorem-c"], 12)],
+                         ids=["prop-zeta", "theorem-c"])
+def test_p_one_over_a_zero_budget_is_refused_on_the_budget(capsys, argv, degree):
+    # p = 1 > budget 0 is not tested prime; every power of 1 is 1, and the
+    # bound 2(k + q(p - 1)) is 2k at the largest k (theorem-c's default 6)
+    assert main(argv + ["--p", "1", "--budget", "0"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == f"budget: closure tests reach degree {degree} > budget 0\n"
 
 
 @pytest.mark.parametrize("command", ["theorem-b"])

@@ -319,7 +319,7 @@ def test_steenrod_closure_xi_fails():
 
 
 def test_steenrod_closure_fails_at_lowest_degree():
-    # P^1 on every generator, then P^2, ...: xi^3 fails at P^1 before any
+    # P^1 on every generator, then P^p, ...: xi^3 fails at P^1 before any
     # higher power of zeta^10 is tested
     inv = invariants(5)
     ideal = IdealHandle([inv.zeta ** 10, inv.xi ** 3])
@@ -521,14 +521,55 @@ def test_zeta_proposition_pth_root_consistency():
     (11, 360, [(0, 30)], ((1,),)),
 ])
 def test_zeta_proposition_pinned_survivors(p, k, ambient, survivor):
-    res = brute_force_zeta_proposition(p, k, degree_budget=2 * k * p)
+    res = brute_force_zeta_proposition(p, k, degree_budget=closure_degree(p, k))
     assert res.ambient == ambient
     assert res.survivors == [survivor] and res.matches
 
 
+def closure_degree(p, k):
+    """The least budget for the zeta fixpoint in degree 2k: its highest
+    membership test is P^q on a generator, q the largest power of p at
+    most k, at degree 2k + 2q(p - 1)."""
+    q = max(p ** j for j in range(k.bit_length()) if p ** j <= k)
+    return 2 * k + 2 * q * (p - 1)
+
+
 def test_zeta_proposition_budget():
-    with pytest.raises(BudgetError, match="^closure tests reach degree 72 > budget 20$"):
+    # 9 <= 12 < 27, so P^9 is the highest test: 2(12 + 9 * 2) = 60
+    with pytest.raises(BudgetError, match="^closure tests reach degree 60 > budget 20$"):
         brute_force_zeta_proposition(3, 12, degree_budget=20)
+
+
+# k and the largest power q of p at most k, on both sides of p and of p^2
+K_AND_Q = {"p-1": lambda p: (p - 1, 1), "p": lambda p: (p, p),
+           "p^2-1": lambda p: (p * p - 1, p), "p^2": lambda p: (p * p, p * p)}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("which", list(K_AND_Q))
+def test_zeta_proposition_budget_boundary(p, which):
+    k, q = K_AND_Q[which](p)
+    bound = 2 * (k + q * (p - 1))
+    assert bound == closure_degree(p, k)
+    res = brute_force_zeta_proposition(p, k, degree_budget=bound)
+    assert res.matches
+    with pytest.raises(BudgetError) as err:
+        brute_force_zeta_proposition(p, k, degree_budget=bound - 1)
+    assert str(err.value) == f"closure tests reach degree {bound} > budget {bound - 1}"
+
+
+@pytest.mark.parametrize("p, k_list", [(3, [4, 8, 9]), (5, [24, 6]), (7, [8, 16, 24])])
+def test_theorem_c_refuses_at_the_zeta_bound_of_its_largest_k(p, k_list):
+    # theorem-c checks the budget once, up front, at max(k): the same degree
+    # the zeta leg of that k would name
+    budget = closure_degree(p, max(k_list)) - 1
+    with pytest.raises(BudgetError) as zeta:
+        brute_force_zeta_proposition(p, max(k_list), degree_budget=budget)
+    with pytest.raises(BudgetError) as driver:
+        theorem_C_driver(p, k_list=k_list, degree_budget=budget)
+    assert str(driver.value) == str(zeta.value)
+    cert = theorem_C_driver(p, k_list=k_list, degree_budget=budget + 1)
+    assert cert.status == "unsat-certificate" and cert.witness["k_values"] == k_list
 
 
 # the subspace enumeration, kept as a test-only reference for the fixpoint
