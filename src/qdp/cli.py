@@ -13,17 +13,20 @@ For the same reason the report is printed by `reports.json_dumps`, whose
 text is json.dumps's with sorted keys, and `json` itself is imported only
 by `_load_json`, for the commands that read an input file.
 
-The process entry `run` (the `qdp` script and `python -m qdp.cli`) calls
-`gc.freeze()` before `main`: what start-up, `site` and this module's
-imports allocated moves to the permanent generation, which neither the
-run's collections nor those at interpreter shutdown walk or free; the OS
-reclaims it at exit.  `main(argv)` itself never freezes, so an in-process
-caller's heap stays collectable.
+The process entry `run` (the `qdp` script and `python -m qdp.cli`) runs
+`main`, then the atexit handlers, flushes stdout and stderr and ends with
+`os._exit`: interpreter teardown, which frees every module and object one
+by one, would cost a certificate about a millisecond and the OS reclaims
+it all anyway.  `main(argv)` returns its exit code to an in-process caller
+and leaves the interpreter as it is.  A report that stdout refuses (a
+closed pipe, a full disk) is one `error:` line and exit 2, whether `main`'s
+print or `run`'s flush meets the error.
 """
 
 from __future__ import annotations
 
-import gc
+import atexit
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -31,13 +34,13 @@ from types import SimpleNamespace
 from . import __version__
 from .errors import (
     DEFAULT_DEGREE_BUDGET,
+    DEFAULT_MAX_ORDER,
     BudgetError,
     MalformedInput,
     QdpError,
     ascii_int,
     json_int,
 )
-from .groups import DEFAULT_MAX_ORDER, group_from_json, p_subgroups
 from .reports import REFUTED, UNSAT, VERIFIED, VerificationReport, json_dumps
 
 EXIT_OK = 0
@@ -78,6 +81,7 @@ def _cmd_theorem_c(args) -> VerificationReport:
 
 def _load_tau(args):
     from .dimfun import superclassfunction_from_json
+    from .groups import group_from_json, p_subgroups
     gobj = _load_json(args.group)
     tobj = _load_json(args.tau)
     group = group_from_json(gobj, max_order=args.max_order)
@@ -234,13 +238,12 @@ def _help(command: str | None) -> str:
 
 
 def parse_args(argv: list[str]):
-    """The handler and the flag values that `argv` names, or None once help
-    or the version is printed.  A usage error raises MalformedInput."""
+    """The handler and the flag values that `argv` names, or the help or
+    version text it asks for.  A usage error raises MalformedInput."""
     if not argv:
         raise MalformedInput("the following arguments are required: command")
     if argv[0] in ("-h", "--help", "--version"):
-        print(__version__ if argv[0] == "--version" else _help(None))
-        return None
+        return __version__ if argv[0] == "--version" else _help(None)
     if argv[0] not in COMMANDS:
         raise MalformedInput(f"argument command: invalid choice: {argv[0]!r} "
                              f"(choose from {', '.join(map(repr, COMMANDS))})")
@@ -250,8 +253,7 @@ def parse_args(argv: list[str]):
     tokens = iter(argv[1:])
     for token in tokens:
         if token in ("-h", "--help"):
-            print(_help(argv[0]))
-            return None
+            return _help(argv[0])
         name, eq, text = token.partition("=")
         if name not in table:
             raise MalformedInput(f"unrecognized arguments: {token}")
@@ -280,8 +282,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parsed = parse_args(argv)
-        if parsed is None:
-            return EXIT_OK
+        if type(parsed) is str:
+            return _write(parsed, EXIT_OK)
         handler, args = parsed
         t0 = time.monotonic()
         report = handler(args)
@@ -296,19 +298,40 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     report.command = argv
     report.timing_ms = (time.monotonic() - t0) * 1000.0
-    if args.format == "json":
-        print(json_dumps(report.to_json()))
-    else:
-        print(report.to_text())
-    return _STATUS_EXIT.get(report.status, EXIT_DOMAIN)
+    text = json_dumps(report.to_json()) if args.format == "json" else report.to_text()
+    return _write(text, _STATUS_EXIT.get(report.status, EXIT_DOMAIN))
+
+
+def _write(text: str, code: int) -> int:
+    """Print `text` and return `code`, or exit 2 with one line if stdout
+    refuses it."""
+    try:
+        print(text)
+    except OSError as exc:
+        return _cannot_write(exc)
+    return code
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write the report: {exc}", file=sys.stderr)
+    return EXIT_DOMAIN
 
 
 def run() -> None:
-    """Process entry: freeze the start-up heap, run `main` on sys.argv and
-    exit with its code.  Output, exit codes and atexit handlers are those
-    of `main`."""
-    gc.freeze()
-    sys.exit(main())
+    """Process entry: run `main` on sys.argv, then the atexit handlers, flush
+    stdout and stderr and end the process with `os._exit` and `main`'s code,
+    skipping interpreter teardown.  A flush that fails is a report that
+    cannot be written (exit 2)."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _cannot_write(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

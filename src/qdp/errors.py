@@ -1,5 +1,7 @@
 """The three exception classes of the library, one per failing exit code
-of the CLI, and the integer checks every JSON and string reader applies.
+of the CLI, the integer checks every JSON and string reader applies, and
+the defaults and the primality test that the CLI and more than one layer
+share.
 
   MalformedInput  exit 1: unparseable or schema-violating input, usage
                   errors included;
@@ -12,6 +14,13 @@ of the CLI, and the integer checks every JSON and string reader applies.
 MalformedInput and BudgetError derive from QdpError, so a caller can catch
 every library error at once.  The message, which the CLI prints as its one
 stderr line, says what went wrong; no code branches on a finer class.
+The CLI's exit 2 also covers a report that stdout refuses (a closed pipe,
+a full disk): that OSError is caught where the report is written, in
+`cli`, and has no class here.
+
+`is_prime` and DEFAULT_MAX_ORDER live here, not in `groups`, so that the
+CLI and the certificates that do no group work (prop-zeta, steenrod-check,
+fix-rank) never import `groups`; `groups` re-exports both.
 """
 
 from __future__ import annotations
@@ -31,6 +40,20 @@ class BudgetError(QdpError):
 
 # the degree budget when none is configured (the CLI's --budget default)
 DEFAULT_DEGREE_BUDGET = 200
+
+# the largest group order built when none is configured (--max-order)
+DEFAULT_MAX_ORDER = 5000
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def json_int(value, field: str) -> int:

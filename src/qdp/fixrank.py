@@ -22,8 +22,7 @@ The models of m-fold joins are test fixtures.
 
 from __future__ import annotations
 
-from .errors import MalformedInput, QdpError, ascii_int, json_int
-from .groups import is_prime
+from .errors import MalformedInput, QdpError, ascii_int, is_prime, json_int
 from .steenrod import (
     RankOneElement,
     binom_mod,

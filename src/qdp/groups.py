@@ -25,20 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
-from .errors import MalformedInput, QdpError, json_int
-
-DEFAULT_MAX_ORDER = 5000
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .errors import DEFAULT_MAX_ORDER, MalformedInput, QdpError, is_prime, json_int
 
 
 def p_part(n: int, p: int) -> int:

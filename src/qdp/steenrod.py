@@ -17,8 +17,14 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
-from .errors import DEFAULT_DEGREE_BUDGET, BudgetError, MalformedInput, QdpError, ascii_int
-from .groups import is_prime
+from .errors import (
+    DEFAULT_DEGREE_BUDGET,
+    BudgetError,
+    MalformedInput,
+    QdpError,
+    ascii_int,
+    is_prime,
+)
 
 Mono = tuple[int, int, int, int]  # (a, b, eu, ev): x^a y^b u^eu v^ev
 

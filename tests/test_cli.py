@@ -27,7 +27,7 @@ from qdp.cli import (
 from qdp.groups import TableGroup, construct_qdp, p_subgroups
 from qdp.reports import canonical_json, json_dumps
 from qdp.steenrod import GradedElement
-from fixtures import modular_p3
+from fixtures import heisenberg, modular_p3
 
 
 def run(capsys, *argv):
@@ -1098,22 +1098,10 @@ def test_differential_exponent_message_is_an_integer(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the process entry: `run` freezes the start-up heap, `main` never does
+# the process entry: `run` runs `main` and ends the process with os._exit
 
 def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=str(Path(qdp.__file__).resolve().parents[1]))
-
-
-def test_main_never_freezes(capsys):
-    import gc
-    before = gc.get_freeze_count()
-    for _ in range(5):
-        for argv in (["steenrod-check", "--p", "3"], ["--version"],
-                     ["fix-rank", "--model", data_path("model_rotation_p3.json")],
-                     ["theorem-b", "--p", "x"]):
-            main(argv)
-    capsys.readouterr()
-    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("argv", ONE_PER_SUBCOMMAND, ids=lambda argv: argv[0])
@@ -1128,19 +1116,113 @@ def test_process_entry_matches_main(capsys, argv):
     assert json.dumps(child, sort_keys=True) == json.dumps(here, sort_keys=True)
 
 
-def test_process_entry_freezes():
-    script = ("import gc, runpy, sys\n"
-              "sys.argv = ['qdp', '--version']\n"
-              "try:\n"
-              "    runpy.run_module('qdp.cli', run_name='__main__')\n"
-              "except SystemExit as exc:\n"
-              "    print(exc.code, gc.get_freeze_count())\n")
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True],
+                                     ids=["buffered", "unbuffered"])
+
+
+def _entry_env(unbuffered: bool) -> dict:
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@UNBUFFERED
+@pytest.mark.parametrize("argv, code", [(["--version"], EXIT_OK),
+                                        (["theorem-b", "--p", "x"], EXIT_MALFORMED)],
+                         ids=["version", "malformed"])
+def test_process_entry_runs_atexit_and_exits_with_mains_code(argv, code, unbuffered):
+    # `run` ends the process with os._exit, after the atexit handlers and a
+    # flush: what main and a handler print arrives, with main's exit code
+    script = ("import atexit, sys\n"
+              "import qdp.cli\n"
+              "atexit.register(print, 'atexit')\n"
+              f"sys.argv = ['qdp', *{argv!r}]\n"
+              "qdp.cli.run()\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=_child_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    version, last = proc.stdout.splitlines()
-    code, frozen = last.split()
-    assert version == qdp.__version__ and code == str(EXIT_OK) and int(frozen) > 0
+                          env=_entry_env(unbuffered), timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines() == ([qdp.__version__] if code == EXIT_OK else []) + ["atexit"]
+
+
+def _borel_smith_h125(directory: Path) -> list[str]:
+    """borel-smith on H(5) with the regular representation's function: a
+    report of some 65 KB, eight times the stdout buffer and about what a
+    pipe holds."""
+    G = heisenberg(5)
+    lat = p_subgroups(G, 5)
+    (directory / "group.json").write_text(json.dumps(G.to_json()))
+    (directory / "tau.json").write_text(json.dumps({"p": 5, "values": [
+        {"class_rep": list(cls[0].members), "value": G.order // cls[0].order}
+        for cls in lat.classes]}))
+    return ["borel-smith", "--group", str(directory / "group.json"),
+            "--tau", str(directory / "tau.json"), "--format", "json"]
+
+
+@UNBUFFERED
+def test_process_entry_writes_a_large_report_whole(tmp_path, capsys, unbuffered):
+    argv = _borel_smith_h125(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", *argv], capture_output=True,
+                          text=True, env=_entry_env(unbuffered), timeout=120)
+    code, out = run(capsys, *argv)
+    assert proc.returncode == code == EXIT_OK and proc.stderr == ""
+    assert len(proc.stdout) > 60_000
+    assert canonical_json(json.loads(proc.stdout)) == canonical_json(json.loads(out))
+
+
+PROP_ZETA = ["prop-zeta", "--p", "3", "--k", "4", "--format", "json"]
+
+
+@UNBUFFERED
+def test_process_entry_with_stdout_closed_exits_0(unbuffered):
+    proc = subprocess.run([sys.executable, "-m", "qdp.cli", *PROP_ZETA],
+                          stdout=None, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1),
+                          env=_entry_env(unbuffered), timeout=60)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
+def _stdout_to(sink: str):
+    """A stdout for the child that refuses writes: a pipe whose reader has
+    closed (EPIPE) or /dev/full (ENOSPC)."""
+    if sink == "pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        return write_end, "[Errno 32] Broken pipe"
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    return os.open("/dev/full", os.O_WRONLY), "[Errno 28] No space left on device"
+
+
+@UNBUFFERED
+@pytest.mark.parametrize("sink", ["pipe", "full"])
+@pytest.mark.parametrize("output", ["report", "version", "large"])
+def test_process_entry_that_cannot_write_exits_2(tmp_path, sink, output, unbuffered):
+    # a short report waits in the buffer and fails in run's flush unless
+    # PYTHONUNBUFFERED is set, when it fails in main's print; a large one
+    # overflows the buffer and fails in main's print either way
+    argv = {"report": PROP_ZETA, "version": ["--version"]}.get(output) \
+        or _borel_smith_h125(tmp_path)
+    fd, reason = _stdout_to(sink)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qdp.cli", *argv], stdout=fd,
+                              stderr=subprocess.PIPE, text=True,
+                              env=_entry_env(unbuffered), timeout=60)
+    finally:
+        os.close(fd)
+    assert proc.returncode == EXIT_DOMAIN
+    assert proc.stderr == f"error: cannot write the report: {reason}\n"
+
+
+def test_main_that_cannot_write_exits_2(capsys, monkeypatch):
+    class Refusing:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Refusing())
+    assert main(PROP_ZETA) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: cannot write the report: [Errno 32] Broken pipe\n"
 
 
 def test_script_is_the_main_block_entry():

@@ -191,6 +191,21 @@ def test_reading_an_input_file_loads_json():
     assert proc.stderr.strip().splitlines()[-1] == "0 True", proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["prop-zeta", "--p", "3", "--k", "4"],
+                                  ["steenrod-check", "--p", "3"],
+                                  ["fix-rank", "--model", str(DATA / "model_rotation_p3.json")]],
+                         ids=lambda argv: argv[0])
+def test_group_free_certificates_leave_out_groups(argv):
+    # importing qdp.groups costs about 0.9 ms; these certificates need only
+    # `is_prime`, which lives in qdp.errors
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (f"import sys, qdp.cli; code = qdp.cli.main({argv!r}); "
+            "print(code, 'qdp.groups' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr.strip().splitlines()[-1] == "0 False", proc.stderr
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_help_loads_no_subcommand_module(command):
     # help reads the flag table alone; a default that needs a subcommand
@@ -198,7 +213,7 @@ def test_help_loads_no_subcommand_module(command):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     code = (f"import sys, qdp.cli; code = qdp.cli.main([{command!r}, '--help']); "
             "print(code, sorted({'qdp.steenrod', 'qdp.dimfun', 'qdp.characters', "
-            "'qdp.fixrank'} & set(sys.modules)), file=sys.stderr)")
+            "'qdp.fixrank', 'qdp.groups'} & set(sys.modules)), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.stderr.strip().splitlines()[-1] == "0 []", proc.stderr
