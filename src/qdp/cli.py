@@ -303,8 +303,8 @@ def main(argv=None) -> int:
 
 
 def _write(text: str, code: int) -> int:
-    """Print `text` and return `code`, or exit 2 with one line if stdout
-    refuses it."""
+    """Print `text` and return `code`; if stdout refuses it, print one
+    error line to stderr and return 2."""
     try:
         print(text)
     except OSError as exc:
