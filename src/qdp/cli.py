@@ -10,8 +10,9 @@ Every certificate starts a fresh interpreter, so one table (COMMANDS) and a
 short parser read the flags instead of argparse, whose import and parsers
 cost more than many certificates, and a subcommand imports what it runs.
 For the same reason the report is printed by `reports.json_dumps`, whose
-text is json.dumps's with sorted keys, and `json` itself is imported only
-by `_load_json`, for the commands that read an input file.
+text is json.dumps's with sorted keys, and `_load_json` reads an input
+file with the C scanner under `json.loads`: the `json` package, whose
+import compiles its regexes, loads only to word a malformed file's error.
 
 The process entry `run` (the `qdp` script and `python -m qdp.cli`) runs
 `main`, then the atexit handlers, flushes stdout and stderr and ends with
@@ -53,14 +54,47 @@ _STATUS_EXIT = {VERIFIED: EXIT_OK, UNSAT: EXIT_OK, REFUTED: EXIT_REFUTED}
 
 
 def _load_json(path: str) -> dict:
-    """A JSON input file read as UTF-8.  A file that cannot be opened or
-    decoded (ValueError covers UnicodeDecodeError and JSONDecodeError) or
-    that nests past the recursion limit is malformed input."""
-    import json  # only the commands that read a file pay for the import
+    """A JSON input file read as UTF-8, with what `json.load` returns.
+
+    The text is parsed by `_json.make_scanner`, the C scanner `json.loads`
+    runs on, under `JSONDecoder.decode`'s rules: skip " \\t\\n\\r", scan one
+    value, allow only " \\t\\n\\r" after it.  Importing the `json` package
+    compiles its regexes, about 2 ms of a certificate's start-up, so it
+    loads only when the scan fails: `json.loads` then raises its own error
+    for the same text, and that wording is the one-line message.  A file
+    that cannot be opened or decoded (ValueError covers UnicodeDecodeError
+    and JSONDecodeError) or that nests past the recursion limit is
+    malformed input.  Where `_json` is missing, `json.loads` reads every
+    file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}")
+    try:
+        from _json import make_scanner
+    except ImportError:
+        pass
+    else:
+        constants = {"NaN": float("nan"), "Infinity": float("inf"),
+                     "-Infinity": float("-inf")}
+        scan = make_scanner(SimpleNamespace(
+            strict=True, object_hook=None, object_pairs_hook=None,
+            parse_float=float, parse_int=int, parse_constant=constants.__getitem__))
+        space = " \t\n\r"
+        # before Python 3.12 the scanner raises JSONDecodeError only when
+        # json.decoder is already imported, and SystemError otherwise
+        try:
+            obj, end = scan(text, len(text) - len(text.lstrip(space)))
+        except (StopIteration, ValueError, RecursionError, SystemError):
+            pass
+        else:
+            if not text[end:].lstrip(space):
+                return obj
+    import json  # words the error, or reads the file where _json is missing
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}")
 
 

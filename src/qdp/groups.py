@@ -252,6 +252,10 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
         # or more; p_subgroups would refuse the group with the same line
         if len(mul) > max_order:
             raise QdpError(f"|G| = {len(mul)} exceeds the guard {max_order}")
+        # "n" is optional, but one that is there must be the row count
+        if "n" in obj and json_int(obj["n"], "table group 'n'") != len(mul):
+            raise MalformedInput(f"table group 'n' is {obj['n']}, but 'mul' has "
+                                 f"{len(mul)} rows")
         for row in mul:
             # one pass over the entry types per row; a row with another
             # type than int names its first offending entry

@@ -13,7 +13,7 @@ prints the witness through it): its text is what
 `json.dumps(obj, sort_keys=True)` returns, byte for byte, without
 importing `json`.  That package, with the `re` it pulls in, costs a
 certificate about 1.7 ms of start-up on a 2-vCPU x86 VM, so the CLI
-imports it only to read an input file.
+imports it only to word the error of an input file that is not JSON.
 """
 
 from __future__ import annotations

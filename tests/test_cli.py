@@ -6,12 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdp
@@ -22,8 +24,10 @@ from qdp.cli import (
     EXIT_MALFORMED,
     EXIT_OK,
     EXIT_REFUTED,
+    _load_json,
     main,
 )
+from qdp.errors import MalformedInput
 from qdp.groups import TableGroup, construct_qdp, p_subgroups
 from qdp.reports import canonical_json, json_dumps
 from qdp.steenrod import GradedElement
@@ -867,6 +871,28 @@ def test_malformed_group_is_malformed(tmp_path, capsys, group):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n, message", [
+    (5, "table group 'n' is 5, but 'mul' has 9 rows"),
+    (10, "table group 'n' is 10, but 'mul' has 9 rows"),
+    (9.0, "table group 'n' must be an integer, got 9.0"),
+    ("9", "table group 'n' must be an integer, got '9'"),
+    (True, "table group 'n' must be an integer, got True"),
+], ids=["fewer", "more", "float", "string", "bool"])
+def test_table_n_must_be_the_row_count(tmp_path, capsys, n, message):
+    # README gives "n" as the row count: the 9-row E(3^2) table stated as
+    # n = 5 must not be checked and reported as a group of order 9.  A
+    # table without "n" is read from its rows
+    group = json.loads(Path(data_path("group_e9.json")).read_text())
+    path = tmp_path / "group.json"
+    argv = ["borel-smith", "--group", str(path), "--tau", data_path("tau_regular_e9.json")]
+    path.write_text(json.dumps({**group, "n": n}))
+    assert main(argv) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"error: {message}\n"
+    del group["n"]
+    path.write_text(json.dumps(group))
+    assert main(argv) == EXIT_OK
+
+
 @pytest.mark.parametrize("mul", [modular_p3(3).to_json()["mul"], [[0]] * 27],
                          ids=["group", "not-square"])
 def test_table_over_the_guard_is_refused_on_its_row_count(tmp_path, capsys,
@@ -986,6 +1012,75 @@ def test_undecodable_input_file_is_one_error_line(tmp_path, command, contents):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: cannot read {bad}: ")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+def _json_load_reading(path) -> tuple[str, str]:
+    """What `json.load` makes of an input file: its value as json.dumps
+    text (so that NaN equals NaN), or the one-line message of a file it
+    cannot read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return "value", json.dumps(json.load(fh))
+    except (OSError, ValueError, RecursionError) as exc:
+        return "error", f"cannot read {path}: {exc}"
+
+
+def _cli_reading(path) -> tuple[str, str]:
+    try:
+        return "value", json.dumps(_load_json(str(path)))
+    except MalformedInput as exc:
+        return "error", str(exc)
+
+
+JSON_SPACE = st.text(st.sampled_from(" \t\n\r"), max_size=4)
+
+# ints at the 4300-digit limit of int(), besides the writer test's values
+READER_VALUES = st.recursive(
+    JSON_VALUES | st.integers(10 ** 4299, 10 ** 4300 - 1)
+    | st.integers(-10 ** 4300 + 1, -10 ** 4299),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=READER_VALUES, before=JSON_SPACE, after=JSON_SPACE,
+       ensure_ascii=st.booleans(), indent=st.none() | st.integers(0, 2))
+@example(value={"a": [float("nan"), float("inf"), float("-inf")]}, before=" \t\n",
+         after="\r\n", ensure_ascii=True, indent=None)
+def test_reader_returns_what_json_load_returns(value, before, after, ensure_ascii, indent):
+    # with ensure_ascii the text carries \uXXXX escapes, surrogate pairs
+    # included, and is valid: the scanner alone reads it, json.loads never
+    # runs.  Without it a lone surrogate is written raw, which is not UTF-8,
+    # and both readers must then refuse the file alike
+    text = before + json.dumps(value, ensure_ascii=ensure_ascii, indent=indent) + after
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        expected = _json_load_reading(path)
+        if not ensure_ascii:
+            assert _cli_reading(path) == expected
+            return
+        assert expected[0] == "value"
+        with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads ran")):
+            assert _cli_reading(path) == expected
+
+
+MALFORMED_FILES = {
+    "bom": b"\xef\xbb\xbf{}", "empty": b"", "space-only": b" \n", "truncated": b"[1,",
+    "no-colon": b'{"a" 1}', "trailing-data": b'{"a": 1} x', "two-values": b"1 2",
+    "deep": b"[" * 100000 + b"]" * 100000, "long-int": b"7" * 5000,
+    "control-character": b'["a\x01b"]', "not-utf-8": b"\xff\xfe{}",
+    "form-feed": b"\x0c{}", "nan-word": b"nan",
+}
+
+
+@pytest.mark.parametrize("contents", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+def test_reader_words_a_malformed_file_as_json_load_does(tmp_path, contents):
+    path = tmp_path / "input.json"
+    path.write_bytes(contents)
+    expected = _json_load_reading(path)
+    assert expected[0] == "error"
+    assert _cli_reading(path) == expected
 
 
 def test_reports_reproducible(capsys):

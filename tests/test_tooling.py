@@ -17,6 +17,7 @@ pyproject.toml admits."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -171,9 +172,9 @@ RUNTIME = "qdp.cli, qdp.characters, qdp.dimfun, qdp.fixrank, qdp.steenrod"
                                   ["prop-zeta", "--p", "3", "--k", "4"],
                                   ["steenrod-check", "--p", "3"]], ids=lambda argv: argv[0])
 def test_certificates_leave_out_json(argv, fmt):
-    # the json package costs a certificate about 1.7 ms of start-up; the
-    # reports are written without it, and no runtime module imports it
-    # at its top
+    # importing the json package compiles its regexes, about 1.7-2.4 ms of
+    # a certificate's start-up; the reports are written without it, and
+    # no runtime module imports it at its top
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     code = (f"import sys, {RUNTIME}; code = qdp.cli.main({[*argv, '--format', fmt]!r}); "
             "print(code, 'json' in sys.modules, file=sys.stderr)")
@@ -182,13 +183,43 @@ def test_certificates_leave_out_json(argv, fmt):
     assert proc.stderr.strip().splitlines()[-1] == "0 False", proc.stderr
 
 
-def test_reading_an_input_file_loads_json():
+READERS = [(["borel-smith", *TAU_FILES], 0), (["realize", *TAU_FILES], 0),
+           (["borel-smith", "--group", str(DATA / "group_e9.json"),
+             "--tau", str(DATA / "tau_violating_e9.json")], 4),
+           *((["fix-rank", "--model", str(DATA / name)], 0)
+             for name in ("model_lens_p3.json", "model_rotation_p3.json",
+                          "model_trivial_p3_n4.json"))]
+
+
+@pytest.mark.parametrize("argv, code", READERS,
+                         ids=["borel-smith", "realize", "borel-smith-violating",
+                              "fix-rank-lens", "fix-rank-rotation", "fix-rank-trivial"])
+def test_reading_a_valid_input_file_leaves_out_json(argv, code):
+    # the input files are parsed by the C scanner under json's rules; the
+    # json package, whose import compiles its regexes, is not loaded
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = (f"import sys, qdp.cli; code = qdp.cli.main({['borel-smith', *TAU_FILES]!r}); "
+    script = (f"import sys, qdp.cli; code = qdp.cli.main({argv!r}); "
+              "print(code, 'json' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stderr.strip().splitlines()[-1] == f"{code} False", proc.stderr
+
+
+@pytest.mark.parametrize("contents", [b'{"p": 3,', b'["a\x01"]', b"{} x", b"\xef\xbb\xbf{}"],
+                         ids=["truncated", "control-character", "trailing-data", "bom"])
+def test_a_malformed_input_file_loads_json_to_word_its_error(tmp_path, contents):
+    # in a fresh interpreter, where the scanner meets the error before
+    # json.decoder is loaded, the line is still json.load's wording
+    bad = tmp_path / "model.json"
+    bad.write_bytes(contents)
+    with pytest.raises(ValueError) as exc:
+        json.loads(contents.decode())
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (f"import sys, qdp.cli; code = qdp.cli.main(['fix-rank', '--model', {str(bad)!r}]); "
             "print(code, 'json' in sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.stderr.strip().splitlines()[-1] == "0 True", proc.stderr
+    assert proc.stderr.splitlines() == [f"error: cannot read {bad}: {exc.value}", "1 True"]
 
 
 @pytest.mark.parametrize("argv", [["prop-zeta", "--p", "3", "--k", "4"],
