@@ -37,9 +37,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _is_p_power,
-    _unique_prime,
     element_conjugacy_classes,
-    is_normal_in,
     subgroups_of_p_group,
     whole_group,
 )
@@ -49,6 +47,7 @@ class ElementClasses:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.classes = tuple(tuple(c) for c in element_conjugacy_classes(group))
+        self.centralizer_orders = tuple(group.order // len(c) for c in self.classes)
         class_of = [0] * group.order
         for ci, cls in enumerate(self.classes):
             for a in cls:
@@ -96,36 +95,15 @@ class LinearCharacter:
         self.above = above
 
 
-def linear_characters(H: Subgroup, subgroups: Sequence[Subgroup]) -> list[LinearCharacter]:
+def linear_characters(H: Subgroup) -> list[LinearCharacter]:
     """Every linear character of H up to Galois conjugacy, each class once;
-    `subgroups` must hold every normal subgroup of H, as the subgroup list
-    of a p-group containing H does.  A linear character is a faithful
-    character of H/K, K its kernel, and H/K is cyclic; the faithful
-    characters of a cyclic H/K are one Galois class.  So each such K, with
-    gK of order m = |H : K|, gives a class, and K' is K times <g^(m/p)>."""
-    G = H.group
-    hset = H.member_set
-    out = []
-    for K in subgroups:
-        if not hset.issuperset(K.members) or not is_normal_in(K, H):
-            continue
-        m = H.order // K.order
-        kset = K.member_set
-        for g in H.members:
-            powers = [G.identity]  # g^i for i below the order of gK
-            while (x := G.mul(powers[-1], g)) not in kset:
-                powers.append(x)
-            if len(powers) == m:
-                break
-        else:
-            continue  # H/K is not cyclic
-        above = None
-        if m > 1:
-            step = m // _unique_prime(m)
-            above = Subgroup(G, tuple(G.mul(powers[i], k) for i in range(0, m, step)
-                                      for k in K.members))
-        out.append(LinearCharacter(K, m, above))
-    return out
+    H must come from `subgroups_of_p_group`, whose lattice its cyclic
+    quotients are read off (`Subgroup.cyclic_quotients`).  A linear
+    character is a faithful character of H/K, K its kernel, and H/K is
+    cyclic; the faithful characters of a cyclic H/K are one Galois class.
+    So each such K gives a class, of modulus |H : K|."""
+    return [LinearCharacter(K, H.order // K.order, above)
+            for K, above in H.cyclic_quotients()]
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +124,16 @@ class GaloisTrace:
 
 
 def _permutation_character(K: Subgroup, classes: ElementClasses) -> list[int]:
-    """pi_{P/K} at each class C: |C_P(g)| |C n K| / |K| = |P| |C n K| / (|C| |K|)."""
-    n = classes.group.order
-    out = [divmod(n * a, len(cls) * K.order)
-           for cls, a in zip(classes.classes, classes.count_in(K))]
-    if any(rest for _, rest in out):
-        raise QdpError(f"a permutation character of |P| = {n} takes a fraction")
-    return [value for value, _ in out]
+    """pi_{P/K} at each class C: |C_P(g)| |C n K| / |K|.  The quotients are
+    floored from nonnegative numbers, so all are exact iff they sum to the
+    sum of the numerators over |K|."""
+    k = K.order
+    scaled = list(map(mul, classes.centralizer_orders, classes.count_in(K)))
+    out = [v // k for v in scaled]
+    if sum(out) * k != sum(scaled):
+        raise QdpError(f"a permutation character of |P| = {classes.group.order} "
+                       "takes a fraction")
+    return out
 
 
 def induced_values(lam: LinearCharacter, classes: ElementClasses) -> tuple[int, ...]:
@@ -211,7 +192,7 @@ def irreducible_characters(P: FiniteGroup,
 
     subgroups = subgroups or subgroups_of_p_group(whole_group(P))
     inductions = ((H, lam) for H in sorted(subgroups, key=lambda S: -S.order)
-                  for lam in linear_characters(H, subgroups))
+                  for lam in linear_characters(H))
     commutators: dict[tuple[int, ...], list[set[int]]] = {}
     kept: dict[tuple[int, ...], GaloisTrace] = {}  # by primitive trace
     total = 0

@@ -140,7 +140,7 @@ def _cmd_borel_smith(args) -> VerificationReport:
         claim="the given super class function satisfies the Borel-Smith "
               "conditions on all p-subgroups",
         status=status,
-        witness={"group": group.to_json(), **report.to_json()})
+        witness={"group": group.witness_json(), **report.to_json()})
 
 
 def _cmd_realize(args) -> VerificationReport:

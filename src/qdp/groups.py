@@ -78,11 +78,17 @@ class FiniteGroup:
         n = self.order
         return [tuple(map(self.mul, [a] * n, range(n))) for a in range(n)]
 
+    def translate(self, g: int, xs: Sequence[int], h: int | None = None) -> list[int]:
+        """[g x h for x in xs], or [g x for x in xs] when h is None: the left
+        translate of xs by g, or with h = g^-1 its conjugate by g."""
+        mul = self.mul
+        if h is None:
+            return [mul(g, x) for x in xs]
+        return [mul(mul(g, x), h) for x in xs]
+
     def check_axioms(self) -> None:
-        """Identity and inverses at every element, then associativity by
-        Light's test: (a g) b = a (g b) for all a, b and every g of a
-        generating set, one table row per (g, a).  The elements for which
-        that holds are closed under products, so it holds for all of G."""
+        """Identity and inverses at every element, then associativity
+        (`_check_associative`)."""
         n, e = self.order, self.identity
         rows = self.rows()
         for a in range(n):
@@ -91,6 +97,13 @@ class FiniteGroup:
             b = self.inv(a)
             if rows[a][b] != e or rows[b][a] != e:
                 raise MalformedInput(f"inverse fails at {a}")
+        self._check_associative(rows)
+
+    def _check_associative(self, rows: Sequence[tuple[int, ...]]) -> None:
+        """Light's test on the table `rows`: (a g) b = a (g b) for all a, b
+        and every g of a generating set, one table row per (g, a).  The
+        elements for which that holds are closed under products, so it
+        holds for all of G."""
         for g in generating_set(self):
             # row -> a (g b) over all b, one C-level gather per row; n >= 2
             # here, since a generating set of the trivial group is empty
@@ -99,36 +112,60 @@ class FiniteGroup:
                 if rows[row[g]] != times_g(row):
                     raise MalformedInput(f"associativity fails at a = {a}, g = {g}")
 
+    def witness_json(self) -> dict:
+        """The JSON that names the group in a report: `to_json`, unless a
+        subclass names the group more briefly."""
+        return self.to_json()
+
 
 class TableGroup(FiniteGroup):
+    """A group stored as its Cayley table: row a holds a b for b = 0..n-1.
+    `translate` reads g x off row g and g x h off row g x, by indexing
+    alone, with no call per product."""
+
     def __init__(self, table: list[list[int]], name: str = "G"):
         n = len(table)
         if any(len(row) != n for row in table):
             raise MalformedInput("multiplication table must be square")
-        if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
-            raise MalformedInput("table entries must be indices 0..n-1")
-        self.table = rows = tuple(tuple(row) for row in table)
+        indices = range(n)
+        members = frozenset(indices)
+        ints = {int}
+        for row in table:
+            # one pass over the entry types and one over the entries per
+            # row; a row with another type than int names its first
+            # offending entry
+            if not ints.issuperset(map(type, row)):
+                for v in row:
+                    json_int(v, "table entry")
+            if not members.issuperset(row):
+                raise MalformedInput("table entries must be indices 0..n-1")
+        self.table = rows = tuple(map(tuple, table))
         self.order = n
         self.name = name
         ident = None
-        indices = tuple(range(n))
-        for e in range(n):
+        indices = tuple(indices)
+        for e in indices:
             if rows[e] == indices and all(row[e] == a for a, row in enumerate(rows)):
                 ident = e
                 break
         if ident is None:
             raise MalformedInput("table has no two-sided identity")
         self.identity = ident
-        self._inv = [-1] * n
-        for a, row in enumerate(rows):
-            # the first right inverse; in a group it is the only one, and
-            # two-sided.  Otherwise scan for the first two-sided one
-            b = row.index(ident) if ident in row else -1
+        # the first right inverse of each element, one C-level scan of its
+        # row; in a group it is the only one, and two-sided.  Otherwise
+        # scan for the first two-sided one
+        try:
+            inv = [row.index(ident) for row in rows]
+        except ValueError:
+            inv = [row.index(ident) if ident in row else -1 for row in rows]
+        for a, b in enumerate(inv):
             if b < 0 or rows[b][a] != ident:
+                row = rows[a]
                 b = next((b for b in range(n) if row[b] == ident and rows[b][a] == ident), -1)
-            if b < 0:
-                raise MalformedInput(f"element {a} has no two-sided inverse")
-            self._inv[a] = b
+                if b < 0:
+                    raise MalformedInput(f"element {a} has no two-sided inverse")
+                inv[a] = b
+        self._inv = inv
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -136,11 +173,25 @@ class TableGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return self._inv[a]
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self.table
+    def translate(self, g: int, xs: Sequence[int], h: int | None = None) -> list[int]:
+        rows = self.table
+        row = rows[g]
+        if h is None:
+            return [row[x] for x in xs]
+        return [rows[row[x]][h] for x in xs]
+
+    def check_axioms(self) -> None:
+        """Associativity alone: `__init__` has found a two-sided identity
+        and a two-sided inverse of every element."""
+        self._check_associative(self.table)
 
     def to_json(self) -> dict:
         return {"kind": "table", "n": self.order, "mul": [list(r) for r in self.table]}
+
+    def witness_json(self) -> dict:
+        """The order alone: a report names the table's file in its command,
+        and a copy of the |G|^2 entries would be most of its bytes."""
+        return {"kind": "table", "n": self.order}
 
 
 class QdpGroup(FiniteGroup):
@@ -256,12 +307,6 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
         if "n" in obj and json_int(obj["n"], "table group 'n'") != len(mul):
             raise MalformedInput(f"table group 'n' is {obj['n']}, but 'mul' has "
                                  f"{len(mul)} rows")
-        for row in mul:
-            # one pass over the entry types per row; a row with another
-            # type than int names its first offending entry
-            if not set(map(type, row)) <= {int}:
-                for v in row:
-                    json_int(v, "table entry")
         group = TableGroup(mul)
         group.check_axioms()
         return group
@@ -274,17 +319,20 @@ def group_from_json(obj: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
 class Subgroup:
     """Sorted members of a subgroup, never mutated; its member set and a
     generating set are found on first use and kept (`member_set`,
-    `generators`), so the pair scans of a lattice build neither per pair."""
+    `generators`), so the pair scans of a lattice build neither per pair.
+    A subgroup that `subgroups_of_p_group` lists also has `maximal`, its
+    subgroups of index p in that list, and `conjugates`, the sorted members
+    of its conjugates in that p-group; elsewhere both are None."""
 
     def __init__(self, group: FiniteGroup, members: tuple[int, ...]):
         self.group = group
         self.members = tuple(sorted(members))
+        self.order = len(self.members)
+        self.maximal: tuple[Subgroup, ...] | None = None
+        self.conjugates: list[tuple[int, ...]] | None = None
         self._member_set: frozenset[int] | None = None
         self._generators: list[tuple[int, int]] | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
+        self._cyclic_quotients: list[tuple[Subgroup, Subgroup | None]] | None = None
 
     @property
     def member_set(self) -> frozenset[int]:
@@ -298,6 +346,60 @@ class Subgroup:
             G = self.group
             self._generators = [(g, G.inv(g)) for g in greedy_generators(G, self.members)[0]]
         return self._generators
+
+    def cyclic_quotients(self) -> list[tuple[Subgroup, Subgroup | None]]:
+        """Every K normal in this p-group H with H/K cyclic, as (K, K'),
+        K'/K the subgroup of order p of H/K (None for K = H), in lattice
+        order (by |K|, then members).  Found once, from the `maximal` links,
+        so H must come from `subgroups_of_p_group`.
+
+        H/K is abelian, so K contains the derived subgroup D (and then is
+        normal).  A p-group is cyclic iff it has one maximal subgroup, and
+        those of H/K are the M/K with K <= M maximal in H: the M that
+        contain K F, F the intersection of all maximal M (the Frattini
+        subgroup), as H/KF is elementary abelian.  So K qualifies iff
+        D <= K and K F is one maximal M, that is |K| = |M : F| |K n F|.
+        Both conditions pass from a subgroup to no smaller one once they
+        fail, so the search descends from each M along `maximal` through
+        qualifying K alone; it reaches K from K', the one subgroup of H/K of
+        order p, as every qualifying subgroup between K and H is of that
+        chain."""
+        if self._cyclic_quotients is None:
+            if self.maximal is None:
+                raise QdpError(f"subgroup {self.members} has no recorded maximal subgroups")
+            out: list[tuple[Subgroup, Subgroup | None]] = [(self, None)]
+            if self.maximal:
+                frattini = frozenset.intersection(*[M.member_set for M in self.maximal])
+                index = self.maximal[0].order // len(frattini)
+                derived = self.derived_subgroup()
+                seen = set()
+                stack = [(M, self) for M in self.maximal]
+                while stack:
+                    K, above = stack.pop()
+                    out.append((K, above))
+                    for L in K.maximal:
+                        lset = L.member_set
+                        if L.members not in seen and derived <= lset \
+                                and L.order == index * len(lset & frattini):
+                            seen.add(L.members)
+                            stack.append((L, K))
+            self._cyclic_quotients = sorted(out, key=lambda q: (q[0].order, q[0].members))
+        return self._cyclic_quotients
+
+    def derived_subgroup(self) -> frozenset[int]:
+        """The members of [H, H]: the normal closure of the commutators
+        [a, b] = (b a)^-1 a b of the generators, grown until the generators
+        of H conjugate it into itself (one `translate` each)."""
+        G = self.group
+        gens = self.generators()
+        commutators = [G.mul(G.inv(G.mul(b, a)), G.mul(a, b)) for a, _ in gens for b, _ in gens]
+        members = greedy_generators(G, commutators)[1]
+        while True:
+            listed = list(members)
+            outside = [y for g, gi in gens for y in G.translate(g, listed, gi) if y not in members]
+            if not outside:
+                return frozenset(members)
+            members = greedy_generators(G, listed + outside)[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and self.members == other.members
@@ -355,8 +457,15 @@ def greedy_generators(G: FiniteGroup,
 
 def generating_set(G: FiniteGroup) -> list[int]:
     """Small deterministic generating set: greedy over the elements in
-    index order."""
-    return greedy_generators(G, G.elements())[0]
+    index order, then each kept element dropped, in order, when the others
+    still generate G.  Light's test and the conjugation orbits make one
+    pass over G per generator, so one fewer is a pass less each."""
+    gens = greedy_generators(G, G.elements())[0]
+    for g in list(gens):
+        others = [x for x in gens if x != g]
+        if len(greedy_generators(G, others)[1]) == G.order:
+            gens = others
+    return gens
 
 
 def qdp_generators(G: QdpGroup) -> tuple[list[int], bool]:
@@ -471,41 +580,68 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
     In a p-group every proper subgroup H sits inside some K with H normal
     of index p in K, so upward BFS by such extensions reaches everything.
     K = <H, g> keeps the generators of H plus g, which is all a normalizer
-    test against K needs.
+    test against K needs.  Each H meets every such K, as every g in K
+    outside H extends H to K; and a subgroup of index p in a p-group is
+    normal, so those pairs are the index-p pairs, kept as `maximal`.
+
+    The extensions of H lie in its normalizer N, of order |P| over the
+    size of H's conjugacy orbit in P (orbit-stabilizer), so the scan for
+    them stops once the cosets of H it has met in N fill N.  Each orbit is
+    kept as its members' `conjugates`.
     """
     G = P.group
-    mul = G.mul
+    mul, translate = G.mul, G.translate
     n = P.order
     if n == 1:
+        P.maximal, P.conjugates = (), [P.members]
         return [P]
     p = _unique_prime(n)
     # g^p depends on g alone, so it is computed once per member
     triples = [(g, G.inv(g), G.power(g, p)) for g in P.members]
+    pgens = P.generators()
+    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     start = (G.identity,)
-    seen = {start}
+    below: dict[tuple[int, ...], list[tuple[int, ...]]] = {start: []}
     frontier = [(start, [])]
     while frontier:
         h, hgens = frontier.pop()
+        if h not in orbits:
+            orbit = _orbit(G, h, pgens)
+            orbits.update((t, orbit) for t in orbit)
+        normalizer = n // len(orbits[h])
         hset = set(h)
-        covered = set(h)  # members of the extensions of h found so far
+        covered = set(h)  # the cosets g h in N met so far
         for g, gi, gp in triples:
-            if g in covered or gp not in hset:
+            if len(covered) == normalizer:
+                break
+            if g in covered:
                 continue
+            # h has few generators, and most g fail on the first: one
+            # product at a time costs less here than a `translate` call
             for x in hgens:
                 if mul(mul(g, x), gi) not in hset:
                     break
-            else:  # g normalizes h
+            else:
+                if gp not in hset:  # g h has order above p in N/h
+                    covered.update(translate(g, h))
+                    continue
+                # <h, g> is h and its p - 1 cosets g^i h
                 cosets = set(h)
                 x = g
                 for _ in range(p - 1):
-                    cosets.update([mul(x, y) for y in h])
+                    cosets.update(translate(x, h))
                     x = mul(x, g)
                 covered |= cosets
                 key = tuple(sorted(cosets))
-                if key not in seen:
-                    seen.add(key)
+                if key not in below:
+                    below[key] = []
                     frontier.append((key, hgens + [g]))
-    return [Subgroup(G, k) for k in sorted(seen, key=lambda t: (len(t), t))]
+                below[key].append(h)
+    subgroups = {k: Subgroup(G, k) for k in below}
+    for k, S in subgroups.items():
+        S.maximal = tuple(subgroups[h] for h in below[k])
+        S.conjugates = orbits[k]
+    return [subgroups[k] for k in sorted(below, key=lambda t: (len(t), t))]
 
 
 def _unique_prime(n: int) -> int:
@@ -567,18 +703,24 @@ class PSubgroupClasses:
 
 
 def conjugacy_orbit(G: FiniteGroup, S: Subgroup, gens: list[int]) -> list[Subgroup]:
-    mul = G.mul
-    pairs = [(g, G.inv(g)) for g in gens]
-    seen = {S.members}
-    frontier = [S.members]
+    return [Subgroup(G, t) for t in _orbit(G, S.members, [(g, G.inv(g)) for g in gens])]
+
+
+def _orbit(G: FiniteGroup, members: tuple[int, ...],
+           pairs: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The member tuples of the conjugates of `members` under the group
+    that the g of the (g, g^-1) `pairs` generate, sorted."""
+    translate = G.translate
+    seen = {members}
+    frontier = [members]
     while frontier:
         t = frontier.pop()
         for g, gi in pairs:
-            u = tuple(sorted([mul(mul(g, x), gi) for x in t]))
+            u = tuple(sorted(translate(g, t, gi)))
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
-    return [Subgroup(G, t) for t in sorted(seen)]
+    return sorted(seen)
 
 
 def p_subgroups(G: FiniteGroup, p: int,
@@ -587,13 +729,23 @@ def p_subgroups(G: FiniteGroup, p: int,
         raise QdpError(f"|G| = {G.order} exceeds the guard {max_order}")
     P = sylow_p_subgroup(G, p)
     subs = tuple(subgroups_of_p_group(P))
-    gens = generating_set(G)
+    if P.order == G.order:
+        # G is the p-group P, whose orbits subgroups_of_p_group has found
+        listed = {S.members: S for S in subs}
+
+        def orbit_of(S: Subgroup) -> list[Subgroup]:
+            return [listed[t] for t in S.conjugates]
+    else:
+        gens = generating_set(G)
+
+        def orbit_of(S: Subgroup) -> list[Subgroup]:
+            return conjugacy_orbit(G, S, gens)
     classes: list[tuple[Subgroup, ...]] = []
     assigned: dict[tuple[int, ...], int] = {}
     for S in subs:
         if S.members in assigned:
             continue
-        orbit = conjugacy_orbit(G, S, gens)
+        orbit = orbit_of(S)
         ci = len(classes)
         classes.append(tuple(orbit))
         for T in orbit:
@@ -613,29 +765,33 @@ def p_subgroups(G: FiniteGroup, p: int,
 # normality
 
 def is_normal_in(H: Subgroup, K: Subgroup) -> bool:
-    """Whether every k in K has k H k^-1 = H.  Conjugation by k is an
-    automorphism, so k H k^-1 is generated by the conjugates of the
-    generators of H and has |H| members; it equals H once those conjugates
-    lie in H.  The k that normalize H form a group, so the generators of K
-    suffice.  Both generating sets are the subgroups' kept ones."""
-    mul = H.group.mul
-    hset = H.member_set
-    hgens = H.generators()
-    for k, ki in K.generators():
-        for h, _ in hgens:
-            if mul(mul(k, h), ki) not in hset:
-                return False
-    return True
+    """Whether every k in K has k H k^-1 = H, that is k H k^-1 <= H, as
+    conjugation by k is one-to-one.  The k that normalize H form a group,
+    so the generators K keeps (Subgroup.generators) suffice, and each
+    conjugates all of H in one `translate`."""
+    translate = H.group.translate
+    hset, members = H.member_set, H.members
+    return all(hset.issuperset(translate(k, members, ki)) for k, ki in K.generators())
 
 
 def element_conjugacy_classes(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Sorted conjugacy classes, ordered by their least element."""
-    gens = generating_set(G)
-    seen: set[int] = set()
+    """Sorted conjugacy classes, ordered by their least element: the orbits
+    of conjugation by a generating set, each generator's action on G taken
+    once, as a list indexed by the element (one `translate` of G)."""
+    everything = G.elements()
+    actions = [G.translate(g, everything, G.inv(g)) for g in generating_set(G)]
+    seen = [False] * G.order
     classes = []
-    for a in G.elements():
-        if a not in seen:
-            orbit = conjugacy_orbit(G, Subgroup(G, (a,)), gens)
-            classes.append(tuple(T.members[0] for T in orbit))
-            seen.update(classes[-1])
+    for a in everything:
+        if seen[a]:
+            continue
+        seen[a] = True
+        orbit = [a]
+        for x in orbit:  # grows while it is read
+            for action in actions:
+                y = action[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        classes.append(tuple(sorted(orbit)))
     return classes

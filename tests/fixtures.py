@@ -370,7 +370,7 @@ def reference_characters(G: FiniteGroup, subgroups=None) -> list[ReferenceCharac
     subgroups = subgroups or subgroups_of_p_group(whole_group(G))
     table = {}
     for H in sorted(subgroups, key=lambda S: -S.order):
-        for lam in linear_characters(H, subgroups):
+        for lam in linear_characters(H):
             exponents = linear_exponents(H, lam)
             m = lam.modulus
             for j in range(m):

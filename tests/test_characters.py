@@ -297,7 +297,7 @@ def test_kernels_match_the_object_level_oracle(G):
     classes = ElementClasses(G)
     subs = subgroups_of_p_group(whole_group(G))
     for H in subs:
-        for lam in linear_characters(H, subs):
+        for lam in linear_characters(H):
             m = lam.modulus
             values = object_induced_values(H, linear_exponents(H, lam), m, classes, m)
             assert induced_values(lam, classes) == galois_trace(values)
@@ -363,8 +363,8 @@ def test_linear_characters_of_cyclic_are_roots_of_unity():
     # Z/3 has two classes of linear characters, the trivial one and the
     # faithful pair, and the three characters take cube roots of unity
     G = cyclic(3)
-    subs = subgroups_of_p_group(whole_group(G))
-    assert sorted(lam.modulus for lam in linear_characters(whole_group(G), subs)) == [1, 3]
+    whole = subgroups_of_p_group(whole_group(G))[-1]
+    assert sorted(lam.modulus for lam in linear_characters(whole)) == [1, 3]
     chars = reference_characters(G)
     assert len({c.values for c in chars}) == 3
     for c in chars:
@@ -383,7 +383,7 @@ def test_linear_characters_are_the_homomorphisms_to_roots_of_unity(G):
     # closure of the commutators of two generators
     subs = subgroups_of_p_group(whole_group(G))
     for H in subs:
-        classes = linear_characters(H, subs)
+        classes = linear_characters(H)
         values = set()
         for lam in classes:
             exps, m = linear_exponents(H, lam), lam.modulus
@@ -399,6 +399,22 @@ def test_linear_characters_are_the_homomorphisms_to_roots_of_unity(G):
         assert len(values) == sum(lam.modulus - lam.modulus // _unique_prime(lam.modulus)
                                   if lam.modulus > 1 else 1 for lam in classes)
         assert len(values) == H.order // all_pairs_derived_subgroup(H).order
+
+
+@pytest.mark.parametrize("G", [heisenberg(3), wreath_3_3(), generalized_quaternion(16),
+                               direct_product(dihedral(4), dihedral(4))],
+                         ids=lambda G: G.name)
+def test_derived_subgroup_is_generated_by_all_commutators(G):
+    # the normal closure of the generators' commutators is [H, H]
+    for H in subgroups_of_p_group(whole_group(G)):
+        assert H.derived_subgroup() == all_pairs_derived_subgroup(H).member_set, H.members
+
+
+def test_linear_characters_need_the_lattice_links():
+    # a subgroup built outside subgroups_of_p_group has no maximal links
+    G = heisenberg(3)
+    with pytest.raises(QdpError, match=r"^subgroup \(0, .*\) has no recorded maximal subgroups$"):
+        linear_characters(whole_group(G))
 
 
 def test_fixed_dimension_regular_character():
@@ -618,7 +634,7 @@ def test_mackey_rejects_the_center_of_q8():
     classes = ElementClasses(G)
     subs = subgroups_of_p_group(whole_group(G))
     (Z,) = [S for S in subs if S.order == 2]
-    (lam,) = [lam for lam in linear_characters(Z, subs) if lam.modulus == 2]
+    (lam,) = [lam for lam in linear_characters(Z) if lam.modulus == 2]
     values = induced_values(lam, classes)
     (two,) = [t for t in irreducible_characters(G) if t.degree == 2]
     assert primitive(values) == primitive(two.values)

@@ -28,10 +28,10 @@ from qdp.cli import (
     main,
 )
 from qdp.errors import MalformedInput
-from qdp.groups import TableGroup, construct_qdp, p_subgroups
+from qdp.groups import TableGroup, construct_qdp, group_from_json, p_subgroups
 from qdp.reports import canonical_json, json_dumps
 from qdp.steenrod import GradedElement
-from fixtures import heisenberg, modular_p3
+from fixtures import elementary_abelian, modular_p3
 
 
 def run(capsys, *argv):
@@ -378,12 +378,14 @@ def test_theorem_b_outside_route_two_is_pinned(capsys, argv):
 
 # sha256 of the canonical JSON of the other subcommands.  Each runs in the
 # directory of its input files, so that the argv the report records names
-# them the same way wherever the package is installed
+# them the same way wherever the package is installed.  The borel-smith
+# pins were retaken when its witness came to name a table group by its
+# order (BOREL_SMITH_TABLE_SHA256 keeps the ones before)
 SUBCOMMAND_SHA256 = {
     ("borel-smith", "--group", "group_e9.json", "--tau", "tau_regular_e9.json"):
-        "fb97966160f45f02edc0ca616424dd891aa51f14b767f6e81c29507e7d178b45",
+        "d04d7fdad6a82400be913a6bf738fdb9f4ba7e02dbe4c825aae4f8a3b49e5c3b",
     ("borel-smith", "--group", "group_e9.json", "--tau", "tau_violating_e9.json"):
-        "d675e41f5e7567fc864662176acdfe8f865d3233430827639f72e2a8079eccfb",
+        "d928451fa354ab6218dd269415516e1ad6e65846e026cbef3d55b6b696d55072",
     ("realize", "--group", "group_e9.json", "--tau", "tau_regular_e9.json"):
         "26b6354cea5ff3fdb2386cc4cb250cc6edbf90b1da0696efe3ceb2029140a63b",
     ("fix-rank", "--model", "model_lens_p3.json"):
@@ -407,6 +409,47 @@ def test_subcommand_reports_are_pinned(capsys, monkeypatch, argv):
     _, report = run_json(capsys, *argv)  # the status is part of the digest
     digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
     assert digest == SUBCOMMAND_SHA256[argv]
+
+
+# the borel-smith pins while its witness copied the group's table
+BOREL_SMITH_TABLE_SHA256 = {
+    ("borel-smith", "--group", "group_e9.json", "--tau", "tau_regular_e9.json"):
+        "fb97966160f45f02edc0ca616424dd891aa51f14b767f6e81c29507e7d178b45",
+    ("borel-smith", "--group", "group_e9.json", "--tau", "tau_violating_e9.json"):
+        "d675e41f5e7567fc864662176acdfe8f865d3233430827639f72e2a8079eccfb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BOREL_SMITH_TABLE_SHA256), ids=" ".join)
+def test_borel_smith_witness_names_the_table_by_its_order(capsys, monkeypatch, argv):
+    # with the table put back, the report is the one pinned before: nothing
+    # but witness.group moved
+    monkeypatch.chdir(data_path(""))
+    _, report = run_json(capsys, *argv)
+    assert report["witness"]["group"] == {"kind": "table", "n": 9}
+    report["witness"]["group"] = group_from_json(
+        json.loads(Path(argv[2]).read_text())).to_json()
+    digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
+    assert digest == BOREL_SMITH_TABLE_SHA256[argv]
+
+
+def test_borel_smith_report_does_not_grow_with_the_table(tmp_path, capsys, monkeypatch):
+    # E(3^3) has 729 table entries and 28 subgroups: the report names the
+    # group by its order and holds no product of the table
+    G = elementary_abelian(3, 3)
+    lat = p_subgroups(G, 3)
+    (tmp_path / "group.json").write_text(json.dumps(G.to_json()))
+    (tmp_path / "tau.json").write_text(json.dumps({"p": 3, "values": [
+        {"class_rep": list(cls[0].members), "value": G.order // cls[0].order}
+        for cls in lat.classes]}))
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "borel-smith", "--group", "group.json", "--tau", "tau.json",
+                    "--format", "json")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["witness"] == {"group": {"kind": "table", "n": 27}, "monotone": True,
+                                 "violations": []}
+    assert '"mul"' not in out and len(out) < 600
 
 
 @pytest.mark.parametrize("argv", sorted(CANONICAL_SHA256) + sorted(SUBCOMMAND_SHA256),
@@ -1241,15 +1284,17 @@ def test_process_entry_runs_atexit_and_exits_with_mains_code(argv, code, unbuffe
     assert proc.stdout.splitlines() == ([qdp.__version__] if code == EXIT_OK else []) + ["atexit"]
 
 
-def _borel_smith_h125(directory: Path) -> list[str]:
-    """borel-smith on H(5) with the regular representation's function: a
-    report of some 65 KB, eight times the stdout buffer and about what a
-    pipe holds."""
-    G = heisenberg(5)
-    lat = p_subgroups(G, 5)
+def _large_borel_smith_report(directory: Path) -> list[str]:
+    """borel-smith on E(3^4) with tau(H) = 4 - rank(H): each of its 1900
+    pairs of index 3 or 9 violates (ii) or (i) and lists both subgroups'
+    members, a refutation of some 320 KB, forty times the stdout buffer
+    and five times what a pipe holds."""
+    G = elementary_abelian(3, 4)
+    lat = p_subgroups(G, 3)
+    rank = {1: 0, 3: 1, 9: 2, 27: 3, 81: 4}
     (directory / "group.json").write_text(json.dumps(G.to_json()))
-    (directory / "tau.json").write_text(json.dumps({"p": 5, "values": [
-        {"class_rep": list(cls[0].members), "value": G.order // cls[0].order}
+    (directory / "tau.json").write_text(json.dumps({"p": 3, "values": [
+        {"class_rep": list(cls[0].members), "value": 4 - rank[cls[0].order]}
         for cls in lat.classes]}))
     return ["borel-smith", "--group", str(directory / "group.json"),
             "--tau", str(directory / "tau.json"), "--format", "json"]
@@ -1257,12 +1302,12 @@ def _borel_smith_h125(directory: Path) -> list[str]:
 
 @UNBUFFERED
 def test_process_entry_writes_a_large_report_whole(tmp_path, capsys, unbuffered):
-    argv = _borel_smith_h125(tmp_path)
+    argv = _large_borel_smith_report(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "qdp.cli", *argv], capture_output=True,
                           text=True, env=_entry_env(unbuffered), timeout=120)
     code, out = run(capsys, *argv)
-    assert proc.returncode == code == EXIT_OK and proc.stderr == ""
-    assert len(proc.stdout) > 60_000
+    assert proc.returncode == code == EXIT_REFUTED and proc.stderr == ""
+    assert len(proc.stdout) > 300_000
     assert canonical_json(json.loads(proc.stdout)) == canonical_json(json.loads(out))
 
 
@@ -1298,7 +1343,7 @@ def test_process_entry_that_cannot_write_exits_2(tmp_path, sink, output, unbuffe
     # PYTHONUNBUFFERED is set, when it fails in main's print; a large one
     # overflows the buffer and fails in main's print either way
     argv = {"report": PROP_ZETA, "version": ["--version"]}.get(output) \
-        or _borel_smith_h125(tmp_path)
+        or _large_borel_smith_report(tmp_path)
     fd, reason = _stdout_to(sink)
     try:
         proc = subprocess.run([sys.executable, "-m", "qdp.cli", *argv], stdout=fd,

@@ -8,8 +8,10 @@ import pytest
 from qdp.dimfun import generation_by_order_p
 from qdp.errors import MalformedInput, QdpError
 from qdp.groups import (
+    FiniteGroup,
     Subgroup,
     TableGroup,
+    conjugacy_orbit,
     conjugate_subgroup,
     construct_qdp,
     generating_set,
@@ -39,6 +41,7 @@ from fixtures import (
     heisenberg,
     modular_p3,
     quotient_group,
+    relabelled,
 )
 from test_dimfun import reference_pairs
 
@@ -496,6 +499,52 @@ def test_lattice_of_p_groups_against_brute_force():
                  (generalized_quaternion(16), 2), (dihedral(8), 2)):
         ours = {S.members for S in subgroups_of_p_group(whole_group(G))}
         assert ours == brute_force_p_subgroups(G, p), G.name
+
+
+@pytest.mark.parametrize("G", [heisenberg(3), modular_p3(3), generalized_quaternion(16),
+                               dihedral(8), direct_product(dihedral(4), cyclic(2))],
+                         ids=lambda G: G.name)
+def test_lattice_keeps_every_index_p_pair(G):
+    # `maximal` holds exactly the listed subgroups of index p, each as the
+    # listed object
+    subs = subgroups_of_p_group(whole_group(G))
+    p = min(q for q in (2, 3) if G.order % q == 0)
+    listed = {id(S) for S in subs}
+    for S in subs:
+        want = {T.members for T in subs
+                if T.order * p == S.order and T.member_set <= S.member_set}
+        assert {T.members for T in S.maximal} == want and len(S.maximal) == len(want)
+        assert all(id(T) in listed for T in S.maximal)
+
+
+@pytest.mark.parametrize("G", [heisenberg(3), modular_p3(3), generalized_quaternion(16),
+                               direct_product(dihedral(4), cyclic(2))],
+                         ids=lambda G: G.name)
+def test_lattice_keeps_each_conjugacy_orbit(G):
+    # `conjugates` is the sorted orbit under the group's own generating set,
+    # which p_subgroups takes as the class when G is the p-group
+    subs = subgroups_of_p_group(whole_group(G))
+    gens = generating_set(G)
+    for S in subs:
+        assert S.conjugates == [T.members for T in conjugacy_orbit(G, S, gens)]
+
+
+@pytest.mark.parametrize("G", [elementary_abelian(3, 2), heisenberg(3), modular_p3(3),
+                               elementary_abelian(5, 2)], ids=lambda G: G.name)
+def test_row_kernel_agrees_with_products(G):
+    # TableGroup gathers translates and conjugates from its rows; on a
+    # relabelled table they are the products the generic kernel forms
+    copy, _ = relabelled(G, G.name)
+    rng = random.Random(G.name)
+    for _ in range(60):
+        g, h = rng.randrange(copy.order), rng.randrange(copy.order)
+        xs = [rng.randrange(copy.order) for _ in range(rng.randrange(2 * copy.order))]
+        gi = copy.inv(g)
+        assert copy.translate(g, xs) == FiniteGroup.translate(copy, g, xs) == \
+            [copy.mul(g, x) for x in xs]
+        assert copy.translate(g, xs, gi) == FiniteGroup.translate(copy, g, xs, gi) == \
+            [copy.mul(copy.mul(g, x), gi) for x in xs]
+        assert copy.translate(g, xs, h) == FiniteGroup.translate(copy, g, xs, h)
 
 
 @pytest.mark.parametrize("order, p, message", [

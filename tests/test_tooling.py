@@ -405,13 +405,17 @@ def test_runtime_parses_as_the_least_python():
         ast.parse(later, feature_version=(3, 10))
 
 
-def _bench_record():
+def _tool(name: str):
     import importlib.util
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
-    spec = importlib.util.spec_from_file_location("bench_record", path)
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_record():
+    return _tool("bench_record")
 
 
 def test_bench_record_diff_reports_each_metric():
@@ -430,3 +434,34 @@ def test_bench_record_diff_reports_each_metric():
     lines = _bench_record().diff(record("aa", 0.0, 1.0), record("bb", 0.5, 1.0))
     assert lines[1] == "zeta    canonical_sha256 aa -> bb"
     assert lines[2].endswith("     n/a")
+
+
+def test_ab_statistics_on_canned_pairs():
+    # ten (parent, change) pairs of a lower-is-better metric: the change
+    # wins seven, ties one and loses two
+    pairs = [(10.0, 9.0), (12.0, 11.0), (11.0, 11.0), (13.0, 12.5), (10.5, 9.5),
+             (14.0, 15.0), (12.5, 11.0), (11.5, 12.0), (13.5, 12.0), (12.0, 10.0)]
+    s = _tool("ab").summarize(pairs, "lower")
+    assert s["parent"] == (11.125, 12.0, 12.875)
+    assert s["change"] == (10.25, 11.0, 12.0)
+    assert (s["wins"], s["losses"], s["pairs"]) == (7, 2, 10)
+    assert s["gap"] == -1.0 and s["parent_iqr"] == 1.75 and s["resolved"] is False
+    # read as higher-is-better, wins and losses swap, and a gap wider than
+    # the IQR in the right direction resolves
+    s = _tool("ab").summarize(pairs, "higher")
+    assert (s["wins"], s["losses"]) == (2, 7) and s["resolved"] is False
+    s = _tool("ab").summarize([(p, p - 3) for p, _ in pairs], "lower")
+    assert s["wins"] == 10 and s["gap"] == -3.0 and s["resolved"] is True
+
+
+def test_ab_report_lists_every_pair():
+    runs = [({"failed": 0, "metrics": {"cert_tail_s": {"value": 0.07}}},
+             {"failed": 0, "metrics": {"cert_tail_s": {"value": 0.065}}}, "parent"),
+            ({"failed": 0, "metrics": {"cert_tail_s": {"value": 0.071}}},
+             {"failed": 1, "metrics": {"cert_tail_s": {"value": 0.066}}}, "change")]
+    lines = _tool("ab").report(7, [{"name": "cert_tail_s", "better": "lower"}], runs)
+    assert lines[0].startswith("seed 7: 2 pairs")
+    assert "wins 2/2 (losses 0)" in lines[1] and "gap -0.005 vs parent IQR 0.0005: wider" in lines[1]
+    assert lines[2] == "  pair  1 (parent first) parent/change: cert_tail_s 0.07/0.065"
+    assert lines[3] == ("  pair  2 (change first) parent/change: cert_tail_s 0.071/0.066"
+                        "  failed 0/1")
