@@ -194,15 +194,9 @@ def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
 
 def is_monotone(tau: SuperClassFunction) -> tuple[bool, tuple | None]:
     """tau(K) <= tau(H) whenever H <= K, decided inside the Sylow lattice (every
-    such pair is conjugate into it); returns a violating pair if any, the
-    first with K, then H, in lattice order.  In a p-group H <= K are joined
-    by a chain of subgroups each maximal in the next, so the `maximal`
-    links decide it; the pairs are searched only when a link fails."""
+    such pair is conjugate into it); returns a violating pair if any."""
     subs = tau.lattice.sylow_subgroups
     values = [tau.value_of(S) for S in subs]
-    value = dict(zip([S.members for S in subs], values))
-    if all(value[M.members] >= tk for K, tk in zip(subs, values) for M in K.maximal):
-        return True, None
     for K, tk in zip(subs, values):
         for H, th in zip(subs, values):
             if th < tk and H.member_set <= K.member_set:

@@ -457,15 +457,8 @@ def greedy_generators(G: FiniteGroup,
 
 def generating_set(G: FiniteGroup) -> list[int]:
     """Small deterministic generating set: greedy over the elements in
-    index order, then each kept element dropped, in order, when the others
-    still generate G.  Light's test and the conjugation orbits make one
-    pass over G per generator, so one fewer is a pass less each."""
-    gens = greedy_generators(G, G.elements())[0]
-    for g in list(gens):
-        others = [x for x in gens if x != g]
-        if len(greedy_generators(G, others)[1]) == G.order:
-            gens = others
-    return gens
+    index order."""
+    return greedy_generators(G, G.elements())[0]
 
 
 def qdp_generators(G: QdpGroup) -> tuple[list[int], bool]:

@@ -37,7 +37,10 @@ def export(treeish: str, directory: Path) -> None:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", treeish],
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(directory, filter="data")
+        try:
+            archive.extractall(directory, filter="data")
+        except TypeError:  # Python before 3.10.12 / 3.11.4: no extraction filters
+            archive.extractall(directory)
 
 
 def run_benchmark(command: list[str], directory: Path, workload: str, seed: int,
