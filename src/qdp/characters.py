@@ -47,6 +47,7 @@ class ElementClasses:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.classes = tuple(tuple(c) for c in element_conjugacy_classes(group))
+        self.centralizer_orders = tuple(group.order // len(c) for c in self.classes)
         class_of = [0] * group.order
         for ci, cls in enumerate(self.classes):
             for a in cls:
@@ -123,13 +124,16 @@ class GaloisTrace:
 
 
 def _permutation_character(K: Subgroup, classes: ElementClasses) -> list[int]:
-    """pi_{P/K} at each class C: |C_P(g)| |C n K| / |K| = |P| |C n K| / (|C| |K|)."""
-    n = classes.group.order
-    out = [divmod(n * a, len(cls) * K.order)
-           for cls, a in zip(classes.classes, classes.count_in(K))]
-    if any(rest for _, rest in out):
-        raise QdpError(f"a permutation character of |P| = {n} takes a fraction")
-    return [value for value, _ in out]
+    """pi_{P/K} at each class C: |C_P(g)| |C n K| / |K|.  The quotients are
+    floored from nonnegative numbers, so all are exact iff they sum to the
+    sum of the numerators over |K|."""
+    k = K.order
+    scaled = list(map(mul, classes.centralizer_orders, classes.count_in(K)))
+    out = [v // k for v in scaled]
+    if sum(out) * k != sum(scaled):
+        raise QdpError(f"a permutation character of |P| = {classes.group.order} "
+                       "takes a fraction")
+    return out
 
 
 def induced_values(lam: LinearCharacter, classes: ElementClasses) -> tuple[int, ...]:
