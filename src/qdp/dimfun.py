@@ -136,47 +136,33 @@ def check_borel_smith(tau: SuperClassFunction) -> BorelSmithReport:
     involution is cyclic or generalized quaternion, and it is cyclic iff
     it has a single subgroup of index 2.
 
-    Only the pairs of index p and p^2 carry a condition when p is odd, and
-    none of index 2 when p = 2, so H is drawn from the lattice subgroups of
-    those orders alone.  Normality is read off the lattice where it can be:
-    - a subgroup of index p in a p-group is normal;
-    - if H of index p^2 in K is not normal, its normalizer in K, of index
-      p, holds every subgroup in which H has index p, so one lies between.
-      p+1 of them therefore make H normal and K/H elementary abelian.
-    So only a pair with one subgroup of index p between at p = 2 is tested,
-    by `is_normal_in`.
+    Normality is `is_normal_in`, on generators each lattice subgroup finds
+    once (Subgroup.generators), not once per pair.  A subgroup of index p
+    in a p-group is normal, so pairs of index p are not tested.
     """
     lat = tau.lattice
     p = lat.prime
-    # (subgroup, member set, order, tau value) of each lattice subgroup, and
-    # those of each order; both keep the lattice order
+    # (subgroup, member set, order, tau value) of each lattice subgroup
     nodes = [(S, S.member_set, S.order, tau.value_of(S)) for S in lat.sylow_subgroups]
-    by_order: dict[int, list[tuple]] = {}
-    for node in nodes:
-        by_order.setdefault(node[2], []).append(node)
     violations: list[Violation] = []
     for K, kset, k_order, tk in nodes:
-        if p > 2:
-            orders = [q for q in (k_order // (p * p), k_order // p) if q in by_order]
-        else:
-            orders = [q for q in by_order if 4 * q <= k_order]
-        for H, hset, h_order, th in (node for q in orders for node in by_order[q]):
-            if not hset < kset:
+        for H, hset, h_order, th in nodes:
+            index = k_order // h_order
+            if (p > 2 and index not in (p, p * p)) or not hset < kset \
+                    or (index != p and not is_normal_in(H, K)):
                 continue
             d = th - tk
-            if p * h_order == k_order:  # p odd
-                if d % 2:
+            if index == p:
+                if p > 2 and d % 2:
                     violations.append(Violation("ii", (H, K), d, 0))
                 continue
-            between = [node for q, group in by_order.items() if h_order < q < k_order
-                       for node in group if hset < node[1] < kset]
+            between = [node for node in nodes if hset < node[1] < kset]
             lines = [node for node in between if node[2] == p * h_order]
-            index = k_order // h_order
             if index == p * p and len(lines) == p + 1:
                 rhs = sum(node[3] - tk for node in lines)
                 if d != rhs:
                     violations.append(Violation("i", (H, K), d, rhs))
-            elif p == 2 and len(lines) == 1 and is_normal_in(H, K):
+            elif p == 2 and len(lines) == 1:
                 if index == 4:
                     modulus = 2
                 elif sum(2 * node[2] == k_order for node in between) > 1:
@@ -239,10 +225,10 @@ def realize_as_representation(tau: SuperClassFunction, basis: Sequence
         raise QdpError(f"{len(report.violations)} violations")
 
     vectors = [entry.fixed_dimension_vector(lat) for entry in basis]
-    # a p-group is cyclic iff it has at most one maximal subgroup, and
-    # every class holds a subgroup of the Sylow lattice, which keeps them
-    cyclic = sorted({lat.index[S.members] for S in lat.sylow_subgroups
-                     if len(S.maximal) < 2})
+    G, p = lat.group, lat.prime
+    # a p-group H is cyclic iff some member has order |H|, i.e. x^(|H|/p) != 1
+    cyclic = [c for c, (H, *_) in enumerate(lat.classes) if H.order == 1 or any(
+        G.power(x, H.order // p) != G.identity for x in H.members)]
     if len(cyclic) != len(basis):
         raise QdpError(f"{len(basis)} basis entries for "
                        f"{len(cyclic)} classes of cyclic subgroups")

@@ -321,15 +321,13 @@ class Subgroup:
     generating set are found on first use and kept (`member_set`,
     `generators`), so the pair scans of a lattice build neither per pair.
     A subgroup that `subgroups_of_p_group` lists also has `maximal`, its
-    subgroups of index p in that list, and `conjugates`, the sorted members
-    of its conjugates in that p-group; elsewhere both are None."""
+    subgroups of index p in that list; elsewhere it is None."""
 
     def __init__(self, group: FiniteGroup, members: tuple[int, ...]):
         self.group = group
         self.members = tuple(sorted(members))
         self.order = len(self.members)
         self.maximal: tuple[Subgroup, ...] | None = None
-        self.conjugates: list[tuple[int, ...]] | None = None
         self._member_set: frozenset[int] | None = None
         self._generators: list[tuple[int, int]] | None = None
         self._cyclic_quotients: list[tuple[Subgroup, Subgroup | None]] | None = None
@@ -576,49 +574,32 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
     test against K needs.  Each H meets every such K, as every g in K
     outside H extends H to K; and a subgroup of index p in a p-group is
     normal, so those pairs are the index-p pairs, kept as `maximal`.
-
-    The extensions of H lie in its normalizer N, of order |P| over the
-    size of H's conjugacy orbit in P (orbit-stabilizer), so the scan for
-    them stops once the cosets of H it has met in N fill N.  Each orbit is
-    kept as its members' `conjugates`.
     """
     G = P.group
     mul, translate = G.mul, G.translate
     n = P.order
     if n == 1:
-        P.maximal, P.conjugates = (), [P.members]
+        P.maximal = ()
         return [P]
     p = _unique_prime(n)
     # g^p depends on g alone, so it is computed once per member
     triples = [(g, G.inv(g), G.power(g, p)) for g in P.members]
-    pgens = P.generators()
-    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     start = (G.identity,)
     below: dict[tuple[int, ...], list[tuple[int, ...]]] = {start: []}
     frontier = [(start, [])]
     while frontier:
         h, hgens = frontier.pop()
-        if h not in orbits:
-            orbit = _orbit(G, h, pgens)
-            orbits.update((t, orbit) for t in orbit)
-        normalizer = n // len(orbits[h])
         hset = set(h)
-        covered = set(h)  # the cosets g h in N met so far
+        covered = set(h)  # members of the extensions of h found so far
         for g, gi, gp in triples:
-            if len(covered) == normalizer:
-                break
-            if g in covered:
+            if g in covered or gp not in hset:
                 continue
             # h has few generators, and most g fail on the first: one
             # product at a time costs less here than a `translate` call
             for x in hgens:
                 if mul(mul(g, x), gi) not in hset:
                     break
-            else:
-                if gp not in hset:  # g h has order above p in N/h
-                    covered.update(translate(g, h))
-                    continue
-                # <h, g> is h and its p - 1 cosets g^i h
+            else:  # g normalizes h
                 cosets = set(h)
                 x = g
                 for _ in range(p - 1):
@@ -633,7 +614,6 @@ def subgroups_of_p_group(P: Subgroup) -> list[Subgroup]:
     subgroups = {k: Subgroup(G, k) for k in below}
     for k, S in subgroups.items():
         S.maximal = tuple(subgroups[h] for h in below[k])
-        S.conjugates = orbits[k]
     return [subgroups[k] for k in sorted(below, key=lambda t: (len(t), t))]
 
 
@@ -696,16 +676,10 @@ class PSubgroupClasses:
 
 
 def conjugacy_orbit(G: FiniteGroup, S: Subgroup, gens: list[int]) -> list[Subgroup]:
-    return [Subgroup(G, t) for t in _orbit(G, S.members, [(g, G.inv(g)) for g in gens])]
-
-
-def _orbit(G: FiniteGroup, members: tuple[int, ...],
-           pairs: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """The member tuples of the conjugates of `members` under the group
-    that the g of the (g, g^-1) `pairs` generate, sorted."""
     translate = G.translate
-    seen = {members}
-    frontier = [members]
+    pairs = [(g, G.inv(g)) for g in gens]
+    seen = {S.members}
+    frontier = [S.members]
     while frontier:
         t = frontier.pop()
         for g, gi in pairs:
@@ -713,7 +687,7 @@ def _orbit(G: FiniteGroup, members: tuple[int, ...],
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
-    return sorted(seen)
+    return [Subgroup(G, t) for t in sorted(seen)]
 
 
 def p_subgroups(G: FiniteGroup, p: int,
@@ -722,23 +696,13 @@ def p_subgroups(G: FiniteGroup, p: int,
         raise QdpError(f"|G| = {G.order} exceeds the guard {max_order}")
     P = sylow_p_subgroup(G, p)
     subs = tuple(subgroups_of_p_group(P))
-    if P.order == G.order:
-        # G is the p-group P, whose orbits subgroups_of_p_group has found
-        listed = {S.members: S for S in subs}
-
-        def orbit_of(S: Subgroup) -> list[Subgroup]:
-            return [listed[t] for t in S.conjugates]
-    else:
-        gens = generating_set(G)
-
-        def orbit_of(S: Subgroup) -> list[Subgroup]:
-            return conjugacy_orbit(G, S, gens)
+    gens = generating_set(G)
     classes: list[tuple[Subgroup, ...]] = []
     assigned: dict[tuple[int, ...], int] = {}
     for S in subs:
         if S.members in assigned:
             continue
-        orbit = orbit_of(S)
+        orbit = conjugacy_orbit(G, S, gens)
         ci = len(classes)
         classes.append(tuple(orbit))
         for T in orbit:

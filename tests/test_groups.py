@@ -517,18 +517,6 @@ def test_lattice_keeps_every_index_p_pair(G):
         assert all(id(T) in listed for T in S.maximal)
 
 
-@pytest.mark.parametrize("G", [heisenberg(3), modular_p3(3), generalized_quaternion(16),
-                               direct_product(dihedral(4), cyclic(2))],
-                         ids=lambda G: G.name)
-def test_lattice_keeps_each_conjugacy_orbit(G):
-    # `conjugates` is the sorted orbit under the group's own generating set,
-    # which p_subgroups takes as the class when G is the p-group
-    subs = subgroups_of_p_group(whole_group(G))
-    gens = generating_set(G)
-    for S in subs:
-        assert S.conjugates == [T.members for T in conjugacy_orbit(G, S, gens)]
-
-
 @pytest.mark.parametrize("G", [elementary_abelian(3, 2), heisenberg(3), modular_p3(3),
                                elementary_abelian(5, 2)], ids=lambda G: G.name)
 def test_row_kernel_agrees_with_products(G):
