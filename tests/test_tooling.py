@@ -465,3 +465,31 @@ def test_ab_report_lists_every_pair():
     assert lines[2] == "  pair  1 (parent first) parent/change: cert_tail_s 0.07/0.065"
     assert lines[3] == ("  pair  2 (change first) parent/change: cert_tail_s 0.071/0.066"
                         "  failed 0/1")
+
+
+def test_ab_export_writes_the_archived_files(tmp_path, monkeypatch):
+    # `git archive` is stood in for by a tar built here; on a Python whose
+    # `extractall` takes no `filter`, the export extracts without one
+    import io
+    import tarfile
+    ab = _tool("ab")
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w") as archive:
+        data = b"print(1)\n"
+        info = tarfile.TarInfo("src/qdp/x.py")
+        info.size = len(data)
+        archive.addfile(info, io.BytesIO(data))
+    monkeypatch.setattr(ab.subprocess, "run",
+                        lambda *a, **k: subprocess.CompletedProcess(a, 0, buffer.getvalue()))
+    ab.export("HEAD", tmp_path / "new")
+    assert (tmp_path / "new" / "src" / "qdp" / "x.py").read_bytes() == b"print(1)\n"
+    real = tarfile.TarFile.extractall
+
+    def without_filter(self, path=".", members=None, *, numeric_owner=False, **kw):
+        if kw:
+            raise TypeError("extractall() got an unexpected keyword argument 'filter'")
+        return real(self, path, members, numeric_owner=numeric_owner)
+
+    monkeypatch.setattr(tarfile.TarFile, "extractall", without_filter)
+    ab.export("HEAD", tmp_path / "old")
+    assert (tmp_path / "old" / "src" / "qdp" / "x.py").read_bytes() == b"print(1)\n"
